@@ -10,7 +10,7 @@ algebraically closed field: equality there means agreement within eps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NoRootInField, NonConvergence, ParseError
@@ -138,13 +138,14 @@ class FieldDescriptor:
     """Identifies a coefficient field and centralizes element handling.
 
     kind is one of "rational", "prime", "complex".  eps only matters for
-    complex and is excluded from equality so descriptors that differ only
-    in tolerance still interoperate.
+    complex.  It takes part in equality and hashing, so caches keyed on a
+    polynomial never mix tolerances; descriptors that differ only in
+    tolerance still interoperate through same_field.
     """
 
     kind: str
     p: int | None = None
-    eps: float = field(default=1e-9, compare=False)
+    eps: float = 1e-9
 
     @classmethod
     def parse(cls, text: str) -> "FieldDescriptor":

@@ -576,7 +576,9 @@ def verify(p: NcPolynomial, matrices: list, target: UTMatrix | None = None,
            f: CPolynomial | None = None, tolerance: float = 1e-9) -> dict:
     """Replay a witness through both evaluation routes and check the
     target or open-set condition.  Never raises for a failed check; the
-    report carries the outcome so callers can decide."""
+    report carries the outcome so callers can decide.  The open-set
+    coordinates come from the order of p, so with f given a zero p
+    raises ZeroInput."""
     desc = p.field
     direct = evaluate(p, matrices)
     structured = evaluate_structured(p, matrices)
@@ -593,12 +595,7 @@ def verify(p: NcPolynomial, matrices: list, target: UTMatrix | None = None,
             report["target_residual"] = 0.0 if direct.eq(target) else None
             report["target_met"] = direct.eq(target)
     if f is not None:
-        r = None
-        try:
-            r = exact_order(p)
-        except Exception:
-            pass
-        coords = band_coordinates(direct.n, r if r is not None else 1)
+        coords = band_coordinates(direct.n, exact_order(p))
         value = f.eval_full({out_var(s, t): direct.entry(s, t)
                              for s, t in coords})
         report["open_set_value"] = desc.render_value(value)

@@ -8,8 +8,11 @@ independent evaluation routes are kept side by side on purpose:
   * word_product_paths / evaluate_structured reconstruct entries from
     nondecreasing index paths and cached coefficient polynomials.
 
-Their agreement is a strong end-to-end check and is exercised by tests;
-do not collapse one into the other.
+The coefficient polynomials come from placement counting over the words
+of p (analysis.coeff_poly), so the structured route runs no matrix
+product and shares nothing with the direct route beyond field
+arithmetic.  Their agreement is a strong end-to-end check and is
+exercised by tests; do not collapse one into the other.
 """
 
 from __future__ import annotations
@@ -305,8 +308,10 @@ _GENERIC_CACHE: dict = {}
 
 def generic_evaluate(p, n: int, monomial_budget: int = 10 ** 6) -> UTMatrix:
     """p at the generic tuple of size n; cached since order probing,
-    coefficient extraction, and the solver all revisit the same matrix."""
-    key = (p, n)
+    classification, and the solver all revisit the same matrix.  The
+    budget is part of the key, so a result computed under a larger
+    budget never stands in for a call that must raise ResourceLimit."""
+    key = (p, n, monomial_budget)
     hit = _GENERIC_CACHE.get(key)
     if hit is not None:
         return hit
@@ -356,17 +361,16 @@ def evaluate_structured(p, matrices) -> UTMatrix:
                     pools = [live[a] for a in arcs]
                     if any(not pool for pool in pools):
                         continue
+                    assign = {diag_var(l, i): matrices[i - 1].entry(row, row)
+                              for l, row in enumerate(path, start=1)
+                              for i in range(1, m + 1)}
                     for slots in product(*pools):
-                        arc_val = desc.one()
-                        for (j1, k1), i in zip(arcs, slots):
-                            arc_val = arc_val * matrices[i - 1].entry(j1, k1)
                         q = coeff_poly(p, slots)
                         if q.is_zero():
                             continue
-                        assign = {}
-                        for l, row in enumerate(path, start=1):
-                            for i in range(1, m + 1):
-                                assign[diag_var(l, i)] = matrices[i - 1].entry(row, row)
+                        arc_val = desc.one()
+                        for (j1, k1), i in zip(arcs, slots):
+                            arc_val = arc_val * matrices[i - 1].entry(j1, k1)
                         total = total + q.eval_full(assign) * arc_val
             if not desc.is_zero(total):
                 entries[(s, t)] = total

@@ -2,12 +2,13 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from utpoly.analysis import (BandIndexSet, band_sets, classify, coeff_poly,
                              exact_order, is_identity, leading_tuples, order)
-from utpoly.cpoly import CPolynomial
+from utpoly.cpoly import CPolynomial, entry_var
 from utpoly.errors import CapReached, OrderMismatch
 from utpoly.fields import FieldDescriptor
 from utpoly.freealg import NcPolynomial, commutator
@@ -83,6 +84,19 @@ def test_order_report_witness():
     assert data["r"] == 1
 
 
+@pytest.mark.parametrize("first,coeff", [("C", "0.7"), ("C:0.5", "0.6")])
+def test_order_does_not_mix_tolerances(first, coeff):
+    """The scalar part (1 - c)*z1*z2 vanishes within 0.5 but not within
+    the default tolerance; a cache keyed without eps answered the second
+    call with the first call's order."""
+    text = f"x1*x2 - {coeff}*x2*x1"
+    expected = {"C": 0, "C:0.5": 1}
+    second = "C:0.5" if first == "C" else "C"
+    for field in (first, second):
+        p = NcPolynomial.parse(text, FieldDescriptor.parse(field))
+        assert exact_order(p) == expected[field], field
+
+
 def test_order_cap_is_honest():
     with pytest.raises(CapReached):
         exact_order(comm_product(2), max_n=1)
@@ -105,6 +119,47 @@ def test_coeff_poly_frozen_oracles():
     x = NcPolynomial.parse("x1", Q)
     q = coeff_poly(x, (1,))
     assert q.is_constant() and q.constant_value() == Fraction(1)
+
+
+def reference_coeff_poly(p, slots):
+    """The chain coefficient the long way: entry (1, k+1) of the generic
+    evaluation, every off-chain x set to zero, then the coefficient of
+    the chain x[1,2,i_1]*...*x[k,k+1,i_k]."""
+    k = len(slots)
+    entry = generic_evaluate(p, k + 1).entry(1, k + 1)
+    chain = [entry_var(l, l + 1, slots[l - 1]) for l in range(1, k + 1)]
+    zero = p.field.zero()
+    off = {v: zero for v in entry.variables()
+           if v[0] == "x" and v not in chain}
+    return entry.eval_partial(off).coefficient_of(chain)
+
+
+def _bits(c):
+    return (c.real.hex(), c.imag.hex()) if isinstance(c, complex) else c
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp:3", "Fp:101", "C", "C:0.5"])
+def test_coeff_poly_matches_generic_evaluation(field):
+    """Placement counting gives the generic evaluation's coefficient bit
+    for bit, with the same term order (the summation order of eval_full)."""
+    desc = FieldDescriptor.parse(field)
+    rng = random.Random(field)
+    for _ in range(12):
+        m = rng.randint(1, 3)
+        terms = {}
+        for _ in range(rng.randint(1, 8)):
+            w = tuple(rng.randint(1, m) for _ in range(rng.randint(1, 5)))
+            c = desc.from_int(rng.randint(-4, 4))
+            if desc.kind == "complex" and rng.random() < 0.5:
+                c = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+            terms[w] = terms.get(w, desc.zero()) + c
+        p = NcPolynomial(desc, m, terms)
+        for k in range(1, 4):
+            for slots in product(range(1, m + 1), repeat=k):
+                got = coeff_poly(p, slots)
+                want = reference_coeff_poly(p, slots)
+                assert [(mono, _bits(c)) for mono, c in got.terms.items()] == \
+                    [(mono, _bits(c)) for mono, c in want.terms.items()], slots
 
 
 def test_coeff_poly_short_tuples_vanish_at_positive_order():

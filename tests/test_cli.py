@@ -100,6 +100,18 @@ def test_solve_and_verify_roundtrip(tmp_path, capsys):
     assert rep["target_met"] is True and rep["dual_evaluation_agrees"] is True
 
 
+def test_verify_open_set_rejects_zero_polynomial(tmp_path, capsys):
+    # a zero polynomial has no order, so there are no band coordinates
+    # to put the open-set condition on
+    mats = [{"n": 2, "ring": "field",
+             "entries": [{"j": 1, "k": 2, "value": str(i)}]} for i in (1, 2)]
+    wf = tmp_path / "witness.json"
+    wf.write_text(json.dumps(mats))
+    code, out, err = run(capsys, "verify", "--poly", "x1*x2-x1*x2",
+                         "--witness", str(wf), "--open-set", "y[1,2]")
+    assert code == 2 and out == "" and "ZeroInput" in err
+
+
 def test_solve_routes_order_zero(tmp_path, capsys):
     target = {"n": 2, "ring": "field",
               "entries": [{"j": 1, "k": 1, "value": "4"},

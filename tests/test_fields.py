@@ -40,7 +40,9 @@ def test_descriptor_parse_rejects_bad_input():
             FieldDescriptor.parse(bad)
 
 
-def test_descriptor_equality_ignores_tolerance():
+def test_descriptor_interop_ignores_tolerance():
+    # equality and hashing see the tolerance, so caches keep them apart
+    assert FieldDescriptor.parse("C") != FieldDescriptor.parse("C:1e-3")
     assert FieldDescriptor.parse("C").same_field(FieldDescriptor.parse("C:1e-3"))
     assert not Q.same_field(F7)
     assert not F7.same_field(FieldDescriptor.parse("Fp:11"))

@@ -156,6 +156,19 @@ def test_evaluate_routes_agree_random():
             assert direct.eq(structured)
 
 
+def test_structured_route_runs_no_matrix_product(monkeypatch):
+    rng = random.Random(2305)
+    p = rand_poly(Q, rng, 3, max_len=5, max_terms=8)
+    mats = [rand_matrix(Q, QRING, 5, rng) for _ in range(3)]
+    direct = evaluate(p, mats)
+
+    def no_matmul(self, other):
+        raise AssertionError("matrix product on the structured route")
+
+    monkeypatch.setattr(UTMatrix, "__matmul__", no_matmul)
+    assert evaluate_structured(p, mats).eq(direct)
+
+
 def test_evaluate_checks_inputs():
     p = NcPolynomial.parse("x1*x2", Q)
     a = mat(2, {(1, 2): 1})
@@ -204,6 +217,7 @@ def test_generic_evaluate_specializes_to_concrete():
 
 def test_generic_evaluate_monomial_budget():
     p = NcPolynomial.parse("x1*x2*x1*x2*x1", Q)
+    generic_evaluate(p, 4)  # cached under the default budget
     with pytest.raises(ResourceLimit):
         generic_evaluate(p, 4, monomial_budget=5)
 
