@@ -129,6 +129,17 @@ class OrderReport:
         return out
 
 
+def _probe(p: NcPolynomial, max_n: int) -> tuple:
+    """(r, generic evaluation at size r+1) for the least size in
+    1..max_n+1 at which p is not an identity; (None, None) if it is one
+    at every size probed."""
+    for n in range(1, max_n + 2):
+        generic = generic_evaluate(p, n)
+        if generic.entries:
+            return n - 1, generic
+    return None, None
+
+
 def order(p: NcPolynomial, max_n: int | None = None, rng=None,
           sample_height: int = 256, sample_budget: int = 200) -> OrderReport:
     """Least r with p an identity of size r but not of size r+1.
@@ -149,23 +160,21 @@ def order(p: NcPolynomial, max_n: int | None = None, rng=None,
         raise ZeroInput("max_n must be at least 1")
     if rng is None:
         rng = random.Random(0)
-    for n in range(1, max_n + 2):
-        generic = generic_evaluate(p, n)
-        if not generic.entries:
-            continue
-        pos = min(generic.entries, key=lambda jk: (jk[1] - jk[0], jk[0]))
-        poly = generic.entries[pos]
-        point = None
-        value = None
-        for _ in range(sample_budget):
-            cand = {v: p.field.sample(rng, sample_height)
-                    for v in sorted(poly.variables())}
-            val = poly.eval_full(cand)
-            if not p.field.is_zero(val):
-                point, value = cand, val
-                break
-        return OrderReport(n - 1, max_n, pos, point, value)
-    return OrderReport(None, max_n, None, None)
+    r, generic = _probe(p, max_n)
+    if r is None:
+        return OrderReport(None, max_n, None, None)
+    pos = min(generic.entries, key=lambda jk: (jk[1] - jk[0], jk[0]))
+    poly = generic.entries[pos]
+    point = None
+    value = None
+    for _ in range(sample_budget):
+        cand = {v: p.field.sample(rng, sample_height)
+                for v in sorted(poly.variables())}
+        val = poly.eval_full(cand)
+        if not p.field.is_zero(val):
+            point, value = cand, val
+            break
+    return OrderReport(r, max_n, pos, point, value)
 
 
 def exact_order(p: NcPolynomial, max_n: int | None = None) -> int:
@@ -192,23 +201,22 @@ def leading_tuples(p: NcPolynomial, r: int) -> list[tuple]:
 
 @dataclass(frozen=True)
 class BandIndexSet:
-    """The block of positions between rows s and t together with the
-    off-diagonal positions whose jump is small enough to matter at order
-    r: pairs (j,k) with j < k and (t-s) - (k-j) >= r-1."""
+    """The off-diagonal positions between rows s and t whose jump is
+    small enough to matter at order r: pairs (j,k) with s <= j < k <= t
+    and (t-s) - (k-j) >= r-1."""
     s: int
     t: int
     r: int
-    block_pairs: frozenset
     arc_support: frozenset
 
 
 def band_sets(s: int, t: int, r: int) -> BandIndexSet:
     if not (1 <= s < t) or r < 1:
         raise ValueError(f"band_sets needs 1 <= s < t and r >= 1, got ({s},{t},{r})")
-    block = frozenset((j, k) for j in range(s, t + 1) for k in range(j, t + 1))
-    support = frozenset((j, k) for (j, k) in block
-                        if j != k and (t - s) - (k - j) >= r - 1)
-    return BandIndexSet(s, t, r, block, support)
+    support = frozenset((j, k) for j in range(s, t + 1)
+                        for k in range(j + 1, t + 1)
+                        if (t - s) - (k - j) >= r - 1)
+    return BandIndexSet(s, t, r, support)
 
 
 @dataclass
@@ -247,11 +255,7 @@ def classify(p: NcPolynomial, n: int, max_n: int | None = None) -> Classificatio
         raise ZeroInput("n must be at least 1")
     if max_n is None:
         max_n = n
-    r = None
-    for size in range(1, max_n + 2):
-        if not is_identity(p, size):
-            r = size - 1
-            break
+    r = _probe(p, max_n)[0]
     if r is None:
         # order unresolved; the zero case is still decidable from size n alone
         if n <= max_n + 1 or is_identity(p, n):

@@ -14,10 +14,8 @@ to nonzero coefficients.  Unlike the free algebra, constants are allowed.
 from __future__ import annotations
 
 from . import parsing
-from .errors import (FieldMismatch, NonLinearVariable, ParseError, UnboundVariable,
-                     ZeroInput)
+from .errors import FieldMismatch, NonLinearVariable, ParseError, UnboundVariable
 from .fields import FieldDescriptor, split_sign
-from itertools import combinations
 
 EMPTY = ()
 
@@ -278,24 +276,3 @@ class _CBuilder(parsing.Builder):
     def mul(self, a, b):
         return a * b
 
-
-def subset_product(q: CPolynomial, n: int, arity: int) -> CPolynomial:
-    """Product of q over all increasing arity-subsets of rows 1..n.
-
-    q must be a polynomial in diagonal variables z[l,i] for l = 1..arity;
-    each subset (j_1 < ... < j_arity) contributes q with row l renamed to
-    row j_l.  A diagonal point where the product is nonzero makes q
-    nonvanishing on every increasing subset simultaneously.
-    """
-    if q.is_zero():
-        raise ZeroInput("subset product of the zero polynomial")
-    for key in q.variables():
-        if key[0] != "z" or not (1 <= key[1] <= arity):
-            raise ZeroInput(f"unexpected variable {render_var(key)} "
-                            f"(want z[1..{arity},i])")
-    out = CPolynomial.const(q.field, q.field.one())
-    for subset in combinations(range(1, n + 1), arity):
-        def fn(key, subset=subset):
-            return diag_var(subset[key[1] - 1], key[2])
-        out = out * q.rename(fn)
-    return out

@@ -2,22 +2,33 @@
 band the image lives in, build concrete matrices u_1..u_m with p(u) equal
 to the target (exact fields) or within tolerance (complex).
 
-The sweep visits target entries band by band, (s, r+s+t') for t' = 0,1,...
-and s = 1..n-r-t'.  Each entry is solved through one designated fresh
-variable at position (r+s-1, r+s+t'): with diagonals fixed by a
-nonvanishing choice and every other strictly-upper variable given a random
-value, the entry polynomial is affine in the fresh variable with a
-generically nonzero slope.  Degenerate slopes trigger a full resample;
-the guarantee behind the construction is density, not surjectivity, so a
+One sweep driver serves every order.  An attempt fixes the diagonals,
+then visits target entries band by band and solves each through one
+designated fresh variable: with the diagonals fixed and every other
+strictly-upper variable of the entry given a random value, the entry
+polynomial is affine in the fresh variable with a generically nonzero
+slope.  The orders differ only in how diagonals and fresh variables are
+chosen.  For r >= 1 the diagonals make a leading coefficient polynomial
+nonvanishing on every (r+1)-subset of rows, entry (s, r+s+t') is solved
+through position (r+s-1, r+s+t') (see build_sweep_plan_rn), and every
+non-fresh variable is sampled before the first entry.  For r = 0 each
+diagonal solves a univariate restriction of p for the target's diagonal
+entry, and entry (s, t) is solved through slot i* of position (s, t),
+whose other slots are sampled just before it.
+
+A zero slope makes the attempt fail and the next one resample; the
+guarantee behind the construction is density, not surjectivity, so a
 slope that stays zero after the retry budget is reported as a failure
-rather than glossed over.
+rather than glossed over.  Each finished witness is replayed once per
+evaluation route, and that replay is the report it carries.
 """
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass, field
-from itertools import combinations, product
+from dataclasses import dataclass, field, replace
+from itertools import combinations
 
 from .analysis import band_sets, coeff_poly, exact_order, leading_tuples
 from .cpoly import CPolynomial, diag_var, entry_var, out_var, render_var
@@ -45,21 +56,6 @@ class PartialAssignment:
             raise IncompatibleAssignment(
                 f"{render_var(key)} set to two different values")
         self.values[key] = value
-
-    def merge(self, other: "PartialAssignment"):
-        for key, value in other.values.items():
-            self.set(key, value)
-
-    def __contains__(self, key):
-        return key in self.values
-
-    def get(self, key, default=None):
-        return self.values.get(key, default)
-
-    def copy(self) -> "PartialAssignment":
-        out = PartialAssignment(self.desc)
-        out.values = dict(self.values)
-        return out
 
 
 @dataclass(frozen=True)
@@ -128,14 +124,6 @@ def build_sweep_plan_rn(r: int, n: int, lead: tuple) -> SweepPlan:
     return SweepPlan(r, n, lead, entries)
 
 
-def build_sweep_plan(p: NcPolynomial, n: int) -> SweepPlan:
-    r = exact_order(p)
-    if not (1 <= r < n):
-        raise OrderMismatch(f"order {r} admits no sweep at size {n}")
-    lead = leading_tuples(p, r)[0]
-    return build_sweep_plan_rn(r, n, lead)
-
-
 @dataclass
 class SolveOptions:
     seed: int = 0
@@ -201,24 +189,7 @@ def find_diagonals(p: NcPolynomial, lead: tuple, n: int, rng,
         worst = max(worst, failures)
     raise BudgetExhausted(
         f"no diagonal choice in {budget} samples (up to {worst} failing "
-        f"subsets of {len(list(combinations(range(n), r + 1)))})")
-
-
-def simultaneous_nonvanishing(polys: list[CPolynomial], rng,
-                              budget: int = 200, height: int = 256) -> dict:
-    """One assignment making every listed polynomial nonzero."""
-    if not polys:
-        return {}
-    desc = polys[0].field
-    for q in polys:
-        if q.is_zero():
-            raise ZeroInput("simultaneous nonvanishing of a zero polynomial")
-    keys = sorted(set().union(*(q.variables() for q in polys)))
-    for _ in range(budget):
-        assign = {k: desc.sample(rng, height) for k in keys}
-        if all(not desc.is_zero(q.eval_full(assign)) for q in polys):
-            return assign
-    raise BudgetExhausted(f"no common nonvanishing point in {budget} samples")
+        f"subsets of {math.comb(n, r + 1)})")
 
 
 def _matrices_from_assignment(desc, n: int, m: int, values: dict) -> list[UTMatrix]:
@@ -242,107 +213,6 @@ def _residual(desc, achieved: UTMatrix, target: UTMatrix) -> float:
     return worst
 
 
-def _finish(p, desc, values, n, target, diagnostics, tolerance):
-    matrices = _matrices_from_assignment(desc, n, p.nvars, values)
-    achieved = evaluate(p, matrices)
-    rep = verify(p, matrices, target=target, tolerance=tolerance)
-    if not rep["dual_evaluation_agrees"]:
-        raise InternalInconsistency("evaluation routes disagree on witness")
-    if desc.kind == "complex":
-        residual = _residual(desc, achieved, target)
-        if residual > tolerance:
-            return None
-        return WitnessResult(matrices, achieved, "approx", residual,
-                             diagnostics, rep)
-    if not achieved.eq(target):
-        return None
-    return WitnessResult(matrices, achieved, "exact", 0.0, diagnostics, rep)
-
-
-def solve_target(p: NcPolynomial, n: int, target: UTMatrix,
-                 options: SolveOptions | None = None) -> WitnessResult:
-    """Matrices u with p(u) = target, for 1 <= ord(p) <= n-1.
-
-    Raises BandViolation when the target has a nonzero entry with
-    k - j <= r-1, OrderMismatch outside the order regime (r = 0 has its
-    own route, r >= n admits only the zero target, handled here), and
-    DegenerateCoefficient when every retry produced a zero slope."""
-    opt = options or SolveOptions()
-    desc = p.field
-    if target.n != n:
-        raise BandViolation(f"target size {target.n} != n = {n}")
-    r = exact_order(p, opt.order_cap)
-    if r == 0:
-        raise OrderMismatch("order 0: use solve_diagonal_r0")
-    if r >= n:
-        if target.entries:
-            raise BandViolation(f"order {r} >= n = {n}: image is zero only")
-        zero = [UTMatrix.zeros(FieldRing(desc), n) for _ in range(p.nvars)]
-        achieved = evaluate(p, zero)
-        rep = verify(p, zero, target=target, tolerance=opt.tolerance)
-        return WitnessResult(zero, achieved, "exact", 0.0,
-                             {"attempts": 0, "leading_tuple": None,
-                              "diagonals": None, "seed": opt.seed}, rep)
-    if not target.in_band(r - 1):
-        raise BandViolation(
-            f"target has a nonzero entry with k - j <= {r - 1}")
-
-    rng = random.Random(opt.seed)
-    leads = leading_tuples(p, r)
-    generic = generic_evaluate(p, n, opt.monomial_budget)
-    last_entry = None
-    for attempt in range(opt.retries):
-        lead = leads[attempt % len(leads)]
-        plan = build_sweep_plan_rn(r, n, lead)
-        diags = find_diagonals(p, lead, n, rng, opt.diag_budget, opt.height)
-        assign = PartialAssignment(desc)
-        for j in range(1, n + 1):
-            for i in range(1, p.nvars + 1):
-                assign.set(diag_var(j, i), diags[j - 1][i - 1])
-        fresh_keys = {e.fresh for e in plan.entries}
-        for j in range(1, n + 1):
-            for k in range(j + 1, n + 1):
-                for i in range(1, p.nvars + 1):
-                    key = entry_var(j, k, i)
-                    if key not in fresh_keys:
-                        assign.set(key, desc.sample(rng, opt.height))
-        ok = True
-        for e in plan.entries:
-            cur = generic.entry(e.s, e.t).eval_partial(assign.values)
-            if cur.degree_in(e.fresh) > 1:
-                raise InternalInconsistency(
-                    f"entry ({e.s},{e.t}) not affine in its fresh variable")
-            slope = cur.coefficient_of([e.fresh])
-            offset = cur.eval_partial({e.fresh: desc.zero()})
-            if not (slope.is_constant() and offset.is_constant()):
-                raise InternalInconsistency(
-                    f"entry ({e.s},{e.t}) still has unassigned variables")
-            c = slope.constant_value()
-            if desc.is_zero(c):
-                ok = False
-                last_entry = (e.s, e.t)
-                break
-            v = (target.entry(e.s, e.t) - offset.constant_value()) / c
-            assign.set(e.fresh, v)
-        if not ok:
-            continue
-        diagnostics = {
-            "attempts": attempt + 1,
-            "leading_tuple": list(lead),
-            "diagonals": [[desc.render_value(v) for v in row] for row in diags],
-            "seed": opt.seed,
-        }
-        result = _finish(p, desc, assign.values, n, target, diagnostics,
-                         opt.tolerance)
-        if result is not None:
-            return result
-        last_entry = last_entry or ("verify",)
-    raise DegenerateCoefficient(
-        f"no usable slope after {opt.retries} attempts"
-        + (f" (last failing entry {last_entry})" if last_entry else ""),
-        entry=last_entry)
-
-
 def _univariate_restriction(p: NcPolynomial, slot: int, point: list):
     """Coefficients of p as a univariate polynomial in variable `slot`,
     with every other scalar variable fixed at point[i-1]."""
@@ -360,6 +230,197 @@ def _univariate_restriction(p: NcPolynomial, slot: int, point: list):
     return coeffs
 
 
+def _diagonals_r0(p: NcPolynomial, n: int, target: UTMatrix, rng,
+                  opt: SolveOptions) -> tuple:
+    """(diagonal rows or None, whether some restriction had no root).
+
+    For each row, fix all but one random slot at random so the
+    restriction is a nonconstant univariate polynomial, and solve it for
+    the target's diagonal entry; a row gets eight tries."""
+    desc = p.field
+    m = p.nvars
+    diags = []
+    missed_root = False
+    for j in range(1, n + 1):
+        for _ in range(8):
+            slot = rng.randrange(1, m + 1)
+            point = [desc.sample(rng, opt.height) for _ in range(m)]
+            coeffs = _univariate_restriction(p, slot, point)
+            if all(desc.is_zero(c) for c in coeffs[1:]):
+                continue  # constant restriction; re-roll
+            try:
+                point[slot - 1] = solve_univariate(
+                    desc, coeffs, target.entry(j, j), rng,
+                    root_tol=opt.tolerance)
+            except NoRootInField:
+                missed_root = True
+                continue
+            diags.append(tuple(point))
+            break
+        else:
+            return None, missed_root
+    return diags, missed_root
+
+
+def _entries_positive(n: int, m: int, lead: tuple, assign: PartialAssignment,
+                      rng, height: int):
+    """(s, t, fresh) in plan order, after sampling every non-fresh
+    strictly-upper variable in (j, k, i) order."""
+    plan = build_sweep_plan_rn(len(lead), n, lead)
+    fresh_keys = {e.fresh for e in plan.entries}
+    for j in range(1, n + 1):
+        for k in range(j + 1, n + 1):
+            for i in range(1, m + 1):
+                key = entry_var(j, k, i)
+                if key not in fresh_keys:
+                    assign.set(key, assign.desc.sample(rng, height))
+    for e in plan.entries:
+        yield e.s, e.t, e.fresh
+
+
+def _entries_r0(n: int, diags: list, arc_polys: dict, live_slots: list,
+                assign: PartialAssignment, rng, height: int):
+    """(s, t, fresh) band by band.  The fresh slot i* is the first whose
+    single-arc coefficient polynomial is nonzero at the diagonals of rows
+    s and t (fresh is None when none is); the other slots of (s, t) are
+    sampled just before the entry is yielded."""
+    desc = assign.desc
+    m = len(diags[0])
+    for span in range(1, n):
+        for s in range(1, n - span + 1):
+            t = s + span
+            pair = {}
+            for i in range(1, m + 1):
+                pair[diag_var(1, i)] = diags[s - 1][i - 1]
+                pair[diag_var(2, i)] = diags[t - 1][i - 1]
+            star = next((i for i in live_slots
+                         if not desc.is_zero(arc_polys[i].eval_full(pair))),
+                        None)
+            if star is None:
+                yield s, t, None
+                return
+            for i in range(1, m + 1):
+                if i != star:
+                    assign.set(entry_var(s, t, i), desc.sample(rng, height))
+            yield s, t, entry_var(s, t, star)
+
+
+def _affine_parts(entry: CPolynomial, values: dict, fresh, pos: tuple) -> tuple:
+    """(slope, offset) of the entry polynomial as an affine function of
+    its fresh variable once every other variable takes its value."""
+    cur = entry.eval_partial(values)
+    if cur.degree_in(fresh) > 1:
+        raise InternalInconsistency(
+            f"entry {pos} not affine in {render_var(fresh)}")
+    slope = cur.coefficient_of([fresh])
+    offset = cur.eval_partial({fresh: entry.field.zero()})
+    if not (slope.is_constant() and offset.is_constant()):
+        raise InternalInconsistency(
+            f"entry {pos} still has unassigned variables")
+    return slope.constant_value(), offset.constant_value()
+
+
+def _sweep(p: NcPolynomial, n: int, r: int, target: UTMatrix,
+           opt: SolveOptions, f: CPolynomial | None = None) -> WitnessResult:
+    """The witness driver for 0 <= r <= n-1 (validated by the caller).
+    With f given, the witness report also evaluates the open-set
+    condition, which the caller checks."""
+    desc = p.field
+    m = p.nvars
+    rng = random.Random(opt.seed)
+    generic = generic_evaluate(p, n, opt.monomial_budget)
+    if r:
+        leads = leading_tuples(p, r)
+    else:
+        arc_polys = {i: coeff_poly(p, (i,)) for i in range(1, m + 1)}
+        live_slots = [i for i in range(1, m + 1) if not arc_polys[i].is_zero()]
+        if not live_slots:
+            raise InternalInconsistency(
+                "no nonzero single-arc coefficient at order 0")
+    missed_root = False
+    last_entry = None
+    for attempt in range(opt.retries):
+        # the entry generators draw nothing until the loop below pulls
+        # their first entry, after the diagonals are in place
+        assign = PartialAssignment(desc)
+        if r:
+            lead = leads[attempt % len(leads)]
+            diags = find_diagonals(p, lead, n, rng, opt.diag_budget, opt.height)
+            entries = _entries_positive(n, m, lead, assign, rng, opt.height)
+        else:
+            lead = None
+            diags, missed = _diagonals_r0(p, n, target, rng, opt)
+            missed_root = missed_root or missed
+            if diags is None:
+                continue
+            entries = _entries_r0(n, diags, arc_polys, live_slots, assign,
+                                  rng, opt.height)
+        for j in range(1, n + 1):
+            for i in range(1, m + 1):
+                assign.set(diag_var(j, i), diags[j - 1][i - 1])
+        for s, t, fresh in entries:
+            if fresh is not None:
+                slope, offset = _affine_parts(generic.entry(s, t),
+                                              assign.values, fresh, (s, t))
+            if fresh is None or desc.is_zero(slope):
+                last_entry = (s, t)
+                break
+            assign.set(fresh, (target.entry(s, t) - offset) / slope)
+        else:
+            diagnostics = {
+                "attempts": attempt + 1,
+                "leading_tuple": None if lead is None else list(lead),
+                "diagonals": [[desc.render_value(v) for v in row]
+                              for row in diags],
+                "seed": opt.seed,
+            }
+            matrices = _matrices_from_assignment(desc, n, m, assign.values)
+            achieved, rep = _replay(p, matrices, r, target, f, opt.tolerance)
+            if not rep["dual_evaluation_agrees"]:
+                raise InternalInconsistency(
+                    "evaluation routes disagree on witness")
+            if rep["target_met"]:
+                return WitnessResult(matrices, achieved, _status(desc),
+                                     rep["target_residual"], diagnostics, rep)
+            last_entry = last_entry or ("verify",)
+    if missed_root and last_entry is None:
+        raise NoRootInField(
+            f"diagonal equation unsolvable in {desc.render()} after "
+            f"{opt.retries} attempts (complex base field always has roots)")
+    raise DegenerateCoefficient(
+        f"no usable slope after {opt.retries} attempts"
+        + (f" (last failing entry {last_entry})" if last_entry else ""),
+        entry=last_entry)
+
+
+def solve_target(p: NcPolynomial, n: int, target: UTMatrix,
+                 options: SolveOptions | None = None) -> WitnessResult:
+    """Matrices u with p(u) = target, for 1 <= ord(p) <= n-1.
+
+    Raises BandViolation when the target has a nonzero entry with
+    k - j <= r-1, OrderMismatch outside the order regime (r = 0 has its
+    own route, r >= n admits only the zero target, handled here), and
+    DegenerateCoefficient when every retry produced a zero slope."""
+    opt = options or SolveOptions()
+    if target.n != n:
+        raise BandViolation(f"target size {target.n} != n = {n}")
+    r = exact_order(p, opt.order_cap)
+    if r == 0:
+        raise OrderMismatch("order 0: use solve_diagonal_r0")
+    if r >= n:
+        if target.entries:
+            raise BandViolation(f"order {r} >= n = {n}: image is zero only")
+        zero = [UTMatrix.zeros(FieldRing(p.field), n) for _ in range(p.nvars)]
+        achieved, rep = _replay(p, zero, r, target, None, opt.tolerance)
+        return WitnessResult(zero, achieved, "exact", 0.0,
+                             {"attempts": 0, "leading_tuple": None,
+                              "diagonals": None, "seed": opt.seed}, rep)
+    if not target.in_band(r - 1):
+        raise BandViolation(
+            f"target has a nonzero entry with k - j <= {r - 1}")
+    return _sweep(p, n, r, target, opt)
+
+
 def solve_diagonal_r0(p: NcPolynomial, n: int, target: UTMatrix,
                       options: SolveOptions | None = None) -> WitnessResult:
     """Witness construction for order-0 polynomials.
@@ -373,116 +434,12 @@ def solve_diagonal_r0(p: NcPolynomial, n: int, target: UTMatrix,
     increments to single-arc coefficients forces at least one nonzero
     single-arc coefficient polynomial when the order is 0)."""
     opt = options or SolveOptions()
-    desc = p.field
     if target.n != n:
         raise BandViolation(f"target size {target.n} != n = {n}")
     r = exact_order(p, opt.order_cap)
     if r != 0:
         raise OrderMismatch(f"order is {r}, not 0")
-    m = p.nvars
-    rng = random.Random(opt.seed)
-    generic = generic_evaluate(p, n, opt.monomial_budget)
-    arc_polys = {i: coeff_poly(p, (i,)) for i in range(1, m + 1)}
-    live_slots = [i for i in range(1, m + 1) if not arc_polys[i].is_zero()]
-    if not live_slots:
-        raise InternalInconsistency("no nonzero single-arc coefficient at order 0")
-
-    last_error = None
-    last_entry = None
-    for attempt in range(opt.retries):
-        # diagonals: row by row
-        diags = []
-        ok = True
-        for j in range(1, n + 1):
-            want = target.entry(j, j)
-            solved = None
-            for _ in range(8):
-                slot = rng.randrange(1, m + 1)
-                point = [desc.sample(rng, opt.height) for _ in range(m)]
-                coeffs = _univariate_restriction(p, slot, point)
-                if all(desc.is_zero(c) for c in coeffs[1:]):
-                    continue  # constant restriction; re-roll
-                try:
-                    root = solve_univariate(desc, coeffs, want, rng,
-                                            root_tol=opt.tolerance)
-                except NoRootInField as exc:
-                    last_error = exc
-                    continue
-                point[slot - 1] = root
-                solved = tuple(point)
-                break
-            if solved is None:
-                ok = False
-                break
-            diags.append(solved)
-        if not ok:
-            continue
-
-        assign = PartialAssignment(desc)
-        for j in range(1, n + 1):
-            for i in range(1, m + 1):
-                assign.set(diag_var(j, i), diags[j - 1][i - 1])
-        ok = True
-        for span in range(1, n):
-            if not ok:
-                break
-            for s in range(1, n - span + 1):
-                t = s + span
-                pair = {}
-                for i in range(1, m + 1):
-                    pair[diag_var(1, i)] = diags[s - 1][i - 1]
-                    pair[diag_var(2, i)] = diags[t - 1][i - 1]
-                star = None
-                for i in live_slots:
-                    if not desc.is_zero(arc_polys[i].eval_full(pair)):
-                        star = i
-                        break
-                if star is None:
-                    ok = False
-                    last_entry = (s, t)
-                    break
-                fresh = entry_var(s, t, star)
-                for i in range(1, m + 1):
-                    if i != star:
-                        assign.set(entry_var(s, t, i),
-                                   desc.sample(rng, opt.height))
-                cur = generic.entry(s, t).eval_partial(assign.values)
-                if cur.degree_in(fresh) > 1:
-                    raise InternalInconsistency(
-                        f"entry ({s},{t}) not affine in {render_var(fresh)}")
-                slope = cur.coefficient_of([fresh])
-                offset = cur.eval_partial({fresh: desc.zero()})
-                if not (slope.is_constant() and offset.is_constant()):
-                    raise InternalInconsistency(
-                        f"entry ({s},{t}) still has unassigned variables")
-                c = slope.constant_value()
-                if desc.is_zero(c):
-                    ok = False
-                    last_entry = (s, t)
-                    break
-                v = (target.entry(s, t) - offset.constant_value()) / c
-                assign.set(fresh, v)
-        if not ok:
-            continue
-        diagnostics = {
-            "attempts": attempt + 1,
-            "leading_tuple": None,
-            "diagonals": [[desc.render_value(v) for v in row] for row in diags],
-            "seed": opt.seed,
-        }
-        result = _finish(p, desc, assign.values, n, target, diagnostics,
-                         opt.tolerance)
-        if result is not None:
-            return result
-        last_entry = last_entry or ("verify",)
-    if last_error is not None and last_entry is None:
-        raise NoRootInField(
-            f"diagonal equation unsolvable in {desc.render()} after "
-            f"{opt.retries} attempts (complex base field always has roots)")
-    raise DegenerateCoefficient(
-        f"no usable slope after {opt.retries} attempts"
-        + (f" (last failing entry {last_entry})" if last_entry else ""),
-        entry=last_entry)
+    return _sweep(p, n, 0, target, opt)
 
 
 def band_coordinates(n: int, r: int) -> list[tuple]:
@@ -496,8 +453,8 @@ def hit_open_set(p: NcPolynomial, n: int, f: CPolynomial,
     """Matrices u with f nonzero at the output coordinates of p(u).
 
     f is a polynomial in y[s,t] over the band coordinates.  Strategy:
-    sample a coordinate point where f is nonzero, aim solve_target at it,
-    and fall back to fully random tuples if the solver degenerates (the
+    sample a coordinate point where f is nonzero, aim the sweep at it,
+    and fall back to fully random tuples if the sweep degenerates (the
     composite f(p(generic)) is a nonzero polynomial, so random tuples
     also work with high probability)."""
     opt = options or SolveOptions()
@@ -516,29 +473,19 @@ def hit_open_set(p: NcPolynomial, n: int, f: CPolynomial,
     rng = random.Random(opt.seed)
     ring = FieldRing(desc)
     solver_failures = 0
-    for attempt in range(opt.retries):
+    for _ in range(opt.retries):
         point = {out_var(s, t): desc.sample(rng, opt.height) for s, t in coords}
-        value = f.eval_full(point)
-        if desc.is_zero(value):
+        if desc.is_zero(f.eval_full(point)):
             continue
         target = UTMatrix(ring, n, {(s, t): point[out_var(s, t)]
                                     for s, t in coords})
-        sub = SolveOptions(seed=rng.randrange(2 ** 30), retries=4,
-                           height=opt.height, tolerance=opt.tolerance,
-                           diag_budget=opt.diag_budget,
-                           nonzero_budget=opt.nonzero_budget,
-                           order_cap=opt.order_cap,
-                           monomial_budget=opt.monomial_budget)
+        sub = replace(opt, seed=rng.randrange(2 ** 30), retries=4)
         try:
-            result = solve_target(p, n, target, sub)
+            result = _sweep(p, n, r, target, sub, f)
         except (DegenerateCoefficient, BudgetExhausted):
             solver_failures += 1
             continue
-        achieved_value = f.eval_full({
-            out_var(s, t): result.achieved.entry(s, t) for s, t in coords})
-        if _open_ok(desc, achieved_value, opt.tolerance):
-            result.report = verify(p, result.matrices, target=target, f=f,
-                                   tolerance=opt.tolerance)
+        if result.report["open_set_met"]:
             return result
     # fallback: pure random tuples
     for _ in range(opt.nonzero_budget):
@@ -549,14 +496,10 @@ def hit_open_set(p: NcPolynomial, n: int, f: CPolynomial,
                 for k in range(j, n + 1):
                     entries[(j, k)] = desc.sample(rng, opt.height)
             matrices.append(UTMatrix(ring, n, entries))
-        achieved = evaluate(p, matrices)
-        value = f.eval_full({out_var(s, t): achieved.entry(s, t)
-                             for s, t in coords})
-        if _open_ok(desc, value, opt.tolerance):
-            rep = verify(p, matrices, f=f, tolerance=opt.tolerance)
+        achieved, rep = _replay(p, matrices, r, None, f, opt.tolerance)
+        if rep["open_set_met"]:
             return WitnessResult(
-                matrices, achieved,
-                "exact" if desc.kind != "complex" else "approx",
+                matrices, achieved, _status(desc),
                 0.0, {"attempts": opt.retries + solver_failures,
                       "leading_tuple": None, "diagonals": None,
                       "seed": opt.seed, "fallback": "random"},
@@ -566,19 +509,16 @@ def hit_open_set(p: NcPolynomial, n: int, f: CPolynomial,
         f"failures, {opt.nonzero_budget} random tuples)")
 
 
-def _open_ok(desc, value, tolerance: float) -> bool:
-    if desc.kind == "complex":
-        return abs(value) > tolerance
-    return not desc.is_zero(value)
+def _status(desc) -> str:
+    return "approx" if desc.kind == "complex" else "exact"
 
 
-def verify(p: NcPolynomial, matrices: list, target: UTMatrix | None = None,
-           f: CPolynomial | None = None, tolerance: float = 1e-9) -> dict:
-    """Replay a witness through both evaluation routes and check the
-    target or open-set condition.  Never raises for a failed check; the
-    report carries the outcome so callers can decide.  The open-set
-    coordinates come from the order of p, so with f given a zero p
-    raises ZeroInput."""
+def _replay(p: NcPolynomial, matrices: list, r: int | None,
+            target: UTMatrix | None, f: CPolynomial | None,
+            tolerance: float) -> tuple:
+    """(direct evaluation, report): one pass through each evaluation
+    route, then the target and open-set checks on the direct result.
+    r fixes the open-set coordinates and is read only when f is given."""
     desc = p.field
     direct = evaluate(p, matrices)
     structured = evaluate_structured(p, matrices)
@@ -595,9 +535,21 @@ def verify(p: NcPolynomial, matrices: list, target: UTMatrix | None = None,
             report["target_residual"] = 0.0 if direct.eq(target) else None
             report["target_met"] = direct.eq(target)
     if f is not None:
-        coords = band_coordinates(direct.n, exact_order(p))
         value = f.eval_full({out_var(s, t): direct.entry(s, t)
-                             for s, t in coords})
+                             for s, t in band_coordinates(direct.n, r)})
         report["open_set_value"] = desc.render_value(value)
-        report["open_set_met"] = _open_ok(desc, value, tolerance)
-    return report
+        report["open_set_met"] = (abs(value) > tolerance
+                                  if desc.kind == "complex"
+                                  else not desc.is_zero(value))
+    return direct, report
+
+
+def verify(p: NcPolynomial, matrices: list, target: UTMatrix | None = None,
+           f: CPolynomial | None = None, tolerance: float = 1e-9) -> dict:
+    """Replay a witness through both evaluation routes and check the
+    target or open-set condition.  Never raises for a failed check; the
+    report carries the outcome so callers can decide.  The open-set
+    coordinates come from the order of p, so with f given a zero p
+    raises ZeroInput."""
+    r = exact_order(p) if f is not None else None
+    return _replay(p, matrices, r, target, f, tolerance)[1]

@@ -195,7 +195,6 @@ def test_leading_tuples_requires_positive_order():
 
 def test_band_sets_shapes():
     b = band_sets(1, 2, 1)
-    assert b.block_pairs == frozenset({(1, 1), (1, 2), (2, 2)})
     assert b.arc_support == frozenset({(1, 2)})
     b2 = band_sets(1, 4, 2)
     assert b2.arc_support == frozenset({(1, 2), (2, 3), (3, 4), (1, 3), (2, 4)})

@@ -1,5 +1,6 @@
 """Command-line interface: JSON output, exit codes, reproducibility."""
 
+import hashlib
 import json
 
 import pytest
@@ -215,6 +216,27 @@ def test_solve_byte_determinism(tmp_path, capsys):
         assert code == 0
         outs.add(out)
     assert len(outs) == 1
+
+
+@pytest.mark.parametrize("seed,attempts,digest", [
+    ("0", 4, "e90cd119326bc0402dc73d0512fad60c6e6c4fbb7b24258f1d41766a36994c85"),
+    ("2", 6, "384be5e3550ccdb089dcfe22df946e435b6def95e17f96d16b41c6ca9ef09cd3"),
+])
+def test_solve_order_zero_retries_pinned(tmp_path, capsys, seed, attempts, digest):
+    """Order-0 attempts that fail draw a fixed amount of randomness: the
+    stdout of a solve that needs several attempts is pinned to the byte."""
+    target = {"n": 3, "ring": "field",
+              "entries": [{"j": 1, "k": 1, "value": "1"},
+                          {"j": 2, "k": 2, "value": "1"},
+                          {"j": 3, "k": 3, "value": "1"},
+                          {"j": 1, "k": 3, "value": "2"}]}
+    tf = tmp_path / "t.json"
+    tf.write_text(json.dumps(target))
+    code, out, err = run(capsys, "solve", "--poly", "x1^2", "--field", "Fp:3",
+                         "--n", "3", "--target", str(tf), "--seed", seed)
+    assert code == 0, err
+    assert json.loads(out)["diagnostics"]["attempts"] == attempts
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_stdout_is_single_json_line(capsys):

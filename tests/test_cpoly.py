@@ -1,14 +1,11 @@
 """Commutative polynomials over structured variable keys."""
 
-import random
 from fractions import Fraction
 
 import pytest
 
-from utpoly.cpoly import (CPolynomial, diag_var, entry_var, out_var,
-                          render_var, subset_product)
-from utpoly.errors import (NonLinearVariable, ParseError, UnboundVariable,
-                           ZeroInput)
+from utpoly.cpoly import CPolynomial, diag_var, entry_var, out_var, render_var
+from utpoly.errors import NonLinearVariable, ParseError, UnboundVariable
 from utpoly.fields import FieldDescriptor
 
 Q = FieldDescriptor.parse("Q")
@@ -108,39 +105,6 @@ def test_rename():
 def test_variables():
     p = CPolynomial.parse("x[1,2,1]*z[1,1] + y[1,2]", Q)
     assert p.variables() == {entry_var(1, 2, 1), diag_var(1, 1), out_var(1, 2)}
-
-
-def test_subset_product_structure():
-    # q in one diagonal row: q = z[1,1]; subsets of size 1 from n=3 rows
-    q = CPolynomial.parse("z[1,1]", Q)
-    g = subset_product(q, 3, 1)
-    assert g == CPolynomial.parse("z[1,1]*z[2,1]*z[3,1]", Q)
-
-
-def test_subset_product_two_rows():
-    # q = z[1,1] - z[2,1]: product over ordered pairs j1 < j2 from 3 rows
-    q = CPolynomial.parse("z[1,1] - z[2,1]", Q)
-    g = subset_product(q, 3, 2)
-    want = (CPolynomial.parse("z[1,1] - z[2,1]", Q)
-            * CPolynomial.parse("z[1,1] - z[3,1]", Q)
-            * CPolynomial.parse("z[2,1] - z[3,1]", Q))
-    assert g == want
-
-
-def test_subset_product_nonvanishing_semantics():
-    # the product vanishes at a diagonal tuple iff some subset kills q
-    rng = random.Random(12)
-    q = CPolynomial.parse("z[1,1] - z[2,1]", Q)
-    g = subset_product(q, 3, 2)
-    point = {diag_var(j, 1): Fraction(v) for j, v in ((1, 4), (2, 7), (3, 9))}
-    assert g.eval_full(point) != 0
-    collide = {diag_var(j, 1): Fraction(v) for j, v in ((1, 4), (2, 4), (3, 9))}
-    assert g.eval_full(collide) == 0
-
-
-def test_subset_product_rejects_zero():
-    with pytest.raises(ZeroInput):
-        subset_product(CPolynomial.zero(Q), 3, 1)
 
 
 def test_render_graded_order_stable():

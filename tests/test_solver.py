@@ -15,10 +15,8 @@ from utpoly.errors import (BandViolation, BudgetExhausted,
 from utpoly.fields import FieldDescriptor, Fp
 from utpoly.freealg import NcPolynomial, commutator
 from utpoly.solver import (PartialAssignment, SolveOptions, band_coordinates,
-                           build_sweep_plan, build_sweep_plan_rn,
-                           find_diagonals, hit_open_set,
-                           simultaneous_nonvanishing, solve_diagonal_r0,
-                           solve_target, verify)
+                           build_sweep_plan_rn, find_diagonals, hit_open_set,
+                           solve_diagonal_r0, solve_target, verify)
 from utpoly.triangular import FieldRing, UTMatrix, evaluate
 
 Q = FieldDescriptor.parse("Q")
@@ -47,26 +45,15 @@ def qmat(n, entries):
 
 
 def test_partial_assignment_merge_and_conflict():
+    # overlapping blocks merge when they agree on the overlap
     a = PartialAssignment(Q)
     a.set(diag_var(1, 1), Fraction(2))
     a.set(diag_var(1, 1), Fraction(2))  # same value is fine
-    b = PartialAssignment(Q)
-    b.set(diag_var(1, 1), Fraction(2))
-    b.set(entry_var(1, 2, 1), Fraction(5))
-    a.merge(b)
-    assert a.get(entry_var(1, 2, 1)) == Fraction(5)
-    c = PartialAssignment(Q)
-    c.set(diag_var(1, 1), Fraction(3))
+    a.set(entry_var(1, 2, 1), Fraction(5))
     with pytest.raises(IncompatibleAssignment):
-        a.merge(c)
-
-
-def test_partial_assignment_copy_independent():
-    a = PartialAssignment(Q)
-    a.set(diag_var(1, 1), Fraction(1))
-    b = a.copy()
-    b.set(diag_var(2, 1), Fraction(2))
-    assert diag_var(2, 1) not in a
+        a.set(diag_var(1, 1), Fraction(3))
+    assert a.values == {diag_var(1, 1): Fraction(2),
+                        entry_var(1, 2, 1): Fraction(5)}
 
 
 # -- sweep plans ----------------------------------------------------------------
@@ -89,11 +76,6 @@ def test_plan_order_r2_n4():
         ((1, 2, 1),), ((2, 3, 1),), ((1, 2, 1),)]
 
 
-def test_plan_from_polynomial():
-    plan = build_sweep_plan(comm_product(1), 3)
-    assert plan.r == 1 and plan.n == 3 and plan.lead == (1,)
-
-
 def test_plan_rejects_bad_parameters():
     with pytest.raises(OrderMismatch):
         build_sweep_plan_rn(0, 3, ())
@@ -101,8 +83,6 @@ def test_plan_rejects_bad_parameters():
         build_sweep_plan_rn(3, 3, (1, 1, 1))
     with pytest.raises(OrderMismatch):
         build_sweep_plan_rn(1, 3, (1, 2))  # wrong lead length
-    with pytest.raises(OrderMismatch):
-        build_sweep_plan(NcPolynomial.parse("x1", Q), 3)  # r = 0
 
 
 def test_plan_invariants_externally_recomputed():
@@ -176,15 +156,6 @@ def test_find_diagonals_budget_exhausts_over_tiny_field():
     p = NcPolynomial.parse("x1*x2 - x2*x1", F2)
     with pytest.raises(BudgetExhausted):
         find_diagonals(p, (1,), 3, random.Random(0), budget=50)
-
-
-def test_simultaneous_nonvanishing():
-    u = CPolynomial.parse("z[1,1]", F5)
-    polys = [u, u - CPolynomial.const(F5, Fp(1, 5)), u - CPolynomial.const(F5, Fp(2, 5))]
-    assign = simultaneous_nonvanishing(polys, random.Random(41))
-    assert assign[diag_var(1, 1)].v in {3, 4}
-    with pytest.raises(ZeroInput):
-        simultaneous_nonvanishing([CPolynomial.zero(F5)], random.Random(0))
 
 
 # -- solve_target ---------------------------------------------------------------
@@ -275,7 +246,7 @@ def test_entry_polynomials_affine_in_fresh_variable():
     from utpoly.triangular import generic_evaluate
     p = comm_product(1)
     n = 3
-    plan = build_sweep_plan(p, n)
+    plan = build_sweep_plan_rn(1, n, leading_tuples(p, 1)[0])
     rng = random.Random(42)
     diags = find_diagonals(p, plan.lead, n, rng)
     generic = generic_evaluate(p, n)
