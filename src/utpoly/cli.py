@@ -22,7 +22,7 @@ from .freealg import NcPolynomial
 from .solver import (SolveOptions, hit_open_set, solve_diagonal_r0,
                      solve_target, verify)
 from .triangular import (FieldRing, UTMatrix, evaluate, evaluate_structured,
-                         generic_evaluate, word_product, word_product_paths)
+                         generic_evaluate)
 
 ORACLE_PRIMES = (2, 3, 5)
 ORACLE_TUPLE_LIMIT = 10 ** 8

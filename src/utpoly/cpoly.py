@@ -207,14 +207,6 @@ class CPolynomial:
                 out[m2] = out.get(m2, self.field.zero()) + c
         return CPolynomial(self.field, out)
 
-    def rename(self, fn) -> "CPolynomial":
-        """Apply fn to every variable key (must stay injective on support)."""
-        terms = {}
-        for m, c in self.terms.items():
-            m2 = tuple(sorted((fn(key), e) for key, e in m))
-            terms[m2] = terms.get(m2, self.field.zero()) + c
-        return CPolynomial(self.field, terms)
-
     # -- rendering -------------------------------------------------------------
 
     def render(self) -> str:

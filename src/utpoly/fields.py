@@ -10,6 +10,7 @@ algebraically closed field: equality there means agreement within eps.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -380,13 +381,110 @@ def _durand_kerner(coeffs: list[complex], rng, iters: int):
     return None
 
 
+def _poly_divmod(a: list[int], m: list[int], p: int) -> tuple:
+    """(quotient, remainder) of a by m over F_p.  Polynomials are
+    ascending int coefficient lists mod p without trailing zeros, so []
+    is zero; m must be nonzero."""
+    a = list(a)
+    dm = len(m) - 1
+    inv = pow(m[-1], -1, p)
+    quot = [0] * max(len(a) - dm, 0)
+    for i in range(len(a) - 1, dm - 1, -1):
+        c = a[i] * inv % p
+        if c:
+            quot[i - dm] = c
+            for j in range(dm + 1):
+                a[i - dm + j] = (a[i - dm + j] - c * m[j]) % p
+    rem = a[:dm]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return quot, rem
+
+
+def _poly_mulmod(a: list[int], b: list[int], m: list[int], p: int) -> list[int]:
+    if not a or not b:
+        return []
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+    return _poly_divmod([c % p for c in prod], m, p)[1]
+
+
+def _poly_powmod(base: list[int], e: int, m: list[int], p: int) -> list[int]:
+    acc = _poly_divmod([1], m, p)[1]
+    base = _poly_divmod(base, m, p)[1]
+    for bit in bin(e)[2:]:
+        acc = _poly_mulmod(acc, acc, m, p)
+        if bit == "1":
+            acc = _poly_mulmod(acc, base, m, p)
+    return acc
+
+
+def _poly_sub(a: list[int], b: list[int], p: int) -> list[int]:
+    out = [0] * max(len(a), len(b))
+    for i, c in enumerate(a):
+        out[i] = c
+    for i, c in enumerate(b):
+        out[i] = (out[i] - c) % p
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd over F_p (a nonzero)."""
+    while b:
+        a, b = b, _poly_divmod(a, b, p)[1]
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _prime_roots(g: list[int], p: int) -> list[int]:
+    """Ascending distinct roots in F_p of sum g[k] u^k, coefficients mod p.
+
+    Every element when g is zero.  Otherwise h = gcd(g, u^p - u), found
+    by repeated squaring of u modulo g, is the product of u - a over the
+    distinct roots a, and equal-degree splitting takes it apart: for a
+    random shift c, gcd(h, (u + c)^((p-1)/2) - 1) collects the roots a
+    with a + c a nonzero square (Rabin 1980; Cantor-Zassenhaus 1981).
+    The splitting draws from a generator seeded by (p, g), so the result
+    and the caller's random stream never depend on it.  Time is
+    polynomial in deg g and log p."""
+    g = [c % p for c in g]
+    while g and g[-1] == 0:
+        g.pop()
+    if not g:
+        return list(range(p))
+    if p == 2:      # no (p-1)/2 split: test both elements
+        return [u for u, value in ((0, g[0]), (1, sum(g))) if value % 2 == 0]
+    h = _poly_gcd(g, _poly_sub(_poly_powmod([0, 1], p, g, p), [0, 1], p), p)
+    rnd = random.Random(f"{p}:{g}")
+    roots = []
+    pending = [h]
+    while pending:
+        f = pending.pop()
+        if len(f) == 2:
+            roots.append(-f[0] % p)
+        elif len(f) > 2:
+            while True:
+                w = _poly_powmod([rnd.randrange(p), 1], (p - 1) // 2, f, p)
+                k = _poly_gcd(f, _poly_sub(w, [1], p), p)
+                if 2 <= len(k) < len(f):
+                    pending += [k, _poly_divmod(f, k, p)[0]]
+                    break
+    return sorted(roots)
+
+
 def solve_univariate(desc: FieldDescriptor, coeffs: list, target, rng,
                      restarts: int = 5, iters: int = 500, root_tol: float = 1e-9):
     """Solve sum coeffs[k] u^k = target for u in the field.
 
-    Exhaustive over prime fields, rational-root search over Q,
-    Durand-Kerner over complex.  When several roots exist one is chosen
-    uniformly at random so retrying callers explore all of them.
+    gcd with u^p - u plus equal-degree splitting over prime fields,
+    rational-root search over Q, Durand-Kerner over complex.  When
+    several roots exist one is chosen uniformly at random from the
+    ascending root list, so retrying callers explore all of them.
     Raises NoRootInField / NonConvergence.
     """
     g = list(coeffs)
@@ -395,9 +493,7 @@ def solve_univariate(desc: FieldDescriptor, coeffs: list, target, rng,
     g[0] = g[0] - target
 
     if desc.kind == "prime":
-        zero = desc.zero()
-        roots = [Fp(u, desc.p) for u in range(desc.p)
-                 if _horner(g, Fp(u, desc.p)) == zero]
+        roots = [Fp(u, desc.p) for u in _prime_roots([c.v for c in g], desc.p)]
         if not roots:
             raise NoRootInField(f"no root in F_{desc.p}")
         return roots[rng.randrange(len(roots))]

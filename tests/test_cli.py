@@ -244,3 +244,46 @@ def test_stdout_is_single_json_line(capsys):
     assert code == 0
     assert out.endswith("\n") and out.count("\n") == 1
     json.loads(out)
+
+
+# C targets whose first witness has entries near 1e3, so the direct and
+# structured routes differ by about 2e-9 (relative error ~1e-10): more
+# than the absolute tolerance.
+ILL_CONDITIONED = {
+    "5+5j": ("(5.0+5.0j)*(x2*x4-x4*x2)*(x4*x2-x2*x4)",
+             {(1, 3): "-1+2j", (1, 4): "-5j", (1, 5): "-8+1j", (2, 4): "3",
+              (2, 5): "1j", (3, 5): "9+9j"}),
+    "3+2j": ("(3.0+2.0j)*(x4*x2-x2*x4)*(x2*x4-x4*x2)",
+             {(1, 3): "1", (1, 4): "-7+9j", (1, 5): "-3+8j", (2, 4): "-9-8j",
+              (2, 5): "-5-7j", (3, 5): "-5-1j"}),
+}
+
+
+def _solve_ill_conditioned(tmp_path, capsys, case, *extra):
+    poly, entries = ILL_CONDITIONED[case]
+    target = {"n": 5, "ring": "field",
+              "entries": [{"j": j, "k": k, "value": v}
+                          for (j, k), v in entries.items()]}
+    tf = tmp_path / "t.json"
+    tf.write_text(json.dumps(target))
+    return run(capsys, "solve", "--poly", poly, "--field", "C", "--n", "5",
+               "--target", str(tf), *extra)
+
+
+@pytest.mark.parametrize("case", sorted(ILL_CONDITIONED))
+def test_solve_complex_resamples_when_routes_disagree(tmp_path, capsys, case):
+    """A witness whose routes disagree is resampled instead of ending
+    the solve with InternalInconsistency."""
+    code, out, err = _solve_ill_conditioned(tmp_path, capsys, case)
+    assert code == 0, err
+    data = json.loads(out)
+    assert data["diagnostics"]["attempts"] > 1
+    assert data["verify"]["dual_evaluation_agrees"] is True
+    assert data["verify"]["target_met"] is True
+
+
+def test_solve_complex_routes_disagree_on_every_retry(tmp_path, capsys):
+    code, out, err = _solve_ill_conditioned(tmp_path, capsys, "5+5j",
+                                            "--retries", "1")
+    assert code == 3 and out == ""
+    assert "DegenerateCoefficient" in err and "'verify'" in err

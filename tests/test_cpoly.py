@@ -96,12 +96,6 @@ def test_coefficient_of_rejects_higher_powers():
         p.coefficient_of((entry_var(1, 2, 1),))
 
 
-def test_rename():
-    p = CPolynomial.parse("z[1,1]*z[2,1]", Q)
-    shifted = p.rename(lambda key: (key[0], key[1] + 1, key[2]))
-    assert shifted == CPolynomial.parse("z[2,1]*z[3,1]", Q)
-
-
 def test_variables():
     p = CPolynomial.parse("x[1,2,1]*z[1,1] + y[1,2]", Q)
     assert p.variables() == {entry_var(1, 2, 1), diag_var(1, 1), out_var(1, 2)}

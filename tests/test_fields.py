@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -189,3 +190,93 @@ def test_solve_univariate_complex_always_solvable():
         tgt = complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
         u = solve_univariate(C, coeffs, tgt, rng)
         assert abs(u ** k - tgt) < 1e-7 * max(1.0, abs(tgt))
+
+
+def _brute_roots(g, p):
+    return [u for u in range(p)
+            if sum(c * pow(u, k, p) for k, c in enumerate(g)) % p == 0]
+
+
+def _times(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_solve_univariate_prime_matches_scan(p):
+    """The gcd/splitting root finder returns exactly the scan's roots:
+    degrees 0..2p (so deg >= p), forced repeated roots, zero trailing
+    coefficients, and the zero polynomial, where every element is a
+    root."""
+    F = FieldDescriptor("prime", p=p)
+    gen = random.Random(p)
+    for trial in range(60):
+        g = [gen.randrange(p) for _ in range(gen.randrange(2 * p + 1) + 1)]
+        if trial % 3 == 0:
+            a = gen.randrange(p)
+            for _ in range(gen.randrange(2, 4)):
+                g = _times(g, [-a % p, 1], p)
+        if trial % 4 == 0:
+            g += [0] * gen.randrange(1, 3)
+        if trial == 5:
+            g = [0] * gen.randrange(1, 4)
+        coeffs = [Fp(c, p) for c in g]
+        target = Fp(0 if trial == 5 else gen.randrange(p), p)
+        shifted = [(g[0] - target.v) % p] + g[1:]
+        roots = _brute_roots(shifted, p)
+        seed = gen.randrange(2 ** 30)
+        if not roots:
+            with pytest.raises(NoRootInField):
+                solve_univariate(F, coeffs, target, random.Random(seed))
+            continue
+        u = solve_univariate(F, coeffs, target, random.Random(seed))
+        assert u == Fp(roots[random.Random(seed).randrange(len(roots))], p)
+
+
+def test_solve_univariate_prime_two_elements():
+    F2 = FieldDescriptor.parse("Fp:2")
+    one, zero = Fp(1, 2), Fp(0, 2)
+    # u^2 + u = 0 holds at both elements of F_2
+    assert {solve_univariate(F2, [zero, one, one], zero, random.Random(i)).v
+            for i in range(20)} == {0, 1}
+    assert solve_univariate(F2, [zero, zero, one], one, random.Random(0)) == one
+    with pytest.raises(NoRootInField):
+        solve_univariate(F2, [zero, one, one], one, random.Random(0))
+
+
+@pytest.mark.parametrize("field,coeffs,target", [
+    ("Fp:101", [3, 0, 1], 7),      # u^2 = 4: two roots
+    ("Fp:101", [0, 0, 0], 0),      # zero polynomial: every element
+    ("Fp:7", [0, 1, 0, 0, 0, 0, 0, 6], 0),   # u - u^7 vanishes on F_7
+])
+def test_solve_univariate_prime_draws_once(field, coeffs, target):
+    """The caller's stream makes exactly one randrange(len(roots)) draw;
+    the splitting randomness comes from elsewhere."""
+    F = FieldDescriptor.parse(field)
+    rng, twin = random.Random(9), random.Random(9)
+    g = [Fp(c, F.p) for c in coeffs]
+    u = solve_univariate(F, g, Fp(target, F.p), rng)
+    roots = _brute_roots([(coeffs[0] - target) % F.p] + coeffs[1:], F.p)
+    assert u.v == roots[twin.randrange(len(roots))]
+    assert rng.getstate() == twin.getstate()
+
+
+def test_solve_univariate_prime_time_independent_of_p():
+    """A cubic over F_1000003 is solved without scanning the field (the
+    scan took seconds)."""
+    p = 1000003
+    F = FieldDescriptor.parse(f"Fp:{p}")
+    # (u - 2)(u - 5)(u - 999999) = u^3 - 1000006 u^2 + ... ; build it mod p
+    g = _times(_times([-2 % p, 1], [-5 % p, 1], p), [-999999 % p, 1], p)
+    t0 = time.perf_counter()
+    roots = {solve_univariate(F, [Fp(c, p) for c in g], Fp(0, p),
+                              random.Random(i)).v for i in range(10)}
+    assert time.perf_counter() - t0 < 1.0
+    assert roots == {2, 5, 999999}
+    with pytest.raises(NoRootInField):
+        # u^3 = 2 has no root: 2 is not a cube mod p (p = 1 mod 3)
+        solve_univariate(F, [Fp(0, p), Fp(0, p), Fp(0, p), Fp(1, p)],
+                         Fp(2, p), random.Random(0))
