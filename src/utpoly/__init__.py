@@ -13,6 +13,6 @@ from .solver import (PartialAssignment, SolveOptions, SweepPlan, WitnessResult,
                      solve_diagonal_r0, solve_target, verify)
 from .triangular import (FieldRing, PolyRing, UTMatrix, evaluate,
                          evaluate_structured, generic_evaluate, generic_tuple,
-                         word_product, word_product_paths)
+                         word_product)
 
 __version__ = "0.1.0"

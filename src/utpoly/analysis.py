@@ -22,6 +22,8 @@ from .errors import (CapReached, InternalInconsistency, OrderMismatch,
 from .freealg import NcPolynomial
 from .triangular import generic_evaluate
 
+_ORDER_SAMPLES = 200     # witness points order() tries
+
 
 def is_identity(p: NcPolynomial, n: int) -> bool:
     """True iff every generic entry of p at size n vanishes identically."""
@@ -140,8 +142,8 @@ def _probe(p: NcPolynomial, max_n: int) -> tuple:
     return None, None
 
 
-def order(p: NcPolynomial, max_n: int | None = None, rng=None,
-          sample_height: int = 256, sample_budget: int = 200) -> OrderReport:
+def order(p: NcPolynomial, max_n: int | None = None,
+          sample_height: int = 256) -> OrderReport:
     """Least r with p an identity of size r but not of size r+1.
 
     Probes sizes 1, 2, ... and stops at the first non-identity; identities
@@ -151,6 +153,8 @@ def order(p: NcPolynomial, max_n: int | None = None, rng=None,
     size r+1 plus, when sampling finds one, a concrete point where it is
     nonzero (over tiny prime fields every base-field point may vanish, in
     which case the point is left out and the entry polynomial stands alone).
+    The point is drawn from a generator seeded with 0, _ORDER_SAMPLES
+    tries at most, so every call gives the same report.
     """
     if p.is_zero():
         raise ZeroInput("the zero polynomial has no order")
@@ -158,8 +162,7 @@ def order(p: NcPolynomial, max_n: int | None = None, rng=None,
         max_n = p.degree() + 1
     if max_n < 1:
         raise ZeroInput("max_n must be at least 1")
-    if rng is None:
-        rng = random.Random(0)
+    rng = random.Random(0)
     r, generic = _probe(p, max_n)
     if r is None:
         return OrderReport(None, max_n, None, None)
@@ -167,7 +170,7 @@ def order(p: NcPolynomial, max_n: int | None = None, rng=None,
     poly = generic.entries[pos]
     point = None
     value = None
-    for _ in range(sample_budget):
+    for _ in range(_ORDER_SAMPLES):
         cand = {v: p.field.sample(rng, sample_height)
                 for v in sorted(poly.variables())}
         val = poly.eval_full(cand)

@@ -16,11 +16,11 @@ from itertools import product
 
 from .analysis import classify, coeff_poly, leading_tuples, order
 from .cpoly import CPolynomial
-from .errors import ParseError, ResourceLimit, UsageError, UtpolyError
+from .errors import (ParseError, ResourceLimit, UsageError, UtpolyError,
+                     ZeroInput)
 from .fields import FieldDescriptor
 from .freealg import NcPolynomial
-from .solver import (SolveOptions, hit_open_set, solve_diagonal_r0,
-                     solve_target, verify)
+from .solver import SolveOptions, hit_open_set, solve_target, verify
 from .triangular import (FieldRing, UTMatrix, evaluate, evaluate_structured,
                          generic_evaluate)
 
@@ -60,17 +60,18 @@ def _poly(args, desc: FieldDescriptor) -> NcPolynomial:
     return NcPolynomial.parse(args.poly, desc, nvars=args.m)
 
 
-def _options(args) -> SolveOptions:
-    return SolveOptions(
-        seed=args.seed,
-        retries=args.retries,
-        height=args.height,
-        tolerance=args.tolerance,
-        diag_budget=args.diag_budget,
-        nonzero_budget=args.nonzero_budget,
-        order_cap=args.max_n,
-        monomial_budget=args.monomial_budget,
-    )
+def _options(args, **extra) -> SolveOptions:
+    """SolveOptions from the flags in _SWEEP_FLAGS, plus extra fields."""
+    return SolveOptions(seed=args.seed, retries=args.retries, height=args.height,
+                        diag_budget=args.diag_budget, order_cap=args.max_n,
+                        monomial_budget=args.monomial_budget, **extra)
+
+
+def _size(args) -> int:
+    """--n, refused before any work when it is below 1."""
+    if args.n < 1:
+        raise ZeroInput("n must be at least 1")
+    return args.n
 
 
 def _matrices_from_file(path: str, desc: FieldDescriptor, budget: int):
@@ -91,44 +92,51 @@ def _target_from_file(path: str, desc: FieldDescriptor, budget: int) -> UTMatrix
     return UTMatrix.from_json(data, desc, budget)
 
 
-def _add_common(sp, need_n=False):
+_FLAGS = {
+    "--n": dict(type=int, required=True, help="matrix size"),
+    "--max-n": dict(type=int, default=None, help="cap for the order search"),
+    "--seed": dict(type=int, default=0),
+    "--retries": dict(type=int, default=16),
+    "--height": dict(type=int, default=256,
+                     help="sampling height for random field elements"),
+    "--diag-budget": dict(type=int, default=200),
+    "--nonzero-budget": dict(type=int, default=200),
+    "--monomial-budget": dict(type=int, default=10 ** 6),
+}
+# the flags every witness construction (solve, hit) reads
+_SWEEP_FLAGS = ("--n", "--max-n", "--seed", "--retries", "--height",
+                "--diag-budget", "--monomial-budget")
+
+
+def _add_common(sp, *flags):
+    """--poly, --field and --m, then the named flags of _FLAGS."""
     sp.add_argument("--poly", required=True, help="polynomial text, e.g. 'x1*x2-x2*x1'")
     sp.add_argument("--field", default="Q", help="Q | Fp:<prime> | C[:<tolerance>]")
     sp.add_argument("--m", type=int, default=None,
                     help="number of variables (default: largest index used)")
-    if need_n:
-        sp.add_argument("--n", type=int, required=True, help="matrix size")
-    sp.add_argument("--max-n", dest="max_n", type=int, default=None,
-                    help="cap for the order search")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--retries", type=int, default=16)
-    sp.add_argument("--height", type=int, default=256,
-                    help="sampling height for random field elements")
-    sp.add_argument("--tolerance", type=float, default=1e-9)
-    sp.add_argument("--diag-budget", dest="diag_budget", type=int, default=200)
-    sp.add_argument("--nonzero-budget", dest="nonzero_budget", type=int, default=200)
-    sp.add_argument("--monomial-budget", dest="monomial_budget", type=int,
-                    default=10 ** 6)
+    for flag in flags:
+        sp.add_argument(flag, **_FLAGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Each subcommand declares only the flags its _cmd_* reads."""
     ap = _Parser(prog="utpoly", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("order", help="order invariant of a polynomial")
-    _add_common(sp)
+    _add_common(sp, "--max-n", "--height")
 
     sp = sub.add_parser("classify", help="image shape on size-n matrices")
-    _add_common(sp, need_n=True)
+    _add_common(sp, "--n", "--max-n")
 
     sp = sub.add_parser("eval", help="evaluate on a matrix tuple")
-    _add_common(sp)
+    _add_common(sp, "--monomial-budget")
     sp.add_argument("--matrices", help="JSON file with {\"matrices\": [...]}")
     sp.add_argument("--generic", action="store_true",
                     help="evaluate at the generic symbolic tuple")
     sp.add_argument("--n", type=int, default=None,
                     help="matrix size (required with --generic)")
-    sp.add_argument("--route", choices=("direct", "paths", "structured"),
+    sp.add_argument("--route", choices=("direct", "structured"),
                     default="direct", help="which evaluation route to use")
 
     sp = sub.add_parser("coeffs", help="coefficient polynomials of arc chains")
@@ -139,24 +147,24 @@ def build_parser() -> argparse.ArgumentParser:
                        help="list all nonzero slot tuples of length R")
 
     sp = sub.add_parser("solve", help="witness matrices hitting a target")
-    _add_common(sp, need_n=True)
+    _add_common(sp, *_SWEEP_FLAGS)
     sp.add_argument("--target", required=True, help="target matrix JSON file")
 
     sp = sub.add_parser("hit", help="witness matrices inside an open set")
-    _add_common(sp, need_n=True)
-    sp.add_argument("--open-set", dest="open_set", required=True,
+    _add_common(sp, *_SWEEP_FLAGS, "--nonzero-budget")
+    sp.add_argument("--open-set", required=True,
                     help="nonzero polynomial in y[s,t] coordinates")
 
     sp = sub.add_parser("oracle-enum",
                         help="exhaustive finite-field image enumeration")
-    _add_common(sp, need_n=True)
+    _add_common(sp, "--n")
 
     sp = sub.add_parser("verify", help="replay a witness through both evaluators")
-    _add_common(sp)
+    _add_common(sp, "--monomial-budget")
     sp.add_argument("--witness", required=True,
                     help="JSON file with {\"matrices\": [...]} (solve output works)")
     sp.add_argument("--target", default=None, help="target matrix JSON file")
-    sp.add_argument("--open-set", dest="open_set", default=None,
+    sp.add_argument("--open-set", default=None,
                     help="open-set polynomial in y[s,t]")
 
     return ap
@@ -181,16 +189,14 @@ def _cmd_eval(args) -> None:
     if args.generic:
         if args.n is None:
             raise UsageError("--generic needs --n")
-        out = generic_evaluate(p, args.n, args.monomial_budget)
+        out = generic_evaluate(p, _size(args), args.monomial_budget)
         _emit({"result": out.to_json()})
         return
     if not args.matrices:
         raise UsageError("need --matrices FILE or --generic")
     mats = _matrices_from_file(args.matrices, desc, args.monomial_budget)
-    if args.route == "structured":
-        out = evaluate_structured(p, mats)
-    else:
-        out = evaluate(p, mats, use_paths=(args.route == "paths"))
+    route = evaluate_structured if args.route == "structured" else evaluate
+    out = route(p, mats)
     _emit({"result": out.to_json()})
 
 
@@ -210,23 +216,20 @@ def _cmd_coeffs(args) -> None:
 
 
 def _cmd_solve(args) -> None:
+    n = _size(args)
     desc = _field(args)
     p = _poly(args, desc)
     target = _target_from_file(args.target, desc, args.monomial_budget)
-    opt = _options(args)
-    rep = order(p, max_n=opt.order_cap, sample_height=args.height)
-    if rep.r == 0:
-        result = solve_diagonal_r0(p, args.n, target, opt)
-    else:
-        result = solve_target(p, args.n, target, opt)
-    _emit(result.to_json())
+    _emit(solve_target(p, n, target, _options(args)).to_json())
 
 
 def _cmd_hit(args) -> None:
+    n = _size(args)
     desc = _field(args)
     p = _poly(args, desc)
     f = CPolynomial.parse(args.open_set, desc, kinds="y")
-    result = hit_open_set(p, args.n, f, _options(args))
+    result = hit_open_set(p, n, f,
+                          _options(args, nonzero_budget=args.nonzero_budget))
     _emit(result.to_json())
 
 
@@ -240,14 +243,15 @@ def _cmd_verify(args) -> None:
         target = _target_from_file(args.target, desc, args.monomial_budget)
     if args.open_set:
         f = CPolynomial.parse(args.open_set, desc, kinds="y")
-    report = verify(p, mats, target=target, f=f, tolerance=args.tolerance)
+    report = verify(p, mats, target=target, f=f)
     _emit(report)
 
 
 def _cmd_oracle_enum(args) -> None:
+    n = _size(args)
     desc = _field(args)
     p = _poly(args, desc)
-    n, m = args.n, p.nvars
+    m = p.nvars
     if desc.kind != "prime" or desc.p not in ORACLE_PRIMES:
         raise UsageError(f"oracle-enum needs --field Fp:q with q in {ORACLE_PRIMES}")
     if n > 3:

@@ -17,6 +17,8 @@ from fractions import Fraction
 from .errors import NoRootInField, NonConvergence, ParseError
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_DK_RESTARTS = 5      # Durand-Kerner runs before NonConvergence
+_DK_ITERS = 500       # iterations per run
 
 
 def is_prime(n: int) -> bool:
@@ -261,12 +263,6 @@ class FieldDescriptor:
             return Fp(rng.randrange(self.p), self.p)
         return complex(rng.uniform(-8.0, 8.0), rng.uniform(-8.0, 8.0))
 
-    def sample_nonzero(self, rng, height: int = 256):
-        while True:
-            v = self.sample(rng, height)
-            if not self.is_zero(v):
-                return v
-
 
 def split_sign(desc: FieldDescriptor, c):
     """Split a coefficient into (sign, magnitude text) for term rendering.
@@ -343,7 +339,7 @@ def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
     return sorted(roots)
 
 
-def _durand_kerner(coeffs: list[complex], rng, iters: int):
+def _durand_kerner(coeffs: list[complex], rng):
     """Simultaneous root iteration on a monic-normalized polynomial.
     Returns the root list on convergence, None otherwise."""
     d = len(coeffs) - 1
@@ -362,7 +358,7 @@ def _durand_kerner(coeffs: list[complex], rng, iters: int):
     for k in range(d):
         jitter = complex(rng.uniform(-0.05, 0.05), rng.uniform(-0.05, 0.05))
         roots.append(base ** (k + 1) * radius + jitter)
-    for _ in range(iters):
+    for _ in range(_DK_ITERS):
         moved = 0.0
         nxt = list(roots)
         for i in range(d):
@@ -477,15 +473,16 @@ def _prime_roots(g: list[int], p: int) -> list[int]:
     return sorted(roots)
 
 
-def solve_univariate(desc: FieldDescriptor, coeffs: list, target, rng,
-                     restarts: int = 5, iters: int = 500, root_tol: float = 1e-9):
+def solve_univariate(desc: FieldDescriptor, coeffs: list, target, rng):
     """Solve sum coeffs[k] u^k = target for u in the field.
 
     gcd with u^p - u plus equal-degree splitting over prime fields,
     rational-root search over Q, Durand-Kerner over complex.  When
     several roots exist one is chosen uniformly at random from the
-    ascending root list, so retrying callers explore all of them.
-    Raises NoRootInField / NonConvergence.
+    ascending root list, so retrying callers explore all of them.  A
+    complex root is accepted when its residual is within the field's eps
+    (scaled by the largest coefficient).  Raises NoRootInField /
+    NonConvergence.
     """
     g = list(coeffs)
     if not g:
@@ -515,11 +512,11 @@ def solve_univariate(desc: FieldDescriptor, coeffs: list, target, rng,
     if len(trimmed) == 1:
         raise NoRootInField("nonzero constant equation over C")
     scale = max(1.0, max(abs(c) for c in trimmed))
-    for _ in range(restarts):
-        roots = _durand_kerner(trimmed, rng, iters)
+    for _ in range(_DK_RESTARTS):
+        roots = _durand_kerner(trimmed, rng)
         if roots is None:
             continue
-        good = [z for z in roots if abs(_horner(trimmed, z)) <= root_tol * scale]
+        good = [z for z in roots if abs(_horner(trimmed, z)) <= desc.eps * scale]
         if good:
             return good[rng.randrange(len(good))]
     raise NonConvergence("root iteration did not converge")

@@ -71,9 +71,6 @@ class NcPolynomial:
     def degree(self) -> int:
         return max((len(w) for w in self.terms), default=0)
 
-    def min_degree(self) -> int:
-        return min((len(w) for w in self.terms), default=0)
-
     def __eq__(self, other):
         if not isinstance(other, NcPolynomial):
             return NotImplemented

@@ -1,28 +1,30 @@
 """Witness construction: given p of order r and a target matrix in the
 band the image lives in, build concrete matrices u_1..u_m with p(u) equal
-to the target (exact fields) or within tolerance (complex).
+to the target (exact fields) or within the field's eps (C:<tol>).
 
-One sweep driver serves every order.  An attempt fixes the diagonals,
-then visits target entries band by band and solves each through one
-designated fresh variable: with the diagonals fixed and every other
-strictly-upper variable of the entry given a random value, the entry
-polynomial is affine in the fresh variable with a generically nonzero
-slope.  The orders differ only in how diagonals and fresh variables are
-chosen.  For r >= 1 the diagonals make a leading coefficient polynomial
-nonvanishing on every (r+1)-subset of rows, entry (s, r+s+t') is solved
-through position (r+s-1, r+s+t') (see build_sweep_plan_rn), and every
-non-fresh variable is sampled before the first entry.  For r = 0 each
-diagonal solves a univariate restriction of p for the target's diagonal
-entry, and entry (s, t) is solved through slot i* of position (s, t),
-whose other slots are sampled just before it.
+solve_target is the entry point for every order, and one sweep driver
+serves them all.  An attempt fixes the diagonals, then visits target
+entries band by band and solves each through one designated fresh
+variable: with the diagonals fixed and every other strictly-upper
+variable of the entry given a random value, the entry polynomial is
+affine in the fresh variable with a generically nonzero slope.  The
+orders differ only in how diagonals and fresh variables are chosen.  For
+r >= 1 the diagonals make a leading coefficient polynomial nonvanishing
+on every (r+1)-subset of rows, entry (s, r+s+t') is solved through
+position (r+s-1, r+s+t') (see build_sweep_plan_rn), and every non-fresh
+variable is sampled before the first entry.  For r = 0 each diagonal
+solves a univariate restriction of p for the target's diagonal entry,
+and entry (s, t) is solved through slot i* of position (s, t), whose
+other slots are sampled just before it.
 
 A zero slope makes the attempt fail and the next one resample; the
 guarantee behind the construction is density, not surjectivity, so a
 slope that stays zero after the retry budget is reported as a failure
 rather than glossed over.  Each finished witness is replayed once per
 evaluation route, and that replay is the report it carries.  Over C a
-witness whose routes disagree beyond the tolerance fails its attempt
-like a missed target; over exact fields it is an internal error.
+witness whose routes disagree beyond eps fails its attempt like a
+missed target; over exact fields it is an internal error.  The target
+residual, the open-set test and root acceptance all read that one eps.
 """
 
 from __future__ import annotations
@@ -131,7 +133,6 @@ class SolveOptions:
     seed: int = 0
     retries: int = 16
     height: int = 256
-    tolerance: float = 1e-9
     diag_budget: int = 200
     nonzero_budget: int = 200
     order_cap: int | None = None
@@ -252,8 +253,7 @@ def _diagonals_r0(p: NcPolynomial, n: int, target: UTMatrix, rng,
                 continue  # constant restriction; re-roll
             try:
                 point[slot - 1] = solve_univariate(
-                    desc, coeffs, target.entry(j, j), rng,
-                    root_tol=opt.tolerance)
+                    desc, coeffs, target.entry(j, j), rng)
             except NoRootInField:
                 missed_root = True
                 continue
@@ -377,10 +377,10 @@ def _sweep(p: NcPolynomial, n: int, r: int, target: UTMatrix,
                 "seed": opt.seed,
             }
             matrices = _matrices_from_assignment(desc, n, m, assign.values)
-            achieved, rep = _replay(p, matrices, r, target, f, opt.tolerance)
+            achieved, rep = _replay(p, matrices, r, target, f)
             if not rep["dual_evaluation_agrees"]:
                 # over C an ill-conditioned witness can push the routes
-                # apart by more than the absolute tolerance: resample it
+                # apart by more than the absolute eps: resample it
                 if desc.kind != "complex":
                     raise InternalInconsistency(
                         "evaluation routes disagree on witness")
@@ -400,23 +400,20 @@ def _sweep(p: NcPolynomial, n: int, r: int, target: UTMatrix,
 
 def solve_target(p: NcPolynomial, n: int, target: UTMatrix,
                  options: SolveOptions | None = None) -> WitnessResult:
-    """Matrices u with p(u) = target, for 1 <= ord(p) <= n-1.
+    """Matrices u with p(u) = target, for every order r of p.
 
     Raises BandViolation when the target has a nonzero entry with
-    k - j <= r-1, OrderMismatch outside the order regime (r = 0 has its
-    own route, r >= n admits only the zero target, handled here), and
+    k - j <= r-1 (r >= n admits only the zero target, handled here), and
     DegenerateCoefficient when every retry produced a zero slope."""
     opt = options or SolveOptions()
     if target.n != n:
         raise BandViolation(f"target size {target.n} != n = {n}")
     r = exact_order(p, opt.order_cap)
-    if r == 0:
-        raise OrderMismatch("order 0: use solve_diagonal_r0")
     if r >= n:
         if target.entries:
             raise BandViolation(f"order {r} >= n = {n}: image is zero only")
         zero = [UTMatrix.zeros(FieldRing(p.field), n) for _ in range(p.nvars)]
-        achieved, rep = _replay(p, zero, r, target, None, opt.tolerance)
+        achieved, rep = _replay(p, zero, r, target, None)
         return WitnessResult(zero, achieved, "exact", 0.0,
                              {"attempts": 0, "leading_tuple": None,
                               "diagonals": None, "seed": opt.seed}, rep)
@@ -428,16 +425,10 @@ def solve_target(p: NcPolynomial, n: int, target: UTMatrix,
 
 def solve_diagonal_r0(p: NcPolynomial, n: int, target: UTMatrix,
                       options: SolveOptions | None = None) -> WitnessResult:
-    """Witness construction for order-0 polynomials.
-
-    Diagonals: for each row, fix all but one scalar variable at random so
-    the restriction is a nonconstant univariate polynomial, and solve it
-    for the target's diagonal entry.  Off-diagonal entries are then swept
-    in band order; entry (s,t) is solved through x[s,t,i*] where i* is a
-    slot whose single-arc coefficient polynomial is nonzero at the chosen
-    diagonals (some slot works generically; the identity relating scalar
-    increments to single-arc coefficients forces at least one nonzero
-    single-arc coefficient polynomial when the order is 0)."""
+    """solve_target for order-0 polynomials only: OrderMismatch for any
+    other order.  At order 0 some single-arc coefficient polynomial is
+    nonzero (the identity relating scalar increments to single-arc
+    coefficients forces one), so each entry has a usable slot."""
     opt = options or SolveOptions()
     if target.n != n:
         raise BandViolation(f"target size {target.n} != n = {n}")
@@ -501,7 +492,7 @@ def hit_open_set(p: NcPolynomial, n: int, f: CPolynomial,
                 for k in range(j, n + 1):
                     entries[(j, k)] = desc.sample(rng, opt.height)
             matrices.append(UTMatrix(ring, n, entries))
-        achieved, rep = _replay(p, matrices, r, None, f, opt.tolerance)
+        achieved, rep = _replay(p, matrices, r, None, f)
         if rep["open_set_met"]:
             return WitnessResult(
                 matrices, achieved, _status(desc),
@@ -519,11 +510,11 @@ def _status(desc) -> str:
 
 
 def _replay(p: NcPolynomial, matrices: list, r: int | None,
-            target: UTMatrix | None, f: CPolynomial | None,
-            tolerance: float) -> tuple:
+            target: UTMatrix | None, f: CPolynomial | None) -> tuple:
     """(direct evaluation, report): one pass through each evaluation
-    route, then the target and open-set checks on the direct result.
-    r fixes the open-set coordinates and is read only when f is given."""
+    route, then the target and open-set checks on the direct result,
+    within the field's eps over C.  r fixes the open-set coordinates and
+    is read only when f is given."""
     desc = p.field
     direct = evaluate(p, matrices)
     structured = evaluate_structured(p, matrices)
@@ -535,7 +526,7 @@ def _replay(p: NcPolynomial, matrices: list, r: int | None,
         if desc.kind == "complex":
             residual = _residual(desc, direct, target)
             report["target_residual"] = residual
-            report["target_met"] = residual <= tolerance
+            report["target_met"] = residual <= desc.eps
         else:
             report["target_residual"] = 0.0 if direct.eq(target) else None
             report["target_met"] = direct.eq(target)
@@ -543,18 +534,18 @@ def _replay(p: NcPolynomial, matrices: list, r: int | None,
         value = f.eval_full({out_var(s, t): direct.entry(s, t)
                              for s, t in band_coordinates(direct.n, r)})
         report["open_set_value"] = desc.render_value(value)
-        report["open_set_met"] = (abs(value) > tolerance
+        report["open_set_met"] = (abs(value) > desc.eps
                                   if desc.kind == "complex"
                                   else not desc.is_zero(value))
     return direct, report
 
 
 def verify(p: NcPolynomial, matrices: list, target: UTMatrix | None = None,
-           f: CPolynomial | None = None, tolerance: float = 1e-9) -> dict:
+           f: CPolynomial | None = None) -> dict:
     """Replay a witness through both evaluation routes and check the
     target or open-set condition.  Never raises for a failed check; the
     report carries the outcome so callers can decide.  The open-set
     coordinates come from the order of p, so with f given a zero p
     raises ZeroInput."""
     r = exact_order(p) if f is not None else None
-    return _replay(p, matrices, r, target, f, tolerance)[1]
+    return _replay(p, matrices, r, target, f)[1]

@@ -4,9 +4,9 @@ Matrices are sparse maps {(j,k): value} with 1 <= j <= k <= n, over either
 a concrete field or the polynomial ring in generic-entry variables.  Two
 independent evaluation routes are kept side by side on purpose:
 
-  * evaluate       folds matrix products entry by entry,
-  * word_product_paths / evaluate_structured reconstruct entries from
-    nondecreasing index paths and cached coefficient polynomials.
+  * evaluate             folds matrix products entry by entry,
+  * evaluate_structured  rebuilds each entry from strictly increasing
+    index paths and cached coefficient polynomials.
 
 The coefficient polynomials come from placement counting over the words
 of p (analysis.coeff_poly), so the structured route runs no matrix
@@ -193,6 +193,8 @@ class UTMatrix:
             raw = data.get("entries", [])
         except (TypeError, KeyError) as exc:
             raise ParseError(f"bad matrix object: missing {exc}") from None
+        if n < 1:
+            raise ParseError(f"matrix size must be at least 1, got {n}")
         if kind == "field":
             ring = FieldRing(desc)
         elif kind == "poly":
@@ -243,37 +245,7 @@ def word_product(matrices, word) -> UTMatrix:
     return acc
 
 
-def word_product_paths(matrices, word) -> UTMatrix:
-    """Same product, rebuilt entrywise from nondecreasing index paths:
-    entry (s,t) sums the arc products of all s = j_1 <= ... <= j_{w+1} = t.
-    Kept as an independent cross-check for word_product."""
-    ring = matrices[0].ring
-    n = matrices[0].n
-    w = len(word)
-    entries = {}
-    for s in range(1, n + 1):
-        for t in range(s, n + 1):
-            total = ring.zero()
-            stack = [(s, 0, None)]
-            # iterative DFS over path positions; value None means "empty product"
-            while stack:
-                j, step, val = stack.pop()
-                if step == w:
-                    if j == t:
-                        total = total + (ring.scalar(ring.desc.one()) if val is None else val)
-                    continue
-                a = matrices[word[step] - 1]
-                for nxt in range(j, t + 1):
-                    f = a.entries.get((j, nxt))
-                    if f is None:
-                        continue
-                    stack.append((nxt, step + 1, f if val is None else val * f))
-            if not ring.is_zero(total):
-                entries[(s, t)] = total
-    return UTMatrix(ring, n, entries)
-
-
-def evaluate(p, matrices, use_paths: bool = False) -> UTMatrix:
+def evaluate(p, matrices) -> UTMatrix:
     """Evaluate p at a tuple of upper triangular matrices."""
     ring = _check_tuple(p, matrices)
     if ring is None or not p.terms:
@@ -281,10 +253,9 @@ def evaluate(p, matrices, use_paths: bool = False) -> UTMatrix:
         if not matrices:
             raise ArityMismatch("cannot evaluate with an empty matrix tuple")
         return UTMatrix.zeros(matrices[0].ring, n)
-    prod = word_product_paths if use_paths else word_product
     acc = UTMatrix.zeros(ring, matrices[0].n)
     for word, coeff in p.terms.items():
-        acc = acc + prod(matrices, word).scale(coeff)
+        acc = acc + word_product(matrices, word).scale(coeff)
     return acc
 
 

@@ -127,16 +127,12 @@ def test_sample_support_rational():
     rng = random.Random(0)
     seen = {Q.sample(rng) for _ in range(4000)}
     assert len(seen) > 3000  # far beyond what height 100 could give
-    rng = random.Random(1)
-    for _ in range(200):
-        assert not Q.is_zero(Q.sample_nonzero(rng))
 
 
 def test_sample_prime_field_covers():
     rng = random.Random(2)
     seen = {F7.sample(rng).v for _ in range(200)}
     assert seen == set(range(7))
-    assert all(F7.sample_nonzero(random.Random(i)).v != 0 for i in range(50))
 
 
 def test_split_sign():

@@ -116,7 +116,6 @@ def test_noncommutativity_is_preserved():
 def test_degrees():
     p = P("x1*x2*x1 + x2")
     assert p.degree() == 3
-    assert p.min_degree() == 1
     assert NcPolynomial.zero(Q, 2).degree() == 0
 
 

@@ -208,9 +208,15 @@ def test_solve_wrong_size_target():
         solve_target(comm_product(1), 3, qmat(2, {(1, 2): 1}))
 
 
-def test_solve_order_zero_redirected():
-    with pytest.raises(OrderMismatch):
-        solve_target(NcPolynomial.parse("x1", Q), 2, qmat(2, {(1, 2): 1}))
+def test_solve_target_serves_order_zero():
+    """solve_target handles order 0 itself; solve_diagonal_r0 is the same
+    construction restricted to that order."""
+    p = NcPolynomial.parse("x1*x2 + x2*x1 + x1", Q)
+    target = qmat(3, {(1, 1): 3, (2, 2): -1, (3, 3): 5, (1, 2): 2, (1, 3): -4})
+    opt = SolveOptions(seed=5)
+    res = solve_target(p, 3, target, opt)
+    assert res.to_json() == solve_diagonal_r0(p, 3, target, opt).to_json()
+    assert evaluate(p, res.matrices).eq(target)
 
 
 def test_solve_order_at_least_n_zero_image():

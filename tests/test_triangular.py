@@ -1,10 +1,11 @@
-"""Upper-triangular matrices and the three evaluation routes.
+"""Upper-triangular matrices and the two evaluation routes.
 
-The direct route multiplies matrices; the path route sums over
-nondecreasing index paths; the structured route rebuilds each entry from
-coefficient polynomials in the diagonals times arc products.  Agreement of
-independently-coded routes on random inputs is the core correctness check,
-so none of these tests may be weakened to compare a route with itself.
+The direct route multiplies matrices; the structured route rebuilds each
+entry from coefficient polynomials in the diagonals times arc products.
+Both are checked against a third, test-local reference that sums over
+nondecreasing index paths.  Agreement of independently-coded routes on
+random inputs is the core correctness check, so none of these tests may
+be weakened to compare a route with itself.
 """
 
 import random
@@ -18,8 +19,7 @@ from utpoly.fields import FieldDescriptor, Fp
 from utpoly.freealg import NcPolynomial, commutator
 from utpoly.triangular import (FieldRing, PolyRing, UTMatrix, evaluate,
                                evaluate_structured, generic_evaluate,
-                               generic_matrix, generic_tuple, word_product,
-                               word_product_paths)
+                               generic_matrix, generic_tuple, word_product)
 
 Q = FieldDescriptor.parse("Q")
 F7 = FieldDescriptor.parse("Fp:7")
@@ -29,6 +29,44 @@ QRING = FieldRing(Q)
 
 def mat(n, entries, ring=QRING):
     return UTMatrix(ring, n, {pos: Fraction(v) for pos, v in entries.items()})
+
+
+def word_product_paths(matrices, word):
+    """Reference for word_product, rebuilt entrywise from nondecreasing
+    index paths: entry (s,t) sums the arc products of all
+    s = j_1 <= ... <= j_{w+1} = t."""
+    ring = matrices[0].ring
+    n = matrices[0].n
+    w = len(word)
+    entries = {}
+    for s in range(1, n + 1):
+        for t in range(s, n + 1):
+            total = ring.zero()
+            stack = [(s, 0, None)]
+            # iterative DFS over path positions; value None means "empty product"
+            while stack:
+                j, step, val = stack.pop()
+                if step == w:
+                    if j == t:
+                        total = total + (ring.scalar(ring.desc.one()) if val is None else val)
+                    continue
+                a = matrices[word[step] - 1]
+                for nxt in range(j, t + 1):
+                    f = a.entries.get((j, nxt))
+                    if f is None:
+                        continue
+                    stack.append((nxt, step + 1, f if val is None else val * f))
+            if not ring.is_zero(total):
+                entries[(s, t)] = total
+    return UTMatrix(ring, n, entries)
+
+
+def evaluate_paths(p, matrices):
+    """Reference for evaluate, with every word product from the paths."""
+    acc = UTMatrix.zeros(matrices[0].ring, matrices[0].n)
+    for word, coeff in p.terms.items():
+        acc = acc + word_product_paths(matrices, word).scale(coeff)
+    return acc
 
 
 def rand_matrix(desc, ring, n, rng, height=9):
@@ -150,10 +188,8 @@ def test_evaluate_routes_agree_random():
             p = rand_poly(desc, rng, m)
             mats = [rand_matrix(desc, ring, n, rng) for _ in range(m)]
             direct = evaluate(p, mats)
-            paths = evaluate(p, mats, use_paths=True)
-            structured = evaluate_structured(p, mats)
-            assert direct.eq(paths)
-            assert direct.eq(structured)
+            assert direct.eq(evaluate_paths(p, mats))
+            assert direct.eq(evaluate_structured(p, mats))
 
 
 def test_structured_route_runs_no_matrix_product(monkeypatch):
