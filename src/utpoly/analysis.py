@@ -7,20 +7,21 @@ decides identity for all fields of characteristic zero; over a prime base
 field it decides identity for the infinite extensions of F_p (a small base
 field itself may satisfy extra pointwise identities that the symbolic test
 deliberately ignores).
+
+coeff_poly and leading_tuples read the live-slot index of p's analysis
+context (triangular.live_slots), as _probe reads its generic evaluations.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations, product
 
-from .cpoly import CPolynomial, diag_var, render_var
+from .cpoly import CPolynomial, render_var
 from .errors import (CapReached, InternalInconsistency, OrderMismatch,
                      VariableOutOfRange, ZeroInput)
 from .freealg import NcPolynomial
-from .triangular import generic_evaluate
+from .triangular import _context, generic_evaluate, live_slots
 
 _ORDER_SAMPLES = 200     # witness points order() tries
 
@@ -30,76 +31,21 @@ def is_identity(p: NcPolynomial, n: int) -> bool:
     return not generic_evaluate(p, n).entries
 
 
-def _placement_counts(word: tuple, slots: tuple) -> dict:
-    """Diagonal monomial -> number of placements of slots in word.
-
-    A placement is a choice of positions q_1 < ... < q_k with
-    word[q_l] = slots[l-1]; every other letter contributes z[row, letter],
-    where row is 1 + the number of placed letters before it.  Placements
-    are visited latest position first, which is the order in which the
-    matrix product route first meets each monomial, so coefficient
-    polynomials keep that term order (it fixes the summation order of
-    eval_full over C).
-    """
-    k = len(slots)
-    counts = {}
-    for rev in combinations(range(len(word) - 1, -1, -1), k):
-        pos = rev[::-1]
-        if any(word[q] != i for q, i in zip(pos, slots)):
-            continue
-        z = {}
-        row = 1
-        for q, letter in enumerate(word):
-            if row <= k and q == pos[row - 1]:
-                row += 1
-            else:
-                key = diag_var(row, letter)
-                z[key] = z.get(key, 0) + 1
-        mono = tuple(sorted(z.items()))
-        counts[mono] = counts.get(mono, 0) + 1
-    return counts
-
-
-@lru_cache(maxsize=16384)
 def coeff_poly(p: NcPolynomial, slots: tuple) -> CPolynomial:
-    """Coefficient polynomial of the arc chain with the given slots.
-
-    For slots (i_1..i_k) this is the polynomial in diagonal variables
-    z[1..k+1, *] multiplying x[1,2,i_1]*x[2,3,i_2]*...*x[k,k+1,i_k] in
-    entry (1, k+1) of the generic evaluation at size k+1 once every other
-    strictly-upper variable is set to zero.  It is read straight off the
-    words of p by placement counting (see _placement_counts), so no
-    matrix product is formed: each word adds its coefficient times the
-    number of placements giving each diagonal monomial, in p.terms order,
-    which repeats the field operations of the generic evaluation.
-    """
+    """Coefficient polynomial of the arc chain with the given slots, read
+    from the live-slot index of p (zero when the tuple is not listed)."""
     k = len(slots)
     if k < 1:
         raise OrderMismatch("slot tuple must be nonempty")
     for i in slots:
         if not (1 <= i <= p.nvars):
             raise VariableOutOfRange(f"slot {i} outside 1..{p.nvars}")
-    desc = p.field
-    zero = desc.zero()
-    terms = {}
-    for word, c in p.terms.items():
-        for mono, count in _placement_counts(word, slots).items():
-            v = c * desc.from_int(count)
-            if desc.is_zero(v):
-                continue
-            v = terms.get(mono, zero) + v
-            if desc.is_zero(v):
-                # a cancelled monomial leaves the polynomial, as in a sum
-                # of polynomials, and re-enters at the end if met again
-                terms.pop(mono, None)
-            else:
-                terms[mono] = v
-    q = CPolynomial(desc, terms)
-    for v in q.variables():
-        if v[0] != "z":
-            raise InternalInconsistency(
-                f"coefficient polynomial contains {render_var(v)}")
-    return q
+    q = live_slots(p, k).get(slots)
+    return CPolynomial.zero(p.field) if q is None else q
+
+
+# the cache behind coeff_poly is the context cache
+coeff_poly.cache_info = _context.cache_info
 
 
 @dataclass
@@ -194,8 +140,7 @@ def leading_tuples(p: NcPolynomial, r: int) -> list[tuple]:
     result signals an order-computation bug, not bad input."""
     if r < 1:
         raise OrderMismatch("leading tuples need order at least 1")
-    out = [slots for slots in product(range(1, p.nvars + 1), repeat=r)
-           if not coeff_poly(p, slots).is_zero()]
+    out = list(live_slots(p, r))
     if not out:
         raise InternalInconsistency(
             f"no nonzero coefficient polynomial of length {r}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from itertools import product
 
 from .analysis import classify, coeff_poly, leading_tuples, order
@@ -118,8 +119,10 @@ def _add_common(sp, *flags):
         sp.add_argument(flag, **_FLAGS[flag])
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
-    """Each subcommand declares only the flags its _cmd_* reads."""
+    """Each subcommand declares only the flags its _cmd_* reads.  Built
+    once per process: parsing leaves the parser unchanged."""
     ap = _Parser(prog="utpoly", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -9,6 +9,7 @@ algebraically closed field: equality there means agreement within eps.
 
 from __future__ import annotations
 
+import cmath
 import math
 import random
 from dataclasses import dataclass
@@ -212,9 +213,11 @@ class FieldDescriptor:
         text = text.strip()
         if self.kind == "complex":
             try:
-                return complex(text)
+                if cmath.isfinite(v := complex(text)):
+                    return v
             except ValueError:
-                raise ParseError(f"bad complex literal {text!r}") from None
+                pass
+            raise ParseError(f"bad complex literal {text!r}")
         if "/" in text:
             num, _, den = text.partition("/")
             try:

@@ -43,7 +43,7 @@ from .errors import (BandViolation, BudgetExhausted, DegenerateCoefficient,
 from .fields import FieldDescriptor, solve_univariate
 from .freealg import NcPolynomial
 from .triangular import (FieldRing, UTMatrix, evaluate, evaluate_structured,
-                         generic_evaluate)
+                         generic_evaluate, live_slots)
 
 
 class PartialAssignment:
@@ -209,11 +209,10 @@ def _matrices_from_assignment(desc, n: int, m: int, values: dict) -> list[UTMatr
 
 
 def _residual(desc, achieved: UTMatrix, target: UTMatrix) -> float:
-    worst = 0.0
-    for pos in set(achieved.entries) | set(target.entries):
-        diff = abs(achieved.entry(*pos) - target.entry(*pos))
-        worst = max(worst, diff)
-    return worst
+    diffs = [abs(achieved.entry(*pos) - target.entry(*pos))
+             for pos in set(achieved.entries) | set(target.entries)]
+    # max() would drop a NaN difference (inf - inf, say) and pass the target
+    return math.nan if any(map(math.isnan, diffs)) else max(diffs, default=0.0)
 
 
 def _univariate_restriction(p: NcPolynomial, slot: int, point: list):
@@ -280,12 +279,12 @@ def _entries_positive(n: int, m: int, lead: tuple, assign: PartialAssignment,
         yield e.s, e.t, e.fresh
 
 
-def _entries_r0(n: int, diags: list, arc_polys: dict, live_slots: list,
-                assign: PartialAssignment, rng, height: int):
-    """(s, t, fresh) band by band.  The fresh slot i* is the first whose
-    single-arc coefficient polynomial is nonzero at the diagonals of rows
-    s and t (fresh is None when none is); the other slots of (s, t) are
-    sampled just before the entry is yielded."""
+def _entries_r0(n: int, diags: list, arcs: list, assign: PartialAssignment,
+                rng, height: int):
+    """(s, t, fresh) band by band.  The fresh slot i* is the first in
+    arcs, (slot, nonzero single-arc coefficient polynomial) pairs, whose
+    polynomial is nonzero at the diagonals of rows s and t (fresh is None
+    when none is); the other slots of (s, t) are sampled just before."""
     desc = assign.desc
     m = len(diags[0])
     for span in range(1, n):
@@ -295,9 +294,8 @@ def _entries_r0(n: int, diags: list, arc_polys: dict, live_slots: list,
             for i in range(1, m + 1):
                 pair[diag_var(1, i)] = diags[s - 1][i - 1]
                 pair[diag_var(2, i)] = diags[t - 1][i - 1]
-            star = next((i for i in live_slots
-                         if not desc.is_zero(arc_polys[i].eval_full(pair))),
-                        None)
+            star = next((i for i, q in arcs
+                         if not desc.is_zero(q.eval_full(pair))), None)
             if star is None:
                 yield s, t, None
                 return
@@ -334,9 +332,8 @@ def _sweep(p: NcPolynomial, n: int, r: int, target: UTMatrix,
     if r:
         leads = leading_tuples(p, r)
     else:
-        arc_polys = {i: coeff_poly(p, (i,)) for i in range(1, m + 1)}
-        live_slots = [i for i in range(1, m + 1) if not arc_polys[i].is_zero()]
-        if not live_slots:
+        arcs = [(i, q) for (i,), q in live_slots(p, 1).items()]
+        if not arcs:
             raise InternalInconsistency(
                 "no nonzero single-arc coefficient at order 0")
     missed_root = False
@@ -355,8 +352,7 @@ def _sweep(p: NcPolynomial, n: int, r: int, target: UTMatrix,
             missed_root = missed_root or missed
             if diags is None:
                 continue
-            entries = _entries_r0(n, diags, arc_polys, live_slots, assign,
-                                  rng, opt.height)
+            entries = _entries_r0(n, diags, arcs, assign, rng, opt.height)
         for j in range(1, n + 1):
             for i in range(1, m + 1):
                 assign.set(diag_var(j, i), diags[j - 1][i - 1])

@@ -9,15 +9,20 @@ independent evaluation routes are kept side by side on purpose:
     index paths and cached coefficient polynomials.
 
 The coefficient polynomials come from placement counting over the words
-of p (analysis.coeff_poly), so the structured route runs no matrix
-product and shares nothing with the direct route beyond field
-arithmetic.  Their agreement is a strong end-to-end check and is
-exercised by tests; do not collapse one into the other.
+of p (live_slots), so the structured route runs no matrix product and
+shares nothing with the direct route beyond field arithmetic.  Their
+agreement is a strong end-to-end check and is exercised by tests; do
+not collapse one into the other.
+
+Each polynomial has one analysis context, keyed on p (whose field
+includes eps), holding its generic evaluations and its live-slot index
+(live_slots); those of the _CONTEXT_CAP most recent polynomials are kept.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from functools import lru_cache
+from itertools import combinations
 
 from .cpoly import CPolynomial, diag_var, entry_var
 from .errors import (ArityMismatch, FieldMismatch, ParseError, ResourceLimit,
@@ -248,11 +253,8 @@ def word_product(matrices, word) -> UTMatrix:
 def evaluate(p, matrices) -> UTMatrix:
     """Evaluate p at a tuple of upper triangular matrices."""
     ring = _check_tuple(p, matrices)
-    if ring is None or not p.terms:
-        n = matrices[0].n if matrices else 0
-        if not matrices:
-            raise ArityMismatch("cannot evaluate with an empty matrix tuple")
-        return UTMatrix.zeros(matrices[0].ring, n)
+    if ring is None:
+        raise ArityMismatch("cannot evaluate with an empty matrix tuple")
     acc = UTMatrix.zeros(ring, matrices[0].n)
     for word, coeff in p.terms.items():
         acc = acc + word_product(matrices, word).scale(coeff)
@@ -274,22 +276,77 @@ def generic_tuple(field: FieldDescriptor, n: int, m: int,
     return [generic_matrix(ring, n, i) for i in range(1, m + 1)]
 
 
-_GENERIC_CACHE: dict = {}
+_CONTEXT_CAP = 32     # the witness workload returns to some p after 17-20 others
+
+
+@lru_cache(maxsize=_CONTEXT_CAP)
+def _context(p) -> tuple:
+    """p's analysis context: (generic evaluations by (n, budget), index by k)."""
+    return {}, {}
 
 
 def generic_evaluate(p, n: int, monomial_budget: int = 10 ** 6) -> UTMatrix:
-    """p at the generic tuple of size n; cached since order probing,
-    classification, and the solver all revisit the same matrix.  The
-    budget is part of the key, so a result computed under a larger
+    """p at the generic tuple of size n, kept in p's context since order
+    probing, classification, and the solver all revisit the same matrix.
+    The budget is part of the key, so a result computed under a larger
     budget never stands in for a call that must raise ResourceLimit."""
-    key = (p, n, monomial_budget)
-    hit = _GENERIC_CACHE.get(key)
-    if hit is not None:
-        return hit
-    out = evaluate(p, generic_tuple(p.field, n, max(p.nvars, 1), monomial_budget))
-    if len(_GENERIC_CACHE) > 128:
-        _GENERIC_CACHE.clear()
-    _GENERIC_CACHE[key] = out
+    generic = _context(p)[0]
+    key = (n, monomial_budget)
+    if key not in generic:
+        generic[key] = evaluate(
+            p, generic_tuple(p.field, n, max(p.nvars, 1), monomial_budget))
+    return generic[key]
+
+
+def live_slots(p, k: int) -> dict:
+    """Read-only live-slot index of p for k: {slots: coefficient polynomial}
+    over the k-slot tuples with a nonzero one, in lexicographic order.
+
+    The coefficient polynomial of slots (i_1..i_k), in z[1..k+1, *],
+    multiplies x[1,2,i_1]*...*x[k,k+1,i_k] in entry (1, k+1) of the
+    generic evaluation at size k+1 once every other strictly-upper
+    variable is zero.  One pass over the words counts placements:
+    positions q_1 < ... < q_k, whose letters are the slots, every other
+    letter giving z[row, letter] with row 1 + the placed letters before
+    it.  Visiting placements latest first and words in p.terms order
+    repeats the field operations of the generic evaluation, so each
+    polynomial matches it bit for bit, term order (eval_full's summation
+    order over C) included.
+    """
+    index = _context(p)[1]
+    if k in index:
+        return index[k]
+    desc = p.field
+    zero = desc.zero()
+    sums: dict = {}          # slots -> {diagonal monomial: coefficient}
+    for word, c in p.terms.items():
+        counts: dict = {}    # (slots, diagonal monomial) -> placements
+        for rev in combinations(range(len(word) - 1, -1, -1), k):
+            pos = rev[::-1]
+            z = {}
+            row = 1
+            for q, letter in enumerate(word):
+                if row <= k and q == pos[row - 1]:
+                    row += 1
+                else:
+                    var = diag_var(row, letter)
+                    z[var] = z.get(var, 0) + 1
+            key = (tuple(word[q] for q in pos), tuple(sorted(z.items())))
+            counts[key] = counts.get(key, 0) + 1
+        for (slots, mono), count in counts.items():
+            terms = sums.setdefault(slots, {})
+            v = c * desc.from_int(count)
+            if desc.is_zero(v):
+                continue
+            v = terms.get(mono, zero) + v
+            if desc.is_zero(v):
+                # a cancelled monomial leaves the polynomial, as in a sum
+                # of polynomials, and re-enters at the end if met again
+                terms.pop(mono, None)
+            else:
+                terms[mono] = v
+    out = index[k] = {slots: CPolynomial(desc, sums[slots])
+                      for slots in sorted(sums) if sums[slots]}
     return out
 
 
@@ -301,48 +358,44 @@ def evaluate_structured(p, matrices) -> UTMatrix:
     j_{k+1} = t and slot tuples (i_1..i_k), the coefficient polynomial at
     the path's diagonal tuple times the product of the slotted arc entries.
     """
-    from .analysis import coeff_poly
-
     ring = _check_tuple(p, matrices)
     if ring is None or ring.kind != "field":
         raise FieldMismatch("structured evaluation needs concrete field matrices")
     n = matrices[0].n
     m = p.nvars
     desc = ring.desc
+    diags = [tuple(a.entry(j, j) for a in matrices) for j in range(1, n + 1)]
+    zkeys = [[diag_var(l, i) for i in range(1, m + 1)] for l in range(1, n + 1)]
     entries = {}
     for s in range(1, n + 1):
-        point = tuple(a.entry(s, s) for a in matrices)
-        val = p.eval_scalar(point)
+        val = p.eval_scalar(diags[s - 1])
         if not desc.is_zero(val):
             entries[(s, s)] = val
-    deg = p.degree()
-    # which matrices have a nonzero entry at each arc
-    live = {}
-    for j in range(1, n + 1):
-        for k in range(j + 1, n + 1):
-            live[(j, k)] = [i for i in range(1, m + 1)
-                            if (j, k) in matrices[i - 1].entries]
+    index = {k: live_slots(p, k) for k in range(1, min(n - 1, p.degree()) + 1)}
+    # arcs where some matrix has a nonzero entry
+    live = {(j, k) for a in matrices for j, k in a.entries if j < k}
+    one = desc.one()
     for s in range(1, n + 1):
         for t in range(s + 1, n + 1):
             total = desc.zero()
-            for k in range(1, min(t - s, deg) + 1):
+            for k in range(1, min(t - s, len(index)) + 1):
                 for interior in combinations(range(s + 1, t), k - 1):
                     path = (s,) + interior + (t,)
                     arcs = list(zip(path, path[1:]))
-                    pools = [live[a] for a in arcs]
-                    if any(not pool for pool in pools):
+                    if any(a not in live for a in arcs):
                         continue
-                    assign = {diag_var(l, i): matrices[i - 1].entry(row, row)
-                              for l, row in enumerate(path, start=1)
-                              for i in range(1, m + 1)}
-                    for slots in product(*pools):
-                        q = coeff_poly(p, slots)
-                        if q.is_zero():
-                            continue
-                        arc_val = desc.one()
-                        for (j1, k1), i in zip(arcs, slots):
-                            arc_val = arc_val * matrices[i - 1].entry(j1, k1)
-                        total = total + q.eval_full(assign) * arc_val
+                    assign = {z: v for l, row in enumerate(path)
+                              for z, v in zip(zkeys[l], diags[row - 1])}
+                    # live tuples with nonzero arc entries, in product() order
+                    for slots, q in index[k].items():
+                        arc_val = one
+                        for a, i in zip(arcs, slots):
+                            v = matrices[i - 1].entries.get(a)
+                            if v is None:
+                                break
+                            arc_val = arc_val * v
+                        else:
+                            total = total + q.eval_full(assign) * arc_val
             if not desc.is_zero(total):
                 entries[(s, t)] = total
     return UTMatrix(FieldRing(desc), n, entries)

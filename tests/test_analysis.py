@@ -12,7 +12,9 @@ from utpoly.cpoly import CPolynomial, entry_var
 from utpoly.errors import CapReached, OrderMismatch
 from utpoly.fields import FieldDescriptor
 from utpoly.freealg import NcPolynomial, commutator
-from utpoly.triangular import generic_evaluate
+from utpoly.triangular import (_CONTEXT_CAP, FieldRing, UTMatrix,
+                               evaluate_structured, generic_evaluate,
+                               live_slots)
 
 Q = FieldDescriptor.parse("Q")
 F7 = FieldDescriptor.parse("Fp:7")
@@ -138,13 +140,13 @@ def _bits(c):
     return (c.real.hex(), c.imag.hex()) if isinstance(c, complex) else c
 
 
-@pytest.mark.parametrize("field", ["Q", "Fp:3", "Fp:101", "C", "C:0.5"])
-def test_coeff_poly_matches_generic_evaluation(field):
-    """Placement counting gives the generic evaluation's coefficient bit
-    for bit, with the same term order (the summation order of eval_full)."""
-    desc = FieldDescriptor.parse(field)
-    rng = random.Random(field)
-    for _ in range(12):
+def _terms_bits(q):
+    return [(mono, _bits(c)) for mono, c in q.terms.items()]
+
+
+def random_polys(desc, seed, count=12):
+    rng = random.Random(seed)
+    for _ in range(count):
         m = rng.randint(1, 3)
         terms = {}
         for _ in range(rng.randint(1, 8)):
@@ -153,13 +155,73 @@ def test_coeff_poly_matches_generic_evaluation(field):
             if desc.kind == "complex" and rng.random() < 0.5:
                 c = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
             terms[w] = terms.get(w, desc.zero()) + c
-        p = NcPolynomial(desc, m, terms)
+        yield NcPolynomial(desc, m, terms)
+
+
+FIELDS = ["Q", "Fp:3", "Fp:101", "C", "C:0.5"]
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_coeff_poly_matches_generic_evaluation(field):
+    """Placement counting gives the generic evaluation's coefficient bit
+    for bit, with the same term order (the summation order of eval_full)."""
+    desc = FieldDescriptor.parse(field)
+    for p in random_polys(desc, field):
         for k in range(1, 4):
-            for slots in product(range(1, m + 1), repeat=k):
+            for slots in product(range(1, p.nvars + 1), repeat=k):
                 got = coeff_poly(p, slots)
                 want = reference_coeff_poly(p, slots)
-                assert [(mono, _bits(c)) for mono, c in got.terms.items()] == \
-                    [(mono, _bits(c)) for mono, c in want.terms.items()], slots
+                assert _terms_bits(got) == _terms_bits(want), slots
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_live_slot_index_lists_exactly_the_nonzero_tuples(field):
+    """index[k] holds every k-slot tuple whose reference coefficient is
+    nonzero and no other, in lexicographic order, each with the
+    reference polynomial term for term."""
+    desc = FieldDescriptor.parse(field)
+    for p in random_polys(desc, "index " + field):
+        for k in range(1, 5):
+            want = {slots: reference_coeff_poly(p, slots)
+                    for slots in product(range(1, p.nvars + 1), repeat=k)}
+            want = {s: q for s, q in want.items() if not q.is_zero()}
+            index = live_slots(p, k)
+            assert list(index) == list(want)
+            for slots, q in index.items():
+                assert _terms_bits(q) == _terms_bits(want[slots]), slots
+
+
+def test_evicted_context_gives_the_same_answers():
+    """A polynomial whose context was evicted is analysed again from its
+    words with the same results, generic evaluations included."""
+    rng = random.Random(77)
+    p = NcPolynomial.parse("x1*x2*x3 - 2*x3*x1*x2 + x2*x2", Q)
+    mats = [UTMatrix(FieldRing(Q), 4,
+                     {(j, k): Fraction(rng.randint(-5, 5))
+                      for j in range(1, 5) for k in range(j, 5)})
+            for _ in range(3)]
+    first = evaluate_structured(p, mats).to_json()
+    generic = generic_evaluate(p, 3).to_json()
+    index = live_slots(p, 2)
+    for c in range(1, _CONTEXT_CAP + 1):
+        live_slots(NcPolynomial.parse(f"{c}*x1*x2", Q), 1)
+    assert live_slots(p, 2) is not index        # rebuilt, not kept
+    assert evaluate_structured(p, mats).to_json() == first
+    assert generic_evaluate(p, 3).to_json() == generic
+
+
+@pytest.mark.parametrize("first", ["C", "C:0.5"])
+def test_contexts_do_not_mix_tolerances(first):
+    """Slot 1 of x1*x2*x1 - 1.25*x1*x1*x2 gets 1 - 1.25 on z[2,1]*z[2,2]:
+    a term within C:0.5 but not within C's default tolerance."""
+    mono = (((("z", 2, 1), 1), (("z", 2, 2), 1)))
+    second = "C:0.5" if first == "C" else "C"
+    for field in (first, second):
+        desc = FieldDescriptor.parse(field)
+        p = NcPolynomial.parse("x1*x2*x1 - 1.25*x1*x1*x2", desc)
+        q = live_slots(p, 1)[(1,)]
+        assert (mono in q.terms) == (field == "C"), field
+        assert _terms_bits(q) == _terms_bits(reference_coeff_poly(p, (1,)))
 
 
 def test_coeff_poly_short_tuples_vanish_at_positive_order():

@@ -3,6 +3,7 @@
 import argparse
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -343,6 +344,57 @@ def test_complex_tolerance_is_the_field_eps(tmp_path, capsys):
                        "--witness", str(wf), "--target", str(tf))
         met[field] = rep["target_met"]
     assert met == {"C": False, "C:1e-3": True}
+
+
+def _one_by_one(path, *values):
+    """A file with one 1x1 matrix per value: a witness tuple, or a single
+    matrix (a target) when one value is given."""
+    mats = [{"n": 1, "entries": [{"j": 1, "k": 1, "value": v}]}
+            for v in values]
+    path.write_text(json.dumps(mats if len(mats) > 1 else mats[0]))
+    return str(path)
+
+
+def test_non_finite_complex_literal_is_a_parse_error(tmp_path, capsys):
+    code, out, err = run(capsys, "verify", "--poly", "x1", "--field", "C",
+                         "--witness", _one_by_one(tmp_path / "w.json", "nan"),
+                         "--target", _one_by_one(tmp_path / "t.json", "1"))
+    assert code == 1 and out == "" and "ParseError" in err
+
+
+def test_nan_residual_fails_the_target(tmp_path, capsys):
+    """x1*x2 - x2*x1 at 1e200, 1e200 is inf - inf = nan: the target is
+    missed, not met with residual 0.0 as when max() dropped the NaN."""
+    code, out, err = run(capsys, "verify", "--poly", "x1*x2-x2*x1",
+                         "--field", "C", "--witness",
+                         _one_by_one(tmp_path / "w.json", "1e200", "1e200"),
+                         "--target", _one_by_one(tmp_path / "t.json", "1"))
+    assert code == 0, err
+    rep = json.loads(out)
+    assert rep["target_met"] is False
+    assert rep["target_residual"] != rep["target_residual"]     # NaN
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_solve_large_n_pinned(tmp_path, capsys):
+    """The order-3 product of three commutators at n = 8, solved for a
+    fixed band-2 target; stdout pinned to the byte.  Runtime budget: 8 s."""
+    tf = tmp_path / "t.json"
+    tf.write_text(json.dumps({"n": 8, "ring": "field", "entries": [
+        {"j": 1, "k": 4, "value": "1"}, {"j": 2, "k": 6, "value": "-2/3"},
+        {"j": 3, "k": 8, "value": "5"}, {"j": 1, "k": 8, "value": "7/2"}]}))
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "solve", "--poly",
+                         "(x1*x2-x2*x1)*(x3*x4-x4*x3)*(x5*x6-x6*x5)",
+                         "--field", "Q", "--n", "8", "--target", str(tf))
+    elapsed = time.perf_counter() - t0
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "b786aa7df08319fb63602433ad802a5cffe6fbd13f1ade16a7a031740d669b7d"
+    assert elapsed < 8.0, elapsed
 
 
 # -- matrix size below 1 ----------------------------------------------------------

@@ -103,6 +103,13 @@ def test_literals_roundtrip_complex():
         assert C.eq(C.parse_literal(C.render_value(v)), v)
 
 
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "nan+1j", "1+infj",
+                                  "1e400"])
+def test_complex_literal_must_be_finite(text):
+    with pytest.raises(ParseError):
+        C.parse_literal(text)
+
+
 def test_rational_render_is_exact():
     v = Fraction(-22, 7)
     assert Q.render_value(v) == "-22/7"
