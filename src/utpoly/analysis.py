@@ -8,8 +8,15 @@ field it decides identity for the infinite extensions of F_p (a small base
 field itself may satisfy extra pointwise identities that the symbolic test
 deliberately ignores).
 
-coeff_poly and leading_tuples read the live-slot index of p's analysis
-context (triangular.live_slots), as _probe reads its generic evaluations.
+The test reads the live-slot index of p's analysis context
+(triangular.live_slots), not a generic evaluation.  Entry (s, t) of the
+generic evaluation sums, over increasing paths s -> t and slot tuples, a
+coefficient polynomial at the path's rows times that path's own arc
+monomial, so no two terms cancel: p vanishes on size n iff p(z), the
+0-slot polynomial, is zero and no k-slot tuple with k <= n-1 is live.
+is_identity, classify, coeff_poly and leading_tuples read the index;
+only order probes generic evaluations, since its report names a nonzero
+generic entry and samples a point of that entry polynomial.
 """
 
 from __future__ import annotations
@@ -26,9 +33,17 @@ from .triangular import _context, generic_evaluate, live_slots
 _ORDER_SAMPLES = 200     # witness points order() tries
 
 
+def _least_live(p: NcPolynomial, cap: int) -> int | None:
+    """Least k in 0..cap with a live k-slot tuple, None if there is none.
+    Slots beyond deg p are never live."""
+    return next((k for k in range(min(cap, p.degree()) + 1)
+                 if live_slots(p, k)), None)
+
+
 def is_identity(p: NcPolynomial, n: int) -> bool:
-    """True iff every generic entry of p at size n vanishes identically."""
-    return not generic_evaluate(p, n).entries
+    """True iff every generic entry of p at size n vanishes identically,
+    that is iff no k-slot tuple with k <= n-1 is live."""
+    return _least_live(p, n - 1) is None
 
 
 def coeff_poly(p: NcPolynomial, slots: tuple) -> CPolynomial:
@@ -77,17 +92,6 @@ class OrderReport:
         return out
 
 
-def _probe(p: NcPolynomial, max_n: int) -> tuple:
-    """(r, generic evaluation at size r+1) for the least size in
-    1..max_n+1 at which p is not an identity; (None, None) if it is one
-    at every size probed."""
-    for n in range(1, max_n + 2):
-        generic = generic_evaluate(p, n)
-        if generic.entries:
-            return n - 1, generic
-    return None, None
-
-
 def order(p: NcPolynomial, max_n: int | None = None,
           sample_height: int = 256) -> OrderReport:
     """Least r with p an identity of size r but not of size r+1.
@@ -109,8 +113,11 @@ def order(p: NcPolynomial, max_n: int | None = None,
     if max_n < 1:
         raise ZeroInput("max_n must be at least 1")
     rng = random.Random(0)
-    r, generic = _probe(p, max_n)
-    if r is None:
+    for r in range(max_n + 1):
+        generic = generic_evaluate(p, r + 1)
+        if generic.entries:
+            break
+    else:
         return OrderReport(None, max_n, None, None)
     pos = min(generic.entries, key=lambda jk: (jk[1] - jk[0], jk[0]))
     poly = generic.entries[pos]
@@ -203,7 +210,7 @@ def classify(p: NcPolynomial, n: int, max_n: int | None = None) -> Classificatio
         raise ZeroInput("n must be at least 1")
     if max_n is None:
         max_n = n
-    r = _probe(p, max_n)[0]
+    r = _least_live(p, max_n)
     if r is None:
         # order unresolved; the zero case is still decidable from size n alone
         if n <= max_n + 1 or is_identity(p, n):

@@ -38,7 +38,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(obj) -> None:
-    sys.stdout.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
+    sys.stdout.write(json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                                allow_nan=False) + "\n")
 
 
 def _read_json(path: str):

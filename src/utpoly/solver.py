@@ -17,6 +17,14 @@ solves a univariate restriction of p for the target's diagonal entry,
 and entry (s, t) is solved through slot i* of position (s, t), whose
 other slots are sampled just before it.
 
+Over Q and F_p the slope and offset of entry (s, t) are summed straight
+from its (path, live tuple) terms, walked in evaluate_structured's order
+(triangular.entry_paths): a path uses each arc once, so the terms that
+slot the fresh variable on its arc give the slope and the others the
+offset, exactly.  Over C they are read from the entry of the generic
+evaluation instead, because another summation order moves the last bits
+of the floats and with them the witness the sweep prints.
+
 A zero slope makes the attempt fail and the next one resample; the
 guarantee behind the construction is density, not surjectivity, so a
 slope that stays zero after the retry budget is reported as a failure
@@ -32,6 +40,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import combinations
 
 from .analysis import band_sets, coeff_poly, exact_order, leading_tuples
@@ -42,8 +51,9 @@ from .errors import (BandViolation, BudgetExhausted, DegenerateCoefficient,
                      ZeroInput)
 from .fields import FieldDescriptor, solve_univariate
 from .freealg import NcPolynomial
-from .triangular import (FieldRing, UTMatrix, evaluate, evaluate_structured,
-                         generic_evaluate, live_slots)
+from .triangular import (FieldRing, UTMatrix, entry_index, entry_paths,
+                         evaluate, evaluate_structured, generic_evaluate,
+                         live_slots)
 
 
 class PartialAssignment:
@@ -305,19 +315,57 @@ def _entries_r0(n: int, diags: list, arcs: list, assign: PartialAssignment,
             yield s, t, entry_var(s, t, star)
 
 
-def _affine_parts(entry: CPolynomial, values: dict, fresh, pos: tuple) -> tuple:
-    """(slope, offset) of the entry polynomial as an affine function of
-    its fresh variable once every other variable takes its value."""
+def _affine_parts(generic: UTMatrix, s: int, t: int, values: dict,
+                  fresh) -> tuple:
+    """(slope, offset) of entry (s, t) of the generic evaluation as an
+    affine function of its fresh variable once every other variable
+    takes its value."""
+    entry = generic.entry(s, t)
     cur = entry.eval_partial(values)
     if cur.degree_in(fresh) > 1:
         raise InternalInconsistency(
-            f"entry {pos} not affine in {render_var(fresh)}")
+            f"entry {(s, t)} not affine in {render_var(fresh)}")
     slope = cur.coefficient_of([fresh])
     offset = cur.eval_partial({fresh: entry.field.zero()})
     if not (slope.is_constant() and offset.is_constant()):
         raise InternalInconsistency(
-            f"entry {pos} still has unassigned variables")
+            f"entry {(s, t)} still has unassigned variables")
     return slope.constant_value(), offset.constant_value()
+
+
+def _affine_entry(p: NcPolynomial, index: dict, s: int, t: int,
+                  values: dict, fresh) -> tuple:
+    """(slope, offset) of entry (s, t) in its fresh variable, summed over
+    the entry's (path, live tuple) terms (index from entry_index) with
+    every other variable at its value.  A path uses each arc once, so a
+    term holds the fresh variable at most once: the terms that put its
+    slot on its arc make the slope, all others the offset."""
+    desc = p.field
+    one = desc.one()
+    _, j, k, star = fresh
+    slope = offset = desc.zero()
+    for path, arcs, tuples in entry_paths(index, s, t):
+        assign = {diag_var(l, i): values[diag_var(row, i)]
+                  for l, row in enumerate(path, start=1)
+                  for i in range(1, p.nvars + 1)}
+        for slots, q in tuples.items():
+            arc_val = one
+            hit = False
+            for (a, b), i in zip(arcs, slots):
+                if (a, b, i) == (j, k, star):
+                    hit = True
+                    continue
+                v = values.get(("x", a, b, i))
+                if v is None:
+                    raise InternalInconsistency(
+                        f"entry {(s, t)} still has unassigned variables")
+                arc_val = arc_val * v
+            term = q.eval_full(assign) * arc_val
+            if hit:
+                slope = slope + term
+            else:
+                offset = offset + term
+    return slope, offset
 
 
 def _sweep(p: NcPolynomial, n: int, r: int, target: UTMatrix,
@@ -328,7 +376,12 @@ def _sweep(p: NcPolynomial, n: int, r: int, target: UTMatrix,
     desc = p.field
     m = p.nvars
     rng = random.Random(opt.seed)
-    generic = generic_evaluate(p, n, opt.monomial_budget)
+    if desc.kind == "complex":
+        # the symbolic entry keeps C's float summation order
+        affine = partial(_affine_parts,
+                         generic_evaluate(p, n, opt.monomial_budget))
+    else:
+        affine = partial(_affine_entry, p, entry_index(p, n))
     if r:
         leads = leading_tuples(p, r)
     else:
@@ -358,8 +411,7 @@ def _sweep(p: NcPolynomial, n: int, r: int, target: UTMatrix,
                 assign.set(diag_var(j, i), diags[j - 1][i - 1])
         for s, t, fresh in entries:
             if fresh is not None:
-                slope, offset = _affine_parts(generic.entry(s, t),
-                                              assign.values, fresh, (s, t))
+                slope, offset = affine(s, t, assign.values, fresh)
             if fresh is None or desc.is_zero(slope):
                 last_entry = (s, t)
                 break
@@ -521,7 +573,10 @@ def _replay(p: NcPolynomial, matrices: list, r: int | None,
     if target is not None:
         if desc.kind == "complex":
             residual = _residual(desc, direct, target)
-            report["target_residual"] = residual
+            # JSON has no inf or nan: an overflowed residual reads null,
+            # as a missed exact target does
+            report["target_residual"] = (residual if math.isfinite(residual)
+                                         else None)
             report["target_met"] = residual <= desc.eps
         else:
             report["target_residual"] = 0.0 if direct.eq(target) else None

@@ -371,31 +371,49 @@ def evaluate_structured(p, matrices) -> UTMatrix:
         val = p.eval_scalar(diags[s - 1])
         if not desc.is_zero(val):
             entries[(s, s)] = val
-    index = {k: live_slots(p, k) for k in range(1, min(n - 1, p.degree()) + 1)}
+    index = entry_index(p, n)
     # arcs where some matrix has a nonzero entry
     live = {(j, k) for a in matrices for j, k in a.entries if j < k}
     one = desc.one()
     for s in range(1, n + 1):
         for t in range(s + 1, n + 1):
             total = desc.zero()
-            for k in range(1, min(t - s, len(index)) + 1):
-                for interior in combinations(range(s + 1, t), k - 1):
-                    path = (s,) + interior + (t,)
-                    arcs = list(zip(path, path[1:]))
-                    if any(a not in live for a in arcs):
-                        continue
-                    assign = {z: v for l, row in enumerate(path)
-                              for z, v in zip(zkeys[l], diags[row - 1])}
-                    # live tuples with nonzero arc entries, in product() order
-                    for slots, q in index[k].items():
-                        arc_val = one
-                        for a, i in zip(arcs, slots):
-                            v = matrices[i - 1].entries.get(a)
-                            if v is None:
-                                break
-                            arc_val = arc_val * v
-                        else:
-                            total = total + q.eval_full(assign) * arc_val
+            for path, arcs, tuples in entry_paths(index, s, t):
+                if any(a not in live for a in arcs):
+                    continue
+                assign = {z: v for l, row in enumerate(path)
+                          for z, v in zip(zkeys[l], diags[row - 1])}
+                # live tuples with nonzero arc entries, in product() order
+                for slots, q in tuples.items():
+                    arc_val = one
+                    for a, i in zip(arcs, slots):
+                        v = matrices[i - 1].entries.get(a)
+                        if v is None:
+                            break
+                        arc_val = arc_val * v
+                    else:
+                        total = total + q.eval_full(assign) * arc_val
             if not desc.is_zero(total):
                 entries[(s, t)] = total
     return UTMatrix(FieldRing(desc), n, entries)
+
+
+def entry_index(p, n: int) -> dict:
+    """{k: live_slots(p, k)} for the slot counts a size-n entry can use,
+    1..min(n-1, deg p)."""
+    return {k: live_slots(p, k) for k in range(1, min(n - 1, p.degree()) + 1)}
+
+
+def entry_paths(index: dict, s: int, t: int):
+    """The terms of entry (s, t) grouped by path, in the order
+    evaluate_structured sums them: (rows, arcs, live tuples) for each
+    strictly increasing path s = j_1 < ... < j_{k+1} = t, k ascending
+    and skipped when index (from entry_index) lists no k-slot tuple,
+    interior rows in combinations() order."""
+    for k in range(1, min(t - s, len(index)) + 1):
+        tuples = index[k]
+        if not tuples:
+            continue
+        for interior in combinations(range(s + 1, t), k - 1):
+            path = (s,) + interior + (t,)
+            yield path, tuple(zip(path, path[1:])), tuples

@@ -6,6 +6,8 @@ from itertools import product
 
 import pytest
 
+import utpoly.analysis
+import utpoly.triangular
 from utpoly.analysis import (BandIndexSet, band_sets, classify, coeff_poly,
                              exact_order, is_identity, leading_tuples, order)
 from utpoly.cpoly import CPolynomial, entry_var
@@ -222,6 +224,85 @@ def test_contexts_do_not_mix_tolerances(first):
         q = live_slots(p, 1)[(1,)]
         assert (mono in q.terms) == (field == "C"), field
         assert _terms_bits(q) == _terms_bits(reference_coeff_poly(p, (1,)))
+
+
+def random_ordered_polys(desc, seed, count=12):
+    """Random polynomials of order 1 to 3 and some of order 0: a product
+    of up to three commutators of random words, perhaps after a word,
+    perhaps plus a random multiple of one more commutator or word."""
+    rng = random.Random(seed)
+
+    def word(m):
+        w = tuple(rng.randint(1, m) for _ in range(rng.randint(1, 2)))
+        return NcPolynomial(desc, m, {w: desc.one()})
+
+    while count:
+        m = rng.randint(1, 3)
+        out = word(m) if rng.random() < 0.3 else None
+        for _ in range(rng.randint(1, 3)):
+            c = commutator(word(m), word(m))
+            out = c if out is None else out * c
+        if rng.random() < 0.3:
+            c = desc.from_int(rng.randint(1, 2))
+            if desc.kind == "complex" and rng.random() < 0.5:
+                c = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+            extra = word(m) if rng.random() < 0.3 else \
+                commutator(word(m), word(m))
+            out = out + extra.scale(c)
+        if not out.is_zero():
+            count -= 1
+            yield out
+
+
+def generic_classify_r(p, n, max_n=None):
+    """The r of classify(p, n, max_n) as it was before classify read the
+    live-slot index: the order probed through generic evaluations at
+    sizes 1..max_n+1, then the capped branch through the generic
+    evaluation at size n; "cap" where classify raises CapReached."""
+    if max_n is None:
+        max_n = n
+    r = next((size - 1 for size in range(1, max_n + 2)
+              if generic_evaluate(p, size).entries), None)
+    if r is None and n > max_n + 1 and generic_evaluate(p, n).entries:
+        return "cap"
+    return r
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("generic_evaluate called")
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_classify_matches_generic_probe(field, monkeypatch):
+    """classify and is_identity read the live-slot index and agree with
+    the generic probe, caps and CapReached included, without making a
+    generic evaluation."""
+    desc = FieldDescriptor.parse(field)
+    polys = list(random_polys(desc, "classify " + field, count=6))
+    polys += list(random_ordered_polys(desc, "classify " + field))
+    cells = [(n, max_n) for n in range(1, 5) for max_n in (None, 0, 1, 2)]
+    seen = set()
+    for p in polys:
+        want = {(n, max_n): generic_classify_r(p, n, max_n)
+                for n, max_n in cells}
+        identity = {n: not generic_evaluate(p, n).entries for n in range(1, 5)}
+        with monkeypatch.context() as mp:
+            mp.setattr(utpoly.analysis, "generic_evaluate", _forbidden)
+            mp.setattr(utpoly.triangular, "generic_evaluate", _forbidden)
+            for (n, max_n), expected in want.items():
+                try:
+                    got = classify(p, n, max_n)
+                except CapReached:
+                    assert expected == "cap", (p.terms, n, max_n)
+                    seen.add("cap")
+                    continue
+                # the case table is a function of (r, n) alone
+                assert got.r == expected, (p.terms, n, max_n)
+                assert expected is not None or got.case == "zero"
+                seen.add(got.case)
+            for n, expected in identity.items():
+                assert is_identity(p, n) == expected, (p.terms, n)
+    assert {"cap", "dense_full", "equals_band", "zero"} <= seen
 
 
 def test_coeff_poly_short_tuples_vanish_at_positive_order():

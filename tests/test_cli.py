@@ -363,16 +363,35 @@ def test_non_finite_complex_literal_is_a_parse_error(tmp_path, capsys):
 
 
 def test_nan_residual_fails_the_target(tmp_path, capsys):
-    """x1*x2 - x2*x1 at 1e200, 1e200 is inf - inf = nan: the target is
-    missed, not met with residual 0.0 as when max() dropped the NaN."""
-    code, out, err = run(capsys, "verify", "--poly", "x1*x2-x2*x1",
-                         "--field", "C", "--witness",
-                         _one_by_one(tmp_path / "w.json", "1e200", "1e200"),
-                         "--target", _one_by_one(tmp_path / "t.json", "1"))
-    assert code == 0, err
-    rep = json.loads(out)
-    assert rep["target_met"] is False
-    assert rep["target_residual"] != rep["target_residual"]     # NaN
+    """x1*x2 - x2*x1 at 1e200, 1e200 is inf - inf = nan, and x1*x1 at
+    1e200 is inf: the target is missed, not met with residual 0.0 as when
+    max() dropped the NaN, and the residual reads null, since JSON has
+    no NaN or Infinity."""
+    for poly, witness in (("x1*x2-x2*x1", ("1e200", "1e200")),
+                          ("x1*x1", ("1e200",))):
+        code, out, err = run(capsys, "verify", "--poly", poly, "--field", "C",
+                             "--witness",
+                             _one_by_one(tmp_path / "w.json", *witness),
+                             "--target", _one_by_one(tmp_path / "t.json", "1"))
+        assert code == 0, err
+        rep = json.loads(out, parse_constant=pytest.fail)
+        assert rep["target_met"] is False, poly
+        assert rep["target_residual"] is None, poly
+
+
+@pytest.mark.parametrize("field,code", [("Q", 0), ("Fp:101", 0), ("C", 2)])
+def test_monomial_budget_bounds_only_generic_matrices(tmp_path, capsys,
+                                                      field, code):
+    """Q and F_p solve make no generic evaluation, so a tiny budget no
+    longer stops them; the C sweep still reads the generic entry."""
+    tf = tmp_path / "t.json"
+    tf.write_text(json.dumps({"n": 3, "entries": [
+        {"j": 1, "k": 2, "value": "1"}]}))
+    got, out, err = run(capsys, "solve", "--poly", "x1*x2-x2*x1",
+                        "--field", field, "--n", "3", "--target", str(tf),
+                        "--monomial-budget", "5")
+    assert got == code, err
+    assert ("ResourceLimit" in err) == (code == 2)
 
 
 def test_parser_is_built_once():
@@ -395,6 +414,25 @@ def test_solve_large_n_pinned(tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "b786aa7df08319fb63602433ad802a5cffe6fbd13f1ade16a7a031740d669b7d"
     assert elapsed < 8.0, elapsed
+
+
+def test_solve_large_n12_pinned(tmp_path, capsys):
+    """The same order-3 product at n = 12, solved for a fixed band-2
+    target; stdout pinned to the byte.  Runtime budget: 15 s."""
+    tf = tmp_path / "t.json"
+    tf.write_text(json.dumps({"n": 12, "ring": "field", "entries": [
+        {"j": 1, "k": 4, "value": "1"}, {"j": 2, "k": 6, "value": "-2/3"},
+        {"j": 3, "k": 8, "value": "5"}, {"j": 1, "k": 8, "value": "7/2"},
+        {"j": 5, "k": 12, "value": "-4"}, {"j": 1, "k": 12, "value": "1/5"}]}))
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "solve", "--poly",
+                         "(x1*x2-x2*x1)*(x3*x4-x4*x3)*(x5*x6-x6*x5)",
+                         "--field", "Q", "--n", "12", "--target", str(tf))
+    elapsed = time.perf_counter() - t0
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "4de9cea9bcfcabef782e00e2c40b8a3a05e982e66ab5461055261941d0886972"
+    assert elapsed < 15.0, elapsed
 
 
 # -- matrix size below 1 ----------------------------------------------------------

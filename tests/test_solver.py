@@ -6,18 +6,22 @@ from itertools import combinations
 
 import pytest
 
-from utpoly.analysis import band_sets, coeff_poly, leading_tuples
+import utpoly.solver
+from utpoly.analysis import band_sets, coeff_poly, exact_order, leading_tuples
 from utpoly.cpoly import CPolynomial, diag_var, entry_var, out_var
 from utpoly.errors import (BandViolation, BudgetExhausted,
                            DegenerateCoefficient, IncompatibleAssignment,
-                           NoRootInField, OrderMismatch, VariableOutOfRange,
-                           ZeroInput)
+                           InternalInconsistency, NoRootInField,
+                           OrderMismatch, VariableOutOfRange, ZeroInput)
 from utpoly.fields import FieldDescriptor, Fp
 from utpoly.freealg import NcPolynomial, commutator
-from utpoly.solver import (PartialAssignment, SolveOptions, band_coordinates,
-                           build_sweep_plan_rn, find_diagonals, hit_open_set,
-                           solve_diagonal_r0, solve_target, verify)
-from utpoly.triangular import FieldRing, UTMatrix, evaluate
+from utpoly.solver import (PartialAssignment, SolveOptions, _affine_entry,
+                           _affine_parts, _entries_positive, _entries_r0,
+                           band_coordinates, build_sweep_plan_rn,
+                           find_diagonals, hit_open_set, solve_diagonal_r0,
+                           solve_target, verify)
+from utpoly.triangular import (FieldRing, UTMatrix, entry_index, evaluate,
+                               generic_evaluate, live_slots)
 
 Q = FieldDescriptor.parse("Q")
 F5 = FieldDescriptor.parse("Fp:5")
@@ -270,6 +274,113 @@ def test_entry_polynomials_affine_in_fresh_variable():
         restricted = g.eval_partial(partial)
         assert restricted.degree_in(e.fresh) <= 1
         assert restricted.degree() <= 1
+
+
+def sweep_polys(desc, seed, count=10):
+    """Random polynomials of order 0, 1 and 2 in up to three variables:
+    random words times up to two commutators of random words."""
+    rng = random.Random(seed)
+
+    def word(m, lo=1):
+        return tuple(rng.randint(1, m) for _ in range(rng.randint(lo, 2)))
+
+    while count:
+        m = rng.randint(2, 3)
+        out = NcPolynomial(desc, m, {word(m): desc.from_int(rng.randint(1, 3))
+                                     for _ in range(rng.randint(1, 3))})
+        for _ in range(rng.randint(0, 2)):
+            a = NcPolynomial(desc, m, {word(m): desc.one()})
+            b = NcPolynomial(desc, m, {word(m): desc.one()})
+            out = out * commutator(a, b)
+        if not out.is_zero():
+            count -= 1
+            yield out
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp:3", "Fp:101"])
+def test_structured_affine_parts_match_generic_entry(field):
+    """Over exact fields the sweep reads (slope, offset) off the
+    live-slot index; at every entry of random sweep plans, r = 0 plans
+    included, they equal the generic entry's affine parts."""
+    desc = FieldDescriptor.parse(field)
+    rng = random.Random(field)
+    checked = set()
+    for p in sweep_polys(desc, "affine " + field, count=16):
+        r = exact_order(p)
+        m = p.nvars
+        for n in range(r + 1, min(r + 3, 5) + 1):
+            generic = generic_evaluate(p, n)
+            index = entry_index(p, n)
+            assign = PartialAssignment(desc)
+            diags = [tuple(desc.sample(rng) for _ in range(m))
+                     for _ in range(n)]
+            for j in range(1, n + 1):
+                for i in range(1, m + 1):
+                    assign.set(diag_var(j, i), diags[j - 1][i - 1])
+            if r:
+                lead = rng.choice(list(live_slots(p, r)))
+                entries = _entries_positive(n, m, lead, assign, rng, 256)
+            else:
+                arcs = [(i, q) for (i,), q in live_slots(p, 1).items()]
+                entries = _entries_r0(n, diags, arcs, assign, rng, 256)
+            for s, t, fresh in entries:
+                if fresh is None:
+                    break
+                got = _affine_entry(p, index, s, t, assign.values, fresh)
+                want = _affine_parts(generic, s, t, assign.values, fresh)
+                assert got == want, (p.terms, n, s, t)
+                checked.add((r, desc.is_zero(got[0])))
+                assign.set(fresh, desc.sample(rng))
+    assert {(0, False), (1, False), (2, False)} <= checked
+
+
+def test_structured_affine_parts_need_every_other_variable():
+    p = comm_product(1)
+    n = 3
+    values = {diag_var(j, i): Fraction(j + i) for j in range(1, n + 1)
+              for i in (1, 2)}
+    values[entry_var(1, 2, 1)] = Fraction(1)
+    with pytest.raises(InternalInconsistency, match="unassigned"):
+        _affine_entry(p, entry_index(p, n), 1, 3, values, entry_var(2, 3, 1))
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("generic_evaluate called")
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp:101"])
+def test_exact_sweep_makes_no_generic_evaluation(field, monkeypatch):
+    """Q and F_p solve and hit never evaluate p at the generic tuple
+    (order keeps its own probe, bound in utpoly.analysis)."""
+    desc = FieldDescriptor.parse(field)
+    monkeypatch.setattr(utpoly.solver, "generic_evaluate", _forbidden)
+    ring = FieldRing(desc)
+    for text, n in (("x1^2 + x1*x2", 3), ("x1*x2-x2*x1", 3),
+                    ("(x1*x2-x2*x1)*(x3*x4-x4*x3)", 4)):
+        p = NcPolynomial.parse(text, desc)
+        r = exact_order(p)
+        target = UTMatrix(ring, n, {(s, t): desc.from_int(s + 2 * t)
+                                    for s in range(1, n + 1)
+                                    for t in range(s + r, n + 1)})
+        res = solve_target(p, n, target)
+        assert evaluate(p, res.matrices).eq(target), text
+        if r:
+            f = CPolynomial.parse(f"y[1,{n}]", desc, kinds="y")
+            assert hit_open_set(p, n, f).report["open_set_met"], text
+
+
+def test_complex_sweep_keeps_the_generic_entry(monkeypatch):
+    """Over C the sweep reads the generic entry, whose float summation
+    order the golden corpus pins."""
+    calls = []
+    real = utpoly.solver.generic_evaluate
+    monkeypatch.setattr(utpoly.solver, "generic_evaluate",
+                        lambda *a: calls.append(a[1]) or real(*a))
+    p = NcPolynomial.parse("x1*x2-x2*x1", C)
+    target = UTMatrix(FieldRing(C), 3, {(1, 2): 1.0, (2, 3): 2.0, (1, 3): 0.5})
+    res = solve_target(p, 3, target)
+    assert res.report["target_met"]
+    assert calls == [3]
 
 
 # -- order zero -----------------------------------------------------------------
