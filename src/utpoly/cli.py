@@ -64,7 +64,7 @@ def _poly(args, desc: FieldDescriptor) -> NcPolynomial:
 
 def _options(args, **extra) -> SolveOptions:
     """SolveOptions from the flags in _SWEEP_FLAGS, plus extra fields."""
-    return SolveOptions(seed=args.seed, retries=args.retries, height=args.height,
+    return SolveOptions(seed=args.seed, retries=args.retries, height=_height(args),
                         diag_budget=args.diag_budget, order_cap=args.max_n,
                         monomial_budget=args.monomial_budget, **extra)
 
@@ -76,10 +76,21 @@ def _size(args) -> int:
     return args.n
 
 
-def _matrices_from_file(path: str, desc: FieldDescriptor, budget: int):
+def _height(args) -> int:
+    """--height, refused before any work when it is below 1, since Q
+    samples denominators from [1, height]."""
+    if args.height < 1:
+        raise ZeroInput("height must be at least 1")
+    return args.height
+
+
+def _matrices_from_file(path: str, desc: FieldDescriptor, budget: int = 10 ** 6):
+    """The matrix tuple in path; budget bounds its poly matrices."""
     data = _read_json(path)
     if isinstance(data, dict) and "matrices" in data:
         items = data["matrices"]
+        if not isinstance(items, list):
+            raise ParseError(f"\"matrices\" in {path} must be a list")
     elif isinstance(data, list):
         items = data
     else:
@@ -87,11 +98,11 @@ def _matrices_from_file(path: str, desc: FieldDescriptor, budget: int):
     return [UTMatrix.from_json(item, desc, budget) for item in items]
 
 
-def _target_from_file(path: str, desc: FieldDescriptor, budget: int) -> UTMatrix:
+def _target_from_file(path: str, desc: FieldDescriptor) -> UTMatrix:
     data = _read_json(path)
     if isinstance(data, dict) and "matrices" in data:
         raise UsageError(f"{path} holds a matrix tuple, expected one matrix")
-    return UTMatrix.from_json(data, desc, budget)
+    return UTMatrix.from_json(data, desc)
 
 
 _FLAGS = {
@@ -164,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp, "--n")
 
     sp = sub.add_parser("verify", help="replay a witness through both evaluators")
-    _add_common(sp, "--monomial-budget")
+    _add_common(sp)
     sp.add_argument("--witness", required=True,
                     help="JSON file with {\"matrices\": [...]} (solve output works)")
     sp.add_argument("--target", default=None, help="target matrix JSON file")
@@ -175,9 +186,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_order(args) -> None:
+    height = _height(args)
     desc = _field(args)
     p = _poly(args, desc)
-    rep = order(p, max_n=args.max_n, sample_height=args.height)
+    rep = order(p, max_n=args.max_n, sample_height=height)
     _emit(rep.to_json(desc))
 
 
@@ -221,30 +233,31 @@ def _cmd_coeffs(args) -> None:
 
 def _cmd_solve(args) -> None:
     n = _size(args)
+    opt = _options(args)
     desc = _field(args)
     p = _poly(args, desc)
-    target = _target_from_file(args.target, desc, args.monomial_budget)
-    _emit(solve_target(p, n, target, _options(args)).to_json())
+    target = _target_from_file(args.target, desc)
+    _emit(solve_target(p, n, target, opt).to_json())
 
 
 def _cmd_hit(args) -> None:
     n = _size(args)
+    opt = _options(args, nonzero_budget=args.nonzero_budget)
     desc = _field(args)
     p = _poly(args, desc)
     f = CPolynomial.parse(args.open_set, desc, kinds="y")
-    result = hit_open_set(p, n, f,
-                          _options(args, nonzero_budget=args.nonzero_budget))
+    result = hit_open_set(p, n, f, opt)
     _emit(result.to_json())
 
 
 def _cmd_verify(args) -> None:
     desc = _field(args)
     p = _poly(args, desc)
-    mats = _matrices_from_file(args.witness, desc, args.monomial_budget)
+    mats = _matrices_from_file(args.witness, desc)
     target = None
     f = None
     if args.target:
-        target = _target_from_file(args.target, desc, args.monomial_budget)
+        target = _target_from_file(args.target, desc)
     if args.open_set:
         f = CPolynomial.parse(args.open_set, desc, kinds="y")
     report = verify(p, mats, target=target, f=f)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from . import parsing
 from .errors import FieldMismatch, NonLinearVariable, ParseError, UnboundVariable
-from .fields import FieldDescriptor, split_sign
+from .fields import FieldDescriptor, add_terms, mul_terms, render_terms
 
 EMPTY = ()
 
@@ -126,10 +126,8 @@ class CPolynomial:
 
     def __add__(self, other):
         self._check(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            terms[m] = terms.get(m, self.field.zero()) + c
-        return CPolynomial(self.field, terms)
+        return CPolynomial(self.field,
+                           add_terms(self.terms, other.terms, self.field.zero()))
 
     def __sub__(self, other):
         return self + (-other)
@@ -139,19 +137,8 @@ class CPolynomial:
 
     def __mul__(self, other):
         self._check(other)
-        terms = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = _mono_mul(m1, m2)
-                prod = c1 * c2
-                if m in terms:
-                    terms[m] = terms[m] + prod
-                else:
-                    terms[m] = prod
-        return CPolynomial(self.field, terms)
-
-    def scale(self, c) -> "CPolynomial":
-        return CPolynomial(self.field, {m: c * v for m, v in self.terms.items()})
+        return CPolynomial(self.field,
+                           mul_terms(self.terms, other.terms, _mono_mul))
 
     # -- evaluation ---------------------------------------------------------------
 
@@ -210,24 +197,10 @@ class CPolynomial:
     # -- rendering -------------------------------------------------------------
 
     def render(self) -> str:
-        if not self.terms:
-            return "0"
-        def mono_key(m):
-            return (sum(e for _, e in m), m)
-        pieces = []
-        for m in sorted(self.terms, key=mono_key):
-            sign, coeff_text = split_sign(self.field, self.terms[m])
-            body = "*".join(
-                f"{render_var(k)}^{e}" if e > 1 else render_var(k) for k, e in m)
-            if not body:
-                text = coeff_text or "1"
-            else:
-                text = f"{coeff_text}*{body}" if coeff_text else body
-            if not pieces:
-                pieces.append(("-" if sign < 0 else "") + text)
-            else:
-                pieces.append((" - " if sign < 0 else " + ") + text)
-        return "".join(pieces)
+        return render_terms(self.field, (
+            ("*".join(f"{render_var(k)}^{e}" if e > 1 else render_var(k)
+                      for k, e in m), self.terms[m])
+            for m in sorted(self.terms, key=lambda m: (sum(e for _, e in m), m))))
 
     def __repr__(self):
         return f"CPolynomial({self.field.render()}, {self.render()})"

@@ -1,16 +1,20 @@
 """Coefficient fields: exact rationals, prime fields, approximate complex.
 
 Values are plain Python objects (fractions.Fraction, Fp, complex) that
-support arithmetic operators directly.  A FieldDescriptor names the field,
+support arithmetic operators directly; an Fp combines only with an Fp of
+the same modulus, never with an int.  A FieldDescriptor names the field,
 parses and renders element literals, samples random elements, and solves
 univariate equations.  Complex is an approximate stand-in for an
 algebraically closed field: equality there means agreement within eps.
+The sum, product and text of sparse polynomials (add_terms, mul_terms,
+render_terms) live here too, shared by the free and commutative kinds.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,11 +50,22 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _fp_op(op):
+    """The Fp operator applying op to the residues of two elements."""
+    def method(self, other):
+        if not isinstance(other, Fp):
+            return NotImplemented
+        if other.p != self.p:
+            raise ValueError("mixed moduli")
+        return Fp(op(self.v, other.v), self.p)
+    return method
+
+
 class Fp:
     """An element of the prime field Z/pZ.
 
-    Arithmetic mixes with plain ints (lifted mod p) but equality requires
-    another Fp so hashing stays consistent.
+    Arithmetic takes another Fp with the same p: any other operand gives
+    NotImplemented (so TypeError), mixed moduli raise ValueError.
     """
 
     __slots__ = ("v", "p")
@@ -59,64 +74,18 @@ class Fp:
         self.v = v % p
         self.p = p
 
-    def _lift(self, other):
-        if isinstance(other, Fp):
-            if other.p != self.p:
-                raise ValueError("mixed moduli")
-            return other.v
-        if isinstance(other, int):
-            return other % self.p
-        return None
-
-    def __add__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return Fp(self.v + o, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return Fp(self.v - o, self.p)
-
-    def __rsub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return Fp(o - self.v, self.p)
-
-    def __mul__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return Fp(self.v * o, self.p)
-
-    __rmul__ = __mul__
+    __add__ = _fp_op(operator.add)
+    __sub__ = _fp_op(operator.sub)
+    __mul__ = _fp_op(operator.mul)
 
     def __truediv__(self, other):
-        o = self._lift(other)
-        if o is None:
+        if not isinstance(other, Fp):
             return NotImplemented
-        if o % self.p == 0:
-            raise ZeroDivisionError("division by zero in F_p")
-        return Fp(self.v * pow(o, -1, self.p), self.p)
-
-    def __rtruediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        if self.v == 0:
-            raise ZeroDivisionError("division by zero in F_p")
-        return Fp(o * pow(self.v, -1, self.p), self.p)
+        return self * other ** -1
 
     def __pow__(self, e: int):
-        if e < 0:
-            if self.v == 0:
-                raise ZeroDivisionError("inverse of zero in F_p")
-            return Fp(pow(self.v, e, self.p), self.p)
+        if e < 0 and self.v == 0:
+            raise ZeroDivisionError("inverse of zero in F_p")
         return Fp(pow(self.v, e, self.p), self.p)
 
     def __neg__(self):
@@ -289,6 +258,43 @@ def split_sign(desc: FieldDescriptor, c):
         return sign, f"{abs(c.imag)!r}j"
     inner = f"{c.real!r}{'+' if c.imag > 0 else '-'}{abs(c.imag)!r}j"
     return 1, f"({inner})"
+
+
+# -- sparse polynomials as {key: coefficient} maps ------------------------
+
+
+def add_terms(a: dict, b: dict, zero) -> dict:
+    """Sum, terms in a's order then b's new keys: over C that order is
+    the summation order downstream.  Cancelled terms stay in."""
+    out = dict(a)
+    for key, c in b.items():
+        out[key] = out.get(key, zero) + c
+    return out
+
+
+def mul_terms(a: dict, b: dict, join) -> dict:
+    """join multiplies two keys: word concatenation, monomial merge."""
+    out = {}
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            key = join(k1, k2)
+            prod = c1 * c2
+            out[key] = out[key] + prod if key in out else prod
+    return out
+
+
+def render_terms(desc: FieldDescriptor, items) -> str:
+    """Text of the (body, coefficient) pairs in items, in order, e.g.
+    '3*x1 - x2 + 1'; an empty body is a constant term, no pair is '0'."""
+    pieces = []
+    for body, c in items:
+        sign, mag = split_sign(desc, c)
+        if pieces:
+            pieces.append(" - " if sign < 0 else " + ")
+        elif sign < 0:
+            pieces.append("-")
+        pieces.append("*".join(filter(None, (mag, body))) or "1")
+    return "".join(pieces) or "0"
 
 
 # -- univariate root finding ---------------------------------------------

@@ -8,11 +8,12 @@ operation downstream assumes it is absent.
 
 from __future__ import annotations
 
+import operator
 from itertools import groupby
 
 from . import parsing
 from .errors import ArityMismatch, ConstantTermError, FieldMismatch, ParseError, VariableOutOfRange
-from .fields import FieldDescriptor, split_sign
+from .fields import FieldDescriptor, add_terms, mul_terms, render_terms
 
 Word = tuple  # tuple of 1-based variable indices, nonempty
 
@@ -93,10 +94,8 @@ class NcPolynomial:
 
     def __add__(self, other):
         m = self._check(other)
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            terms[w] = terms.get(w, self.field.zero()) + c
-        return NcPolynomial(self.field, m, terms)
+        return NcPolynomial(self.field, m,
+                            add_terms(self.terms, other.terms, self.field.zero()))
 
     def __sub__(self, other):
         return self + (-other)
@@ -107,16 +106,8 @@ class NcPolynomial:
 
     def __mul__(self, other):
         m = self._check(other)
-        terms = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                prod = c1 * c2
-                if w in terms:
-                    terms[w] = terms[w] + prod
-                else:
-                    terms[w] = prod
-        return NcPolynomial(self.field, m, terms)
+        return NcPolynomial(self.field, m,
+                            mul_terms(self.terms, other.terms, operator.add))
 
     def scale(self, c) -> "NcPolynomial":
         return NcPolynomial(self.field, self.nvars,
@@ -139,20 +130,10 @@ class NcPolynomial:
     # -- rendering ------------------------------------------------------------
 
     def pretty(self) -> str:
-        if not self.terms:
-            return "0"
-        pieces = []
-        for word in sorted(self.terms, key=lambda w: (len(w), w)):
-            body = "*".join(
-                f"x{i}^{k}" if (k := len(list(run))) > 1 else f"x{i}"
-                for i, run in groupby(word))
-            sign, coeff_text = split_sign(self.field, self.terms[word])
-            text = f"{coeff_text}*{body}" if coeff_text else body
-            if not pieces:
-                pieces.append(("-" if sign < 0 else "") + text)
-            else:
-                pieces.append((" - " if sign < 0 else " + ") + text)
-        return "".join(pieces)
+        return render_terms(self.field, (
+            ("*".join(f"x{i}^{k}" if (k := len(list(run))) > 1 else f"x{i}"
+                      for i, run in groupby(word)), self.terms[word])
+            for word in sorted(self.terms, key=lambda w: (len(w), w))))
 
     def __repr__(self):
         return f"NcPolynomial({self.field.render()}, m={self.nvars}, {self.pretty()})"
@@ -176,25 +157,13 @@ class _FreeBuilder(parsing.Builder):
         return {(i,): self.field.one()}
 
     def add(self, a, b):
-        out = dict(a)
-        for w, c in b.items():
-            out[w] = out.get(w, self.field.zero()) + c
-        return out
+        return add_terms(a, b, self.field.zero())
 
     def neg(self, a):
         return {w: -c for w, c in a.items()}
 
     def mul(self, a, b):
-        out = {}
-        for w1, c1 in a.items():
-            for w2, c2 in b.items():
-                w = w1 + w2
-                prod = c1 * c2
-                if w in out:
-                    out[w] = out[w] + prod
-                else:
-                    out[w] = prod
-        return out
+        return mul_terms(a, b, operator.add)
 
 
 def commutator(a: NcPolynomial, b: NcPolynomial) -> NcPolynomial:

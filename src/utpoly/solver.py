@@ -46,7 +46,7 @@ from itertools import combinations
 from .analysis import band_sets, coeff_poly, exact_order, leading_tuples
 from .cpoly import CPolynomial, diag_var, entry_var, out_var, render_var
 from .errors import (BandViolation, BudgetExhausted, DegenerateCoefficient,
-                     IncompatibleAssignment, InternalInconsistency,
+                     FieldMismatch, IncompatibleAssignment, InternalInconsistency,
                      NoRootInField, OrderMismatch, VariableOutOfRange,
                      ZeroInput)
 from .fields import FieldDescriptor, solve_univariate
@@ -446,16 +446,32 @@ def _sweep(p: NcPolynomial, n: int, r: int, target: UTMatrix,
         entry=last_entry)
 
 
+def _check_field_matrices(p: NcPolynomial, matrices) -> None:
+    """FieldMismatch unless every matrix is over p's field: a witness
+    is made of field elements, never of symbolic entries."""
+    ring = FieldRing(p.field)
+    if not all(ring.same(a.ring) for a in matrices):
+        raise FieldMismatch(
+            f"witness and target matrices must be over {p.field.render()}, "
+            f"not symbolic or over another field")
+
+
+def _check_target(p: NcPolynomial, n: int, target: UTMatrix) -> None:
+    _check_field_matrices(p, [target])
+    if target.n != n:
+        raise BandViolation(f"target size {target.n} != n = {n}")
+
+
 def solve_target(p: NcPolynomial, n: int, target: UTMatrix,
                  options: SolveOptions | None = None) -> WitnessResult:
     """Matrices u with p(u) = target, for every order r of p.
 
     Raises BandViolation when the target has a nonzero entry with
     k - j <= r-1 (r >= n admits only the zero target, handled here), and
-    DegenerateCoefficient when every retry produced a zero slope."""
+    DegenerateCoefficient when every retry produced a zero slope;
+    FieldMismatch, before any work, for a target not over p's field."""
     opt = options or SolveOptions()
-    if target.n != n:
-        raise BandViolation(f"target size {target.n} != n = {n}")
+    _check_target(p, n, target)
     r = exact_order(p, opt.order_cap)
     if r >= n:
         if target.entries:
@@ -478,8 +494,7 @@ def solve_diagonal_r0(p: NcPolynomial, n: int, target: UTMatrix,
     nonzero (the identity relating scalar increments to single-arc
     coefficients forces one), so each entry has a usable slot."""
     opt = options or SolveOptions()
-    if target.n != n:
-        raise BandViolation(f"target size {target.n} != n = {n}")
+    _check_target(p, n, target)
     r = exact_order(p, opt.order_cap)
     if r != 0:
         raise OrderMismatch(f"order is {r}, not 0")
@@ -597,6 +612,8 @@ def verify(p: NcPolynomial, matrices: list, target: UTMatrix | None = None,
     target or open-set condition.  Never raises for a failed check; the
     report carries the outcome so callers can decide.  The open-set
     coordinates come from the order of p, so with f given a zero p
-    raises ZeroInput."""
+    raises ZeroInput.  Matrices or a target not over p's field raise
+    FieldMismatch before any evaluation."""
+    _check_field_matrices(p, matrices if target is None else [*matrices, target])
     r = exact_order(p) if f is not None else None
     return _replay(p, matrices, r, target, f)[1]

@@ -56,9 +56,6 @@ class FieldRing:
     def parse(self, text: str):
         return self.desc.parse_literal(text)
 
-    def check_size(self, total_terms: int):
-        pass
-
     def same(self, other) -> bool:
         return other.kind == "field" and self.desc.same_field(other.desc)
 
@@ -134,16 +131,10 @@ class UTMatrix:
             entries[pos] = entries[pos] + v if pos in entries else v
         return UTMatrix(self.ring, self.n, entries)
 
-    def __sub__(self, other):
-        return self + other.scale_int(-1)
-
     def scale(self, c) -> "UTMatrix":
         cc = self.ring.scalar(c)
         return UTMatrix(self.ring, self.n,
                         {pos: cc * v for pos, v in self.entries.items()})
-
-    def scale_int(self, k: int) -> "UTMatrix":
-        return self.scale(self.ring.desc.from_int(k))
 
     def __matmul__(self, other):
         self._check(other)
@@ -198,6 +189,10 @@ class UTMatrix:
             raw = data.get("entries", [])
         except (TypeError, KeyError) as exc:
             raise ParseError(f"bad matrix object: missing {exc}") from None
+        except (ValueError, OverflowError) as exc:
+            raise ParseError(f"bad matrix size: {exc}") from None
+        if not isinstance(raw, list):
+            raise ParseError(f"matrix entries must be a list, got {raw!r}")
         if n < 1:
             raise ParseError(f"matrix size must be at least 1, got {n}")
         if kind == "field":
@@ -212,6 +207,10 @@ class UTMatrix:
                 j, k, text = int(item["j"]), int(item["k"]), item["value"]
             except (TypeError, KeyError) as exc:
                 raise ParseError(f"bad matrix entry: missing {exc}") from None
+            except (ValueError, OverflowError) as exc:
+                raise ParseError(f"bad matrix entry index: {exc}") from None
+            if not isinstance(text, str):
+                raise ParseError(f"matrix entry value must be a string, got {text!r}")
             entries[(j, k)] = ring.parse(text)
         return cls(ring, n, entries)
 

@@ -301,7 +301,7 @@ DECLARED = {
     "solve": _SWEEP | {"--target"},
     "hit": _SWEEP | {"--open-set", "--nonzero-budget"},
     "oracle-enum": {"--n"},
-    "verify": {"--witness", "--target", "--open-set", "--monomial-budget"},
+    "verify": {"--witness", "--target", "--open-set"},
 }
 
 
@@ -314,7 +314,7 @@ def test_each_subcommand_declares_only_what_it_reads():
                 for name, sp in sub.choices.items()}
     assert declared == {name: {"--poly", "--field", "--m"} | flags
                         for name, flags in DECLARED.items()}
-    assert sum(len(opts) for opts in declared.values()) == 57
+    assert sum(len(opts) for opts in declared.values()) == 56
 
 
 @pytest.mark.parametrize("argv", [
@@ -324,6 +324,7 @@ def test_each_subcommand_declares_only_what_it_reads():
      "--monomial-budget", "9"),
     ("order", "--poly", "x1", "--tolerance", "1e-6"),
     ("eval", "--poly", "x1", "--matrices", "m.json", "--route", "paths"),
+    ("verify", "--poly", "x1", "--witness", "w.json", "--monomial-budget", "9"),
 ])
 def test_undeclared_option_is_a_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -460,6 +461,90 @@ def test_matrix_file_size_below_one_is_a_parse_error(tmp_path, capsys, n):
     f.write_text(json.dumps([{"n": n, "entries": []}]))
     code, out, err = run(capsys, "eval", "--poly", "x1", "--matrices", str(f))
     assert code == 1 and out == "" and "ParseError" in err
+
+
+# -- malformed matrix files --------------------------------------------------------
+
+_BAD_MATRICES = {
+    "n not an integer": {"n": "two", "entries": []},
+    "n infinite": {"n": float("inf"), "entries": []},
+    "j not an integer": {"n": 2, "entries": [{"j": "a", "k": 2, "value": "3"}]},
+    "k not an integer": {"n": 2, "entries": [{"j": 1, "k": "b", "value": "3"}]},
+    "entries not a list": {"n": 2, "entries": 5},
+    "value not a string": {"n": 2, "entries": [{"j": 1, "k": 2, "value": 3}]},
+    "poly value not a string": {"n": 2, "ring": "poly",
+                                "entries": [{"j": 1, "k": 2, "value": 3}]},
+}
+
+
+@pytest.mark.parametrize("command,case", [
+    *((command, case) for command in ("eval", "verify", "solve")
+      for case in _BAD_MATRICES),
+    ("eval", "matrices not a list"), ("verify", "matrices not a list")])
+def test_malformed_matrix_file_is_a_parse_error(tmp_path, capsys, command, case):
+    """A matrix tuple (eval --matrices, verify --witness) or a target
+    (solve --target) the reader cannot take is refused with exit 1."""
+    f = tmp_path / "m.json"
+    if case == "matrices not a list":
+        f.write_text(json.dumps({"matrices": 5}))
+    elif command == "solve":
+        f.write_text(json.dumps(_BAD_MATRICES[case]))
+    else:
+        f.write_text(json.dumps({"matrices": [_BAD_MATRICES[case]]}))
+    argv = {"eval": ("eval", "--poly", "x1", "--matrices", str(f)),
+            "verify": ("verify", "--poly", "x1", "--witness", str(f)),
+            "solve": ("solve", "--poly", "x1*x2-x2*x1", "--n", "2",
+                      "--target", str(f))}[command]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == "", err
+    assert "utpoly: ParseError" in err and "Traceback" not in err
+
+
+# -- solve and verify take field matrices only --------------------------------------
+
+_POLY_MATRIX = {"n": 2, "ring": "poly",
+                "entries": [{"j": 1, "k": 2, "value": "x[1,2,1]"}]}
+_FIELD_MATRIX = {"n": 2, "entries": [{"j": 1, "k": 2, "value": "1"}]}
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp:7", "C"])
+def test_solve_refuses_a_symbolic_target(tmp_path, capsys, field):
+    tf = tmp_path / "t.json"
+    tf.write_text(json.dumps(_POLY_MATRIX))
+    code, out, err = run(capsys, "solve", "--poly", "x1*x2-x2*x1", "--field",
+                         field, "--n", "2", "--target", str(tf))
+    assert code == 2 and out == "" and "utpoly: FieldMismatch" in err
+
+
+@pytest.mark.parametrize("witness,target", [(_POLY_MATRIX, None),
+                                            (_FIELD_MATRIX, _POLY_MATRIX)])
+def test_verify_refuses_symbolic_matrices(tmp_path, capsys, witness, target):
+    wf = tmp_path / "w.json"
+    wf.write_text(json.dumps({"matrices": [witness]}))
+    argv = ["verify", "--poly", "x1", "--witness", str(wf)]
+    if target is not None:
+        tf = tmp_path / "t.json"
+        tf.write_text(json.dumps(target))
+        argv += ["--target", str(tf)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "utpoly: FieldMismatch" in err
+
+
+# -- sampling height below 1 --------------------------------------------------------
+
+@pytest.mark.parametrize("height", ["0", "-1"])
+@pytest.mark.parametrize("command", ["order", "solve", "hit"])
+def test_height_below_one_is_refused(tmp_path, capsys, command, height):
+    """Over Q these ended in randrange's ValueError inside sampling."""
+    tf = tmp_path / "t.json"
+    tf.write_text(json.dumps(_FIELD_MATRIX))
+    extra = {"order": (),
+             "solve": ("--n", "2", "--target", str(tf)),
+             "hit": ("--n", "2", "--open-set", "y[1,2]")}[command]
+    code, out, err = run(capsys, command, "--poly", "x1*x2-x2*x1",
+                         "--height", height, *extra)
+    assert code == 2 and out == ""
+    assert "ZeroInput: height must be at least 1" in err
 
 
 # -- hit's random-tuple fallback ----------------------------------------------------

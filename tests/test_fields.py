@@ -1,14 +1,18 @@
 """Field descriptors, prime-field arithmetic, and univariate solving."""
 
 import math
+import operator
 import random
 import time
 from fractions import Fraction
+from itertools import groupby
 
 import pytest
 
+from utpoly.cpoly import CPolynomial, _mono_mul, diag_var, entry_var, render_var
 from utpoly.errors import NoRootInField, ParseError
 from utpoly.fields import FieldDescriptor, Fp, is_prime, solve_univariate, split_sign
+from utpoly.freealg import NcPolynomial, _FreeBuilder
 
 Q = FieldDescriptor.parse("Q")
 F7 = FieldDescriptor.parse("Fp:7")
@@ -58,9 +62,15 @@ def test_fp_arithmetic():
     assert -a == Fp(4, 7)
     assert a ** 6 == Fp(1, 7)  # Fermat
     assert a ** -1 == Fp(5, 7)  # 3*5 = 15 = 1
-    assert a + 11 == Fp(0, 7)  # int lifting
-    assert 2 * a == Fp(6, 7)
-    assert 1 / b == Fp(3, 7)
+    # an Fp takes only an Fp of the same modulus: no int or Fraction lifting
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        for other in (11, Fraction(1, 2)):
+            with pytest.raises(TypeError):
+                op(a, other)
+            with pytest.raises(TypeError):
+                op(other, a)
+        with pytest.raises(ValueError):
+            op(a, Fp(1, 11))
     assert bool(Fp(0, 7)) is False and bool(a) is True
 
 
@@ -146,6 +156,161 @@ def test_split_sign():
     assert split_sign(Q, Fraction(-3, 2)) == (-1, "3/2")
     assert split_sign(Q, Fraction(5)) == (1, "5")
     assert split_sign(F7, Fp(6, 7)) == (1, "6")
+
+
+# -- shared sparse-polynomial helpers against the loops they replaced ----------
+# NcPolynomial.__add__, CPolynomial.__add__ and _FreeBuilder.add each had
+# the loop of _ref_add; NcPolynomial.__mul__ and _FreeBuilder.mul that of
+# _ref_free_mul, CPolynomial.__mul__ that of _ref_comm_mul.
+
+
+def _ref_add(field, a, b):
+    terms = dict(a)
+    for w, c in b.items():
+        terms[w] = terms.get(w, field.zero()) + c
+    return terms
+
+
+def _ref_free_mul(a, b):
+    terms = {}
+    for w1, c1 in a.items():
+        for w2, c2 in b.items():
+            w = w1 + w2
+            prod = c1 * c2
+            if w in terms:
+                terms[w] = terms[w] + prod
+            else:
+                terms[w] = prod
+    return terms
+
+
+def _ref_comm_mul(a, b):
+    terms = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = _mono_mul(m1, m2)
+            prod = c1 * c2
+            if m in terms:
+                terms[m] = terms[m] + prod
+            else:
+                terms[m] = prod
+    return terms
+
+
+def _ref_pretty(p):
+    if not p.terms:
+        return "0"
+    pieces = []
+    for word in sorted(p.terms, key=lambda w: (len(w), w)):
+        body = "*".join(
+            f"x{i}^{k}" if (k := len(list(run))) > 1 else f"x{i}"
+            for i, run in groupby(word))
+        sign, coeff_text = split_sign(p.field, p.terms[word])
+        text = f"{coeff_text}*{body}" if coeff_text else body
+        if not pieces:
+            pieces.append(("-" if sign < 0 else "") + text)
+        else:
+            pieces.append((" - " if sign < 0 else " + ") + text)
+    return "".join(pieces)
+
+
+def _ref_render(q):
+    if not q.terms:
+        return "0"
+    def mono_key(m):
+        return (sum(e for _, e in m), m)
+    pieces = []
+    for m in sorted(q.terms, key=mono_key):
+        sign, coeff_text = split_sign(q.field, q.terms[m])
+        body = "*".join(
+            f"{render_var(k)}^{e}" if e > 1 else render_var(k) for k, e in m)
+        if not body:
+            text = coeff_text or "1"
+        else:
+            text = f"{coeff_text}*{body}" if coeff_text else body
+        if not pieces:
+            pieces.append(("-" if sign < 0 else "") + text)
+        else:
+            pieces.append((" - " if sign < 0 else " + ") + text)
+    return "".join(pieces)
+
+
+def _coeff(desc, rng):
+    """A random coefficient, often one the renderers treat specially:
+    +-1, a pure real or imaginary complex, a value below C:0.5's eps."""
+    roll = rng.random()
+    if desc.kind != "complex":
+        if roll < 0.4:
+            return desc.from_int(rng.choice((1, -1, 2, -2)))
+        return desc.sample(rng, 4)
+    if roll < 0.2:
+        return complex(rng.choice((1.0, -1.0, 2.5, -0.75)), 0.0)
+    if roll < 0.35:
+        return complex(0.0, rng.choice((1.0, -2.0, 0.3)))
+    if roll < 0.45:
+        return complex(rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4))
+    return desc.sample(rng)
+
+
+_VARS = (entry_var(1, 2, 1), entry_var(1, 2, 2), diag_var(1, 1), diag_var(2, 1))
+
+
+def _random_terms(desc, rng, key):
+    return {key(rng): _coeff(desc, rng) for _ in range(rng.randint(0, 6))}
+
+
+def _word(rng):
+    return tuple(rng.randint(1, 2) for _ in range(rng.randint(1, 3)))
+
+
+def _mono(rng):
+    keys = rng.sample(_VARS, rng.randint(0, 2))      # () is a constant
+    return tuple(sorted((k, rng.randint(1, 2)) for k in keys))
+
+
+def _exact(items):
+    """Term order and exact coefficients; over C the bits of both parts."""
+    return [(k, (c.real.hex(), c.imag.hex()) if isinstance(c, complex) else c)
+            for k, c in items]
+
+
+@pytest.mark.parametrize("spec", ["Q", "Fp:2", "Fp:101", "C", "C:0.5"])
+def test_term_helpers_match_the_loops_they_replaced(spec):
+    """Sums, products and text of both polynomial kinds, and the free
+    parser's raw sums and products, against the copies above: same
+    coefficients to the bit and same term order (C's summation order)."""
+    desc = FieldDescriptor.parse(spec)
+    rng = random.Random(spec)
+    builder = _FreeBuilder(desc)
+    for _ in range(150):
+        a, b, c = (NcPolynomial(desc, 2, _random_terms(desc, rng, _word))
+                   for _ in range(3))
+        got = (a * b + c) * a
+        want = NcPolynomial(desc, 2, _ref_free_mul(NcPolynomial(
+            desc, 2, _ref_add(desc, NcPolynomial(
+                desc, 2, _ref_free_mul(a.terms, b.terms)).terms,
+                c.terms)).terms, a.terms))
+        assert _exact(got.terms.items()) == _exact(want.terms.items())
+        for p in (a, b, c, got):
+            assert p.pretty() == _ref_pretty(p)
+        # raw builder maps keep cancelled terms and a constant ()
+        ra, rb = dict(a.terms), {**b.terms, (): _coeff(desc, rng)}
+        assert _exact(builder.add(ra, rb).items()) == \
+            _exact(_ref_add(desc, ra, rb).items())
+        prod = builder.mul(builder.add(ra, rb), ra)
+        assert _exact(prod.items()) == \
+            _exact(_ref_free_mul(_ref_add(desc, ra, rb), ra).items())
+
+        f, g, h = (CPolynomial(desc, _random_terms(desc, rng, _mono))
+                   for _ in range(3))
+        got = (f * g + h) * f
+        want = CPolynomial(desc, _ref_comm_mul(CPolynomial(
+            desc, _ref_add(desc, CPolynomial(
+                desc, _ref_comm_mul(f.terms, g.terms)).terms,
+                h.terms)).terms, f.terms))
+        assert _exact(got.terms.items()) == _exact(want.terms.items())
+        for q in (f, g, h, got):
+            assert q.render() == _ref_render(q)
 
 
 def test_solve_univariate_rational_quadratic():

@@ -10,9 +10,10 @@ import utpoly.solver
 from utpoly.analysis import band_sets, coeff_poly, exact_order, leading_tuples
 from utpoly.cpoly import CPolynomial, diag_var, entry_var, out_var
 from utpoly.errors import (BandViolation, BudgetExhausted,
-                           DegenerateCoefficient, IncompatibleAssignment,
-                           InternalInconsistency, NoRootInField,
-                           OrderMismatch, VariableOutOfRange, ZeroInput)
+                           DegenerateCoefficient, FieldMismatch,
+                           IncompatibleAssignment, InternalInconsistency,
+                           NoRootInField, OrderMismatch, VariableOutOfRange,
+                           ZeroInput)
 from utpoly.fields import FieldDescriptor, Fp
 from utpoly.freealg import NcPolynomial, commutator
 from utpoly.solver import (PartialAssignment, SolveOptions, _affine_entry,
@@ -480,6 +481,27 @@ def test_hit_open_set_rejects_bad_inputs():
 
 
 # -- verify ---------------------------------------------------------------------
+
+
+def test_symbolic_matrices_are_refused_before_any_work(monkeypatch):
+    """A witness or target is made of field elements: solve_target,
+    solve_diagonal_r0 and verify refuse symbolic ones with FieldMismatch
+    before deriving the order or evaluating anything."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("work done before the field check")
+
+    for name in ("exact_order", "evaluate", "evaluate_structured"):
+        monkeypatch.setattr(utpoly.solver, name, no_work)
+    p = comm_product(1)
+    symbolic = generic_evaluate(p, 2)
+    with pytest.raises(FieldMismatch):
+        solve_target(p, 2, symbolic)
+    with pytest.raises(FieldMismatch):
+        solve_diagonal_r0(p, 2, symbolic)
+    with pytest.raises(FieldMismatch):
+        verify(p, [symbolic, symbolic])
+    with pytest.raises(FieldMismatch):
+        verify(p, [qmat(2, {}), qmat(2, {})], target=symbolic)
 
 
 def test_verify_good_and_corrupted_witness():

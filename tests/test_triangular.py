@@ -105,7 +105,6 @@ def test_matrix_addition_and_scaling():
     b = mat(2, {(1, 1): 1, (1, 2): -3})
     assert (a + b).eq(mat(2, {(1, 1): 1}))
     assert a.scale(Fraction(1, 3)).eq(mat(2, {(1, 2): 1}))
-    assert (a - a).eq(UTMatrix.zeros(QRING, 2))
 
 
 def test_entry_bounds_checked():
