@@ -14,9 +14,10 @@ generic evaluation sums, over increasing paths s -> t and slot tuples, a
 coefficient polynomial at the path's rows times that path's own arc
 monomial, so no two terms cancel: p vanishes on size n iff p(z), the
 0-slot polynomial, is zero and no k-slot tuple with k <= n-1 is live.
-is_identity, classify, coeff_poly and leading_tuples read the index;
-only order probes generic evaluations, since its report names a nonzero
-generic entry and samples a point of that entry polynomial.
+is_identity, classify, exact_order, coeff_poly and leading_tuples read
+the index; only order probes generic evaluations, since its report names
+a nonzero generic entry and samples a point of that entry polynomial.
+exact_order is the order the witness solver and verify read.
 """
 
 from __future__ import annotations
@@ -69,7 +70,6 @@ class OrderReport:
     max_n: int
     witness_entry: tuple | None   # (j, k) in the generic matrix of size r+1
     witness_point: dict | None    # VarKey -> value, makes the entry nonzero
-    witness_value: object = None
 
     @property
     def capped(self) -> bool:
@@ -106,12 +106,7 @@ def order(p: NcPolynomial, max_n: int | None = None,
     The point is drawn from a generator seeded with 0, _ORDER_SAMPLES
     tries at most, so every call gives the same report.
     """
-    if p.is_zero():
-        raise ZeroInput("the zero polynomial has no order")
-    if max_n is None:
-        max_n = p.degree() + 1
-    if max_n < 1:
-        raise ZeroInput("max_n must be at least 1")
+    max_n = _order_cap(p, max_n)
     rng = random.Random(0)
     for r in range(max_n + 1):
         generic = generic_evaluate(p, r + 1)
@@ -122,23 +117,35 @@ def order(p: NcPolynomial, max_n: int | None = None,
     pos = min(generic.entries, key=lambda jk: (jk[1] - jk[0], jk[0]))
     poly = generic.entries[pos]
     point = None
-    value = None
     for _ in range(_ORDER_SAMPLES):
         cand = {v: p.field.sample(rng, sample_height)
                 for v in sorted(poly.variables())}
-        val = poly.eval_full(cand)
-        if not p.field.is_zero(val):
-            point, value = cand, val
+        if not p.field.is_zero(poly.eval_full(cand)):
+            point = cand
             break
-    return OrderReport(r, max_n, pos, point, value)
+    return OrderReport(r, max_n, pos, point)
+
+
+def _order_cap(p: NcPolynomial, max_n: int | None) -> int:
+    """The cap order and exact_order search up to: deg p + 1 by default."""
+    if p.is_zero():
+        raise ZeroInput("the zero polynomial has no order")
+    if max_n is None:
+        max_n = p.degree() + 1
+    if max_n < 1:
+        raise ZeroInput("max_n must be at least 1")
+    return max_n
 
 
 def exact_order(p: NcPolynomial, max_n: int | None = None) -> int:
-    """order() when the caller needs the plain integer; CapReached otherwise."""
-    rep = order(p, max_n)
-    if rep.capped:
-        raise CapReached(f"order not resolved up to {rep.max_n}", cap=rep.max_n)
-    return rep.r
+    """order(p, max_n).r read off the live-slot index, with no generic
+    evaluation: the least r <= max_n with p not an identity of size
+    r+1.  CapReached when there is none."""
+    max_n = _order_cap(p, max_n)
+    r = _least_live(p, max_n)
+    if r is None:
+        raise CapReached(f"order not resolved up to {max_n}", cap=max_n)
+    return r
 
 
 def leading_tuples(p: NcPolynomial, r: int) -> list[tuple]:
@@ -154,24 +161,15 @@ def leading_tuples(p: NcPolynomial, r: int) -> list[tuple]:
     return out
 
 
-@dataclass(frozen=True)
-class BandIndexSet:
+def band_sets(s: int, t: int, r: int) -> frozenset:
     """The off-diagonal positions between rows s and t whose jump is
     small enough to matter at order r: pairs (j,k) with s <= j < k <= t
     and (t-s) - (k-j) >= r-1."""
-    s: int
-    t: int
-    r: int
-    arc_support: frozenset
-
-
-def band_sets(s: int, t: int, r: int) -> BandIndexSet:
     if not (1 <= s < t) or r < 1:
         raise ValueError(f"band_sets needs 1 <= s < t and r >= 1, got ({s},{t},{r})")
-    support = frozenset((j, k) for j in range(s, t + 1)
-                        for k in range(j + 1, t + 1)
-                        if (t - s) - (k - j) >= r - 1)
-    return BandIndexSet(s, t, r, support)
+    return frozenset((j, k) for j in range(s, t + 1)
+                     for k in range(j + 1, t + 1)
+                     if (t - s) - (k - j) >= r - 1)
 
 
 @dataclass

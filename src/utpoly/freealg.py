@@ -109,10 +109,6 @@ class NcPolynomial:
         return NcPolynomial(self.field, m,
                             mul_terms(self.terms, other.terms, operator.add))
 
-    def scale(self, c) -> "NcPolynomial":
-        return NcPolynomial(self.field, self.nvars,
-                            {w: c * v for w, v in self.terms.items()})
-
     # -- evaluation -----------------------------------------------------------
 
     def eval_scalar(self, point):

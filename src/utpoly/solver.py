@@ -17,13 +17,15 @@ solves a univariate restriction of p for the target's diagonal entry,
 and entry (s, t) is solved through slot i* of position (s, t), whose
 other slots are sampled just before it.
 
-Over Q and F_p the slope and offset of entry (s, t) are summed straight
-from its (path, live tuple) terms, walked in evaluate_structured's order
-(triangular.entry_paths): a path uses each arc once, so the terms that
-slot the fresh variable on its arc give the slope and the others the
-offset, exactly.  Over C they are read from the entry of the generic
-evaluation instead, because another summation order moves the last bits
-of the floats and with them the witness the sweep prints.
+The order comes from the live-slot index (analysis.exact_order).  Over
+Q and F_p the slope and offset of entry (s, t) are the two sums of
+triangular.structured_entry, the walk evaluate_structured also sums: a
+path uses each arc once, so the terms that slot the fresh variable on
+its arc give the slope and the others the offset, exactly.  Q and F_p
+solve, hit and verify thus make no generic evaluation.  Over C the slope
+and offset are read from the entry of the generic evaluation instead,
+because another summation order moves the last bits of the floats and
+with them the witness the sweep prints.
 
 A zero slope makes the attempt fail and the next one resample; the
 guarantee behind the construction is density, not surjectivity, so a
@@ -51,9 +53,8 @@ from .errors import (BandViolation, BudgetExhausted, DegenerateCoefficient,
                      ZeroInput)
 from .fields import FieldDescriptor, solve_univariate
 from .freealg import NcPolynomial
-from .triangular import (FieldRing, UTMatrix, entry_index, entry_paths,
-                         evaluate, evaluate_structured, generic_evaluate,
-                         live_slots)
+from .triangular import (FieldRing, UTMatrix, evaluate, evaluate_structured,
+                         generic_evaluate, live_slots, structured_entry)
 
 
 class PartialAssignment:
@@ -76,23 +77,13 @@ class PartialAssignment:
 class PlanEntry:
     s: int
     t: int
-    band: int                 # t' = t - r - s
     fresh: tuple              # entry variable key at (r+s-1, t)
-    chain: tuple              # ((j, k, slot), ...) arcs preceding the fresh arc
-    support_new: frozenset    # positions in this entry's support, first seen here
-    support_old: frozenset    # positions shared with earlier entries
 
 
-@dataclass
-class SweepPlan:
-    r: int
-    n: int
-    lead: tuple
-    entries: list
-
-
-def build_sweep_plan_rn(r: int, n: int, lead: tuple) -> SweepPlan:
-    """The combinatorial schedule for given (r, n) and leading tuple.
+def build_sweep_plan_rn(r: int, n: int, lead: tuple) -> list[PlanEntry]:
+    """The combinatorial schedule for given (r, n) and leading tuple:
+    the target entries band by band (band t' = t - r - s), each with
+    its fresh variable.
 
     Three facts are checked while building, not assumed:
       1. each fresh position is new (not in any earlier entry's support);
@@ -111,11 +102,10 @@ def build_sweep_plan_rn(r: int, n: int, lead: tuple) -> SweepPlan:
     for band in range(0, n - r):
         for s in range(1, n - r - band + 1):
             t = r + s + band
-            support = band_sets(s, t, r).arc_support
+            support = band_sets(s, t, r)
             fresh_pos = (r + s - 1, t)
-            new = frozenset(support - seen_union)
-            old = frozenset(support & seen_union)
-            if fresh_pos not in new:
+            old = support & seen_union
+            if fresh_pos not in support or fresh_pos in seen_union:
                 raise InternalInconsistency(
                     f"fresh position {fresh_pos} not new at entry ({s},{t})")
             if entries:
@@ -130,12 +120,9 @@ def build_sweep_plan_rn(r: int, n: int, lead: tuple) -> SweepPlan:
                 raise InternalInconsistency(
                     f"position {fresh_pos} designated fresh twice")
             fresh_seen.add(fresh_pos)
-            chain = tuple((s + j - 1, s + j, lead[j - 1]) for j in range(1, r))
-            entries.append(PlanEntry(
-                s, t, band, entry_var(r + s - 1, t, lead[r - 1]),
-                chain, new, old))
+            entries.append(PlanEntry(s, t, entry_var(r + s - 1, t, lead[r - 1])))
             seen_union |= support
-    return SweepPlan(r, n, lead, entries)
+    return entries
 
 
 @dataclass
@@ -278,14 +265,14 @@ def _entries_positive(n: int, m: int, lead: tuple, assign: PartialAssignment,
     """(s, t, fresh) in plan order, after sampling every non-fresh
     strictly-upper variable in (j, k, i) order."""
     plan = build_sweep_plan_rn(len(lead), n, lead)
-    fresh_keys = {e.fresh for e in plan.entries}
+    fresh_keys = {e.fresh for e in plan}
     for j in range(1, n + 1):
         for k in range(j + 1, n + 1):
             for i in range(1, m + 1):
                 key = entry_var(j, k, i)
                 if key not in fresh_keys:
                     assign.set(key, assign.desc.sample(rng, height))
-    for e in plan.entries:
+    for e in plan:
         yield e.s, e.t, e.fresh
 
 
@@ -333,39 +320,21 @@ def _affine_parts(generic: UTMatrix, s: int, t: int, values: dict,
     return slope.constant_value(), offset.constant_value()
 
 
-def _affine_entry(p: NcPolynomial, index: dict, s: int, t: int,
-                  values: dict, fresh) -> tuple:
-    """(slope, offset) of entry (s, t) in its fresh variable, summed over
-    the entry's (path, live tuple) terms (index from entry_index) with
-    every other variable at its value.  A path uses each arc once, so a
-    term holds the fresh variable at most once: the terms that put its
-    slot on its arc make the slope, all others the offset."""
-    desc = p.field
-    one = desc.one()
-    _, j, k, star = fresh
-    slope = offset = desc.zero()
-    for path, arcs, tuples in entry_paths(index, s, t):
-        assign = {diag_var(l, i): values[diag_var(row, i)]
-                  for l, row in enumerate(path, start=1)
-                  for i in range(1, p.nvars + 1)}
-        for slots, q in tuples.items():
-            arc_val = one
-            hit = False
-            for (a, b), i in zip(arcs, slots):
-                if (a, b, i) == (j, k, star):
-                    hit = True
-                    continue
-                v = values.get(("x", a, b, i))
-                if v is None:
-                    raise InternalInconsistency(
-                        f"entry {(s, t)} still has unassigned variables")
-                arc_val = arc_val * v
-            term = q.eval_full(assign) * arc_val
-            if hit:
-                slope = slope + term
-            else:
-                offset = offset + term
-    return slope, offset
+def _affine_entry(p: NcPolynomial, s: int, t: int, values: dict,
+                  fresh) -> tuple:
+    """(slope, offset) of entry (s, t) in its fresh variable with every
+    other variable at its value: the two sums of structured_entry."""
+    diags = [tuple(values[diag_var(j, i)] for i in range(1, p.nvars + 1))
+             for j in range(1, t + 1)]
+
+    def arc(pos, i):
+        v = values.get(("x", *pos, i))
+        if v is None:
+            raise InternalInconsistency(
+                f"entry {(s, t)} still has unassigned variables")
+        return v
+
+    return structured_entry(p, s, t, diags, arc, fresh)
 
 
 def _sweep(p: NcPolynomial, n: int, r: int, target: UTMatrix,
@@ -381,7 +350,7 @@ def _sweep(p: NcPolynomial, n: int, r: int, target: UTMatrix,
         affine = partial(_affine_parts,
                          generic_evaluate(p, n, opt.monomial_budget))
     else:
-        affine = partial(_affine_entry, p, entry_index(p, n))
+        affine = partial(_affine_entry, p)
     if r:
         leads = leading_tuples(p, r)
     else:

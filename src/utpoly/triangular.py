@@ -6,13 +6,16 @@ independent evaluation routes are kept side by side on purpose:
 
   * evaluate             folds matrix products entry by entry,
   * evaluate_structured  rebuilds each entry from strictly increasing
-    index paths and cached coefficient polynomials.
+    index paths and cached coefficient polynomials (structured_entry).
 
 The coefficient polynomials come from placement counting over the words
 of p (live_slots), so the structured route runs no matrix product and
 shares nothing with the direct route beyond field arithmetic.  Their
 agreement is a strong end-to-end check and is exercised by tests; do
-not collapse one into the other.
+not collapse one into the other.  structured_entry is the one walk over
+an entry's (path, live tuple) terms: evaluate_structured sums them at
+matrix entries, and the exact-field witness sweep splits them into the
+slope and offset of the entry's fresh variable.
 
 Each polynomial has one analysis context, keyed on p (whose field
 includes eps), holding its generic evaluations and its live-slot index
@@ -95,6 +98,15 @@ class PolyRing:
 
     def same(self, other) -> bool:
         return other.kind == "poly" and self.desc.same_field(other.desc)
+
+
+def _json_int(value) -> int:
+    """int(value) for a size or index read from JSON; ValueError for a
+    bool or a float with a fractional part, which int() would take."""
+    if isinstance(value, bool) or (isinstance(value, float)
+                                   and not value.is_integer()):
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
 
 
 class UTMatrix:
@@ -184,7 +196,7 @@ class UTMatrix:
     def from_json(cls, data: dict, desc: FieldDescriptor,
                   monomial_budget: int = 10 ** 6) -> "UTMatrix":
         try:
-            n = int(data["n"])
+            n = _json_int(data["n"])
             kind = data.get("ring", "field")
             raw = data.get("entries", [])
         except (TypeError, KeyError) as exc:
@@ -204,7 +216,8 @@ class UTMatrix:
         entries = {}
         for item in raw:
             try:
-                j, k, text = int(item["j"]), int(item["k"]), item["value"]
+                j, k = _json_int(item["j"]), _json_int(item["k"])
+                text = item["value"]
             except (TypeError, KeyError) as exc:
                 raise ParseError(f"bad matrix entry: missing {exc}") from None
             except (ValueError, OverflowError) as exc:
@@ -352,67 +365,85 @@ def live_slots(p, k: int) -> dict:
 def evaluate_structured(p, matrices) -> UTMatrix:
     """Entrywise evaluation through coefficient polynomials.
 
-    Diagonal entries are the scalar values p(a_11, ..., a_nn).  Entry (s,t)
-    above the diagonal sums, over strictly increasing paths s = j_1 < ... <
-    j_{k+1} = t and slot tuples (i_1..i_k), the coefficient polynomial at
-    the path's diagonal tuple times the product of the slotted arc entries.
+    Diagonal entries are the scalar values p(a_11, ..., a_nn); entry
+    (s, t) above the diagonal is structured_entry's sum with the arc
+    entries read off the matrices.
     """
     ring = _check_tuple(p, matrices)
     if ring is None or ring.kind != "field":
         raise FieldMismatch("structured evaluation needs concrete field matrices")
     n = matrices[0].n
-    m = p.nvars
     desc = ring.desc
     diags = [tuple(a.entry(j, j) for a in matrices) for j in range(1, n + 1)]
-    zkeys = [[diag_var(l, i) for i in range(1, m + 1)] for l in range(1, n + 1)]
     entries = {}
     for s in range(1, n + 1):
         val = p.eval_scalar(diags[s - 1])
         if not desc.is_zero(val):
             entries[(s, s)] = val
-    index = entry_index(p, n)
-    # arcs where some matrix has a nonzero entry
-    live = {(j, k) for a in matrices for j, k in a.entries if j < k}
-    one = desc.one()
+    arcs = [a.entries for a in matrices]
+
+    def arc(pos, i):
+        return arcs[i - 1].get(pos)
+
     for s in range(1, n + 1):
         for t in range(s + 1, n + 1):
-            total = desc.zero()
-            for path, arcs, tuples in entry_paths(index, s, t):
-                if any(a not in live for a in arcs):
-                    continue
-                assign = {z: v for l, row in enumerate(path)
-                          for z, v in zip(zkeys[l], diags[row - 1])}
-                # live tuples with nonzero arc entries, in product() order
-                for slots, q in tuples.items():
-                    arc_val = one
-                    for a, i in zip(arcs, slots):
-                        v = matrices[i - 1].entries.get(a)
-                        if v is None:
-                            break
-                        arc_val = arc_val * v
-                    else:
-                        total = total + q.eval_full(assign) * arc_val
+            total = structured_entry(p, s, t, diags, arc)[1]
             if not desc.is_zero(total):
                 entries[(s, t)] = total
     return UTMatrix(FieldRing(desc), n, entries)
 
 
-def entry_index(p, n: int) -> dict:
-    """{k: live_slots(p, k)} for the slot counts a size-n entry can use,
-    1..min(n-1, deg p)."""
-    return {k: live_slots(p, k) for k in range(1, min(n - 1, p.degree()) + 1)}
+@lru_cache(maxsize=None)
+def _diag_keys(rows: int, m: int) -> tuple:
+    """diag_var(l, i) at [l - 1][i - 1] for rows 1..rows, slots 1..m."""
+    return tuple(tuple(diag_var(l, i) for i in range(1, m + 1))
+                 for l in range(1, rows + 1))
 
 
-def entry_paths(index: dict, s: int, t: int):
-    """The terms of entry (s, t) grouped by path, in the order
-    evaluate_structured sums them: (rows, arcs, live tuples) for each
-    strictly increasing path s = j_1 < ... < j_{k+1} = t, k ascending
-    and skipped when index (from entry_index) lists no k-slot tuple,
-    interior rows in combinations() order."""
-    for k in range(1, min(t - s, len(index)) + 1):
-        tuples = index[k]
+def structured_entry(p, s: int, t: int, diags, arc, fresh=None) -> tuple:
+    """(fresh sum, other sum) of the terms of entry (s, t), s < t.
+
+    A term is a strictly increasing path s = j_1 < ... < j_{k+1} = t with
+    a live k-slot tuple (i_1..i_k) of p (live_slots): the tuple's
+    coefficient polynomial at the path's diagonal rows (diags[j - 1] is
+    row j's tuple of diagonal values) times arc((j_l, j_{l+1}), i_l) for
+    each arc.  A term is skipped when arc returns None.  Terms are summed
+    k ascending, interior rows in combinations() order, tuples in index
+    order.  A path uses each arc once, so a term holds the entry variable
+    fresh at most once: the terms that slot it on its arc go, without
+    that factor, to the first sum, all others to the second.
+    """
+    desc = p.field
+    one = desc.one()
+    zkeys = _diag_keys(t - s + 1, p.nvars)
+    fresh_arc, star = (fresh[1:3], fresh[3]) if fresh else (None, None)
+    fresh_sum = total = desc.zero()
+    for k in range(1, t - s + 1):
+        tuples = live_slots(p, k)
         if not tuples:
             continue
         for interior in combinations(range(s + 1, t), k - 1):
             path = (s,) + interior + (t,)
-            yield path, tuple(zip(path, path[1:])), tuples
+            arcs = tuple(zip(path, path[1:]))
+            at = arcs.index(fresh_arc) if fresh_arc in arcs else -1
+            assign = None
+            for slots, q in tuples.items():
+                hit = at >= 0 and slots[at] == star
+                arc_val = one
+                for a, i in zip(arcs, slots):
+                    if hit and a == fresh_arc:
+                        continue
+                    v = arc(a, i)
+                    if v is None:
+                        break
+                    arc_val = arc_val * v
+                else:
+                    if assign is None:
+                        assign = {z: v for l, row in enumerate(path)
+                                  for z, v in zip(zkeys[l], diags[row - 1])}
+                    term = q.eval_full(assign) * arc_val
+                    if hit:
+                        fresh_sum = fresh_sum + term
+                    else:
+                        total = total + term
+    return fresh_sum, total

@@ -8,10 +8,10 @@ import pytest
 
 import utpoly.analysis
 import utpoly.triangular
-from utpoly.analysis import (BandIndexSet, band_sets, classify, coeff_poly,
-                             exact_order, is_identity, leading_tuples, order)
+from utpoly.analysis import (band_sets, classify, coeff_poly, exact_order,
+                             is_identity, leading_tuples, order)
 from utpoly.cpoly import CPolynomial, entry_var
-from utpoly.errors import CapReached, OrderMismatch
+from utpoly.errors import CapReached, OrderMismatch, ZeroInput
 from utpoly.fields import FieldDescriptor
 from utpoly.freealg import NcPolynomial, commutator
 from utpoly.triangular import (_CONTEXT_CAP, FieldRing, UTMatrix,
@@ -79,11 +79,13 @@ def test_order_zero_polynomials():
 
 
 def test_order_report_witness():
-    rep = order(comm_product(1))
+    p = comm_product(1)
+    rep = order(p)
     assert rep.r == 1
     assert rep.witness_entry == (1, 2)  # first entry in band order
     assert rep.witness_point is not None
-    assert rep.witness_value is not None and rep.witness_value != 0
+    entry = generic_evaluate(p, rep.r + 1).entry(*rep.witness_entry)
+    assert entry.eval_full(rep.witness_point) != 0
     data = rep.to_json(Q)
     assert data["r"] == 1
 
@@ -248,10 +250,18 @@ def random_ordered_polys(desc, seed, count=12):
                 c = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
             extra = word(m) if rng.random() < 0.3 else \
                 commutator(word(m), word(m))
-            out = out + extra.scale(c)
+            out = out + NcPolynomial(desc, m, {w: c * v
+                                               for w, v in extra.terms.items()})
         if not out.is_zero():
             count -= 1
             yield out
+
+
+def generic_order_r(p, max_n):
+    """The order probed through generic evaluations at sizes
+    1..max_n+1, None when every one of them vanishes."""
+    return next((size - 1 for size in range(1, max_n + 2)
+                 if generic_evaluate(p, size).entries), None)
 
 
 def generic_classify_r(p, n, max_n=None):
@@ -261,11 +271,32 @@ def generic_classify_r(p, n, max_n=None):
     evaluation at size n; "cap" where classify raises CapReached."""
     if max_n is None:
         max_n = n
-    r = next((size - 1 for size in range(1, max_n + 2)
-              if generic_evaluate(p, size).entries), None)
+    r = generic_order_r(p, max_n)
     if r is None and n > max_n + 1 and generic_evaluate(p, n).entries:
         return "cap"
     return r
+
+
+def generic_exact_order(p, max_n=None):
+    """exact_order(p, max_n) as it was before it read the live-slot
+    index: order's generic probe up to max_n (deg p + 1 by default), as
+    ("r", r), ("cap", max_n) for CapReached or ("zero",) for ZeroInput."""
+    if max_n is None:
+        max_n = p.degree() + 1
+    if max_n < 1:
+        return ("zero",)
+    r = generic_order_r(p, max_n)
+    return ("cap", max_n) if r is None else ("r", r)
+
+
+def _exact_order_outcome(p, max_n):
+    """exact_order(p, max_n) in generic_exact_order's form."""
+    try:
+        return ("r", exact_order(p, max_n))
+    except ZeroInput:
+        return ("zero",)
+    except CapReached as exc:
+        return ("cap", exc.cap)
 
 
 def _forbidden(*args, **kwargs):
@@ -274,9 +305,9 @@ def _forbidden(*args, **kwargs):
 
 @pytest.mark.parametrize("field", FIELDS)
 def test_classify_matches_generic_probe(field, monkeypatch):
-    """classify and is_identity read the live-slot index and agree with
-    the generic probe, caps and CapReached included, without making a
-    generic evaluation."""
+    """classify, is_identity and exact_order read the live-slot index and
+    agree with the generic probe, caps, CapReached and ZeroInput
+    included, without making a generic evaluation."""
     desc = FieldDescriptor.parse(field)
     polys = list(random_polys(desc, "classify " + field, count=6))
     polys += list(random_ordered_polys(desc, "classify " + field))
@@ -286,6 +317,8 @@ def test_classify_matches_generic_probe(field, monkeypatch):
         want = {(n, max_n): generic_classify_r(p, n, max_n)
                 for n, max_n in cells}
         identity = {n: not generic_evaluate(p, n).entries for n in range(1, 5)}
+        orders = {max_n: generic_exact_order(p, max_n)
+                  for max_n in (None, 0, 1, 2)}
         with monkeypatch.context() as mp:
             mp.setattr(utpoly.analysis, "generic_evaluate", _forbidden)
             mp.setattr(utpoly.triangular, "generic_evaluate", _forbidden)
@@ -302,7 +335,14 @@ def test_classify_matches_generic_probe(field, monkeypatch):
                 seen.add(got.case)
             for n, expected in identity.items():
                 assert is_identity(p, n) == expected, (p.terms, n)
+            for max_n, expected in orders.items():
+                got = _exact_order_outcome(p, max_n)
+                assert got == expected, (p.terms, max_n)
+                seen.add(("order", got[0]))
+    with pytest.raises(ZeroInput):
+        exact_order(NcPolynomial.zero(desc, 2))
     assert {"cap", "dense_full", "equals_band", "zero"} <= seen
+    assert {("order", "zero"), ("order", "cap"), ("order", "r")} <= seen
 
 
 def test_coeff_poly_short_tuples_vanish_at_positive_order():
@@ -338,9 +378,9 @@ def test_leading_tuples_requires_positive_order():
 
 def test_band_sets_shapes():
     b = band_sets(1, 2, 1)
-    assert b.arc_support == frozenset({(1, 2)})
+    assert b == frozenset({(1, 2)})
     b2 = band_sets(1, 4, 2)
-    assert b2.arc_support == frozenset({(1, 2), (2, 3), (3, 4), (1, 3), (2, 4)})
+    assert b2 == frozenset({(1, 2), (2, 3), (3, 4), (1, 3), (2, 4)})
     with pytest.raises(ValueError):
         band_sets(2, 2, 1)
     with pytest.raises(ValueError):

@@ -6,7 +6,9 @@ from itertools import combinations
 
 import pytest
 
+import utpoly.analysis
 import utpoly.solver
+import utpoly.triangular
 from utpoly.analysis import band_sets, coeff_poly, exact_order, leading_tuples
 from utpoly.cpoly import CPolynomial, diag_var, entry_var, out_var
 from utpoly.errors import (BandViolation, BudgetExhausted,
@@ -21,7 +23,7 @@ from utpoly.solver import (PartialAssignment, SolveOptions, _affine_entry,
                            band_coordinates, build_sweep_plan_rn,
                            find_diagonals, hit_open_set, solve_diagonal_r0,
                            solve_target, verify)
-from utpoly.triangular import (FieldRing, UTMatrix, entry_index, evaluate,
+from utpoly.triangular import (FieldRing, UTMatrix, evaluate,
                                generic_evaluate, live_slots)
 
 Q = FieldDescriptor.parse("Q")
@@ -66,19 +68,16 @@ def test_partial_assignment_merge_and_conflict():
 
 def test_plan_order_r1_n3():
     plan = build_sweep_plan_rn(1, 3, (1,))
-    assert [(e.s, e.t) for e in plan.entries] == [(1, 2), (2, 3), (1, 3)]
-    assert [e.fresh for e in plan.entries] == [
+    assert [(e.s, e.t) for e in plan] == [(1, 2), (2, 3), (1, 3)]
+    assert [e.fresh for e in plan] == [
         entry_var(1, 2, 1), entry_var(2, 3, 1), entry_var(1, 3, 1)]
-    assert all(e.chain == () for e in plan.entries)
 
 
 def test_plan_order_r2_n4():
     plan = build_sweep_plan_rn(2, 4, (1, 3))
-    assert [(e.s, e.t) for e in plan.entries] == [(1, 3), (2, 4), (1, 4)]
-    assert [e.fresh for e in plan.entries] == [
+    assert [(e.s, e.t) for e in plan] == [(1, 3), (2, 4), (1, 4)]
+    assert [e.fresh for e in plan] == [
         entry_var(2, 3, 3), entry_var(3, 4, 3), entry_var(2, 4, 3)]
-    assert [e.chain for e in plan.entries] == [
-        ((1, 2, 1),), ((2, 3, 1),), ((1, 2, 1),)]
 
 
 def test_plan_rejects_bad_parameters():
@@ -101,26 +100,24 @@ def test_plan_invariants_externally_recomputed():
             plan = build_sweep_plan_rn(r, n, lead)
             seen = set()
             fresh_positions = set()
-            for e in plan.entries:
-                support = band_sets(e.s, e.t, r).arc_support
+            for e in plan:
+                support = band_sets(e.s, e.t, r)
                 fresh_pos = (e.fresh[1], e.fresh[2])
                 assert fresh_pos == (r + e.s - 1, e.t)
                 assert fresh_pos in support and fresh_pos not in seen
                 assert fresh_pos not in fresh_positions
                 fresh_positions.add(fresh_pos)
                 if seen:
-                    if r + e.band >= 2:
+                    if e.t - e.s >= 2:
                         assert (e.s, e.s + 1) in (support & seen)
                     else:
                         assert not (support & seen)
-                assert e.support_new == frozenset(support - seen)
-                assert e.support_old == frozenset(support & seen)
                 seen |= support
             # every band position is targeted exactly once, each through
             # its own fresh variable
-            targets = [(e.s, e.t) for e in plan.entries]
+            targets = [(e.s, e.t) for e in plan]
             assert sorted(targets) == sorted(band_coordinates(n, r))
-            assert len(fresh_positions) == len(plan.entries)
+            assert len(fresh_positions) == len(plan)
 
 
 # -- diagonal choices -----------------------------------------------------------
@@ -257,9 +254,10 @@ def test_entry_polynomials_affine_in_fresh_variable():
     from utpoly.triangular import generic_evaluate
     p = comm_product(1)
     n = 3
-    plan = build_sweep_plan_rn(1, n, leading_tuples(p, 1)[0])
+    lead = leading_tuples(p, 1)[0]
+    plan = build_sweep_plan_rn(1, n, lead)
     rng = random.Random(42)
-    diags = find_diagonals(p, plan.lead, n, rng)
+    diags = find_diagonals(p, lead, n, rng)
     generic = generic_evaluate(p, n)
     values = {}
     for j in range(1, n + 1):
@@ -269,7 +267,7 @@ def test_entry_polynomials_affine_in_fresh_variable():
         for k in range(j + 1, n + 1):
             for i in range(1, p.nvars + 1):
                 values[entry_var(j, k, i)] = Q.sample(rng)
-    for e in plan.entries:
+    for e in plan:
         g = generic.entry(e.s, e.t)
         partial = {key: v for key, v in values.items() if key != e.fresh}
         restricted = g.eval_partial(partial)
@@ -311,7 +309,6 @@ def test_structured_affine_parts_match_generic_entry(field):
         m = p.nvars
         for n in range(r + 1, min(r + 3, 5) + 1):
             generic = generic_evaluate(p, n)
-            index = entry_index(p, n)
             assign = PartialAssignment(desc)
             diags = [tuple(desc.sample(rng) for _ in range(m))
                      for _ in range(n)]
@@ -327,7 +324,7 @@ def test_structured_affine_parts_match_generic_entry(field):
             for s, t, fresh in entries:
                 if fresh is None:
                     break
-                got = _affine_entry(p, index, s, t, assign.values, fresh)
+                got = _affine_entry(p, s, t, assign.values, fresh)
                 want = _affine_parts(generic, s, t, assign.values, fresh)
                 assert got == want, (p.terms, n, s, t)
                 checked.add((r, desc.is_zero(got[0])))
@@ -342,19 +339,21 @@ def test_structured_affine_parts_need_every_other_variable():
               for i in (1, 2)}
     values[entry_var(1, 2, 1)] = Fraction(1)
     with pytest.raises(InternalInconsistency, match="unassigned"):
-        _affine_entry(p, entry_index(p, n), 1, 3, values, entry_var(2, 3, 1))
+        _affine_entry(p, 1, 3, values, entry_var(2, 3, 1))
 
 
 def _forbidden(*args, **kwargs):
     raise AssertionError("generic_evaluate called")
 
 
-@pytest.mark.parametrize("field", ["Q", "Fp:101"])
+@pytest.mark.parametrize("field", ["Q", "Fp:3", "Fp:101"])
 def test_exact_sweep_makes_no_generic_evaluation(field, monkeypatch):
-    """Q and F_p solve and hit never evaluate p at the generic tuple
-    (order keeps its own probe, bound in utpoly.analysis)."""
+    """Q and F_p solve, hit and verify never evaluate p at the generic
+    tuple: they read the order and the sweep's entries off the live-slot
+    index (only the order command keeps its generic probe)."""
     desc = FieldDescriptor.parse(field)
-    monkeypatch.setattr(utpoly.solver, "generic_evaluate", _forbidden)
+    for module in (utpoly.analysis, utpoly.triangular, utpoly.solver):
+        monkeypatch.setattr(module, "generic_evaluate", _forbidden)
     ring = FieldRing(desc)
     for text, n in (("x1^2 + x1*x2", 3), ("x1*x2-x2*x1", 3),
                     ("(x1*x2-x2*x1)*(x3*x4-x4*x3)", 4)):
@@ -365,9 +364,12 @@ def test_exact_sweep_makes_no_generic_evaluation(field, monkeypatch):
                                     for t in range(s + r, n + 1)})
         res = solve_target(p, n, target)
         assert evaluate(p, res.matrices).eq(target), text
+        assert verify(p, res.matrices, target=target)["target_met"], text
         if r:
             f = CPolynomial.parse(f"y[1,{n}]", desc, kinds="y")
-            assert hit_open_set(p, n, f).report["open_set_met"], text
+            hit = hit_open_set(p, n, f)
+            assert hit.report["open_set_met"], text
+            assert verify(p, hit.matrices, f=f)["open_set_met"], text
 
 
 def test_complex_sweep_keeps_the_generic_entry(monkeypatch):

@@ -1,0 +1,79 @@
+"""No library code that only tests call.
+
+Every top-level function and class in src/utpoly must be referenced by
+name somewhere in src/utpoly or bench/ outside its own definition; the
+package's re-exports in __init__.py do not count as a use.  A name with
+no such reference is either dead code or a public helper kept on
+purpose, and the latter is listed below with its reason.
+"""
+
+import ast
+import re
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "utpoly"
+BENCH = ROOT / "bench"
+_DOTTED = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)*")
+
+ALLOWED = {
+    "commutator": "a public helper in the utpoly namespace for building "
+                  "polynomials such as [x1, x2] in scripts",
+}
+
+
+def _uses(tree) -> Counter:
+    """How often each name is used in tree: names, attribute names, and
+    identifier-like string constants with their dotted parts
+    (bench/tracer.py names its targets as "UTMatrix.__matmul__")."""
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and _DOTTED.fullmatch(node.value):
+            out.update(node.value.split("."))
+    return out
+
+
+def _unreferenced() -> dict:
+    """{name: module} for top-level definitions with no reference."""
+    trees = {path: ast.parse(path.read_text())
+             for path in sorted(SRC.glob("*.py")) + sorted(BENCH.glob("*.py"))
+             if path.name != "__init__.py"}
+    used = sum((_uses(tree) for path, tree in trees.items()
+                if path.parent == SRC), Counter())
+    # the bench's own helpers (bench/oracle.py's commutator, say) share
+    # names with utpoly's; a use of such a name in bench/ is the bench's
+    own = {node.name for path, tree in trees.items() if path.parent == BENCH
+           for node in tree.body
+           if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    for path, tree in trees.items():
+        if path.parent == BENCH:
+            used.update({name: count for name, count in _uses(tree).items()
+                         if name not in own})
+    out = {}
+    for path, tree in trees.items():
+        if path.parent != SRC:
+            continue
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and \
+                    used[node.name] == _uses(node)[node.name]:
+                out[node.name] = path.name
+    return out
+
+
+def test_every_definition_has_a_library_or_bench_reference():
+    unreferenced = _unreferenced()
+    unexpected = {name: module for name, module in unreferenced.items()
+                  if name not in ALLOWED}
+    assert not unexpected, (
+        f"defined in src/utpoly but referenced only by tests (or not at "
+        f"all): {unexpected}; delete them or list them in ALLOWED with a "
+        f"reason")
+    # an allowlist entry for a name that gained a reference, or is gone,
+    # is stale
+    assert set(ALLOWED) <= set(unreferenced), set(ALLOWED) - set(unreferenced)
