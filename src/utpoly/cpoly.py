@@ -14,7 +14,7 @@ to nonzero coefficients.  Unlike the free algebra, constants are allowed.
 from __future__ import annotations
 
 from . import parsing
-from .errors import FieldMismatch, NonLinearVariable, ParseError, UnboundVariable
+from .errors import FieldMismatch, ParseError, UnboundVariable
 from .fields import FieldDescriptor, add_terms, mul_terms, render_terms
 
 EMPTY = ()
@@ -84,22 +84,8 @@ class CPolynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        return all(m == EMPTY for m in self.terms)
-
-    def constant_value(self):
-        return self.terms.get(EMPTY, self.field.zero())
-
     def degree(self) -> int:
         return max((sum(e for _, e in m) for m in self.terms), default=0)
-
-    def degree_in(self, key: tuple) -> int:
-        best = 0
-        for m in self.terms:
-            for k, e in m:
-                if k == key and e > best:
-                    best = e
-        return best
 
     def variables(self) -> set:
         out = set()
@@ -169,30 +155,6 @@ class CPolynomial:
             m2 = tuple(kept)
             terms[m2] = terms.get(m2, self.field.zero()) + c
         return CPolynomial(self.field, terms)
-
-    def coefficient_of(self, keys) -> "CPolynomial":
-        """Joint coefficient of the product of the given distinct variables.
-
-        Only meaningful when every listed variable appears at most linearly;
-        otherwise NonLinearVariable.  Terms missing any of the keys do not
-        contribute.  The keys are removed from contributing monomials, so
-        the result may still involve other variables.
-        """
-        wanted = set(keys)
-        out = {}
-        for m, c in self.terms.items():
-            kept, hit = [], 0
-            for key, e in m:
-                if key in wanted:
-                    if e > 1:
-                        raise NonLinearVariable(f"{render_var(key)} has degree {e}")
-                    hit += 1
-                else:
-                    kept.append((key, e))
-            if hit == len(wanted):
-                m2 = tuple(kept)
-                out[m2] = out.get(m2, self.field.zero()) + c
-        return CPolynomial(self.field, out)
 
     # -- rendering -------------------------------------------------------------
 

@@ -50,10 +50,6 @@ class SizeMismatch(UtpolyError):
     pass
 
 
-class NonLinearVariable(UtpolyError):
-    """A coefficient was requested in a variable of degree > 1."""
-
-
 class UnboundVariable(UtpolyError):
     pass
 

@@ -20,14 +20,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NoRootInField, NonConvergence, ParseError
+from .parsing import is_digits
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_13, the least composite that is a strong probable prime to every
+# base above (Sorenson and Webster 2015); Fp: refuses it and larger moduli
+_PSI_13 = 3317044064679887385961981
 _DK_RESTARTS = 5      # Durand-Kerner runs before NonConvergence
 _DK_ITERS = 500       # iterations per run
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin (exact for n < 3.3e24)."""
+    """Deterministic Miller-Rabin to the prime bases 2..41, exact for
+    n < psi_13 = 3317044064679887385961981 (_PSI_13).  The bases 2..37
+    alone are exact only below psi_12 = 318665857834031151167461, a
+    product of two primes that passes all of them."""
     if n < 2:
         return False
     for q in _MR_WITNESSES:
@@ -127,9 +134,12 @@ class FieldDescriptor:
             return cls("rational")
         if text.startswith("Fp:"):
             body = text[3:]
-            if not body.isdigit():
+            if not is_digits(body):
                 raise ParseError(f"bad prime field descriptor {text!r}")
             p = int(body)
+            if p >= _PSI_13:
+                raise ParseError(f"modulus {p} is too large: primality is "
+                                 f"certified only below {_PSI_13}")
             if not is_prime(p):
                 raise ParseError(f"{p} is not prime")
             return cls("prime", p=p)
@@ -180,6 +190,10 @@ class FieldDescriptor:
 
     def parse_literal(self, text: str):
         text = text.strip()
+        # complex(), Fraction() and int() would also read "1_0" and
+        # non-ASCII digits such as "\u0663"
+        if not text.isascii() or "_" in text:
+            raise ParseError(f"bad literal {text!r}: use ASCII digits")
         if self.kind == "complex":
             try:
                 if cmath.isfinite(v := complex(text)):

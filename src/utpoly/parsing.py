@@ -10,6 +10,8 @@ Grammar (sums of scaled products):
 
 Variables come in two shapes: a letter with a numeric suffix (x1, x12)
 and a bracketed form with integer indices (x[1,2,3], z[2,1], y[1,3]).
+Numbers, suffixes and indices are written in the ASCII digits 0-9 only:
+other Unicode digits (x², x٣) are refused, not read as numbers.
 The engine is shared by the free-algebra parser and the structured
 coefficient-polynomial parser; each supplies a builder that decides which
 variable shapes are legal and how constants embed.
@@ -20,6 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ParseError
+
+
+def is_digits(text: str) -> bool:
+    """True for a nonempty run of the ASCII digits 0-9."""
+    return text.isascii() and text.isdigit()
 
 
 @dataclass(frozen=True)
@@ -38,20 +45,20 @@ def tokenize(text: str) -> list[Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if is_digits(ch):
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and is_digits(text[j]):
                 j += 1
             if j < n and text[j] == ".":
                 j += 1
-                while j < n and text[j].isdigit():
+                while j < n and is_digits(text[j]):
                     j += 1
             if j < n and text[j] in "eE":
                 k = j + 1
                 if k < n and text[k] in "+-":
                     k += 1
-                if k < n and text[k].isdigit():
-                    while k < n and text[k].isdigit():
+                if k < n and is_digits(text[k]):
+                    while k < n and is_digits(text[k]):
                         k += 1
                     j = k
             if j < n and text[j] == "j":
@@ -61,8 +68,8 @@ def tokenize(text: str) -> list[Token]:
             continue
         if ch in "xzy":
             j = i + 1
-            if j < n and text[j].isdigit():
-                while j < n and text[j].isdigit():
+            if j < n and is_digits(text[j]):
+                while j < n and is_digits(text[j]):
                     j += 1
                 if ch != "x":
                     raise ParseError(f"unknown variable {text[i:j]!r}", i)
@@ -73,11 +80,10 @@ def tokenize(text: str) -> list[Token]:
                 k = text.find("]", j)
                 if k < 0:
                     raise ParseError("unterminated variable index", j)
-                parts = text[j + 1:k].split(",")
-                try:
-                    idx = tuple(int(s.strip()) for s in parts)
-                except ValueError:
-                    raise ParseError(f"bad index list {text[j:k+1]!r}", j) from None
+                parts = [s.strip() for s in text[j + 1:k].split(",")]
+                if not all(map(is_digits, parts)):
+                    raise ParseError(f"bad index list {text[j:k+1]!r}", j)
+                idx = tuple(map(int, parts))
                 out.append(Token("BVAR", text[i:k + 1], i, (ch, idx)))
                 i = k + 1
                 continue
@@ -174,7 +180,7 @@ class _Parser:
         if self.at_op("/"):
             self.take()
             den = self.take()
-            if den.kind != "NUMBER" or not den.text.isdigit() or not tok.text.isdigit():
+            if den.kind != "NUMBER" or not is_digits(den.text) or not is_digits(tok.text):
                 raise ParseError("fraction parts must be integers", den.pos)
             return tok.text + "/" + den.text
         return tok.text
@@ -195,7 +201,7 @@ class _Parser:
         if self.at_op("^"):
             self.take()
             etok = self.take()
-            if etok.kind != "NUMBER" or not etok.text.isdigit():
+            if etok.kind != "NUMBER" or not is_digits(etok.text):
                 raise ParseError("exponent must be a nonnegative integer", etok.pos)
             e = int(etok.text)
             if e == 0:

@@ -25,7 +25,10 @@ its arc give the slope and the others the offset, exactly.  Q and F_p
 solve, hit and verify thus make no generic evaluation.  Over C the slope
 and offset are read from the entry of the generic evaluation instead,
 because another summation order moves the last bits of the floats and
-with them the witness the sweep prints.
+with them the witness the sweep prints: one partial evaluation at every
+other variable leaves c1*fresh + c0, c1 is the slope, and the offset
+c0 is that polynomial at fresh = 0; any other monomial left is an
+internal inconsistency.
 
 A zero slope makes the attempt fail and the next one resample; the
 guarantee behind the construction is density, not surjectivity, so a
@@ -53,8 +56,9 @@ from .errors import (BandViolation, BudgetExhausted, DegenerateCoefficient,
                      ZeroInput)
 from .fields import FieldDescriptor, solve_univariate
 from .freealg import NcPolynomial
-from .triangular import (FieldRing, UTMatrix, evaluate, evaluate_structured,
-                         generic_evaluate, live_slots, structured_entry)
+from .triangular import (FieldRing, UTMatrix, _diag_keys, evaluate,
+                         evaluate_structured, generic_evaluate, live_slots,
+                         row_values, structured_entry)
 
 
 class PartialAssignment:
@@ -177,12 +181,8 @@ def find_diagonals(p: NcPolynomial, lead: tuple, n: int, rng,
         diags = [tuple(desc.sample(rng, height) for _ in range(m))
                  for _ in range(n)]
         failures = 0
-        for subset in combinations(range(n), r + 1):
-            assign = {}
-            for l, row in enumerate(subset, start=1):
-                for i in range(1, m + 1):
-                    assign[diag_var(l, i)] = diags[row][i - 1]
-            if desc.is_zero(q.eval_full(assign)):
+        for rows in combinations(range(1, n + 1), r + 1):
+            if desc.is_zero(q.eval_full(row_values(diags, rows))):
                 failures += 1
         if failures == 0:
             return diags
@@ -287,10 +287,7 @@ def _entries_r0(n: int, diags: list, arcs: list, assign: PartialAssignment,
     for span in range(1, n):
         for s in range(1, n - span + 1):
             t = s + span
-            pair = {}
-            for i in range(1, m + 1):
-                pair[diag_var(1, i)] = diags[s - 1][i - 1]
-                pair[diag_var(2, i)] = diags[t - 1][i - 1]
+            pair = row_values(diags, (s, t))
             star = next((i for i, q in arcs
                          if not desc.is_zero(q.eval_full(pair))), None)
             if star is None:
@@ -306,26 +303,23 @@ def _affine_parts(generic: UTMatrix, s: int, t: int, values: dict,
                   fresh) -> tuple:
     """(slope, offset) of entry (s, t) of the generic evaluation as an
     affine function of its fresh variable once every other variable
-    takes its value."""
-    entry = generic.entry(s, t)
-    cur = entry.eval_partial(values)
-    if cur.degree_in(fresh) > 1:
+    takes its value: the coefficients of fresh^1 and of 1."""
+    cur = generic.entry(s, t).eval_partial(values)
+    linear = ((fresh, 1),)
+    if any(mono not in ((), linear) for mono in cur.terms):
         raise InternalInconsistency(
-            f"entry {(s, t)} not affine in {render_var(fresh)}")
-    slope = cur.coefficient_of([fresh])
-    offset = cur.eval_partial({fresh: entry.field.zero()})
-    if not (slope.is_constant() and offset.is_constant()):
-        raise InternalInconsistency(
-            f"entry {(s, t)} still has unassigned variables")
-    return slope.constant_value(), offset.constant_value()
+            f"entry {(s, t)} is not affine in {render_var(fresh)} alone "
+            f"at the assigned values")
+    zero = cur.field.zero()
+    offset = cur.eval_partial({fresh: zero})
+    return cur.terms.get(linear, zero), offset.terms.get((), zero)
 
 
 def _affine_entry(p: NcPolynomial, s: int, t: int, values: dict,
                   fresh) -> tuple:
     """(slope, offset) of entry (s, t) in its fresh variable with every
     other variable at its value: the two sums of structured_entry."""
-    diags = [tuple(values[diag_var(j, i)] for i in range(1, p.nvars + 1))
-             for j in range(1, t + 1)]
+    diags = [tuple(values[z] for z in row) for row in _diag_keys(t, p.nvars)]
 
     def arc(pos, i):
         v = values.get(("x", *pos, i))
@@ -563,8 +557,9 @@ def _replay(p: NcPolynomial, matrices: list, r: int | None,
                                          else None)
             report["target_met"] = residual <= desc.eps
         else:
-            report["target_residual"] = 0.0 if direct.eq(target) else None
-            report["target_met"] = direct.eq(target)
+            met = direct.eq(target)
+            report["target_residual"] = 0.0 if met else None
+            report["target_met"] = met
     if f is not None:
         value = f.eval_full({out_var(s, t): direct.entry(s, t)
                              for s, t in band_coordinates(direct.n, r)})

@@ -15,7 +15,10 @@ agreement is a strong end-to-end check and is exercised by tests; do
 not collapse one into the other.  structured_entry is the one walk over
 an entry's (path, live tuple) terms: evaluate_structured sums them at
 matrix entries, and the exact-field witness sweep splits them into the
-slope and offset of the entry's fresh variable.
+slope and offset of the entry's fresh variable.  row_values is the one
+binding of a coefficient polynomial's rows z[l, *] to matrix rows: the
+path walk, the solver's diagonal search and its order-0 slot choice all
+read coefficient polynomials through it.
 
 Each polynomial has one analysis context, keyed on p (whose field
 includes eps), holding its generic evaluations and its live-slot index
@@ -101,12 +104,13 @@ class PolyRing:
 
 
 def _json_int(value) -> int:
-    """int(value) for a size or index read from JSON; ValueError for a
-    bool or a float with a fractional part, which int() would take."""
-    if isinstance(value, bool) or (isinstance(value, float)
-                                   and not value.is_integer()):
-        raise ValueError(f"{value!r} is not an integer")
-    return int(value)
+    """A size or index read from JSON, which must be a JSON number with
+    an integral value: an int, or a float such as 2.0.  ValueError for
+    anything else int() would take: a bool, a string ("1_0", " 1 ", "2"),
+    a float with a fractional part."""
+    if type(value) is int or type(value) is float and value.is_integer():
+        return int(value)
+    raise ValueError(f"{value!r} is not a JSON integer")
 
 
 class UTMatrix:
@@ -400,6 +404,15 @@ def _diag_keys(rows: int, m: int) -> tuple:
                  for l in range(1, rows + 1))
 
 
+def row_values(diags, rows) -> dict:
+    """The assignment binding a coefficient polynomial's diagonal rows to
+    matrix rows: z[l, i] -> diags[rows[l - 1] - 1][i - 1], where
+    diags[j - 1] is matrix row j's tuple of diagonal values."""
+    keys = _diag_keys(len(rows), len(diags[0]))
+    return {z: v for l, row in enumerate(rows)
+            for z, v in zip(keys[l], diags[row - 1])}
+
+
 def structured_entry(p, s: int, t: int, diags, arc, fresh=None) -> tuple:
     """(fresh sum, other sum) of the terms of entry (s, t), s < t.
 
@@ -415,7 +428,6 @@ def structured_entry(p, s: int, t: int, diags, arc, fresh=None) -> tuple:
     """
     desc = p.field
     one = desc.one()
-    zkeys = _diag_keys(t - s + 1, p.nvars)
     fresh_arc, star = (fresh[1:3], fresh[3]) if fresh else (None, None)
     fresh_sum = total = desc.zero()
     for k in range(1, t - s + 1):
@@ -439,8 +451,7 @@ def structured_entry(p, s: int, t: int, diags, arc, fresh=None) -> tuple:
                     arc_val = arc_val * v
                 else:
                     if assign is None:
-                        assign = {z: v for l, row in enumerate(path)
-                                  for z, v in zip(zkeys[l], diags[row - 1])}
+                        assign = row_values(diags, path)
                     term = q.eval_full(assign) * arc_val
                     if hit:
                         fresh_sum = fresh_sum + term

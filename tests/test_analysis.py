@@ -124,20 +124,28 @@ def test_coeff_poly_frozen_oracles():
     assert coeff_poly(c1, (2,)) == CPolynomial.parse("z[1,1] - z[2,1]", Q)
     x = NcPolynomial.parse("x1", Q)
     q = coeff_poly(x, (1,))
-    assert q.is_constant() and q.constant_value() == Fraction(1)
+    assert q.terms == {(): Fraction(1)}
 
 
 def reference_coeff_poly(p, slots):
     """The chain coefficient the long way: entry (1, k+1) of the generic
     evaluation, every off-chain x set to zero, then the coefficient of
-    the chain x[1,2,i_1]*...*x[k,k+1,i_k]."""
+    the chain x[1,2,i_1]*...*x[k,k+1,i_k]: the terms holding every chain
+    variable, with those variables stripped, summed in term order."""
     k = len(slots)
     entry = generic_evaluate(p, k + 1).entry(1, k + 1)
     chain = [entry_var(l, l + 1, slots[l - 1]) for l in range(1, k + 1)]
     zero = p.field.zero()
     off = {v: zero for v in entry.variables()
            if v[0] == "x" and v not in chain}
-    return entry.eval_partial(off).coefficient_of(chain)
+    out = {}
+    for mono, c in entry.eval_partial(off).terms.items():
+        rest = tuple((v, e) for v, e in mono if v not in chain)
+        # a path uses each arc once, so no chain variable is squared
+        assert all(e == 1 for v, e in mono if v in chain), mono
+        if len(rest) == len(mono) - k:
+            out[rest] = out.get(rest, zero) + c
+    return CPolynomial(p.field, out)
 
 
 def _bits(c):

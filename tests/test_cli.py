@@ -501,6 +501,12 @@ _BAD_MATRICES = {
     "n not integral": {"n": 2.9, "entries": []},
     "k not integral": {"n": 2, "entries": [{"j": 1, "k": 2.6, "value": "3"}]},
     "j a boolean": {"n": 2, "entries": [{"j": True, "k": 2, "value": "3"}]},
+    # a JSON string is not a JSON number, though int() would read these
+    # as 10, 1, 2 and 2
+    "n with an underscore": {"n": "1_0", "entries": []},
+    "j padded with spaces": {"n": 2, "entries": [{"j": " 1 ", "k": 2, "value": "3"}]},
+    "k a non-ASCII digit": {"n": 2, "entries": [{"j": 1, "k": "\u0662", "value": "3"}]},
+    "n a digit string": {"n": "2", "entries": []},
     "entries not a list": {"n": 2, "entries": 5},
     "value not a string": {"n": 2, "entries": [{"j": 1, "k": 2, "value": 3}]},
     "poly value not a string": {"n": 2, "ring": "poly",
@@ -527,6 +533,39 @@ def test_malformed_matrix_file_is_a_parse_error(tmp_path, capsys, command, case)
             "solve": ("solve", "--poly", "x1*x2-x2*x1", "--n", "2",
                       "--target", str(f))}[command]
     code, out, err = run(capsys, *argv)
+    assert code == 1 and out == "", err
+    assert "utpoly: ParseError" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("order", "--poly", "x\u00b2"),
+    ("order", "--poly", "x\u0663"),
+    ("hit", "--poly", "x1*x2-x2*x1", "--n", "3", "--open-set", "y[1,\u0663]"),
+    ("order", "--poly", "x1", "--field", "Fp:\u00b2"),
+    ("order", "--poly", "x1", "--field", "Fp:\u0663"),
+    # psi_12 passed the primality test's old bases 2..37; psi_13 passes
+    # every base it tries now
+    ("classify", "--poly", "x1*x2-x2*x1", "--n", "3",
+     "--field", "Fp:318665857834031151167461"),
+    ("classify", "--poly", "x1*x2-x2*x1", "--n", "3",
+     "--field", "Fp:3317044064679887385961981")])
+def test_non_ascii_digits_and_uncertified_moduli_exit_1(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == "", err
+    assert "utpoly: ParseError" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("field,value", [
+    # 399165290221 divides psi_12, so it has no inverse there: this
+    # ended in a ValueError traceback while psi_12 passed as prime
+    ("Fp:318665857834031151167461", "1/399165290221"),
+    ("Fp:101", "\u0663")])
+def test_unreadable_matrix_value_exits_1(tmp_path, capsys, field, value):
+    f = tmp_path / "m.json"
+    f.write_text(json.dumps({"n": 1, "entries": [
+        {"j": 1, "k": 1, "value": value}]}))
+    code, out, err = run(capsys, "eval", "--poly", "x1", "--field", field,
+                         "--matrices", str(f))
     assert code == 1 and out == "", err
     assert "utpoly: ParseError" in err and "Traceback" not in err
 

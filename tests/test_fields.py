@@ -32,6 +32,46 @@ def test_is_prime_large():
     assert not is_prime(561)  # Carmichael
 
 
+PSI_12 = 318665857834031151167461    # least strong pseudoprime to 2..37
+PSI_13 = 3317044064679887385961981   # least strong pseudoprime to 2..41
+
+
+def test_is_prime_exact_below_psi_13():
+    """psi_12, a product of two primes, passes the bases 2..37 and fails
+    base 41; psi_13 passes every base through 41, so it is the bound."""
+    assert PSI_12 == 399165290221 * 798330580441
+    assert is_prime(399165290221) and is_prime(798330580441)
+    assert not is_prime(PSI_12)
+    assert is_prime(PSI_13)            # composite: why Fp: stops below it
+    assert PSI_13 == 1287836182261 * 2575672364521
+
+
+def test_fp_takes_only_certified_moduli():
+    for modulus in (PSI_12, PSI_13, PSI_13 + 2, 2 ** 89 - 1):
+        with pytest.raises(ParseError):
+            FieldDescriptor.parse(f"Fp:{modulus}")
+    largest = next(q for q in range(PSI_13 - 2, 0, -2) if is_prime(q))
+    assert FieldDescriptor.parse(f"Fp:{largest}").p == largest
+
+
+@pytest.mark.parametrize("text", ["Fp:\u00b2", "Fp:\u0663"])
+def test_fp_modulus_needs_ascii_digits(text):
+    # str.isdigit() takes both; int() reads "\u0663" (Arabic-Indic 3) as
+    # 3 and fails on the superscript 2
+    with pytest.raises(ParseError):
+        FieldDescriptor.parse(text)
+
+
+@pytest.mark.parametrize("field,text", [
+    *((field, "\u0663") for field in ("Q", "Fp:7", "C")),
+    *((field, "1_0") for field in ("Q", "Fp:7", "C")),
+    ("Q", "1/\u0663"), ("Fp:7", "1/\u0663"), ("C", "1_0j")])
+def test_literal_needs_ascii_digits(field, text):
+    # Fraction(), int() and complex() read each of these as a number
+    with pytest.raises(ParseError):
+        FieldDescriptor.parse(field).parse_literal(text)
+
+
 def test_descriptor_parse_render_roundtrip():
     for text in ("Q", "Fp:7", "Fp:101", "C"):
         assert FieldDescriptor.parse(text).render() == text

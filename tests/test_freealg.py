@@ -71,6 +71,15 @@ def test_parse_syntax_errors_carry_position():
             P(bad)
 
 
+@pytest.mark.parametrize("text", ["x\u00b2", "x\u0663", "\u0663*x1",
+                                  "x1^\u0663"])
+def test_parse_needs_ascii_digits(text):
+    """str.isdigit() takes the superscript 2 and the Arabic-Indic 3;
+    polynomial text reads only 0-9 as digits."""
+    with pytest.raises(ParseError):
+        P(text)
+
+
 def test_nvars_handling():
     p = P("x3", nvars=5)
     assert p.nvars == 5

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -271,7 +271,8 @@ def test_entry_polynomials_affine_in_fresh_variable():
         g = generic.entry(e.s, e.t)
         partial = {key: v for key, v in values.items() if key != e.fresh}
         restricted = g.eval_partial(partial)
-        assert restricted.degree_in(e.fresh) <= 1
+        assert max((dict(m).get(e.fresh, 0) for m in restricted.terms),
+                   default=0) <= 1
         assert restricted.degree() <= 1
 
 
@@ -332,6 +333,71 @@ def test_structured_affine_parts_match_generic_entry(field):
     assert {(0, False), (1, False), (2, False)} <= checked
 
 
+def _three_pass_affine_parts(generic, s, t, values, fresh):
+    """The C split as _affine_parts made it in three passes: the degree
+    of fresh, its coefficient, and the entry at fresh = 0, each read
+    back as a constant polynomial."""
+    entry = generic.entry(s, t)
+    cur = entry.eval_partial(values)
+    zero = entry.field.zero()
+    assert max((dict(m).get(fresh, 0) for m in cur.terms), default=0) <= 1
+    slope = {}
+    for mono, c in cur.terms.items():
+        if (fresh, 1) in mono:
+            rest = tuple(kv for kv in mono if kv[0] != fresh)
+            slope[rest] = slope.get(rest, zero) + c
+    slope = CPolynomial(entry.field, slope)
+    offset = cur.eval_partial({fresh: zero})
+    assert set(slope.terms) <= {()} and set(offset.terms) <= {()}
+    return slope.terms.get((), zero), offset.terms.get((), zero)
+
+
+def _hex(c):
+    return c.real.hex(), c.imag.hex()
+
+
+@pytest.mark.parametrize("field", ["C", "C:0.5", "C:1e-300"])
+def test_complex_affine_parts_keep_their_bits(field):
+    """_affine_parts reads slope and offset off one partial evaluation;
+    they keep every bit of the three-pass split at every fresh variable
+    of sweep polynomials, with the diagonals random or all rows equal
+    (linear terms cancel) and the other arcs random or half zero
+    (constant terms vanish)."""
+    desc = FieldDescriptor.parse(field)
+    rng = random.Random(field)
+    seen = set()
+    for p in sweep_polys(desc, "bits " + field, count=8):
+        m = p.nvars
+        for n in (2, 3, 4):
+            generic = generic_evaluate(p, n)
+            for tied, sparse in ((False, False), (True, False), (False, True)):
+                rows = [tuple(desc.sample(rng) for _ in range(m))
+                        for _ in range(n)]
+                if tied:
+                    rows = rows[:1] * n
+                values = {diag_var(j, i): rows[j - 1][i - 1]
+                          for j in range(1, n + 1) for i in range(1, m + 1)}
+                for j, k in combinations(range(1, n + 1), 2):
+                    for i in range(1, m + 1):
+                        zero = sparse and rng.random() < 0.5
+                        values[entry_var(j, k, i)] = (desc.zero() if zero
+                                                      else desc.sample(rng))
+                for (s, t), i in product(combinations(range(1, n + 1), 2),
+                                         range(1, m + 1)):
+                    fresh = entry_var(s, t, i)
+                    rest = {key: v for key, v in values.items() if key != fresh}
+                    got = _affine_parts(generic, s, t, rest, fresh)
+                    want = _three_pass_affine_parts(generic, s, t, rest, fresh)
+                    assert list(map(_hex, got)) == list(map(_hex, want)), \
+                        (p.terms, n, s, t, fresh)
+                    linear = fresh in generic.entry(s, t).variables()
+                    seen.add(("cancelled" if linear and got[0] == 0
+                              else "slope" if linear else "no fresh",
+                              "no constant" if got[1] == 0 else "constant"))
+    assert {("cancelled", "constant"), ("slope", "no constant"),
+            ("slope", "constant")} <= seen, seen
+
+
 def test_structured_affine_parts_need_every_other_variable():
     p = comm_product(1)
     n = 3
@@ -340,6 +406,8 @@ def test_structured_affine_parts_need_every_other_variable():
     values[entry_var(1, 2, 1)] = Fraction(1)
     with pytest.raises(InternalInconsistency, match="unassigned"):
         _affine_entry(p, 1, 3, values, entry_var(2, 3, 1))
+    with pytest.raises(InternalInconsistency, match="not affine"):
+        _affine_parts(generic_evaluate(p, n), 1, 3, values, entry_var(2, 3, 1))
 
 
 def _forbidden(*args, **kwargs):
