@@ -21,6 +21,7 @@ from .errors import (ParseError, ResourceLimit, UsageError, UtpolyError,
                      ZeroInput)
 from .fields import FieldDescriptor
 from .freealg import NcPolynomial
+from .parsing import is_digits
 from .solver import SolveOptions, hit_open_set, solve_target, verify
 from .triangular import (FieldRing, UTMatrix, evaluate, evaluate_structured,
                          generic_evaluate)
@@ -35,6 +36,20 @@ ORACLE_NOTE = ("exhaustive finite-field enumeration; validates evaluation "
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _integer(text: str) -> int:
+    """The type of every integer flag: ASCII digits after an optional
+    sign.  int() alone would also read blanks, underscores and other
+    Unicode digits (' 7 ', '1_0', '\u0662')."""
+    if not is_digits(text[1:] if text[:1] in "+-" else text):
+        raise argparse.ArgumentTypeError(f"invalid integer value: {text!r}")
+    return int(text)
+
+
+def _slot_tuple(text: str) -> tuple:
+    """--slots: comma-separated integers, e.g. '1,2'."""
+    return tuple(_integer(part) for part in text.split(","))
 
 
 def _emit(obj) -> None:
@@ -106,15 +121,15 @@ def _target_from_file(path: str, desc: FieldDescriptor) -> UTMatrix:
 
 
 _FLAGS = {
-    "--n": dict(type=int, required=True, help="matrix size"),
-    "--max-n": dict(type=int, default=None, help="cap for the order search"),
-    "--seed": dict(type=int, default=0),
-    "--retries": dict(type=int, default=16),
-    "--height": dict(type=int, default=256,
+    "--n": dict(type=_integer, required=True, help="matrix size"),
+    "--max-n": dict(type=_integer, default=None, help="cap for the order search"),
+    "--seed": dict(type=_integer, default=0),
+    "--retries": dict(type=_integer, default=16),
+    "--height": dict(type=_integer, default=256,
                      help="sampling height for random field elements"),
-    "--diag-budget": dict(type=int, default=200),
-    "--nonzero-budget": dict(type=int, default=200),
-    "--monomial-budget": dict(type=int, default=10 ** 6),
+    "--diag-budget": dict(type=_integer, default=200),
+    "--nonzero-budget": dict(type=_integer, default=200),
+    "--monomial-budget": dict(type=_integer, default=10 ** 6),
 }
 # the flags every witness construction (solve, hit) reads
 _SWEEP_FLAGS = ("--n", "--max-n", "--seed", "--retries", "--height",
@@ -125,7 +140,7 @@ def _add_common(sp, *flags):
     """--poly, --field and --m, then the named flags of _FLAGS."""
     sp.add_argument("--poly", required=True, help="polynomial text, e.g. 'x1*x2-x2*x1'")
     sp.add_argument("--field", default="Q", help="Q | Fp:<prime> | C[:<tolerance>]")
-    sp.add_argument("--m", type=int, default=None,
+    sp.add_argument("--m", type=_integer, default=None,
                     help="number of variables (default: largest index used)")
     for flag in flags:
         sp.add_argument(flag, **_FLAGS[flag])
@@ -149,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--matrices", help="JSON file with {\"matrices\": [...]}")
     sp.add_argument("--generic", action="store_true",
                     help="evaluate at the generic symbolic tuple")
-    sp.add_argument("--n", type=int, default=None,
+    sp.add_argument("--n", type=_integer, default=None,
                     help="matrix size (required with --generic)")
     sp.add_argument("--route", choices=("direct", "structured"),
                     default="direct", help="which evaluation route to use")
@@ -157,8 +172,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("coeffs", help="coefficient polynomials of arc chains")
     _add_common(sp)
     group = sp.add_mutually_exclusive_group(required=True)
-    group.add_argument("--slots", help="comma-separated slot tuple, e.g. 1,2")
-    group.add_argument("--leading", type=int, metavar="R",
+    group.add_argument("--slots", type=_slot_tuple,
+                       help="comma-separated slot tuple, e.g. 1,2")
+    group.add_argument("--leading", type=_integer, metavar="R",
                        help="list all nonzero slot tuples of length R")
 
     sp = sub.add_parser("solve", help="witness matrices hitting a target")
@@ -223,12 +239,8 @@ def _cmd_coeffs(args) -> None:
         tuples = leading_tuples(p, args.leading)
         _emit({"r": args.leading, "leading_tuples": [list(t) for t in tuples]})
         return
-    try:
-        slots = tuple(int(s) for s in args.slots.split(","))
-    except ValueError:
-        raise UsageError(f"bad --slots value {args.slots!r}") from None
-    q = coeff_poly(p, slots)
-    _emit({"slots": list(slots), "coeff_poly": q.render(), "is_zero": q.is_zero()})
+    q = coeff_poly(p, args.slots)
+    _emit({"slots": list(args.slots), "coeff_poly": q.render(), "is_zero": q.is_zero()})
 
 
 def _cmd_solve(args) -> None:

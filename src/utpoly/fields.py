@@ -18,6 +18,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 
 from .errors import NoRootInField, NonConvergence, ParseError
 from .parsing import is_digits
@@ -28,6 +29,9 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PSI_13 = 3317044064679887385961981
 _DK_RESTARTS = 5      # Durand-Kerner runs before NonConvergence
 _DK_ITERS = 500       # iterations per run
+# primes whose residues sieve out rootless polynomials over Q; a literal,
+# so that nothing runs at import time
+_SIEVE_PRIMES = (3, 5, 7, 11, 13, 17)
 
 
 def is_prime(n: int) -> bool:
@@ -314,19 +318,6 @@ def render_terms(desc: FieldDescriptor, items) -> str:
 # -- univariate root finding ---------------------------------------------
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return out
-
-
 def _horner(coeffs, u):
     acc = None
     for c in reversed(coeffs):
@@ -334,32 +325,99 @@ def _horner(coeffs, u):
     return acc
 
 
+def _int_pseudo_rem(a: list[int], b: list[int]) -> list[int]:
+    """A nonzero integer multiple of the remainder of a by b in Q[u];
+    ascending int lists without trailing zeros, b nonzero."""
+    a = list(a)
+    while len(a) >= len(b):
+        c, shift = a[-1], len(a) - len(b)
+        a = [x * b[-1] for x in a]
+        for j, y in enumerate(b):
+            a[shift + j] -= c * y
+        while a and a[-1] == 0:
+            a.pop()
+    return a
+
+
+def _primitive(a: list[int]) -> list[int]:
+    content = math.gcd(*a)
+    return [c // content for c in a]
+
+
+def _squarefree_part(a: list[int]) -> list[int]:
+    """a / gcd(a, a') in Z[u] for a primitive a of degree >= 1: the
+    product of a's distinct irreducible factors, with a's roots.  The gcd
+    comes from the primitive remainder sequence, whose coefficients stay
+    polynomial in a's bit size; the quotient is exact by Gauss's lemma."""
+    x, y = a, _primitive([k * c for k, c in enumerate(a) if k])
+    while y:
+        x, y = y, _int_pseudo_rem(x, y)
+        if y:
+            y = _primitive(y)
+    quot = []
+    rem = list(a)
+    for shift in range(len(a) - len(x), -1, -1):
+        c = rem[shift + len(x) - 1] // x[-1]
+        quot.append(c)
+        for j, v in enumerate(x):
+            rem[shift + j] -= c * v
+    return quot[::-1]
+
+
 def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
-    """All rational roots of sum coeffs[k] u^k (coeffs not all zero)."""
+    """Ascending rational roots of sum coeffs[k] u^k (coeffs not all
+    zero), by a modular sieve and p-adic lifting (Loos 1983).
+
+    After the zero root is split off, g is scaled to a primitive integer
+    polynomial with lead a_d and constant a_0.  A root a/b in lowest
+    terms has b | a_d, so it reduces to a root of g mod every prime p
+    that does not divide a_d: if one of _SIEVE_PRIMES shows none (its
+    _root_product is 1), there is no rational root, and that settles
+    nearly every rootless call without any work over Q.  Otherwise the roots of the squarefree part
+    s of g mod the first prime where all of them are simple are lifted
+    by Newton's iteration (Hensel's lemma) to p^k > 2 |lead(s)| |s_0|,
+    which bounds |lead(s) u| for a root u; the symmetric residue of
+    lead(s) r mod p^k is then lead(s) u, and an exact check keeps the
+    true roots.  Time is polynomial in the bit size of the coefficients."""
     g = list(coeffs)
     while g and g[-1] == 0:
         g.pop()
-    roots = set()
     k0 = 0
     while k0 < len(g) and g[k0] == 0:
         k0 += 1
-    if k0 > 0 and k0 < len(g):
-        roots.add(Fraction(0))
-        g = g[k0:]
+    zero = [Fraction(0)] if 0 < k0 < len(g) else []
+    g = g[k0:]
     if len(g) <= 1:
-        return sorted(roots)
+        return zero
     scale = math.lcm(*(c.denominator for c in g))
-    ints = [int(c * scale) for c in g]
-    content = math.gcd(*ints)
-    ints = [c // content for c in ints]
-    for num in _divisors(ints[0]):
-        for den in _divisors(ints[-1]):
-            if math.gcd(num, den) != 1:
-                continue
-            for cand in (Fraction(num, den), Fraction(-num, den)):
-                if _horner(g, cand) == 0:
-                    roots.add(cand)
-    return sorted(roots)
+    a = _primitive([c.numerator * (scale // c.denominator) for c in g])
+    if len(a) == 2:
+        return sorted(zero + [Fraction(-a[0], a[1])])
+    for p in _SIEVE_PRIMES:
+        if a[-1] % p and len(_root_product([c % p for c in a], p)) == 1:
+            return zero
+    s = _squarefree_part(a)
+    ds = [k * c for k, c in enumerate(s) if k]
+    for p in filter(is_prime, count(2)):
+        if s[-1] % p == 0:
+            continue
+        residues = _prime_roots(s, p)
+        if not residues:
+            return zero
+        if all(_horner(ds, r) % p for r in residues):
+            break
+    bound = 2 * abs(s[-1] * s[0])
+    found = []
+    for r in residues:
+        m = p
+        while m <= bound:
+            m *= m
+            r = (r - _horner(s, r) * pow(_horner(ds, r), -1, m)) % m
+        v = s[-1] * r % m
+        u = Fraction(v - m if 2 * v > m else v, s[-1])
+        if _horner(s, u) == 0:
+            found.append(u)
+    return sorted(zero + found)
 
 
 def _durand_kerner(coeffs: list[complex], rng):
@@ -460,14 +518,20 @@ def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     return [c * inv % p for c in a]
 
 
+def _root_product(g: list[int], p: int) -> list[int]:
+    """h = gcd(g, u^p - u) for g reduced mod p, nonzero and trimmed: the
+    monic product of u - a over the distinct roots a of g in F_p, found
+    by repeated squaring of u modulo g."""
+    return _poly_gcd(g, _poly_sub(_poly_powmod([0, 1], p, g, p), [0, 1], p), p)
+
+
 def _prime_roots(g: list[int], p: int) -> list[int]:
     """Ascending distinct roots in F_p of sum g[k] u^k, coefficients mod p.
 
-    Every element when g is zero.  Otherwise h = gcd(g, u^p - u), found
-    by repeated squaring of u modulo g, is the product of u - a over the
-    distinct roots a, and equal-degree splitting takes it apart: for a
-    random shift c, gcd(h, (u + c)^((p-1)/2) - 1) collects the roots a
-    with a + c a nonzero square (Rabin 1980; Cantor-Zassenhaus 1981).
+    Every element when g is zero.  Otherwise equal-degree splitting
+    takes _root_product's h apart: for a random shift c,
+    gcd(h, (u + c)^((p-1)/2) - 1) collects the roots a with a + c a
+    nonzero square (Rabin 1980; Cantor-Zassenhaus 1981).
     The splitting draws from a generator seeded by (p, g), so the result
     and the caller's random stream never depend on it.  Time is
     polynomial in deg g and log p."""
@@ -478,8 +542,9 @@ def _prime_roots(g: list[int], p: int) -> list[int]:
         return list(range(p))
     if p == 2:      # no (p-1)/2 split: test both elements
         return [u for u, value in ((0, g[0]), (1, sum(g))) if value % 2 == 0]
-    h = _poly_gcd(g, _poly_sub(_poly_powmod([0, 1], p, g, p), [0, 1], p), p)
-    rnd = random.Random(f"{p}:{g}")
+    h = _root_product(g, p)
+    # seeding costs as much as the gcd: only a split needs the generator
+    rnd = random.Random(f"{p}:{g}") if len(h) > 2 else None
     roots = []
     pending = [h]
     while pending:
@@ -499,13 +564,14 @@ def _prime_roots(g: list[int], p: int) -> list[int]:
 def solve_univariate(desc: FieldDescriptor, coeffs: list, target, rng):
     """Solve sum coeffs[k] u^k = target for u in the field.
 
-    gcd with u^p - u plus equal-degree splitting over prime fields,
-    rational-root search over Q, Durand-Kerner over complex.  When
-    several roots exist one is chosen uniformly at random from the
-    ascending root list, so retrying callers explore all of them.  A
-    complex root is accepted when its residual is within the field's eps
-    (scaled by the largest coefficient).  Raises NoRootInField /
-    NonConvergence.
+    gcd with u^p - u plus equal-degree splitting over prime fields, a
+    modular sieve and Hensel lifting over Q (_rational_roots), both in
+    time polynomial in the bit size of the input, and Durand-Kerner
+    over complex.  When several roots exist one is chosen uniformly at
+    random from the ascending root list with one draw from rng, so
+    retrying callers explore all of them.  A complex root is accepted
+    when its residual is within the field's eps (scaled by the largest
+    coefficient).  Raises NoRootInField / NonConvergence.
     """
     g = list(coeffs)
     if not g:

@@ -570,6 +570,77 @@ def test_unreadable_matrix_value_exits_1(tmp_path, capsys, field, value):
     assert "utpoly: ParseError" in err and "Traceback" not in err
 
 
+# -- integer flags take ASCII digits ---------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ("classify", "--poly", "x1*x2-x2*x1", "--n", "1_0"),
+    ("classify", "--poly", "x1*x2-x2*x1", "--n", " 7 "),
+    ("classify", "--poly", "x1*x2-x2*x1", "--n", "3", "--max-n", "\uff13"),
+    ("coeffs", "--poly", "x1*x2-x2*x1", "--slots", "\u0662"),
+    ("coeffs", "--poly", "x1*x2-x2*x1", "--slots", "1, 2"),
+    ("coeffs", "--poly", "x1*x2-x2*x1", "--leading", "\u0661"),
+    ("order", "--poly", "x1*x2-x2*x1", "--height", "2_56"),
+    ("order", "--poly", "x1*x2-x2*x1", "--m", "\u0662"),
+    ("eval", "--poly", "x1", "--generic", "--n", "\u0662"),
+    ("oracle-enum", "--poly", "x1", "--field", "Fp:2", "--n", "+\u0662"),
+    ("solve", "--poly", "x1", "--n", "1", "--target", "t.json",
+     "--seed", "\u0663"),
+    ("solve", "--poly", "x1", "--n", "1", "--target", "t.json",
+     "--retries", " 4"),
+    ("solve", "--poly", "x1", "--n", "1", "--target", "t.json",
+     "--diag-budget", "2_00"),
+    ("solve", "--poly", "x1", "--n", "1", "--target", "t.json",
+     "--monomial-budget", "1_000"),
+    ("hit", "--poly", "x1*x2-x2*x1", "--n", "2", "--open-set", "y[1,2]",
+     "--nonzero-budget", "1_0")])
+def test_integer_flags_need_ascii_digits(capsys, argv):
+    """int() read these as 10, 7, 3, 2, (1, 2), ...: classify --n 1_0 ran
+    at n = 10 and coeffs --slots \u0662 printed slot 2."""
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == "", err
+    assert "invalid integer value" in err and "Traceback" not in err
+
+
+def test_integer_flags_keep_their_sign(tmp_path, capsys):
+    target = _one_by_one(tmp_path / "t.json", "4")
+    outs = {seed: run_json(capsys, "solve", "--poly", "x1^2", "--n", "1",
+                           "--target", target, "--seed", seed)
+            for seed in ("-4", "+4", "4")}
+    assert outs["-4"]["diagnostics"]["seed"] == -4
+    assert outs["+4"] == outs["4"]
+
+
+# -- rational roots in time polynomial in bit size -------------------------------
+
+def test_rootless_17_digit_quadratic_exits_fast(tmp_path, capsys):
+    """u^2 = 10^16 + 61 has no rational root.  The old divisor search
+    took about 50 s per retry on a 2-vCPU VM, some 13 minutes at the
+    default retries."""
+    target = _one_by_one(tmp_path / "t.json", str(10 ** 16 + 61))
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "solve", "--poly", "x1^2", "--n", "1",
+                         "--target", target)
+    elapsed = time.perf_counter() - t0
+    assert code == 2 and out == "" and "NoRootInField" in err
+    assert elapsed < 1.0, elapsed
+
+
+@pytest.mark.parametrize("poly,root", [
+    ("x1^2", 10 ** 40 + 7),
+    ("x1^3-2*x1", 3 * 10 ** 30 + 12345678901)])
+def test_large_rational_roots_are_found(tmp_path, capsys, poly, root):
+    """Targets of 81 and 92 digits, far beyond any divisor search."""
+    value = root ** 2 if poly == "x1^2" else root ** 3 - 2 * root
+    target = _one_by_one(tmp_path / "t.json", str(value))
+    t0 = time.perf_counter()
+    data = run_json(capsys, "solve", "--poly", poly, "--n", "1",
+                    "--target", target)
+    assert time.perf_counter() - t0 < 1.0
+    u = int(data["matrices"][0]["entries"][0]["value"])
+    assert u == root or (poly == "x1^2" and u == -root)
+    assert data["verify"]["target_met"] is True
+
+
 # -- solve and verify take field matrices only --------------------------------------
 
 _POLY_MATRIX = {"n": 2, "ring": "poly",

@@ -11,7 +11,8 @@ import pytest
 
 from utpoly.cpoly import CPolynomial, _mono_mul, diag_var, entry_var, render_var
 from utpoly.errors import NoRootInField, ParseError
-from utpoly.fields import FieldDescriptor, Fp, is_prime, solve_univariate, split_sign
+from utpoly.fields import (FieldDescriptor, Fp, _rational_roots, is_prime,
+                           solve_univariate, split_sign)
 from utpoly.freealg import NcPolynomial, _FreeBuilder
 
 Q = FieldDescriptor.parse("Q")
@@ -372,6 +373,157 @@ def test_solve_univariate_rational_linear_and_degenerate():
     assert isinstance(v, Fraction)
     with pytest.raises(NoRootInField):
         solve_univariate(Q, [Fraction(1)], Fraction(2), rng)  # 1 = 2
+
+
+def _divisors(n):
+    n = abs(n)
+    out = []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            out += [d] if d == n // d else [d, n // d]
+        d += 1
+    return out
+
+
+def _q_value(g, u):
+    acc = Fraction(0)
+    for c in reversed(g):
+        acc = acc * u + c
+    return acc
+
+
+def _divisor_search_roots(coeffs):
+    """The rational root finder this library used before the modular
+    sieve: every +-num/den with num | a_0 and den | a_d of the primitive
+    integer polynomial, after the zero root is split off.  Exponential
+    in bit size, so only for small heights."""
+    g = list(coeffs)
+    while g and g[-1] == 0:
+        g.pop()
+    roots = set()
+    k0 = 0
+    while k0 < len(g) and g[k0] == 0:
+        k0 += 1
+    if 0 < k0 < len(g):
+        roots.add(Fraction(0))
+        g = g[k0:]
+    if len(g) <= 1:
+        return sorted(roots)
+    scale = math.lcm(*(c.denominator for c in g))
+    ints = [int(c * scale) for c in g]
+    content = math.gcd(*ints)
+    ints = [c // content for c in ints]
+    for num in _divisors(ints[0]):
+        for den in _divisors(ints[-1]):
+            if math.gcd(num, den) == 1:
+                for cand in (Fraction(num, den), Fraction(-num, den)):
+                    if _q_value(g, cand) == 0:
+                        roots.add(cand)
+    return sorted(roots)
+
+
+def _q_times(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _random_q_poly(gen, trial):
+    """Degree 1..6 over Q times a scale k/D with k in 2..9 and D up to
+    20^5: on every fifth trial random coefficients of small height,
+    otherwise a product of linear factors u - a/b with |a|, b <= 20
+    (some repeated, some u itself) and rootless quadratics."""
+    degree = gen.randint(1, 6)
+    scale = Fraction(gen.choice([-1, 1]) * gen.randint(2, 9), gen.randint(1, 20 ** 5))
+    if trial % 5 == 0:
+        g = [Fraction(gen.randint(-40, 40), gen.randint(1, 6)) for _ in range(degree)]
+        return [c * scale for c in g] + [scale * gen.randint(1, 40)]
+    g = [scale]
+    while len(g) <= degree:
+        kind = gen.random()
+        if kind < 0.15:
+            factor = [Fraction(0), Fraction(1)]
+        elif kind < 0.3 and len(g) < degree:
+            factor = [Fraction(gen.randint(1, 9)), Fraction(0), Fraction(gen.randint(1, 9))]
+        else:
+            factor = [Fraction(gen.randint(-20, 20), gen.randint(1, 20)), Fraction(1)]
+        twice = len(g) + 2 * len(factor) - 3 <= degree and gen.random() < 0.3
+        for _ in range(2 if twice else 1):
+            g = _q_times(g, factor)
+    return g
+
+
+def _deflate(g, r):
+    """g / (u - r) for a root r of g."""
+    out = []
+    acc = Fraction(0)
+    for c in reversed(g[1:]):
+        acc = acc * r + c
+        out.append(acc)
+    return out[::-1]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_solve_univariate_rational_matches_divisor_search(seed):
+    """The sieve-and-lift finder returns the divisor search's root list,
+    and solve_univariate picks from it with one draw: degrees 1..6,
+    repeated roots, zero roots (a zero constant term), denominators up
+    to 20^5 and content other than 1."""
+    gen = random.Random(seed)
+    degrees, repeated, zero_roots, rootless = set(), 0, 0, 0
+    for trial in range(100):
+        g = _random_q_poly(gen, trial)
+        target = Fraction(gen.randint(-50, 50), gen.randint(1, 50))
+        coeffs = [g[0] + target] + g[1:]
+        want = _divisor_search_roots(g)
+        assert _rational_roots(g) == want, g
+        degrees.add(len(g) - 1)
+        draw = gen.randrange(2 ** 30)
+        if not want:
+            rootless += 1
+            with pytest.raises(NoRootInField):
+                solve_univariate(Q, coeffs, target, random.Random(draw))
+            continue
+        u = solve_univariate(Q, coeffs, target, random.Random(draw))
+        assert u == want[random.Random(draw).randrange(len(want))]
+        zero_roots += g[0] == 0
+        repeated += any(_q_value(_deflate(g, r), r) == 0 for r in want)
+    assert degrees == set(range(1, 7))
+    assert min(zero_roots, repeated, rootless) >= 5
+
+
+@pytest.mark.parametrize("coeffs,target", [
+    ([0, 0, 2], 8),              # 2u^2 = 8: u = +-2
+    ([4, -12, 9, 0], 0),         # u (3u - 2)^2: a zero and a double root
+    ([Fraction(1, 6), Fraction(-5, 6), 1], 0),   # roots 1/3 and 1/2
+    ([5, 1], 2),                 # linear
+])
+def test_solve_univariate_rational_draws_once(coeffs, target):
+    """As over F_p, the caller's stream makes exactly one
+    randrange(len(roots)) draw."""
+    rng, twin = random.Random(9), random.Random(9)
+    g = [Fraction(c) for c in coeffs]
+    u = solve_univariate(Q, g, Fraction(target), rng)
+    roots = _divisor_search_roots([g[0] - target] + g[1:])
+    assert u == roots[twin.randrange(len(roots))]
+    assert rng.getstate() == twin.getstate()
+
+
+def test_rational_roots_of_large_height():
+    """Roots with 40-digit numerators and denominators, and a rootless
+    quartic with 30-digit coefficients, far beyond a divisor search."""
+    a, b, c = 10 ** 40 + 7, 10 ** 39 + 3, 3 ** 80
+    g = _q_times(_q_times([Fraction(-a, b), Fraction(1)], [Fraction(c), Fraction(7)]),
+                 [Fraction(1), Fraction(0), Fraction(1)])
+    rootless = [Fraction(10 ** 30 + 57), Fraction(0), Fraction(-(10 ** 29 + 1)),
+                Fraction(0), Fraction(3)]
+    t0 = time.perf_counter()
+    assert _rational_roots(g) == [Fraction(-c, 7), Fraction(a, b)]
+    assert _rational_roots(rootless) == []
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_solve_univariate_prime_exhaustive():
