@@ -26,8 +26,7 @@ import random
 from dataclasses import dataclass
 
 from .cpoly import CPolynomial, render_var
-from .errors import (CapReached, InternalInconsistency, OrderMismatch,
-                     VariableOutOfRange, ZeroInput)
+from .errors import CapReached, OrderMismatch, VariableOutOfRange, ZeroInput
 from .freealg import NcPolynomial
 from .triangular import _context, generic_evaluate, live_slots
 
@@ -150,15 +149,11 @@ def exact_order(p: NcPolynomial, max_n: int | None = None) -> int:
 
 def leading_tuples(p: NcPolynomial, r: int) -> list[tuple]:
     """All r-tuples of slots with nonzero coefficient polynomial, in
-    lexicographic order.  Nonempty whenever ord(p) = r >= 1; an empty
-    result signals an order-computation bug, not bad input."""
+    lexicographic order.  Nonempty whenever ord(p) = r >= 1, and empty
+    for r past the longest live tuple."""
     if r < 1:
         raise OrderMismatch("leading tuples need order at least 1")
-    out = list(live_slots(p, r))
-    if not out:
-        raise InternalInconsistency(
-            f"no nonzero coefficient polynomial of length {r}")
-    return out
+    return list(live_slots(p, r))
 
 
 def band_sets(s: int, t: int, r: int) -> frozenset:

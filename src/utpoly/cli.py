@@ -69,34 +69,11 @@ def _read_json(path: str):
         raise ParseError(f"bad JSON in {path}: {exc}") from None
 
 
-def _field(args) -> FieldDescriptor:
-    return FieldDescriptor.parse(args.field)
-
-
-def _poly(args, desc: FieldDescriptor) -> NcPolynomial:
-    return NcPolynomial.parse(args.poly, desc, nvars=args.m)
-
-
 def _options(args, **extra) -> SolveOptions:
     """SolveOptions from the flags in _SWEEP_FLAGS, plus extra fields."""
-    return SolveOptions(seed=args.seed, retries=args.retries, height=_height(args),
-                        diag_budget=args.diag_budget, order_cap=args.max_n,
+    return SolveOptions(seed=args.seed, retries=args.retries, height=args.height,
+                        diag_budget=args.diag_budget,
                         monomial_budget=args.monomial_budget, **extra)
-
-
-def _size(args) -> int:
-    """--n, refused before any work when it is below 1."""
-    if args.n < 1:
-        raise ZeroInput("n must be at least 1")
-    return args.n
-
-
-def _height(args) -> int:
-    """--height, refused before any work when it is below 1, since Q
-    samples denominators from [1, height]."""
-    if args.height < 1:
-        raise ZeroInput("height must be at least 1")
-    return args.height
 
 
 def _matrices_from_file(path: str, desc: FieldDescriptor, budget: int = 10 ** 6):
@@ -132,8 +109,13 @@ _FLAGS = {
     "--monomial-budget": dict(type=_integer, default=10 ** 6),
 }
 # the flags every witness construction (solve, hit) reads
-_SWEEP_FLAGS = ("--n", "--max-n", "--seed", "--retries", "--height",
-                "--diag-budget", "--monomial-budget")
+_SWEEP_FLAGS = ("--n", "--seed", "--retries", "--height", "--diag-budget",
+                "--monomial-budget")
+# the dests of the integer flags that must be at least 1 (Q samples
+# denominators from [1, height]); main refuses a smaller value before
+# any file or polynomial is read
+_BOUNDED = ("n", "max_n", "height", "retries", "diag_budget",
+            "nonzero_budget", "monomial_budget")
 
 
 def _add_common(sp, *flags):
@@ -161,9 +143,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("eval", help="evaluate on a matrix tuple")
     _add_common(sp, "--monomial-budget")
-    sp.add_argument("--matrices", help="JSON file with {\"matrices\": [...]}")
-    sp.add_argument("--generic", action="store_true",
-                    help="evaluate at the generic symbolic tuple")
+    group = sp.add_mutually_exclusive_group(required=True)
+    group.add_argument("--matrices", help="JSON file with {\"matrices\": [...]}")
+    group.add_argument("--generic", action="store_true",
+                       help="evaluate at the generic symbolic tuple")
     sp.add_argument("--n", type=_integer, default=None,
                     help="matrix size (required with --generic)")
     sp.add_argument("--route", choices=("direct", "structured"),
@@ -201,40 +184,28 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _cmd_order(args) -> None:
-    height = _height(args)
-    desc = _field(args)
-    p = _poly(args, desc)
-    rep = order(p, max_n=args.max_n, sample_height=height)
+def _cmd_order(args, desc: FieldDescriptor, p: NcPolynomial) -> None:
+    rep = order(p, max_n=args.max_n, sample_height=args.height)
     _emit(rep.to_json(desc))
 
 
-def _cmd_classify(args) -> None:
-    desc = _field(args)
-    p = _poly(args, desc)
+def _cmd_classify(args, desc: FieldDescriptor, p: NcPolynomial) -> None:
     _emit(classify(p, args.n, max_n=args.max_n).to_json())
 
 
-def _cmd_eval(args) -> None:
-    desc = _field(args)
-    p = _poly(args, desc)
+def _cmd_eval(args, desc: FieldDescriptor, p: NcPolynomial) -> None:
     if args.generic:
         if args.n is None:
             raise UsageError("--generic needs --n")
-        out = generic_evaluate(p, _size(args), args.monomial_budget)
-        _emit({"result": out.to_json()})
-        return
-    if not args.matrices:
-        raise UsageError("need --matrices FILE or --generic")
-    mats = _matrices_from_file(args.matrices, desc, args.monomial_budget)
-    route = evaluate_structured if args.route == "structured" else evaluate
-    out = route(p, mats)
+        out = generic_evaluate(p, args.n, args.monomial_budget)
+    else:
+        mats = _matrices_from_file(args.matrices, desc, args.monomial_budget)
+        route = evaluate_structured if args.route == "structured" else evaluate
+        out = route(p, mats)
     _emit({"result": out.to_json()})
 
 
-def _cmd_coeffs(args) -> None:
-    desc = _field(args)
-    p = _poly(args, desc)
+def _cmd_coeffs(args, desc: FieldDescriptor, p: NcPolynomial) -> None:
     if args.leading is not None:
         tuples = leading_tuples(p, args.leading)
         _emit({"r": args.leading, "leading_tuples": [list(t) for t in tuples]})
@@ -243,28 +214,18 @@ def _cmd_coeffs(args) -> None:
     _emit({"slots": list(args.slots), "coeff_poly": q.render(), "is_zero": q.is_zero()})
 
 
-def _cmd_solve(args) -> None:
-    n = _size(args)
-    opt = _options(args)
-    desc = _field(args)
-    p = _poly(args, desc)
+def _cmd_solve(args, desc: FieldDescriptor, p: NcPolynomial) -> None:
     target = _target_from_file(args.target, desc)
-    _emit(solve_target(p, n, target, opt).to_json())
+    _emit(solve_target(p, args.n, target, _options(args)).to_json())
 
 
-def _cmd_hit(args) -> None:
-    n = _size(args)
-    opt = _options(args, nonzero_budget=args.nonzero_budget)
-    desc = _field(args)
-    p = _poly(args, desc)
+def _cmd_hit(args, desc: FieldDescriptor, p: NcPolynomial) -> None:
     f = CPolynomial.parse(args.open_set, desc, kinds="y")
-    result = hit_open_set(p, n, f, opt)
-    _emit(result.to_json())
+    opt = _options(args, nonzero_budget=args.nonzero_budget)
+    _emit(hit_open_set(p, args.n, f, opt).to_json())
 
 
-def _cmd_verify(args) -> None:
-    desc = _field(args)
-    p = _poly(args, desc)
+def _cmd_verify(args, desc: FieldDescriptor, p: NcPolynomial) -> None:
     mats = _matrices_from_file(args.witness, desc)
     target = None
     f = None
@@ -276,10 +237,8 @@ def _cmd_verify(args) -> None:
     _emit(report)
 
 
-def _cmd_oracle_enum(args) -> None:
-    n = _size(args)
-    desc = _field(args)
-    p = _poly(args, desc)
+def _cmd_oracle_enum(args, desc: FieldDescriptor, p: NcPolynomial) -> None:
+    n = args.n
     m = p.nvars
     if desc.kind != "prime" or desc.p not in ORACLE_PRIMES:
         raise UsageError(f"oracle-enum needs --field Fp:q with q in {ORACLE_PRIMES}")
@@ -340,7 +299,13 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _COMMANDS[args.command](args)
+        for dest in _BOUNDED:
+            value = getattr(args, dest, None)
+            if value is not None and value < 1:
+                raise ZeroInput(f"{dest} must be at least 1")
+        desc = FieldDescriptor.parse(args.field)
+        p = NcPolynomial.parse(args.poly, desc, nvars=args.m)
+        _COMMANDS[args.command](args, desc, p)
     except UtpolyError as exc:
         sys.stderr.write(f"utpoly: {type(exc).__name__}: {exc}\n")
         return exc.exit_code

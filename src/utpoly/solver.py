@@ -17,8 +17,10 @@ solves a univariate restriction of p for the target's diagonal entry,
 and entry (s, t) is solved through slot i* of position (s, t), whose
 other slots are sampled just before it.
 
-The order comes from the live-slot index (analysis.exact_order).  Over
-Q and F_p the slope and offset of entry (s, t) are the two sums of
+The order comes from the live-slot index (analysis.exact_order at its
+default cap, deg p + 1, which always resolves it): the order alone fixes
+the image, so no entry point takes an order cap.  Over Q and F_p the
+slope and offset of entry (s, t) are the two sums of
 triangular.structured_entry, the walk evaluate_structured also sums: a
 path uses each arc once, so the terms that slot the fresh variable on
 its arc give the slope and the others the offset, exactly.  Q and F_p
@@ -131,12 +133,18 @@ def build_sweep_plan_rn(r: int, n: int, lead: tuple) -> list[PlanEntry]:
 
 @dataclass
 class SolveOptions:
+    """The knobs of one witness construction: the seed of its random
+    stream, the attempts of the sweep (retries), the sampling height (Q
+    draws denominators from [1, height]), the samples of each diagonal
+    search (diag_budget), hit's random tuples after its sweeps
+    (nonzero_budget), and the monomial bound of the generic matrices the
+    C sweep reads.  The CLI refuses a value below 1 for every knob but
+    the seed."""
     seed: int = 0
     retries: int = 16
     height: int = 256
     diag_budget: int = 200
     nonzero_budget: int = 200
-    order_cap: int | None = None
     monomial_budget: int = 10 ** 6
 
 
@@ -347,6 +355,9 @@ def _sweep(p: NcPolynomial, n: int, r: int, target: UTMatrix,
         affine = partial(_affine_entry, p)
     if r:
         leads = leading_tuples(p, r)
+        if not leads:
+            raise InternalInconsistency(
+                f"no nonzero coefficient polynomial of length {r}")
     else:
         arcs = [(i, q) for (i,), q in live_slots(p, 1).items()]
         if not arcs:
@@ -435,7 +446,7 @@ def solve_target(p: NcPolynomial, n: int, target: UTMatrix,
     FieldMismatch, before any work, for a target not over p's field."""
     opt = options or SolveOptions()
     _check_target(p, n, target)
-    r = exact_order(p, opt.order_cap)
+    r = exact_order(p)
     if r >= n:
         if target.entries:
             raise BandViolation(f"order {r} >= n = {n}: image is zero only")
@@ -458,7 +469,7 @@ def solve_diagonal_r0(p: NcPolynomial, n: int, target: UTMatrix,
     coefficients forces one), so each entry has a usable slot."""
     opt = options or SolveOptions()
     _check_target(p, n, target)
-    r = exact_order(p, opt.order_cap)
+    r = exact_order(p)
     if r != 0:
         raise OrderMismatch(f"order is {r}, not 0")
     return _sweep(p, n, 0, target, opt)
@@ -483,7 +494,7 @@ def hit_open_set(p: NcPolynomial, n: int, f: CPolynomial,
     desc = p.field
     if f.is_zero():
         raise ZeroInput("open-set polynomial is zero")
-    r = exact_order(p, opt.order_cap)
+    r = exact_order(p)
     if not (1 <= r <= n - 1):
         raise OrderMismatch(f"open-set witnesses need 1 <= r <= n-1, got r={r}")
     coords = band_coordinates(n, r)

@@ -55,6 +55,15 @@ def test_eval_generic(capsys):
     assert "x[1,2,1]" in entries[(1, 2)] and "x[1,2,2]" in entries[(1, 2)]
 
 
+@pytest.mark.parametrize("modes", [(), ("--generic", "--matrices", "m.json")])
+def test_eval_takes_exactly_one_mode(capsys, modes):
+    """--matrices and --generic are one required group: giving both was
+    read as --generic with the file ignored."""
+    code, out, err = run(capsys, "eval", "--poly", "x1*x2-x2*x1", "--n", "2",
+                         *modes)
+    assert code == 1 and out == "" and "utpoly" in err and "error:" in err
+
+
 def test_eval_concrete_routes_agree(tmp_path, capsys):
     mats = {"matrices": [
         {"n": 2, "ring": "field",
@@ -112,6 +121,15 @@ def test_coeffs_leading(capsys):
                     "--leading", "1")
     assert data["leading_tuples"] == [[1], [2]]
     assert data["r"] == 1
+
+
+def test_coeffs_leading_past_the_last_live_length(capsys):
+    """No tuple of length 3 is live for a commutator: an empty list, not
+    InternalInconsistency."""
+    code, out, err = run(capsys, "coeffs", "--poly", "x1*x2-x2*x1",
+                         "--leading", "3")
+    assert code == 0, err
+    assert out == '{"leading_tuples":[],"r":3}\n'
 
 
 def test_solve_and_verify_roundtrip(tmp_path, capsys):
@@ -318,7 +336,7 @@ def test_solve_complex_routes_disagree_on_every_retry(tmp_path, capsys):
 
 # -- declared options -------------------------------------------------------------
 
-_SWEEP = {"--n", "--max-n", "--seed", "--retries", "--height", "--diag-budget",
+_SWEEP = {"--n", "--seed", "--retries", "--height", "--diag-budget",
           "--monomial-budget"}
 DECLARED = {
     "order": {"--max-n", "--height"},
@@ -341,7 +359,7 @@ def test_each_subcommand_declares_only_what_it_reads():
                 for name, sp in sub.choices.items()}
     assert declared == {name: {"--poly", "--field", "--m"} | flags
                         for name, flags in DECLARED.items()}
-    assert sum(len(opts) for opts in declared.values()) == 56
+    assert sum(len(opts) for opts in declared.values()) == 54
 
 
 @pytest.mark.parametrize("argv", [
@@ -352,6 +370,9 @@ def test_each_subcommand_declares_only_what_it_reads():
     ("order", "--poly", "x1", "--tolerance", "1e-6"),
     ("eval", "--poly", "x1", "--matrices", "m.json", "--route", "paths"),
     ("verify", "--poly", "x1", "--witness", "w.json", "--monomial-budget", "9"),
+    ("solve", "--poly", "x1", "--n", "1", "--target", "t.json", "--max-n", "3"),
+    ("hit", "--poly", "x1*x2-x2*x1", "--n", "2", "--open-set", "y[1,2]",
+     "--max-n", "3"),
 ])
 def test_undeclared_option_is_a_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -669,6 +690,39 @@ def test_verify_refuses_symbolic_matrices(tmp_path, capsys, witness, target):
         argv += ["--target", str(tf)]
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and "utpoly: FieldMismatch" in err
+
+
+# -- integer bounds ----------------------------------------------------------------
+
+_MISSING = "/nonexistent/utpoly-test.json"
+_BOUNDED = ("--n", "--max-n", "--height", "--retries", "--diag-budget",
+            "--nonzero-budget", "--monomial-budget")
+# what each subcommand needs besides --poly; file flags name a missing file
+_BOUND_BASE = {
+    "order": {},
+    "classify": {"--n": "3"},
+    "eval": {"--matrices": _MISSING},
+    "solve": {"--n": "2", "--target": _MISSING},
+    "hit": {"--n": "3", "--open-set": "y[1,2]"},
+    "oracle-enum": {"--field": "Fp:2", "--n": "2"},
+}
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("command,flag", [
+    (command, flag) for command, declared in sorted(DECLARED.items())
+    for flag in _BOUNDED if flag in declared])
+def test_bounded_flag_below_one_is_refused_first(capsys, command, flag, value):
+    """Every bounded flag a subcommand declares is refused below 1 before
+    any file is read: the file flags name a missing file."""
+    flags = {**_BOUND_BASE[command], flag: value}
+    argv = [command, "--poly", "x1*x2-x2*x1"]
+    for name, text in flags.items():
+        argv += [name, text]
+    code, out, err = run(capsys, *argv)
+    dest = flag[2:].replace("-", "_")
+    assert code == 2 and out == "", err
+    assert f"ZeroInput: {dest} must be at least 1" in err
 
 
 # -- sampling height below 1 --------------------------------------------------------
