@@ -6,7 +6,7 @@ from .analysis import (Classification, OrderReport, band_sets, classify,
                        order)
 from .cpoly import CPolynomial, diag_var, entry_var, out_var, render_var
 from .errors import UtpolyError
-from .fields import FieldDescriptor, Fp, solve_univariate
+from .fields import FieldDescriptor, solve_univariate
 from .freealg import NcPolynomial, commutator
 from .solver import (PartialAssignment, SolveOptions, WitnessResult,
                      build_sweep_plan_rn, find_diagonals, hit_open_set,

@@ -105,7 +105,12 @@ def order(p: NcPolynomial, max_n: int | None = None,
     The point is drawn from a generator seeded with 0, _ORDER_SAMPLES
     tries at most, so every call gives the same report.
     """
-    max_n = _order_cap(p, max_n)
+    if p.is_zero():
+        raise ZeroInput("the zero polynomial has no order")
+    if max_n is None:
+        max_n = p.degree() + 1
+    if max_n < 1:
+        raise ZeroInput("max_n must be at least 1")
     rng = random.Random(0)
     for r in range(max_n + 1):
         generic = generic_evaluate(p, r + 1)
@@ -125,26 +130,14 @@ def order(p: NcPolynomial, max_n: int | None = None,
     return OrderReport(r, max_n, pos, point)
 
 
-def _order_cap(p: NcPolynomial, max_n: int | None) -> int:
-    """The cap order and exact_order search up to: deg p + 1 by default."""
+def exact_order(p: NcPolynomial) -> int:
+    """order(p).r read off the live-slot index, with no generic
+    evaluation: the least r with p not an identity of size r+1.  It is
+    at most deg p, since a longest word w of p is live as the slot tuple
+    w, with p's coefficient of w.  ZeroInput for the zero polynomial."""
     if p.is_zero():
         raise ZeroInput("the zero polynomial has no order")
-    if max_n is None:
-        max_n = p.degree() + 1
-    if max_n < 1:
-        raise ZeroInput("max_n must be at least 1")
-    return max_n
-
-
-def exact_order(p: NcPolynomial, max_n: int | None = None) -> int:
-    """order(p, max_n).r read off the live-slot index, with no generic
-    evaluation: the least r <= max_n with p not an identity of size
-    r+1.  CapReached when there is none."""
-    max_n = _order_cap(p, max_n)
-    r = _least_live(p, max_n)
-    if r is None:
-        raise CapReached(f"order not resolved up to {max_n}", cap=max_n)
-    return r
+    return _least_live(p, p.degree())
 
 
 def leading_tuples(p: NcPolynomial, r: int) -> list[tuple]:

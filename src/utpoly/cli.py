@@ -148,9 +148,9 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--generic", action="store_true",
                        help="evaluate at the generic symbolic tuple")
     sp.add_argument("--n", type=_integer, default=None,
-                    help="matrix size (required with --generic)")
-    sp.add_argument("--route", choices=("direct", "structured"),
-                    default="direct", help="which evaluation route to use")
+                    help="matrix size (--generic only, and required there)")
+    sp.add_argument("--route", choices=("direct", "structured"), default=None,
+                    help="evaluation route (--matrices only, default direct)")
 
     sp = sub.add_parser("coeffs", help="coefficient polynomials of arc chains")
     _add_common(sp)
@@ -197,8 +197,12 @@ def _cmd_eval(args, desc: FieldDescriptor, p: NcPolynomial) -> None:
     if args.generic:
         if args.n is None:
             raise UsageError("--generic needs --n")
+        if args.route is not None:
+            raise UsageError("--route takes --matrices: --generic has no route")
         out = generic_evaluate(p, args.n, args.monomial_budget)
     else:
+        if args.n is not None:
+            raise UsageError("--n takes --generic: a --matrices file gives its own size")
         mats = _matrices_from_file(args.matrices, desc, args.monomial_budget)
         route = evaluate_structured if args.route == "structured" else evaluate
         out = route(p, mats)
@@ -263,7 +267,7 @@ def _cmd_oracle_enum(args, desc: FieldDescriptor, p: NcPolynomial) -> None:
         out = evaluate(p, list(tup))
         if dual_ok and not out.eq(evaluate_structured(p, list(tup))):
             dual_ok = False
-        key = tuple(sorted((j, k, v.v) for (j, k), v in out.entries.items()))
+        key = tuple(sorted(out.entries.items()))
         if key not in image:
             image[key] = out
         count += 1

@@ -58,7 +58,9 @@ class CPolynomial:
 
     def __init__(self, field: FieldDescriptor, terms: dict):
         self.field = field
-        self.terms = {m: c for m, c in terms.items() if not field.is_zero(c)}
+        nonzero = field.nonzero
+        self.terms = {m: v for m, c in terms.items()
+                      if (v := nonzero(c)) is not None}
         self._hash = None
 
     # -- construction -------------------------------------------------------
@@ -129,7 +131,8 @@ class CPolynomial:
     # -- evaluation ---------------------------------------------------------------
 
     def eval_full(self, assignment: dict):
-        """Evaluate with every variable bound; raises UnboundVariable."""
+        """Evaluate with every variable bound to a value of the field;
+        raises UnboundVariable."""
         acc = self.field.zero()
         for m, c in self.terms.items():
             prod = c
@@ -140,7 +143,7 @@ class CPolynomial:
                     raise UnboundVariable(render_var(key)) from None
                 prod = prod * v ** e
             acc = acc + prod
-        return acc
+        return self.field.canonical(acc)
 
     def eval_partial(self, assignment: dict) -> "CPolynomial":
         """Substitute the given variables, keep the rest symbolic."""

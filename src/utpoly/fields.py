@@ -1,11 +1,18 @@
 """Coefficient fields: exact rationals, prime fields, approximate complex.
 
-Values are plain Python objects (fractions.Fraction, Fp, complex) that
-support arithmetic operators directly; an Fp combines only with an Fp of
-the same modulus, never with an int.  A FieldDescriptor names the field,
-parses and renders element literals, samples random elements, and solves
-univariate equations.  Complex is an approximate stand-in for an
-algebraically closed field: equality there means agreement within eps.
+Values are plain Python numbers with operator arithmetic:
+fractions.Fraction over Q, complex over C, and int over F_p.  An F_p
+value at rest (stored in a matrix or polynomial, returned by an
+evaluation, rendered, hashed) is its residue in [0, p); only a running
+sum inside one loop may leave that range.  A bare int does not know its
+modulus, so the objects that carry a field (matrices, polynomials)
+refuse to meet one over another field, and a function that takes bare
+values wants them in its polynomial's field.  The FieldDescriptor owns
+that format and is the one place that reduces mod p: it names the field,
+parses and renders element literals, samples random elements,
+canonicalises and divides values, and solves univariate equations.
+Complex is an approximate stand-in for an algebraically closed field:
+equality there means agreement within eps.
 The sum, product and text of sparse polynomials (add_terms, mul_terms,
 render_terms) live here too, shared by the free and commutative kinds.
 """
@@ -14,7 +21,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -61,62 +67,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _fp_op(op):
-    """The Fp operator applying op to the residues of two elements."""
-    def method(self, other):
-        if not isinstance(other, Fp):
-            return NotImplemented
-        if other.p != self.p:
-            raise ValueError("mixed moduli")
-        return Fp(op(self.v, other.v), self.p)
-    return method
-
-
-class Fp:
-    """An element of the prime field Z/pZ.
-
-    Arithmetic takes another Fp with the same p: any other operand gives
-    NotImplemented (so TypeError), mixed moduli raise ValueError.
-    """
-
-    __slots__ = ("v", "p")
-
-    def __init__(self, v: int, p: int):
-        self.v = v % p
-        self.p = p
-
-    __add__ = _fp_op(operator.add)
-    __sub__ = _fp_op(operator.sub)
-    __mul__ = _fp_op(operator.mul)
-
-    def __truediv__(self, other):
-        if not isinstance(other, Fp):
-            return NotImplemented
-        return self * other ** -1
-
-    def __pow__(self, e: int):
-        if e < 0 and self.v == 0:
-            raise ZeroDivisionError("inverse of zero in F_p")
-        return Fp(pow(self.v, e, self.p), self.p)
-
-    def __neg__(self):
-        return Fp(-self.v, self.p)
-
-    def __eq__(self, other):
-        if isinstance(other, Fp):
-            return self.p == other.p and self.v == other.v
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.v, self.p))
-
-    def __bool__(self):
-        return self.v != 0
-
-    def __repr__(self):
-        return f"Fp({self.v}, {self.p})"
-
-
 @dataclass(frozen=True)
 class FieldDescriptor:
     """Identifies a coefficient field and centralizes element handling.
@@ -130,6 +80,11 @@ class FieldDescriptor:
     kind: str
     p: int | None = None
     eps: float = 1e-9
+
+    def __post_init__(self):
+        # elements are immutable: one zero and one one per descriptor
+        object.__setattr__(self, "_zero", self.from_int(0))
+        object.__setattr__(self, "_one", self.from_int(1))
 
     @classmethod
     def parse(cls, text: str) -> "FieldDescriptor":
@@ -171,16 +126,16 @@ class FieldDescriptor:
     # -- element construction -------------------------------------------
 
     def zero(self):
-        return self.from_int(0)
+        return self._zero
 
     def one(self):
-        return self.from_int(1)
+        return self._one
 
     def from_int(self, k: int):
         if self.kind == "rational":
             return Fraction(k)
         if self.kind == "prime":
-            return Fp(k, self.p)
+            return k % self.p
         return complex(k)
 
     def from_fraction(self, q: Fraction):
@@ -189,7 +144,7 @@ class FieldDescriptor:
         if self.kind == "prime":
             if q.denominator % self.p == 0:
                 raise ParseError(f"denominator {q.denominator} not invertible mod {self.p}")
-            return Fp(q.numerator, self.p) / Fp(q.denominator, self.p)
+            return self.div(q.numerator, q.denominator)
         return complex(q.numerator / q.denominator)
 
     def parse_literal(self, text: str):
@@ -220,7 +175,7 @@ class FieldDescriptor:
 
     def render_value(self, v) -> str:
         if self.kind == "prime":
-            return str(v.v)
+            return str(v)
         if self.kind == "complex":
             return repr(v).strip("()")
         return str(v)
@@ -228,16 +183,46 @@ class FieldDescriptor:
     # -- predicates ------------------------------------------------------
 
     def is_zero(self, v) -> bool:
+        """Whether v is zero in the field; an F_p int need not be reduced."""
         if self.kind == "complex":
             return abs(v) <= self.eps
         if self.kind == "prime":
-            return v.v == 0
+            return v % self.p == 0
         return v == 0
 
     def eq(self, a, b) -> bool:
+        """Equality in the field (within eps over C); F_p ints need not
+        be reduced."""
         if self.kind == "complex":
             return abs(a - b) <= self.eps
+        if self.kind == "prime":
+            return (a - b) % self.p == 0
         return a == b
+
+    # -- canonical form -----------------------------------------------------
+
+    def canonical(self, v):
+        """v at rest: the residue in [0, p) of an F_p int; Q and C values
+        are their own canonical form."""
+        return v % self.p if self.kind == "prime" else v
+
+    def nonzero(self, v):
+        """canonical(v), or None when v is zero in the field (within eps
+        over C): the zero filter of every sparse container, one call per
+        term as is_zero would be."""
+        if self.kind == "prime":
+            return v % self.p or None
+        if self.kind == "complex":
+            return None if abs(v) <= self.eps else v
+        return None if v == 0 else v
+
+    def div(self, a, b):
+        """a / b in canonical form; ZeroDivisionError when b is zero."""
+        if self.kind == "prime":
+            if b % self.p == 0:
+                raise ZeroDivisionError("inverse of zero in F_p")
+            return a * pow(b, -1, self.p) % self.p
+        return a / b
 
     def same_field(self, other: "FieldDescriptor") -> bool:
         return self.kind == other.kind and self.p == other.p
@@ -250,7 +235,7 @@ class FieldDescriptor:
         if self.kind == "rational":
             return Fraction(rng.randint(-height, height), rng.randint(1, height))
         if self.kind == "prime":
-            return Fp(rng.randrange(self.p), self.p)
+            return rng.randrange(self.p)
         return complex(rng.uniform(-8.0, 8.0), rng.uniform(-8.0, 8.0))
 
 
@@ -266,7 +251,7 @@ def split_sign(desc: FieldDescriptor, c):
         mag = abs(c)
         return sign, "" if mag == 1 else str(mag)
     if desc.kind == "prime":
-        return 1, "" if c.v == 1 else str(c.v)
+        return 1, "" if c == 1 else str(c)
     if c.imag == 0:
         sign = -1 if c.real < 0 else 1
         mag = abs(c.real)
@@ -562,7 +547,8 @@ def _prime_roots(g: list[int], p: int) -> list[int]:
 
 
 def solve_univariate(desc: FieldDescriptor, coeffs: list, target, rng):
-    """Solve sum coeffs[k] u^k = target for u in the field.
+    """Solve sum coeffs[k] u^k = target for u in the field; coeffs and
+    target must be values of desc's field (F_p ints need not be reduced).
 
     gcd with u^p - u plus equal-degree splitting over prime fields, a
     modular sieve and Hensel lifting over Q (_rational_roots), both in
@@ -579,7 +565,7 @@ def solve_univariate(desc: FieldDescriptor, coeffs: list, target, rng):
     g[0] = g[0] - target
 
     if desc.kind == "prime":
-        roots = [Fp(u, desc.p) for u in _prime_roots([c.v for c in g], desc.p)]
+        roots = _prime_roots(g, desc.p)
         if not roots:
             raise NoRootInField(f"no root in F_{desc.p}")
         return roots[rng.randrange(len(roots))]

@@ -23,15 +23,17 @@ class NcPolynomial:
 
     def __init__(self, field: FieldDescriptor, nvars: int, terms: dict):
         clean = {}
+        nonzero = field.nonzero
         for word, coeff in terms.items():
+            coeff = nonzero(coeff)
             if len(word) == 0:
-                if not field.is_zero(coeff):
+                if coeff is not None:
                     raise ConstantTermError("nonzero constant term")
                 continue
             for i in word:
                 if not (1 <= i <= nvars):
                     raise VariableOutOfRange(f"x{i} outside x1..x{nvars}")
-            if not field.is_zero(coeff):
+            if coeff is not None:
                 clean[tuple(word)] = coeff
         self.field = field
         self.nvars = nvars
@@ -54,8 +56,8 @@ class NcPolynomial:
     def parse(cls, text: str, field: FieldDescriptor, nvars: int | None = None) -> "NcPolynomial":
         builder = _FreeBuilder(field)
         raw = parsing.parse_text(text, builder)
-        const = raw.pop((), None)
-        if const is not None and not field.is_zero(const):
+        const = field.nonzero(raw.pop((), field.zero()))
+        if const is not None:
             raise ConstantTermError(
                 f"polynomial has constant term {field.render_value(const)}")
         m = builder.max_index if nvars is None else nvars
@@ -112,7 +114,7 @@ class NcPolynomial:
     # -- evaluation -----------------------------------------------------------
 
     def eval_scalar(self, point):
-        """Evaluate at a tuple of field scalars (commutative case)."""
+        """Evaluate at a tuple of values of the field (commutative case)."""
         if len(point) != self.nvars:
             raise ArityMismatch(f"expected {self.nvars} values, got {len(point)}")
         acc = self.field.zero()
@@ -121,7 +123,7 @@ class NcPolynomial:
             for i in word:
                 prod = prod * point[i - 1]
             acc = acc + prod
-        return acc
+        return self.field.canonical(acc)
 
     # -- rendering ------------------------------------------------------------
 

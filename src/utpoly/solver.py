@@ -17,9 +17,9 @@ solves a univariate restriction of p for the target's diagonal entry,
 and entry (s, t) is solved through slot i* of position (s, t), whose
 other slots are sampled just before it.
 
-The order comes from the live-slot index (analysis.exact_order at its
-default cap, deg p + 1, which always resolves it): the order alone fixes
-the image, so no entry point takes an order cap.  Over Q and F_p the
+The order comes from the live-slot index (analysis.exact_order, which
+always resolves it): the order alone fixes the image, so no entry point
+takes an order cap.  Over Q and F_p the
 slope and offset of entry (s, t) are the two sums of
 triangular.structured_entry, the walk evaluate_structured also sums: a
 path uses each arc once, so the terms that slot the fresh variable on
@@ -234,7 +234,7 @@ def _univariate_restriction(p: NcPolynomial, slot: int, point: list):
             else:
                 prod = prod * point[i - 1]
         coeffs[power] = coeffs[power] + prod
-    return coeffs
+    return [desc.canonical(c) for c in coeffs]
 
 
 def _diagonals_r0(p: NcPolynomial, n: int, target: UTMatrix, rng,
@@ -389,7 +389,7 @@ def _sweep(p: NcPolynomial, n: int, r: int, target: UTMatrix,
             if fresh is None or desc.is_zero(slope):
                 last_entry = (s, t)
                 break
-            assign.set(fresh, (target.entry(s, t) - offset) / slope)
+            assign.set(fresh, desc.div(target.entry(s, t) - offset, slope))
         else:
             diagnostics = {
                 "attempts": attempt + 1,
@@ -428,6 +428,12 @@ def _check_field_matrices(p: NcPolynomial, matrices) -> None:
         raise FieldMismatch(
             f"witness and target matrices must be over {p.field.render()}, "
             f"not symbolic or over another field")
+
+
+def _check_open_set(p: NcPolynomial, f: CPolynomial) -> None:
+    if not f.field.same_field(p.field):
+        raise FieldMismatch(f"open-set polynomial over {f.field.render()}, "
+                            f"polynomial over {p.field.render()}")
 
 
 def _check_target(p: NcPolynomial, n: int, target: UTMatrix) -> None:
@@ -489,9 +495,11 @@ def hit_open_set(p: NcPolynomial, n: int, f: CPolynomial,
     sample a coordinate point where f is nonzero, aim the sweep at it,
     and fall back to fully random tuples if the sweep degenerates (the
     composite f(p(generic)) is a nonzero polynomial, so random tuples
-    also work with high probability)."""
+    also work with high probability).  FieldMismatch, before any work,
+    for an f not over p's field."""
     opt = options or SolveOptions()
     desc = p.field
+    _check_open_set(p, f)
     if f.is_zero():
         raise ZeroInput("open-set polynomial is zero")
     r = exact_order(p)
@@ -587,8 +595,11 @@ def verify(p: NcPolynomial, matrices: list, target: UTMatrix | None = None,
     target or open-set condition.  Never raises for a failed check; the
     report carries the outcome so callers can decide.  The open-set
     coordinates come from the order of p, so with f given a zero p
-    raises ZeroInput.  Matrices or a target not over p's field raise
-    FieldMismatch before any evaluation."""
+    raises ZeroInput.  Matrices, a target or an f not over p's field
+    raise FieldMismatch before any evaluation."""
     _check_field_matrices(p, matrices if target is None else [*matrices, target])
-    r = exact_order(p) if f is not None else None
+    r = None
+    if f is not None:
+        _check_open_set(p, f)
+        r = exact_order(p)
     return _replay(p, matrices, r, target, f)[1]

@@ -43,12 +43,10 @@ class FieldRing:
 
     def __init__(self, desc: FieldDescriptor):
         self.desc = desc
+        self.nonzero = desc.nonzero
 
     def zero(self):
         return self.desc.zero()
-
-    def is_zero(self, v) -> bool:
-        return self.desc.is_zero(v)
 
     def scalar(self, c):
         return c
@@ -79,8 +77,9 @@ class PolyRing:
     def zero(self):
         return CPolynomial.zero(self.desc)
 
-    def is_zero(self, v) -> bool:
-        return v.is_zero()
+    @staticmethod
+    def nonzero(v):
+        return v if v.terms else None
 
     def scalar(self, c):
         return CPolynomial.const(self.desc, c)
@@ -118,10 +117,12 @@ class UTMatrix:
 
     def __init__(self, ring, n: int, entries: dict):
         clean = {}
+        nonzero = ring.nonzero
         for (j, k), v in entries.items():
             if not (1 <= j <= k <= n):
                 raise SizeMismatch(f"entry ({j},{k}) outside upper triangle of size {n}")
-            if not ring.is_zero(v):
+            v = nonzero(v)
+            if v is not None:
                 clean[(j, k)] = v
         self.ring = ring
         self.n = n
@@ -132,7 +133,8 @@ class UTMatrix:
         return cls(ring, n, {})
 
     def entry(self, j: int, k: int):
-        return self.entries.get((j, k), self.ring.zero())
+        v = self.entries.get((j, k))
+        return self.ring.zero() if v is None else v
 
     def _check(self, other: "UTMatrix"):
         if self.n != other.n:
@@ -377,13 +379,8 @@ def evaluate_structured(p, matrices) -> UTMatrix:
     if ring is None or ring.kind != "field":
         raise FieldMismatch("structured evaluation needs concrete field matrices")
     n = matrices[0].n
-    desc = ring.desc
     diags = [tuple(a.entry(j, j) for a in matrices) for j in range(1, n + 1)]
-    entries = {}
-    for s in range(1, n + 1):
-        val = p.eval_scalar(diags[s - 1])
-        if not desc.is_zero(val):
-            entries[(s, s)] = val
+    entries = {(s, s): p.eval_scalar(diags[s - 1]) for s in range(1, n + 1)}
     arcs = [a.entries for a in matrices]
 
     def arc(pos, i):
@@ -391,10 +388,8 @@ def evaluate_structured(p, matrices) -> UTMatrix:
 
     for s in range(1, n + 1):
         for t in range(s + 1, n + 1):
-            total = structured_entry(p, s, t, diags, arc)[1]
-            if not desc.is_zero(total):
-                entries[(s, t)] = total
-    return UTMatrix(FieldRing(desc), n, entries)
+            entries[(s, t)] = structured_entry(p, s, t, diags, arc)[1]
+    return UTMatrix(ring, n, entries)
 
 
 @lru_cache(maxsize=None)
@@ -457,4 +452,4 @@ def structured_entry(p, s: int, t: int, diags, arc, fresh=None) -> tuple:
                         fresh_sum = fresh_sum + term
                     else:
                         total = total + term
-    return fresh_sum, total
+    return desc.canonical(fresh_sum), desc.canonical(total)

@@ -8,8 +8,8 @@ import pytest
 
 import utpoly.analysis
 import utpoly.triangular
-from utpoly.analysis import (band_sets, classify, coeff_poly, exact_order,
-                             is_identity, leading_tuples, order)
+from utpoly.analysis import (_least_live, band_sets, classify, coeff_poly,
+                             exact_order, is_identity, leading_tuples, order)
 from utpoly.cpoly import CPolynomial, entry_var
 from utpoly.errors import CapReached, OrderMismatch, ZeroInput
 from utpoly.fields import FieldDescriptor
@@ -104,11 +104,14 @@ def test_order_does_not_mix_tolerances(first, coeff):
 
 
 def test_order_cap_is_honest():
-    with pytest.raises(CapReached):
-        exact_order(comm_product(2), max_n=1)
+    # the index search below the order finds nothing, and says so
+    assert _least_live(comm_product(2), 1) is None
+    assert _least_live(comm_product(2), 2) == 2 == exact_order(comm_product(2))
     rep = order(comm_product(2), max_n=1)
     assert rep.capped and rep.r is None
     assert rep.to_json(Q)["r"] == "cap"
+    with pytest.raises(ZeroInput):
+        order(comm_product(2), max_n=0)
 
 
 def test_order_over_prime_field_is_symbolic():
@@ -285,37 +288,17 @@ def generic_classify_r(p, n, max_n=None):
     return r
 
 
-def generic_exact_order(p, max_n=None):
-    """exact_order(p, max_n) as it was before it read the live-slot
-    index: order's generic probe up to max_n (deg p + 1 by default), as
-    ("r", r), ("cap", max_n) for CapReached or ("zero",) for ZeroInput."""
-    if max_n is None:
-        max_n = p.degree() + 1
-    if max_n < 1:
-        return ("zero",)
-    r = generic_order_r(p, max_n)
-    return ("cap", max_n) if r is None else ("r", r)
-
-
-def _exact_order_outcome(p, max_n):
-    """exact_order(p, max_n) in generic_exact_order's form."""
-    try:
-        return ("r", exact_order(p, max_n))
-    except ZeroInput:
-        return ("zero",)
-    except CapReached as exc:
-        return ("cap", exc.cap)
-
-
 def _forbidden(*args, **kwargs):
     raise AssertionError("generic_evaluate called")
 
 
 @pytest.mark.parametrize("field", FIELDS)
 def test_classify_matches_generic_probe(field, monkeypatch):
-    """classify, is_identity and exact_order read the live-slot index and
-    agree with the generic probe, caps, CapReached and ZeroInput
-    included, without making a generic evaluation."""
+    """classify, is_identity, exact_order and the capped index search
+    _least_live read the live-slot index and agree with the generic
+    probe, caps, CapReached and ZeroInput included, without making a
+    generic evaluation.  exact_order is the probe at deg p + 1, which
+    always resolves the order."""
     desc = FieldDescriptor.parse(field)
     polys = list(random_polys(desc, "classify " + field, count=6))
     polys += list(random_ordered_polys(desc, "classify " + field))
@@ -325,8 +308,9 @@ def test_classify_matches_generic_probe(field, monkeypatch):
         want = {(n, max_n): generic_classify_r(p, n, max_n)
                 for n, max_n in cells}
         identity = {n: not generic_evaluate(p, n).entries for n in range(1, 5)}
-        orders = {max_n: generic_exact_order(p, max_n)
-                  for max_n in (None, 0, 1, 2)}
+        orders = {cap: generic_order_r(p, cap) for cap in (0, 1, 2)}
+        order_r = generic_order_r(p, p.degree() + 1)
+        assert order_r is not None
         with monkeypatch.context() as mp:
             mp.setattr(utpoly.analysis, "generic_evaluate", _forbidden)
             mp.setattr(utpoly.triangular, "generic_evaluate", _forbidden)
@@ -343,14 +327,15 @@ def test_classify_matches_generic_probe(field, monkeypatch):
                 seen.add(got.case)
             for n, expected in identity.items():
                 assert is_identity(p, n) == expected, (p.terms, n)
-            for max_n, expected in orders.items():
-                got = _exact_order_outcome(p, max_n)
-                assert got == expected, (p.terms, max_n)
-                seen.add(("order", got[0]))
+            for cap, expected in orders.items():
+                got = _least_live(p, cap)
+                assert got == expected, (p.terms, cap)
+                seen.add(("order", "cap" if got is None else "r"))
+            assert exact_order(p) == order_r, p.terms
     with pytest.raises(ZeroInput):
         exact_order(NcPolynomial.zero(desc, 2))
     assert {"cap", "dense_full", "equals_band", "zero"} <= seen
-    assert {("order", "zero"), ("order", "cap"), ("order", "r")} <= seen
+    assert {("order", "cap"), ("order", "r")} <= seen
 
 
 def test_coeff_poly_short_tuples_vanish_at_positive_order():
@@ -405,7 +390,7 @@ def test_generic_band_vanishing():
             for j in range(1, n + 1):
                 for k in range(j, n + 1):
                     if k - j <= r - 1:
-                        assert g.ring.is_zero(g.entry(j, k)), (K, n, j, k)
+                        assert g.entry(j, k).is_zero(), (K, n, j, k)
             assert g.in_band(r - 1)
 
 

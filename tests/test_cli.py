@@ -64,6 +64,29 @@ def test_eval_takes_exactly_one_mode(capsys, modes):
     assert code == 1 and out == "" and "utpoly" in err and "error:" in err
 
 
+def test_eval_matrices_refuses_n(tmp_path, capsys):
+    """--n belongs to --generic: with --matrices it used to be ignored,
+    the product printed at the file's own size with exit 0."""
+    f = tmp_path / "m.json"
+    f.write_text(json.dumps({"matrices": [{"n": 2, "entries": []}] * 2}))
+    code, out, err = run(capsys, "eval", "--poly", "x1*x2-x2*x1",
+                         "--matrices", str(f), "--n", "7")
+    assert code == 1 and out == "" and "UsageError" in err and "--n" in err
+    # without --n the same file evaluates, by the direct route by default
+    assert run_json(capsys, "eval", "--poly", "x1*x2-x2*x1",
+                    "--matrices", str(f))["result"]["n"] == 2
+
+
+def test_eval_generic_refuses_route(capsys):
+    """--route belongs to --matrices: --generic takes no route, and used
+    to ignore it with exit 0."""
+    for route in ("direct", "structured"):
+        code, out, err = run(capsys, "eval", "--poly", "x1*x2-x2*x1",
+                             "--generic", "--n", "2", "--route", route)
+        assert code == 1 and out == "" and "UsageError" in err
+        assert "--route" in err
+
+
 def test_eval_concrete_routes_agree(tmp_path, capsys):
     mats = {"matrices": [
         {"n": 2, "ring": "field",

@@ -1,7 +1,6 @@
 """Field descriptors, prime-field arithmetic, and univariate solving."""
 
 import math
-import operator
 import random
 import time
 from fractions import Fraction
@@ -10,10 +9,12 @@ from itertools import groupby
 import pytest
 
 from utpoly.cpoly import CPolynomial, _mono_mul, diag_var, entry_var, render_var
-from utpoly.errors import NoRootInField, ParseError
-from utpoly.fields import (FieldDescriptor, Fp, _rational_roots, is_prime,
+from utpoly.errors import FieldMismatch, NoRootInField, ParseError
+from utpoly.fields import (FieldDescriptor, _rational_roots, is_prime,
                            solve_univariate, split_sign)
 from utpoly.freealg import NcPolynomial, _FreeBuilder
+from utpoly.solver import hit_open_set, solve_target, verify
+from utpoly.triangular import FieldRing, UTMatrix, evaluate, evaluate_structured
 
 Q = FieldDescriptor.parse("Q")
 F7 = FieldDescriptor.parse("Fp:7")
@@ -95,43 +96,102 @@ def test_descriptor_interop_ignores_tolerance():
 
 
 def test_fp_arithmetic():
-    a, b = Fp(3, 7), Fp(5, 7)
-    assert a + b == Fp(1, 7)
-    assert a - b == Fp(5, 7)
-    assert a * b == Fp(1, 7)
-    assert a / b == Fp(2, 7)  # 3 * 5^{-1} = 3 * 3 = 9 = 2
-    assert -a == Fp(4, 7)
-    assert a ** 6 == Fp(1, 7)  # Fermat
-    assert a ** -1 == Fp(5, 7)  # 3*5 = 15 = 1
-    # an Fp takes only an Fp of the same modulus: no int or Fraction lifting
-    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
-        for other in (11, Fraction(1, 2)):
-            with pytest.raises(TypeError):
-                op(a, other)
-            with pytest.raises(TypeError):
-                op(other, a)
-        with pytest.raises(ValueError):
-            op(a, Fp(1, 11))
-    assert bool(Fp(0, 7)) is False and bool(a) is True
-
-
-def test_fp_mixed_moduli_rejected():
-    with pytest.raises(ValueError):
-        Fp(1, 7) + Fp(1, 11)
+    """F_7 values are ints; the descriptor brings any int result into
+    [0, 7) and divides."""
+    a, b = F7.from_int(3), F7.from_int(5)
+    assert (a, b) == (3, 5)
+    assert F7.canonical(a + b) == 1
+    assert F7.canonical(a - b) == 5
+    assert F7.canonical(a * b) == 1
+    assert F7.div(a, b) == 2  # 3 * 5^{-1} = 3 * 3 = 9 = 2
+    assert F7.canonical(-a) == 4
+    assert F7.div(1, b) == 3  # 5*3 = 15 = 1
+    for v in range(1, 7):
+        assert F7.canonical(v ** 6) == 1  # Fermat
+    assert F7.from_int(-1) == 6 and F7.from_int(10 ** 20) == 10 ** 20 % 7
+    assert F7.from_fraction(Fraction(-3, 5)) == F7.div(-3, 5) == 5
 
 
 def test_fp_division_by_zero():
-    with pytest.raises(ZeroDivisionError):
-        Fp(1, 7) / Fp(0, 7)
-    with pytest.raises(ZeroDivisionError):
-        Fp(0, 7) ** -1
+    """The inverse of zero raises, for every int that is zero mod 7."""
+    for zero in (0, 7, -14):
+        with pytest.raises(ZeroDivisionError):
+            F7.div(1, zero)
+    with pytest.raises(ParseError):
+        F7.from_fraction(Fraction(1, 7))
 
 
 def test_fp_hash_consistent_with_eq():
-    assert hash(Fp(3, 7)) == hash(Fp(10, 7))
-    assert Fp(3, 7) == Fp(10, 7)
-    # ints are not equal to Fp (hash consistency)
-    assert (Fp(3, 7) == 3) is False or Fp(3, 7).__eq__(3) is NotImplemented
+    """eq, is_zero and nonzero read unreduced ints; a value at rest is
+    the residue, so equal elements hash alike."""
+    assert F7.eq(3, 10) and F7.eq(-4, 3) and F7.eq(0, -21)
+    assert not F7.eq(3, 4)
+    assert F7.is_zero(14) and F7.is_zero(-7) and not F7.is_zero(8)
+    assert F7.nonzero(14) is None and F7.nonzero(-1) == 6
+    assert F7.canonical(10) == F7.canonical(-4) == 3
+    assert hash(F7.canonical(10)) == hash(F7.canonical(3))
+    # over C, nonzero filters within eps but canonical never rounds
+    assert C.nonzero(1e-12) is None and C.canonical(1e-12) == 1e-12
+    assert Q.nonzero(Fraction(0)) is None and Q.nonzero(Fraction(1, 3)) == Fraction(1, 3)
+
+
+def test_zero_and_one_are_one_object_per_descriptor():
+    for desc in (Q, F7, C):
+        assert desc.zero() is desc.zero() and desc.one() is desc.one()
+        assert desc.is_zero(desc.zero()) and desc.eq(desc.one(), desc.from_int(1))
+    assert FieldDescriptor.parse("Q").zero() == Fraction(0)
+
+
+F11 = FieldDescriptor.parse("Fp:11")
+_COMM = "x1*x2-x2*x1"
+
+
+def _mats(desc):
+    ring = FieldRing(desc)
+    return [UTMatrix(ring, 2, {(1, 1): desc.from_int(i), (1, 2): desc.one(),
+                               (2, 2): desc.from_int(i + 2)}) for i in (1, 2)]
+
+
+def _target(desc):
+    return UTMatrix(FieldRing(desc), 2, {(1, 2): desc.from_int(3)})
+
+
+_MIXED = {
+    "matrix+": lambda: _mats(F7)[0] + _mats(F11)[0],
+    "matrix@": lambda: _mats(F7)[0] @ _mats(F11)[0],
+    "evaluate": lambda: evaluate(NcPolynomial.parse(_COMM, F7), _mats(F11)),
+    "evaluate_structured": lambda: evaluate_structured(
+        NcPolynomial.parse(_COMM, F7), _mats(F11)),
+    "cpoly+": lambda: (CPolynomial.parse("z[1,1]", F7)
+                       + CPolynomial.parse("z[1,1]", F11)),
+    "cpoly*": lambda: (CPolynomial.parse("z[1,1]", F7)
+                       * CPolynomial.parse("z[1,1]", F11)),
+    "ncpoly+": lambda: NcPolynomial.parse("x1", F7) + NcPolynomial.parse("x1", F11),
+    "ncpoly*": lambda: NcPolynomial.parse("x1", F7) * NcPolynomial.parse("x1", F11),
+    "solve_target": lambda: solve_target(NcPolynomial.parse(_COMM, F7), 2,
+                                         _target(F11)),
+    "verify_witness": lambda: verify(NcPolynomial.parse(_COMM, F7), _mats(F11)),
+    "verify_target": lambda: verify(NcPolynomial.parse(_COMM, F7), _mats(F7),
+                                    target=_target(F11)),
+    "verify_open_set": lambda: verify(NcPolynomial.parse(_COMM, F7), _mats(F7),
+                                      f=CPolynomial.parse("y[1,2]", F11)),
+    "hit_open_set": lambda: hit_open_set(NcPolynomial.parse(_COMM, F7), 2,
+                                         CPolynomial.parse("y[1,2]", F11)),
+    "verify_open_set_Q": lambda: verify(NcPolynomial.parse(_COMM, F7), _mats(F7),
+                                        f=CPolynomial.parse("y[1,2] + 1", Q)),
+    "hit_open_set_Q": lambda: hit_open_set(NcPolynomial.parse(_COMM, F7), 2,
+                                           CPolynomial.parse("y[1,2] + 1", Q)),
+}
+
+
+@pytest.mark.parametrize("op", sorted(_MIXED))
+def test_mixed_moduli_raise_field_mismatch(op):
+    """An F_p value is a bare int, so Fp:7 and Fp:11 are told apart where
+    two field-carrying objects meet, at every public operation.  An
+    open-set polynomial over F_11 (or Q) used to reach Fp's 'mixed
+    moduli' ValueError (or a TypeError) only once arithmetic began."""
+    with pytest.raises(FieldMismatch):
+        _MIXED[op]()
 
 
 def test_literals_roundtrip_rational():
@@ -144,7 +204,8 @@ def test_literals_roundtrip_rational():
 
 def test_literals_roundtrip_prime():
     v = F7.parse_literal("12")
-    assert v == Fp(5, 7)
+    assert v == 5
+    assert F7.parse_literal("-1/2") == 3  # -(2^{-1}) = -4 = 3 mod 7
     assert F7.render_value(v) == "5"
 
 
@@ -168,8 +229,8 @@ def test_rational_render_is_exact():
 
 
 def test_from_int_from_fraction():
-    assert F7.from_int(10) == Fp(3, 7)
-    assert F7.from_fraction(Fraction(1, 2)) == Fp(4, 7)  # 2^{-1} = 4 mod 7
+    assert F7.from_int(10) == 3
+    assert F7.from_fraction(Fraction(1, 2)) == 4  # 2^{-1} = 4 mod 7
     assert Q.from_fraction(Fraction(3, 4)) == Fraction(3, 4)
     assert C.from_int(3) == 3.0 + 0j
 
@@ -189,14 +250,15 @@ def test_sample_support_rational():
 
 def test_sample_prime_field_covers():
     rng = random.Random(2)
-    seen = {F7.sample(rng).v for _ in range(200)}
+    seen = {F7.sample(rng) for _ in range(200)}
     assert seen == set(range(7))
 
 
 def test_split_sign():
     assert split_sign(Q, Fraction(-3, 2)) == (-1, "3/2")
     assert split_sign(Q, Fraction(5)) == (1, "5")
-    assert split_sign(F7, Fp(6, 7)) == (1, "6")
+    assert split_sign(F7, 6) == (1, "6")
+    assert split_sign(F7, 1) == (1, "")
 
 
 # -- shared sparse-polynomial helpers against the loops they replaced ----------
@@ -530,11 +592,11 @@ def test_solve_univariate_prime_exhaustive():
     F5 = FieldDescriptor.parse("Fp:5")
     rng = random.Random(5)
     # u^2 = 4 over F_5 -> u in {2, 3}
-    roots = {solve_univariate(F5, [Fp(0, 5), Fp(0, 5), Fp(1, 5)],
-                              Fp(4, 5), random.Random(i)).v for i in range(20)}
+    roots = {solve_univariate(F5, [0, 0, 1], 4, random.Random(i))
+             for i in range(20)}
     assert roots == {2, 3}
     with pytest.raises(NoRootInField):
-        solve_univariate(F5, [Fp(0, 5), Fp(0, 5), Fp(1, 5)], Fp(2, 5), rng)
+        solve_univariate(F5, [0, 0, 1], 2, rng)
 
 
 def test_solve_univariate_complex_cube_root():
@@ -583,9 +645,9 @@ def test_solve_univariate_prime_matches_scan(p):
             g += [0] * gen.randrange(1, 3)
         if trial == 5:
             g = [0] * gen.randrange(1, 4)
-        coeffs = [Fp(c, p) for c in g]
-        target = Fp(0 if trial == 5 else gen.randrange(p), p)
-        shifted = [(g[0] - target.v) % p] + g[1:]
+        coeffs = list(g)
+        target = 0 if trial == 5 else gen.randrange(p)
+        shifted = [(g[0] - target) % p] + g[1:]
         roots = _brute_roots(shifted, p)
         seed = gen.randrange(2 ** 30)
         if not roots:
@@ -593,14 +655,14 @@ def test_solve_univariate_prime_matches_scan(p):
                 solve_univariate(F, coeffs, target, random.Random(seed))
             continue
         u = solve_univariate(F, coeffs, target, random.Random(seed))
-        assert u == Fp(roots[random.Random(seed).randrange(len(roots))], p)
+        assert u == roots[random.Random(seed).randrange(len(roots))]
 
 
 def test_solve_univariate_prime_two_elements():
     F2 = FieldDescriptor.parse("Fp:2")
-    one, zero = Fp(1, 2), Fp(0, 2)
+    one, zero = F2.one(), F2.zero()
     # u^2 + u = 0 holds at both elements of F_2
-    assert {solve_univariate(F2, [zero, one, one], zero, random.Random(i)).v
+    assert {solve_univariate(F2, [zero, one, one], zero, random.Random(i))
             for i in range(20)} == {0, 1}
     assert solve_univariate(F2, [zero, zero, one], one, random.Random(0)) == one
     with pytest.raises(NoRootInField):
@@ -617,10 +679,9 @@ def test_solve_univariate_prime_draws_once(field, coeffs, target):
     the splitting randomness comes from elsewhere."""
     F = FieldDescriptor.parse(field)
     rng, twin = random.Random(9), random.Random(9)
-    g = [Fp(c, F.p) for c in coeffs]
-    u = solve_univariate(F, g, Fp(target, F.p), rng)
+    u = solve_univariate(F, coeffs, target, rng)
     roots = _brute_roots([(coeffs[0] - target) % F.p] + coeffs[1:], F.p)
-    assert u.v == roots[twin.randrange(len(roots))]
+    assert u == roots[twin.randrange(len(roots))]
     assert rng.getstate() == twin.getstate()
 
 
@@ -632,11 +693,9 @@ def test_solve_univariate_prime_time_independent_of_p():
     # (u - 2)(u - 5)(u - 999999) = u^3 - 1000006 u^2 + ... ; build it mod p
     g = _times(_times([-2 % p, 1], [-5 % p, 1], p), [-999999 % p, 1], p)
     t0 = time.perf_counter()
-    roots = {solve_univariate(F, [Fp(c, p) for c in g], Fp(0, p),
-                              random.Random(i)).v for i in range(10)}
+    roots = {solve_univariate(F, g, 0, random.Random(i)) for i in range(10)}
     assert time.perf_counter() - t0 < 1.0
     assert roots == {2, 5, 999999}
     with pytest.raises(NoRootInField):
         # u^3 = 2 has no root: 2 is not a cube mod p (p = 1 mod 3)
-        solve_univariate(F, [Fp(0, p), Fp(0, p), Fp(0, p), Fp(1, p)],
-                         Fp(2, p), random.Random(0))
+        solve_univariate(F, [0, 0, 0, 1], 2, random.Random(0))

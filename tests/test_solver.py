@@ -16,7 +16,7 @@ from utpoly.errors import (BandViolation, BudgetExhausted,
                            IncompatibleAssignment, InternalInconsistency,
                            NoRootInField, OrderMismatch, VariableOutOfRange,
                            ZeroInput)
-from utpoly.fields import FieldDescriptor, Fp
+from utpoly.fields import FieldDescriptor
 from utpoly.freealg import NcPolynomial, commutator
 from utpoly.solver import (PartialAssignment, SolveOptions, _affine_entry,
                            _affine_parts, _entries_positive, _entries_r0,
@@ -242,7 +242,7 @@ def test_solve_prime_field_target():
     F101 = FieldDescriptor.parse("Fp:101")
     p = NcPolynomial.parse("x1*x2 - x2*x1", F101)
     target = UTMatrix(FieldRing(F101), 3,
-                      {(1, 2): Fp(17, 101), (2, 3): Fp(99, 101), (1, 3): Fp(3, 101)})
+                      {(1, 2): 17, (2, 3): 99, (1, 3): 3})
     res = solve_target(p, 3, target)
     assert res.status == "exact"
     assert evaluate(p, res.matrices).eq(target)
@@ -499,7 +499,7 @@ def test_solve_r0_degenerate_over_tiny_field():
     a(b+c) with bc the diagonal squares; diagonal zero forces entry zero.
     The solver must fail honestly (degenerate slope after the diagonals)."""
     p = NcPolynomial.parse("x1^2", F5)
-    target = UTMatrix(FieldRing(F5), 2, {(1, 2): Fp(1, 5)})
+    target = UTMatrix(FieldRing(F5), 2, {(1, 2): F5.from_int(1)})
     with pytest.raises((DegenerateCoefficient, NoRootInField)):
         solve_diagonal_r0(p, 2, target, SolveOptions(retries=8))
 

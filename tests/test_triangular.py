@@ -13,13 +13,16 @@ from fractions import Fraction
 
 import pytest
 
+from utpoly.analysis import exact_order
 from utpoly.errors import (ArityMismatch, FieldMismatch, ParseError,
-                           ResourceLimit, SizeMismatch)
-from utpoly.fields import FieldDescriptor, Fp
+                           ResourceLimit, SizeMismatch, UtpolyError)
+from utpoly.fields import FieldDescriptor
 from utpoly.freealg import NcPolynomial, commutator
+from utpoly.solver import SolveOptions, solve_target
 from utpoly.triangular import (FieldRing, PolyRing, UTMatrix, evaluate,
                                evaluate_structured, generic_evaluate,
-                               generic_matrix, generic_tuple, word_product)
+                               generic_matrix, generic_tuple, live_slots,
+                               word_product)
 
 Q = FieldDescriptor.parse("Q")
 F7 = FieldDescriptor.parse("Fp:7")
@@ -56,8 +59,7 @@ def word_product_paths(matrices, word):
                     if f is None:
                         continue
                     stack.append((nxt, step + 1, f if val is None else val * f))
-            if not ring.is_zero(total):
-                entries[(s, t)] = total
+            entries[(s, t)] = total    # UTMatrix drops the zeros
     return UTMatrix(ring, n, entries)
 
 
@@ -138,7 +140,7 @@ def test_json_roundtrip_field_ring():
 
 def test_json_roundtrip_prime_and_complex():
     ring7 = FieldRing(F7)
-    a = UTMatrix(ring7, 2, {(1, 2): Fp(5, 7)})
+    a = UTMatrix(ring7, 2, {(1, 2): F7.from_int(5)})
     assert UTMatrix.from_json(a.to_json(), F7).eq(a)
     ringc = FieldRing(C)
     b = UTMatrix(ringc, 2, {(1, 1): 1 + 2j, (1, 2): -0.5j})
@@ -210,7 +212,7 @@ def test_evaluate_checks_inputs():
     with pytest.raises(ArityMismatch):
         evaluate(p, [a])
     with pytest.raises(FieldMismatch):
-        evaluate(p, [a, UTMatrix(FieldRing(F7), 2, {(1, 2): Fp(1, 7)})])
+        evaluate(p, [a, UTMatrix(FieldRing(F7), 2, {(1, 2): F7.from_int(1)})])
     with pytest.raises(SizeMismatch):
         evaluate(p, [a, mat(3, {(1, 2): 1})])
 
@@ -222,7 +224,7 @@ def test_generic_matrix_shape():
     for j in range(1, 4):
         for k in range(j, 4):
             v = g.entry(j, k)
-            assert not ring.is_zero(v)
+            assert not v.is_zero()
             assert v.degree() == 1
     assert g.entry(1, 2) != g.entry(1, 3)
 
@@ -260,3 +262,54 @@ def test_generic_evaluate_monomial_budget():
 def test_generic_tuple_arity():
     mats = generic_tuple(Q, 3, 2)
     assert len(mats) == 2 and all(a.n == 3 for a in mats)
+
+
+def _canonical(desc, v):
+    return type(v) is int and 0 <= v < desc.p
+
+
+@pytest.mark.parametrize("field", ["Fp:2", "Fp:3", "Fp:101"])
+def test_prime_field_values_are_reduced_at_rest(field):
+    """An F_p value at rest is an int in [0, p): in the results of both
+    evaluation routes, the generic evaluation, the live-slot index,
+    eval_full and eval_scalar, and solve_target's witnesses.  Only
+    running sums inside one loop may leave that range."""
+    desc = FieldDescriptor.parse(field)
+    ring = FieldRing(desc)
+    rng = random.Random(field)
+    solved = 0
+    for trial in range(30):
+        n, m = rng.randint(1, 4), rng.randint(1, 3)
+        p = rand_poly(desc, rng, m)
+        # coefficients p - 1 and 1 make every sum and product leave [0, p)
+        p = p + NcPolynomial(desc, m, {(rng.randint(1, m),): desc.from_int(-1)})
+        if p.is_zero():
+            continue
+        mats = [rand_matrix(desc, ring, n, rng) for _ in range(m)]
+        values = []
+        for out in (evaluate(p, mats), evaluate_structured(p, mats)):
+            values += out.entries.values()
+        values.append(p.eval_scalar(tuple(desc.sample(rng) for _ in range(m))))
+        for q in generic_evaluate(p, min(n, 3)).entries.values():
+            values += q.terms.values()
+        for k in range(1, 3):
+            for q in live_slots(p, k).values():
+                values += q.terms.values()
+                point = {v: desc.sample(rng) for v in q.variables()}
+                values.append(q.eval_full(point))
+        assert all(_canonical(desc, v) for v in values), (p.terms, values)
+        r = exact_order(p)
+        if r >= n:
+            continue
+        target = UTMatrix(ring, n, {(s, t): desc.sample(rng)
+                                    for s in range(1, n + 1)
+                                    for t in range(s + r, n + 1)})
+        try:
+            res = solve_target(p, n, target, SolveOptions(seed=trial))
+        except UtpolyError:
+            continue      # tiny fields may miss: only results are checked
+        solved += 1
+        for a in [*res.matrices, res.achieved]:
+            assert all(_canonical(desc, v) for v in a.entries.values())
+        assert res.achieved.entries == target.entries
+    assert solved >= 5
