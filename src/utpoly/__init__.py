@@ -2,8 +2,7 @@
 invariant, image classification, and constructive density witnesses."""
 
 from .analysis import (Classification, OrderReport, band_sets, classify,
-                       coeff_poly, exact_order, is_identity, leading_tuples,
-                       order)
+                       coeff_poly, exact_order, leading_tuples, order)
 from .cpoly import CPolynomial, diag_var, entry_var, out_var, render_var
 from .errors import UtpolyError
 from .fields import FieldDescriptor, solve_univariate

@@ -14,10 +14,13 @@ generic evaluation sums, over increasing paths s -> t and slot tuples, a
 coefficient polynomial at the path's rows times that path's own arc
 monomial, so no two terms cancel: p vanishes on size n iff p(z), the
 0-slot polynomial, is zero and no k-slot tuple with k <= n-1 is live.
-is_identity, classify, exact_order, coeff_poly and leading_tuples read
-the index; only order probes generic evaluations, since its report names
-a nonzero generic entry and samples a point of that entry polynomial.
-exact_order is the order the witness solver and verify read.
+exact_order(p, below) is the one order query on the index: it returns
+the order r when r < below and None otherwise, so p is an identity of
+size n iff exact_order(p, n) is None, and a caller that knows n searches
+no slot tuple of length n or more.  classify, coeff_poly and leading_tuples
+read the index too; only order probes generic evaluations, since its
+report names a nonzero generic entry and samples a point of that entry
+polynomial.
 """
 
 from __future__ import annotations
@@ -26,24 +29,11 @@ import random
 from dataclasses import dataclass
 
 from .cpoly import CPolynomial, render_var
-from .errors import CapReached, OrderMismatch, VariableOutOfRange, ZeroInput
+from .errors import OrderMismatch, VariableOutOfRange, ZeroInput
 from .freealg import NcPolynomial
 from .triangular import _context, generic_evaluate, live_slots
 
 _ORDER_SAMPLES = 200     # witness points order() tries
-
-
-def _least_live(p: NcPolynomial, cap: int) -> int | None:
-    """Least k in 0..cap with a live k-slot tuple, None if there is none.
-    Slots beyond deg p are never live."""
-    return next((k for k in range(min(cap, p.degree()) + 1)
-                 if live_slots(p, k)), None)
-
-
-def is_identity(p: NcPolynomial, n: int) -> bool:
-    """True iff every generic entry of p at size n vanishes identically,
-    that is iff no k-slot tuple with k <= n-1 is live."""
-    return _least_live(p, n - 1) is None
 
 
 def coeff_poly(p: NcPolynomial, slots: tuple) -> CPolynomial:
@@ -130,14 +120,19 @@ def order(p: NcPolynomial, max_n: int | None = None,
     return OrderReport(r, max_n, pos, point)
 
 
-def exact_order(p: NcPolynomial) -> int:
+def exact_order(p: NcPolynomial, below: int | None = None) -> int | None:
     """order(p).r read off the live-slot index, with no generic
-    evaluation: the least r with p not an identity of size r+1.  It is
-    at most deg p, since a longest word w of p is live as the slot tuple
-    w, with p's coefficient of w.  ZeroInput for the zero polynomial."""
+    evaluation, when it is below `below`; None when it is not, that is
+    when p is an identity of size `below`.  Only slot tuples shorter
+    than `below` are searched.  The default, deg p + 1, always resolves
+    the order, since a longest word w of p is live as the slot tuple w,
+    with p's coefficient of w.  ZeroInput for the zero polynomial."""
     if p.is_zero():
         raise ZeroInput("the zero polynomial has no order")
-    return _least_live(p, p.degree())
+    if below is None:
+        below = p.degree() + 1
+    return next((k for k in range(min(below, p.degree() + 1))
+                 if live_slots(p, k)), None)
 
 
 def leading_tuples(p: NcPolynomial, r: int) -> list[tuple]:
@@ -163,7 +158,7 @@ def band_sets(s: int, t: int, r: int) -> frozenset:
 @dataclass
 class Classification:
     case: str            # dense_full | equals_band | dense_in_band | zero
-    r: int | None        # None when only "r >= n" is known
+    r: int | None        # None when only "r > n" is known
     n: int
     band: int
     affine_dim: int
@@ -182,27 +177,22 @@ def _dim_of_band(n: int, band: int) -> int:
     return (n - 1 - band) * (n - band) // 2
 
 
-def classify(p: NcPolynomial, n: int, max_n: int | None = None) -> Classification:
+def classify(p: NcPolynomial, n: int) -> Classification:
     """Image shape of p on size-n upper triangular matrices by (r, n).
 
     r=0: dense in the whole algebra.  r=1: the image IS the strictly upper
     band.  1 < r < n-1: dense in band r-1.  r = n-1: the image IS the top
     corner band.  r >= n: zero.  The case checks run in that order, which
-    settles the overlaps (r=1, n=2 hits the r=1 case).
+    settles the overlaps (r=1, n=2 hits the r=1 case).  The order is
+    searched up to n, so r > n reads as None ("cap").
     """
     if p.is_zero():
         raise ZeroInput("cannot classify the zero polynomial")
     if n < 1:
         raise ZeroInput("n must be at least 1")
-    if max_n is None:
-        max_n = n
-    r = _least_live(p, max_n)
+    r = exact_order(p, n + 1)
     if r is None:
-        # order unresolved; the zero case is still decidable from size n alone
-        if n <= max_n + 1 or is_identity(p, n):
-            return Classification("zero", None, n, n - 1, 0)
-        raise CapReached(
-            f"order not resolved up to {max_n} but below {n}", cap=max_n)
+        return Classification("zero", None, n, n - 1, 0)
     if r == 0:
         return Classification("dense_full", 0, n, -1, _dim_of_band(n, -1))
     if r == 1:

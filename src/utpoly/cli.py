@@ -139,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp, "--max-n", "--height")
 
     sp = sub.add_parser("classify", help="image shape on size-n matrices")
-    _add_common(sp, "--n", "--max-n")
+    _add_common(sp, "--n")
 
     sp = sub.add_parser("eval", help="evaluate on a matrix tuple")
     _add_common(sp, "--monomial-budget")
@@ -190,7 +190,7 @@ def _cmd_order(args, desc: FieldDescriptor, p: NcPolynomial) -> None:
 
 
 def _cmd_classify(args, desc: FieldDescriptor, p: NcPolynomial) -> None:
-    _emit(classify(p, args.n, max_n=args.max_n).to_json())
+    _emit(classify(p, args.n).to_json())
 
 
 def _cmd_eval(args, desc: FieldDescriptor, p: NcPolynomial) -> None:

@@ -66,14 +66,6 @@ class ResourceLimit(UtpolyError):
     """A hard structural limit (monomial count) was exceeded."""
 
 
-class CapReached(UtpolyError):
-    """Order probing hit its size cap without finding a non-identity."""
-
-    def __init__(self, message, cap=None):
-        super().__init__(message)
-        self.cap = cap
-
-
 class BandViolation(UtpolyError):
     """Target matrix lies outside the band the image is confined to."""
 

@@ -109,8 +109,8 @@ class FieldDescriptor:
                 eps = float(text[2:])
             except ValueError:
                 raise ParseError(f"bad tolerance in field descriptor {text!r}") from None
-            if not (eps > 0):
-                raise ParseError(f"tolerance must be positive in {text!r}")
+            if not 0 < eps < math.inf:
+                raise ParseError(f"tolerance must be positive and finite in {text!r}")
             return cls("complex", eps=eps)
         raise ParseError(f"unknown field descriptor {text!r}")
 

@@ -17,10 +17,11 @@ solves a univariate restriction of p for the target's diagonal entry,
 and entry (s, t) is solved through slot i* of position (s, t), whose
 other slots are sampled just before it.
 
-The order comes from the live-slot index (analysis.exact_order, which
-always resolves it): the order alone fixes the image, so no entry point
-takes an order cap.  Over Q and F_p the
-slope and offset of entry (s, t) are the two sums of
+The order comes from the live-slot index, searched only below n
+(analysis.exact_order(p, n)): the image of p on size n is fixed by the
+order when it is below n and is zero otherwise, so no entry point takes
+an order cap, and the zero target, p(0), needs no sweep at any order.
+Over Q and F_p the slope and offset of entry (s, t) are the two sums of
 triangular.structured_entry, the walk evaluate_structured also sums: a
 path uses each arc once, so the terms that slot the fresh variable on
 its arc give the slope and the others the offset, exactly.  Q and F_p
@@ -436,6 +437,18 @@ def _check_open_set(p: NcPolynomial, f: CPolynomial) -> None:
                             f"polynomial over {p.field.render()}")
 
 
+def _open_set_coordinates(f: CPolynomial, n: int, r: int) -> list[tuple]:
+    """The band coordinates of order r at size n, after checking that
+    every variable of f is one of them (VariableOutOfRange)."""
+    coords = band_coordinates(n, r)
+    coord_set = set(coords)
+    for key in f.variables():
+        if key[0] != "y" or (key[1], key[2]) not in coord_set:
+            raise VariableOutOfRange(
+                f"{render_var(key)} is not a band coordinate for r={r}, n={n}")
+    return coords
+
+
 def _check_target(p: NcPolynomial, n: int, target: UTMatrix) -> None:
     _check_field_matrices(p, [target])
     if target.n != n:
@@ -447,23 +460,24 @@ def solve_target(p: NcPolynomial, n: int, target: UTMatrix,
     """Matrices u with p(u) = target, for every order r of p.
 
     Raises BandViolation when the target has a nonzero entry with
-    k - j <= r-1 (r >= n admits only the zero target, handled here), and
+    k - j <= r-1 (band n-1 when r >= n: the image is zero), and
     DegenerateCoefficient when every retry produced a zero slope;
-    FieldMismatch, before any work, for a target not over p's field."""
+    FieldMismatch, before any work, for a target not over p's field.
+    The zero target gets the zero tuple, p(0) = 0, with no sweep."""
     opt = options or SolveOptions()
     _check_target(p, n, target)
-    r = exact_order(p)
-    if r >= n:
-        if target.entries:
-            raise BandViolation(f"order {r} >= n = {n}: image is zero only")
+    r = exact_order(p, n)
+    band = n - 1 if r is None else r - 1
+    if not target.in_band(band):
+        raise BandViolation(
+            f"target has a nonzero entry with k - j <= {band}"
+            + (f" (order >= n = {n}: the image is zero)" if r is None else ""))
+    if not target.entries:
         zero = [UTMatrix.zeros(FieldRing(p.field), n) for _ in range(p.nvars)]
         achieved, rep = _replay(p, zero, r, target, None)
         return WitnessResult(zero, achieved, "exact", 0.0,
                              {"attempts": 0, "leading_tuple": None,
                               "diagonals": None, "seed": opt.seed}, rep)
-    if not target.in_band(r - 1):
-        raise BandViolation(
-            f"target has a nonzero entry with k - j <= {r - 1}")
     return _sweep(p, n, r, target, opt)
 
 
@@ -473,12 +487,10 @@ def solve_diagonal_r0(p: NcPolynomial, n: int, target: UTMatrix,
     other order.  At order 0 some single-arc coefficient polynomial is
     nonzero (the identity relating scalar increments to single-arc
     coefficients forces one), so each entry has a usable slot."""
-    opt = options or SolveOptions()
     _check_target(p, n, target)
-    r = exact_order(p)
-    if r != 0:
-        raise OrderMismatch(f"order is {r}, not 0")
-    return _sweep(p, n, 0, target, opt)
+    if exact_order(p, 1) is None:
+        raise OrderMismatch("order is not 0")
+    return solve_target(p, n, target, options)
 
 
 def band_coordinates(n: int, r: int) -> list[tuple]:
@@ -502,15 +514,11 @@ def hit_open_set(p: NcPolynomial, n: int, f: CPolynomial,
     _check_open_set(p, f)
     if f.is_zero():
         raise ZeroInput("open-set polynomial is zero")
-    r = exact_order(p)
-    if not (1 <= r <= n - 1):
-        raise OrderMismatch(f"open-set witnesses need 1 <= r <= n-1, got r={r}")
-    coords = band_coordinates(n, r)
-    coord_set = set(coords)
-    for key in f.variables():
-        if key[0] != "y" or (key[1], key[2]) not in coord_set:
-            raise VariableOutOfRange(
-                f"{render_var(key)} is not a band coordinate for r={r}, n={n}")
+    r = exact_order(p, n)
+    if r is None or r < 1:
+        got = f"r >= n = {n}" if r is None else f"r={r}"
+        raise OrderMismatch(f"open-set witnesses need 1 <= r <= n-1, got {got}")
+    coords = _open_set_coordinates(f, n, r)
     rng = random.Random(opt.seed)
     ring = FieldRing(desc)
     solver_failures = 0
@@ -594,12 +602,18 @@ def verify(p: NcPolynomial, matrices: list, target: UTMatrix | None = None,
     """Replay a witness through both evaluation routes and check the
     target or open-set condition.  Never raises for a failed check; the
     report carries the outcome so callers can decide.  The open-set
-    coordinates come from the order of p, so with f given a zero p
-    raises ZeroInput.  Matrices, a target or an f not over p's field
-    raise FieldMismatch before any evaluation."""
+    coordinates are those of band r-1 at the witness size n, none when
+    r >= n, so with f given a zero p raises ZeroInput.  Matrices, a
+    target or an f not over p's field raise FieldMismatch, and a
+    variable of f that is no open-set coordinate VariableOutOfRange,
+    before any evaluation."""
     _check_field_matrices(p, matrices if target is None else [*matrices, target])
     r = None
     if f is not None:
         _check_open_set(p, f)
-        r = exact_order(p)
+        n = matrices[0].n if matrices else 0
+        r = exact_order(p, n)
+        if r is None:
+            r = n    # band n-1 has no coordinates, as every r >= n
+        _open_set_coordinates(f, n, r)
     return _replay(p, matrices, r, target, f)[1]

@@ -8,10 +8,10 @@ import pytest
 
 import utpoly.analysis
 import utpoly.triangular
-from utpoly.analysis import (_least_live, band_sets, classify, coeff_poly,
-                             exact_order, is_identity, leading_tuples, order)
+from utpoly.analysis import (band_sets, classify, coeff_poly, exact_order,
+                             leading_tuples, order)
 from utpoly.cpoly import CPolynomial, entry_var
-from utpoly.errors import CapReached, OrderMismatch, ZeroInput
+from utpoly.errors import OrderMismatch, ZeroInput
 from utpoly.fields import FieldDescriptor
 from utpoly.freealg import NcPolynomial, commutator
 from utpoly.triangular import (_CONTEXT_CAP, FieldRing, UTMatrix,
@@ -34,6 +34,11 @@ def comm_product(K):
         c = commutator(X(2 * k + 1, m), X(2 * k + 2, m))
         out = c if out is None else out * c
     return out
+
+
+def is_identity(p, n):
+    """p is an identity of size n iff its order is not below n."""
+    return exact_order(p, n) is None
 
 
 def test_is_identity_ladder():
@@ -105,8 +110,8 @@ def test_order_does_not_mix_tolerances(first, coeff):
 
 def test_order_cap_is_honest():
     # the index search below the order finds nothing, and says so
-    assert _least_live(comm_product(2), 1) is None
-    assert _least_live(comm_product(2), 2) == 2 == exact_order(comm_product(2))
+    assert exact_order(comm_product(2), 2) is None
+    assert exact_order(comm_product(2), 3) == 2 == exact_order(comm_product(2))
     rep = order(comm_product(2), max_n=1)
     assert rep.capped and rep.r is None
     assert rep.to_json(Q)["r"] == "cap"
@@ -275,38 +280,25 @@ def generic_order_r(p, max_n):
                  if generic_evaluate(p, size).entries), None)
 
 
-def generic_classify_r(p, n, max_n=None):
-    """The r of classify(p, n, max_n) as it was before classify read the
-    live-slot index: the order probed through generic evaluations at
-    sizes 1..max_n+1, then the capped branch through the generic
-    evaluation at size n; "cap" where classify raises CapReached."""
-    if max_n is None:
-        max_n = n
-    r = generic_order_r(p, max_n)
-    if r is None and n > max_n + 1 and generic_evaluate(p, n).entries:
-        return "cap"
-    return r
-
-
 def _forbidden(*args, **kwargs):
     raise AssertionError("generic_evaluate called")
 
 
 @pytest.mark.parametrize("field", FIELDS)
 def test_classify_matches_generic_probe(field, monkeypatch):
-    """classify, is_identity, exact_order and the capped index search
-    _least_live read the live-slot index and agree with the generic
-    probe, caps, CapReached and ZeroInput included, without making a
-    generic evaluation.  exact_order is the probe at deg p + 1, which
-    always resolves the order."""
+    """classify and exact_order read the live-slot index and agree with
+    the generic probe, bounds and ZeroInput included, without making a
+    generic evaluation.  classify searches the order up to n;
+    exact_order(p, n) is None exactly when p is an identity of size n,
+    exact_order(p, cap + 1) is the probe capped at cap, and exact_order
+    with no bound is the probe at deg p + 1, which always resolves the
+    order."""
     desc = FieldDescriptor.parse(field)
     polys = list(random_polys(desc, "classify " + field, count=6))
     polys += list(random_ordered_polys(desc, "classify " + field))
-    cells = [(n, max_n) for n in range(1, 5) for max_n in (None, 0, 1, 2)]
     seen = set()
     for p in polys:
-        want = {(n, max_n): generic_classify_r(p, n, max_n)
-                for n, max_n in cells}
+        want = {n: generic_order_r(p, n) for n in range(1, 5)}
         identity = {n: not generic_evaluate(p, n).entries for n in range(1, 5)}
         orders = {cap: generic_order_r(p, cap) for cap in (0, 1, 2)}
         order_r = generic_order_r(p, p.degree() + 1)
@@ -314,27 +306,22 @@ def test_classify_matches_generic_probe(field, monkeypatch):
         with monkeypatch.context() as mp:
             mp.setattr(utpoly.analysis, "generic_evaluate", _forbidden)
             mp.setattr(utpoly.triangular, "generic_evaluate", _forbidden)
-            for (n, max_n), expected in want.items():
-                try:
-                    got = classify(p, n, max_n)
-                except CapReached:
-                    assert expected == "cap", (p.terms, n, max_n)
-                    seen.add("cap")
-                    continue
+            for n, expected in want.items():
+                got = classify(p, n)
                 # the case table is a function of (r, n) alone
-                assert got.r == expected, (p.terms, n, max_n)
+                assert got.r == expected, (p.terms, n)
                 assert expected is not None or got.case == "zero"
                 seen.add(got.case)
             for n, expected in identity.items():
                 assert is_identity(p, n) == expected, (p.terms, n)
             for cap, expected in orders.items():
-                got = _least_live(p, cap)
+                got = exact_order(p, cap + 1)
                 assert got == expected, (p.terms, cap)
                 seen.add(("order", "cap" if got is None else "r"))
             assert exact_order(p) == order_r, p.terms
     with pytest.raises(ZeroInput):
         exact_order(NcPolynomial.zero(desc, 2))
-    assert {"cap", "dense_full", "equals_band", "zero"} <= seen
+    assert {"dense_full", "equals_band", "zero"} <= seen
     assert {("order", "cap"), ("order", "r")} <= seen
 
 

@@ -7,6 +7,8 @@ import time
 
 import pytest
 
+import utpoly.solver
+import utpoly.triangular
 from utpoly.cli import build_parser, main
 
 
@@ -181,6 +183,96 @@ def test_verify_open_set_rejects_zero_polynomial(tmp_path, capsys):
     code, out, err = run(capsys, "verify", "--poly", "x1*x2-x1*x2",
                          "--witness", str(wf), "--open-set", "y[1,2]")
     assert code == 2 and out == "" and "ZeroInput" in err
+
+
+def test_verify_open_set_checks_coordinates_first(tmp_path, capsys,
+                                                  monkeypatch):
+    """verify refuses an open-set variable that is no band coordinate as
+    hit does, before any evaluation: it used to run both routes and then
+    stop on UnboundVariable."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("evaluation before the coordinate check")
+
+    monkeypatch.setattr(utpoly.solver, "evaluate", no_work)
+    monkeypatch.setattr(utpoly.solver, "evaluate_structured", no_work)
+    wf = tmp_path / "witness.json"
+    wf.write_text(json.dumps([{"n": 3, "entries": []}] * 2))
+    for command, extra in (("verify", ("--witness", str(wf))),
+                           ("hit", ("--n", "3"))):
+        code, out, err = run(capsys, command, "--poly", "x1*x2-x2*x1",
+                             *extra, "--open-set", "y[1,1]")
+        assert code == 2 and out == "", err
+        assert err == ("utpoly: VariableOutOfRange: y[1,1] is not a band "
+                       "coordinate for r=1, n=3\n")
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp:101"])
+@pytest.mark.parametrize("text,n", [("x1^2", 2), ("x1^2", 3),
+                                    ("x1*x2-x2*x1", 3),
+                                    ("(x1*x2-x2*x1)^2", 4)])
+def test_zero_target_solves_to_the_zero_tuple(tmp_path, capsys, monkeypatch,
+                                              field, text, n):
+    """p(0) = 0 at every order (0, 1 and 2 here), so the zero target
+    needs no sweep.  x1^2 and (x1*x2-x2*x1)^2 exited 3: a zero target
+    entry forced a zero slope further on in every sweep."""
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("sweep run for the zero target")
+
+    monkeypatch.setattr(utpoly.solver, "_sweep", no_sweep)
+    tf = tmp_path / "t.json"
+    tf.write_text(json.dumps({"n": n, "entries": []}))
+    data = run_json(capsys, "solve", "--poly", text, "--field", field,
+                    "--n", str(n), "--target", str(tf))
+    assert data["diagnostics"]["attempts"] == 0
+    assert all(a["entries"] == [] for a in data["matrices"])
+    wf = tmp_path / "w.json"
+    wf.write_text(json.dumps(data))
+    rep = run_json(capsys, "verify", "--poly", text, "--field", field,
+                   "--witness", str(wf), "--target", str(tf))
+    assert rep["target_met"] is True
+
+
+_SEVEN = ("(x1*x2-x2*x1)*(x3*x4-x4*x3)*(x1*x3-x3*x1)*(x2*x4-x4*x2)"
+          "*(x1*x4-x4*x1)*(x2*x3-x3*x2)*(x1*x2-x2*x1)")
+
+
+@pytest.mark.parametrize("command", ["solve", "hit", "verify"])
+def test_commands_that_know_n_search_the_order_below_n(tmp_path, capsys,
+                                                       command):
+    """A product of seven commutators has order 7.  At n = 3 only r >= 3
+    matters; these took about 20 s each when the order was searched up
+    to deg p = 14.  Runtime budget: 2 s each, from a cold cache."""
+    tf = tmp_path / "t.json"
+    tf.write_text(json.dumps({"n": 3, "entries": []}))
+    wf = tmp_path / "w.json"
+    wf.write_text(json.dumps([{"n": 3, "entries": []}] * 4))
+    extra = {"solve": ("--n", "3", "--target", str(tf)),
+             "hit": ("--n", "3", "--open-set", "y[1,3]"),
+             "verify": ("--witness", str(wf), "--open-set", "1")}[command]
+    utpoly.triangular._context.cache_clear()
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, command, "--poly", _SEVEN, *extra)
+    elapsed = time.perf_counter() - t0
+    if command == "hit":
+        assert code == 2 and out == ""
+        assert "OrderMismatch" in err and "r >= n = 3" in err
+    else:
+        assert code == 0, err
+    assert elapsed < 2.0, elapsed
+
+
+@pytest.mark.parametrize("field", ["C:inf", "C:1e400"])
+def test_complex_tolerance_must_be_finite(tmp_path, capsys, field):
+    """Within an infinite eps every value is zero: eval printed the zero
+    matrix for x1 at a matrix with diagonal entry 5, with exit 0."""
+    f = tmp_path / "m.json"
+    f.write_text(json.dumps([{"n": 1, "entries": [
+        {"j": 1, "k": 1, "value": "5"}]}]))
+    for argv in (("classify", "--n", "2"), ("eval", "--matrices", str(f))):
+        code, out, err = run(capsys, argv[0], "--poly", "x1", "--field",
+                             field, *argv[1:])
+        assert code == 1 and out == "", err
+        assert err.startswith("utpoly: ParseError: tolerance must be")
 
 
 def test_solve_routes_order_zero(tmp_path, capsys):
@@ -363,7 +455,7 @@ _SWEEP = {"--n", "--seed", "--retries", "--height", "--diag-budget",
           "--monomial-budget"}
 DECLARED = {
     "order": {"--max-n", "--height"},
-    "classify": {"--n", "--max-n"},
+    "classify": {"--n"},
     "eval": {"--matrices", "--generic", "--n", "--route", "--monomial-budget"},
     "coeffs": {"--slots", "--leading"},
     "solve": _SWEEP | {"--target"},
@@ -382,12 +474,13 @@ def test_each_subcommand_declares_only_what_it_reads():
                 for name, sp in sub.choices.items()}
     assert declared == {name: {"--poly", "--field", "--m"} | flags
                         for name, flags in DECLARED.items()}
-    assert sum(len(opts) for opts in declared.values()) == 54
+    assert sum(len(opts) for opts in declared.values()) == 53
 
 
 @pytest.mark.parametrize("argv", [
     ("order", "--poly", "x1*x2-x2*x1", "--seed", "3"),
     ("classify", "--poly", "x1", "--n", "2", "--retries", "4"),
+    ("classify", "--poly", "x1", "--n", "2", "--max-n", "3"),
     ("coeffs", "--poly", "x1*x2-x2*x1", "--leading", "1",
      "--monomial-budget", "9"),
     ("order", "--poly", "x1", "--tolerance", "1e-6"),
@@ -619,7 +712,7 @@ def test_unreadable_matrix_value_exits_1(tmp_path, capsys, field, value):
 @pytest.mark.parametrize("argv", [
     ("classify", "--poly", "x1*x2-x2*x1", "--n", "1_0"),
     ("classify", "--poly", "x1*x2-x2*x1", "--n", " 7 "),
-    ("classify", "--poly", "x1*x2-x2*x1", "--n", "3", "--max-n", "\uff13"),
+    ("order", "--poly", "x1*x2-x2*x1", "--max-n", "\uff13"),
     ("coeffs", "--poly", "x1*x2-x2*x1", "--slots", "\u0662"),
     ("coeffs", "--poly", "x1*x2-x2*x1", "--slots", "1, 2"),
     ("coeffs", "--poly", "x1*x2-x2*x1", "--leading", "\u0661"),

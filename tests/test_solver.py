@@ -548,6 +548,9 @@ def test_hit_open_set_rejects_bad_inputs():
     with pytest.raises(OrderMismatch):
         hit_open_set(NcPolynomial.parse("x1", Q), 3,
                      CPolynomial.parse("y[1,2]", Q, kinds="y"))
+    with pytest.raises(OrderMismatch, match="r >= n = 2"):
+        hit_open_set(comm_product(2), 2,
+                     CPolynomial.parse("y[1,2]", Q, kinds="y"))
 
 
 # -- verify ---------------------------------------------------------------------
@@ -556,7 +559,8 @@ def test_hit_open_set_rejects_bad_inputs():
 def test_symbolic_matrices_are_refused_before_any_work(monkeypatch):
     """A witness or target is made of field elements: solve_target,
     solve_diagonal_r0 and verify refuse symbolic ones with FieldMismatch
-    before deriving the order or evaluating anything."""
+    before deriving the order or evaluating anything, and hit_open_set
+    and verify so refuse an open-set polynomial over another field."""
     def no_work(*args, **kwargs):
         raise AssertionError("work done before the field check")
 
@@ -572,6 +576,11 @@ def test_symbolic_matrices_are_refused_before_any_work(monkeypatch):
         verify(p, [symbolic, symbolic])
     with pytest.raises(FieldMismatch):
         verify(p, [qmat(2, {}), qmat(2, {})], target=symbolic)
+    f5 = CPolynomial.parse("y[1,2]", F5, kinds="y")
+    with pytest.raises(FieldMismatch):
+        hit_open_set(p, 2, f5)
+    with pytest.raises(FieldMismatch):
+        verify(p, [qmat(2, {}), qmat(2, {})], f=f5)
 
 
 def test_verify_good_and_corrupted_witness():
