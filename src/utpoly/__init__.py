@@ -11,7 +11,6 @@ from .solver import (PartialAssignment, SolveOptions, WitnessResult,
                      build_sweep_plan_rn, find_diagonals, hit_open_set,
                      solve_diagonal_r0, solve_target, verify)
 from .triangular import (FieldRing, PolyRing, UTMatrix, evaluate,
-                         evaluate_structured, generic_evaluate, generic_tuple,
-                         word_product)
+                         evaluate_structured, generic_evaluate)
 
 __version__ = "0.1.0"

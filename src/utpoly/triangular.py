@@ -20,6 +20,29 @@ binding of a coefficient polynomial's rows z[l, *] to matrix rows: the
 path walk, the solver's diagonal search and its order-0 slot choice all
 read coefficient polynomials through it.
 
+evaluate walks p's words in p.terms order with a stack of the previous
+word's prefix products (_word_products), so a word costs only the
+letters after its longest common prefix with the word before it.  Each
+product is still the same left fold, so the result is bit for bit that
+of folding every word from scratch.
+
+generic_evaluate is p at the generic tuple, whose entries are single
+variables with coefficient one.  A product of generic matrices has, in
+entry (j, k), one monomial per weakly increasing row path from j to k,
+the path being readable from the monomial (its x variables are the
+arcs, its z exponents per row the stays), so every coefficient is one
+and no two paths meet.  _generic_fold therefore keeps a word product as
+{(j, k): [monomial, ...]} with no coefficients, and one step "times
+generic matrix i" multiplies each monomial of entry (j, l) by z[l, i]
+(k = l) or x[l, k, i] (k > l), visiting entries, k and monomials in
+UTMatrix.__matmul__'s order, so term order (C's summation order
+downstream) is that of the matrix fold.  Field arithmetic starts at the
+end of a word: its coefficient times one, added into the sum as
+UTMatrix.__add__ would.  This is still a matrix fold over the words of
+p, sharing their prefix products through the same stack as evaluate; it
+reads nothing from live_slots, so the structured route stays an
+independent check of it.
+
 Each polynomial has one analysis context, keyed on p (whose field
 includes eps), holding its generic evaluations and its live-slot index
 (live_slots); those of the _CONTEXT_CAP most recent polynomials are kept.
@@ -27,8 +50,10 @@ includes eps), holding its generic evaluations and its live-slot index
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
 from itertools import combinations
+from operator import matmul
 
 from .cpoly import CPolynomial, diag_var, entry_var
 from .errors import (ArityMismatch, FieldMismatch, ParseError, ResourceLimit,
@@ -116,21 +141,33 @@ class UTMatrix:
     __slots__ = ("n", "ring", "entries")
 
     def __init__(self, ring, n: int, entries: dict):
-        clean = {}
-        nonzero = ring.nonzero
-        for (j, k), v in entries.items():
+        for j, k in entries:
             if not (1 <= j <= k <= n):
                 raise SizeMismatch(f"entry ({j},{k}) outside upper triangle of size {n}")
-            v = nonzero(v)
-            if v is not None:
-                clean[(j, k)] = v
         self.ring = ring
         self.n = n
-        self.entries = clean
+        self.entries = UTMatrix._own(ring, n, entries).entries
+
+    @classmethod
+    def _own(cls, ring, n: int, entries: dict) -> "UTMatrix":
+        """A matrix built from entries of matrices of size n, whose
+        positions are in the upper triangle by construction: the zero
+        filter runs, the position check does not."""
+        nonzero = ring.nonzero
+        clean = {}
+        for pos, v in entries.items():
+            v = nonzero(v)
+            if v is not None:
+                clean[pos] = v
+        out = cls.__new__(cls)
+        out.ring = ring
+        out.n = n
+        out.entries = clean
+        return out
 
     @classmethod
     def zeros(cls, ring, n: int) -> "UTMatrix":
-        return cls(ring, n, {})
+        return cls._own(ring, n, {})
 
     def entry(self, j: int, k: int):
         v = self.entries.get((j, k))
@@ -147,12 +184,12 @@ class UTMatrix:
         entries = dict(self.entries)
         for pos, v in other.entries.items():
             entries[pos] = entries[pos] + v if pos in entries else v
-        return UTMatrix(self.ring, self.n, entries)
+        return UTMatrix._own(self.ring, self.n, entries)
 
     def scale(self, c) -> "UTMatrix":
         cc = self.ring.scalar(c)
-        return UTMatrix(self.ring, self.n,
-                        {pos: cc * v for pos, v in self.entries.items()})
+        return UTMatrix._own(self.ring, self.n,
+                             {pos: cc * v for pos, v in self.entries.items()})
 
     def __matmul__(self, other):
         self._check(other)
@@ -165,7 +202,7 @@ class UTMatrix:
                 prod = a * b
                 pos = (j, k)
                 entries[pos] = entries[pos] + prod if pos in entries else prod
-        out = UTMatrix(self.ring, self.n, entries)
+        out = UTMatrix._own(self.ring, self.n, entries)
         if self.ring.kind == "poly":
             self.ring.check_size(sum(len(v.terms) for v in out.entries.values()))
         return out
@@ -182,7 +219,13 @@ class UTMatrix:
         return min(k - j for j, k in self.entries) - 1
 
     def eq(self, other: "UTMatrix") -> bool:
+        """Equality entry by entry: within eps over C, as polynomials over
+        the poly ring.  Over Q and F_p, entries at rest are canonical and
+        zero-free, so the entry maps are equal exactly when the matrices
+        are."""
         self._check(other)
+        if self.ring.kind == "field" and self.ring.desc.kind != "complex":
+            return self.entries == other.entries
         for pos in set(self.entries) | set(other.entries):
             if not self.ring.eq(self.entry(*pos), other.entry(*pos)):
                 return False
@@ -260,12 +303,28 @@ def _check_tuple(p, matrices):
     return first.ring
 
 
-def word_product(matrices, word) -> UTMatrix:
-    """Fold of matrix products A_{i_1} @ ... @ A_{i_w}."""
-    acc = matrices[word[0] - 1]
-    for i in word[1:]:
-        acc = acc @ matrices[i - 1]
-    return acc
+def _word_products(p, firsts, factors, times):
+    """(coefficient, product) for each word i_1..i_w of p, in p.terms
+    order, the product being the left fold of times over firsts[i_1 - 1],
+    factors[i_2 - 1], ..., factors[i_w - 1].  A stack keeps the prefix
+    products of the previous word, so a word costs only the letters after
+    its longest common prefix with it; each product is still the same
+    left fold."""
+    stack: list = []       # stack[d - 1]: the product of the first d letters
+    prev: tuple = ()
+    for word, coeff in p.terms.items():
+        shared = 0
+        for a, b in zip(word, prev):
+            if a != b:
+                break
+            shared += 1
+        del stack[shared:]
+        if not stack:
+            stack.append(firsts[word[0] - 1])
+        for i in word[len(stack):]:
+            stack.append(times(stack[-1], factors[i - 1]))
+        prev = word
+        yield coeff, stack[-1]
 
 
 def evaluate(p, matrices) -> UTMatrix:
@@ -274,24 +333,9 @@ def evaluate(p, matrices) -> UTMatrix:
     if ring is None:
         raise ArityMismatch("cannot evaluate with an empty matrix tuple")
     acc = UTMatrix.zeros(ring, matrices[0].n)
-    for word, coeff in p.terms.items():
-        acc = acc + word_product(matrices, word).scale(coeff)
+    for coeff, prod in _word_products(p, matrices, matrices, matmul):
+        acc = acc + prod.scale(coeff)
     return acc
-
-
-def generic_matrix(ring: PolyRing, n: int, i: int) -> UTMatrix:
-    entries = {}
-    for j in range(1, n + 1):
-        entries[(j, j)] = CPolynomial.variable(ring.desc, diag_var(j, i))
-        for k in range(j + 1, n + 1):
-            entries[(j, k)] = CPolynomial.variable(ring.desc, entry_var(j, k, i))
-    return UTMatrix(ring, n, entries)
-
-
-def generic_tuple(field: FieldDescriptor, n: int, m: int,
-                  monomial_budget: int = 10 ** 6) -> list[UTMatrix]:
-    ring = PolyRing(field, monomial_budget)
-    return [generic_matrix(ring, n, i) for i in range(1, m + 1)]
 
 
 _CONTEXT_CAP = 32     # the witness workload returns to some p after 17-20 others
@@ -311,9 +355,66 @@ def generic_evaluate(p, n: int, monomial_budget: int = 10 ** 6) -> UTMatrix:
     generic = _context(p)[0]
     key = (n, monomial_budget)
     if key not in generic:
-        generic[key] = evaluate(
-            p, generic_tuple(p.field, n, max(p.nvars, 1), monomial_budget))
+        generic[key] = _generic_fold(p, n, PolyRing(p.field, monomial_budget))
     return generic[key]
+
+
+def _times_var(mono: tuple, var: tuple) -> tuple:
+    """The monomial mono * var, mono a sorted tuple of (key, exponent)."""
+    at = bisect_left(mono, (var,))
+    if at < len(mono) and mono[at][0] == var:
+        return mono[:at] + ((var, mono[at][1] + 1),) + mono[at + 1:]
+    return mono[:at] + ((var, 1),) + mono[at:]
+
+
+def _generic_fold(p, n: int, ring: PolyRing) -> UTMatrix:
+    """p at the generic tuple of size n, with no field arithmetic inside
+    a word: see the module docstring."""
+    if not p.nvars:
+        # the generic tuple has max(nvars, 1) matrices: one too many here
+        raise ArityMismatch("0 variables but 1 matrices")
+    desc = p.field
+    # rows[i - 1][l]: (k, the variable of entry (l, k) of generic matrix i), k >= l
+    rows = [{l: [(k, diag_var(l, i) if k == l else entry_var(l, k, i))
+                 for k in range(l, n + 1)]
+             for l in range(1, n + 1)}
+            for i in range(1, p.nvars + 1)]
+    letters = [{(l, k): [((var, 1),)] for l, row in by_row.items() for k, var in row}
+               for by_row in rows]
+
+    def times(prod, row):
+        # UTMatrix.__matmul__'s visiting order, so its term order
+        out = {}
+        for (j, l), monos in prod.items():
+            for k, var in row[l]:
+                ext = [_times_var(m, var) for m in monos]
+                pos = (j, k)
+                if pos in out:
+                    out[pos] += ext
+                else:
+                    out[pos] = ext
+        ring.check_size(sum(map(len, out.values())))
+        return out
+
+    zero, one, nonzero = desc.zero(), desc.one(), desc.nonzero
+    sums: dict = {}      # position -> {monomial: coefficient}, UTMatrix.__add__'s order
+    for coeff, prod in _word_products(p, letters, rows, times):
+        v = coeff * one  # UTMatrix.scale's term; nonzero, as p's coefficients are
+        for pos, monos in prod.items():
+            terms = sums.get(pos)
+            if terms is None:
+                sums[pos] = dict.fromkeys(monos, v)
+                continue
+            for m in monos:
+                total = nonzero(terms.get(m, zero) + v)
+                if total is None:
+                    terms.pop(m, None)
+                else:
+                    terms[m] = total
+            if not terms:
+                del sums[pos]
+    return UTMatrix._own(ring, n, {pos: CPolynomial(desc, terms)
+                                   for pos, terms in sums.items()})
 
 
 def live_slots(p, k: int) -> dict:
@@ -389,7 +490,7 @@ def evaluate_structured(p, matrices) -> UTMatrix:
     for s in range(1, n + 1):
         for t in range(s + 1, n + 1):
             entries[(s, t)] = structured_entry(p, s, t, diags, arc)[1]
-    return UTMatrix(ring, n, entries)
+    return UTMatrix._own(ring, n, entries)
 
 
 @lru_cache(maxsize=None)

@@ -232,8 +232,9 @@ def test_zero_target_solves_to_the_zero_tuple(tmp_path, capsys, monkeypatch,
     assert rep["target_met"] is True
 
 
-_SEVEN = ("(x1*x2-x2*x1)*(x3*x4-x4*x3)*(x1*x3-x3*x1)*(x2*x4-x4*x2)"
-          "*(x1*x4-x4*x1)*(x2*x3-x3*x2)*(x1*x2-x2*x1)")
+_FIVE = ("(x1*x2-x2*x1)*(x3*x4-x4*x3)*(x1*x3-x3*x1)*(x2*x4-x4*x2)"
+         "*(x1*x4-x4*x1)")
+_SEVEN = _FIVE + "*(x2*x3-x3*x2)*(x1*x2-x2*x1)"
 
 
 @pytest.mark.parametrize("command", ["solve", "hit", "verify"])
@@ -259,6 +260,19 @@ def test_commands_that_know_n_search_the_order_below_n(tmp_path, capsys,
     else:
         assert code == 0, err
     assert elapsed < 2.0, elapsed
+
+
+def test_order_of_five_commutators_within_budget(capsys):
+    """order probes the generic evaluation at sizes 1..6 of a product of
+    five commutators (order 5).  Folded as coefficient-one monomials with
+    shared prefixes it took about 1.2 s; through polynomial matrix
+    products it took about 9 s.  Runtime budget: 4 s, from a cold cache."""
+    utpoly.triangular._context.cache_clear()
+    t0 = time.perf_counter()
+    data = run_json(capsys, "order", "--poly", _FIVE)
+    elapsed = time.perf_counter() - t0
+    assert data["r"] == 5 and data["witness"]["entry"] == [1, 6]
+    assert elapsed < 4.0, elapsed
 
 
 @pytest.mark.parametrize("field", ["C:inf", "C:1e400"])

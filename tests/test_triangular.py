@@ -3,9 +3,12 @@
 The direct route multiplies matrices; the structured route rebuilds each
 entry from coefficient polynomials in the diagonals times arc products.
 Both are checked against a third, test-local reference that sums over
-nondecreasing index paths.  Agreement of independently-coded routes on
-random inputs is the core correctness check, so none of these tests may
-be weakened to compare a route with itself.
+nondecreasing index paths.  The generic evaluation, a fold with no field
+arithmetic inside a word, and the direct route's shared prefix products
+are checked against a fourth: one full matrix fold per word, at generic
+matrices built entry by entry.  Agreement of independently-coded routes
+on random inputs is the core correctness check, so none of these tests
+may be weakened to compare a route with itself.
 """
 
 import random
@@ -13,7 +16,9 @@ from fractions import Fraction
 
 import pytest
 
+import utpoly.triangular
 from utpoly.analysis import exact_order
+from utpoly.cpoly import CPolynomial, diag_var, entry_var
 from utpoly.errors import (ArityMismatch, FieldMismatch, ParseError,
                            ResourceLimit, SizeMismatch, UtpolyError)
 from utpoly.fields import FieldDescriptor
@@ -21,8 +26,7 @@ from utpoly.freealg import NcPolynomial, commutator
 from utpoly.solver import SolveOptions, solve_target
 from utpoly.triangular import (FieldRing, PolyRing, UTMatrix, evaluate,
                                evaluate_structured, generic_evaluate,
-                               generic_matrix, generic_tuple, live_slots,
-                               word_product)
+                               live_slots)
 
 Q = FieldDescriptor.parse("Q")
 F7 = FieldDescriptor.parse("Fp:7")
@@ -32,6 +36,43 @@ QRING = FieldRing(Q)
 
 def mat(n, entries, ring=QRING):
     return UTMatrix(ring, n, {pos: Fraction(v) for pos, v in entries.items()})
+
+
+def word_product(matrices, word):
+    """Reference fold of matrix products A_{i_1} @ ... @ A_{i_w}."""
+    acc = matrices[word[0] - 1]
+    for i in word[1:]:
+        acc = acc @ matrices[i - 1]
+    return acc
+
+
+def evaluate_words(p, matrices):
+    """Reference for evaluate: one word_product per word, no sharing."""
+    acc = UTMatrix.zeros(matrices[0].ring, matrices[0].n)
+    for word, coeff in p.terms.items():
+        acc = acc + word_product(matrices, word).scale(coeff)
+    return acc
+
+
+def generic_matrix(ring, n, i):
+    """The generic matrix i of size n: each entry its own variable."""
+    entries = {}
+    for j in range(1, n + 1):
+        entries[(j, j)] = CPolynomial.variable(ring.desc, diag_var(j, i))
+        for k in range(j + 1, n + 1):
+            entries[(j, k)] = CPolynomial.variable(ring.desc, entry_var(j, k, i))
+    return UTMatrix(ring, n, entries)
+
+
+def generic_tuple(field, n, m, monomial_budget=10 ** 6):
+    ring = PolyRing(field, monomial_budget)
+    return [generic_matrix(ring, n, i) for i in range(1, m + 1)]
+
+
+def bits(matrix):
+    """Entries with their term order and float bits (repr tells -0.0)."""
+    return repr([(pos, list(v.terms.items()) if hasattr(v, "terms") else v)
+                 for pos, v in matrix.entries.items()])
 
 
 def word_product_paths(matrices, word):
@@ -215,6 +256,9 @@ def test_evaluate_checks_inputs():
         evaluate(p, [a, UTMatrix(FieldRing(F7), 2, {(1, 2): F7.from_int(1)})])
     with pytest.raises(SizeMismatch):
         evaluate(p, [a, mat(3, {(1, 2): 1})])
+    # the generic tuple of a polynomial in no variables has one matrix
+    with pytest.raises(ArityMismatch):
+        generic_evaluate(NcPolynomial.parse("0", Q), 2)
 
 
 def test_generic_matrix_shape():
@@ -262,6 +306,166 @@ def test_generic_evaluate_monomial_budget():
 def test_generic_tuple_arity():
     mats = generic_tuple(Q, 3, 2)
     assert len(mats) == 2 and all(a.n == 3 for a in mats)
+
+
+def shared_poly(desc, rng, m, max_len=5, max_terms=6):
+    """A random p whose words share prefixes with earlier words, repeat
+    letters, and cancel in pairs: c*u*a*b*v - c*u*b*a*v vanishes on the
+    diagonal, as in a commutator."""
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        prefix = rng.choice(list(terms)) if terms and rng.random() < 0.6 else ()
+        prefix = prefix[:rng.randint(0, len(prefix))]
+        tail = rng.randint(1, max(1, max_len - len(prefix)))
+        word = prefix + tuple(rng.randint(1, m) for _ in range(tail))
+        c = desc.sample(rng, 9)
+        terms[word] = terms.get(word, desc.zero()) + c
+        if len(word) >= 2 and rng.random() < 0.5:
+            a = rng.randrange(len(word) - 1)
+            swapped = word[:a] + (word[a + 1], word[a]) + word[a + 2:]
+            terms[swapped] = terms.get(swapped, desc.zero()) - c
+    return NcPolynomial(desc, m, terms)
+
+
+FOLD_FIELDS = ["Q", "Fp:2", "Fp:3", "Fp:101", "C"]
+
+
+@pytest.mark.parametrize("field", FOLD_FIELDS)
+def test_generic_fold_matches_the_matrix_fold(field):
+    """generic_evaluate folds each word as coefficient-one monomials.  It
+    must give the reference's entries with their term order (C's
+    summation order downstream) and float bits; so must evaluate, with
+    its shared prefix products, at the reference's generic matrices."""
+    desc = FieldDescriptor.parse(field)
+    rng = random.Random(field)
+    for _ in range(25):
+        m, n = rng.randint(1, 3), rng.randint(1, 6)
+        p = shared_poly(desc, rng, m)
+        reference = bits(evaluate_words(p, generic_tuple(desc, n, m)))
+        assert bits(generic_evaluate(p, n)) == reference, (p.terms, n)
+        assert bits(evaluate(p, generic_tuple(desc, n, m))) == reference
+
+
+@pytest.mark.parametrize("field", FOLD_FIELDS)
+def test_generic_fold_budget_matches_the_matrix_fold(field):
+    """ResourceLimit fires under exactly the budgets where the reference's
+    products outgrow them: one below the largest product, not at it."""
+    desc = FieldDescriptor.parse(field)
+    rng = random.Random(field)
+    checked = 0
+    for _ in range(12):
+        m, n = rng.randint(1, 3), rng.randint(2, 5)
+        p = shared_poly(desc, rng, m)
+        largest = 0
+        for word in p.terms:
+            for d in range(2, len(word) + 1):
+                prod = word_product(generic_tuple(desc, n, m), word[:d])
+                largest = max(largest, sum(len(v.terms) for v in prod.entries.values()))
+        if not largest:
+            continue
+        checked += 1
+        for budget in (largest - 1, largest):
+            want = _outcome(lambda: evaluate_words(p, generic_tuple(desc, n, m, budget)))
+            assert _outcome(lambda: generic_evaluate(p, n, budget)) == want
+            assert want.startswith("symbolic matrix grew") == (budget < largest)
+    assert checked >= 6
+
+
+def _outcome(run):
+    """bits of the matrix run() returns, or its ResourceLimit message."""
+    try:
+        return bits(run())
+    except ResourceLimit as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp:3", "C"])
+def test_shared_prefixes_give_the_word_by_word_fold(field):
+    desc = FieldDescriptor.parse(field)
+    ring = FieldRing(desc)
+    rng = random.Random(field)
+    for _ in range(40):
+        m, n = rng.randint(1, 3), rng.randint(1, 5)
+        p = shared_poly(desc, rng, m)
+        mats = [rand_matrix(desc, ring, n, rng) for _ in range(m)]
+        assert bits(evaluate(p, mats)) == bits(evaluate_words(p, mats)), p.terms
+
+
+def test_a_word_costs_the_letters_after_the_shared_prefix(monkeypatch):
+    """x1*x2*x3 + x1*x2*x1 + x1*x3: two products for the first word, then
+    one each, since the second shares x1*x2 and the third x1."""
+    p = NcPolynomial.parse("x1*x2*x3 + x1*x2*x1 + x1*x3", Q)
+    rng = random.Random(5)
+    mats = [rand_matrix(Q, QRING, 3, rng) for _ in range(3)]
+    calls = []
+    matmul = UTMatrix.__matmul__
+
+    def counted(a, b):
+        calls.append(1)
+        return matmul(a, b)
+
+    monkeypatch.setattr(UTMatrix, "__matmul__", counted)
+    evaluate(p, mats)
+    assert len(calls) == 4
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("forbidden call")
+
+
+def test_generic_evaluate_multiplies_no_polynomials(monkeypatch):
+    p = NcPolynomial.parse("(x1*x2-x2*x1)*(x3*x1-x1*x3)*x2 + 2*x1*x2*x2", Q)
+    reference = bits(evaluate_words(p, generic_tuple(Q, 4, 3)))
+    utpoly.triangular._context.cache_clear()
+    monkeypatch.setattr(CPolynomial, "__mul__", _forbidden)
+    monkeypatch.setattr(UTMatrix, "__matmul__", _forbidden)
+    assert bits(generic_evaluate(p, 4)) == reference
+
+
+def test_matrices_built_from_entries_skip_the_position_check(monkeypatch):
+    """Products, sums, multiples and the structured route build their
+    matrices from in-range positions, so the public constructor, with
+    its position check, is not called."""
+    rng = random.Random(9)
+    ring = FieldRing(F7)
+    a, b = (rand_matrix(F7, ring, 4, rng) for _ in range(2))
+    p = NcPolynomial.parse("x1*x2 - 3*x2*x1*x2", F7)
+
+    def results():
+        return [a @ b, a + b, a.scale(3), evaluate(p, [a, b]),
+                evaluate_structured(p, [a, b]), UTMatrix.zeros(ring, 4)]
+
+    expected = [x.entries for x in results()]
+    monkeypatch.setattr(UTMatrix, "__init__", _forbidden)
+    assert [x.entries for x in results()] == expected
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp:3", "C"])
+def test_matrix_eq(field, monkeypatch):
+    """Over Q and F_p the entry maps decide, with no per-entry ring.eq;
+    over C values within eps are equal."""
+    desc = FieldDescriptor.parse(field)
+    ring = FieldRing(desc)
+
+    def m(entries):
+        return UTMatrix(ring, 2, entries)
+
+    if field == "C":
+        same = [(m({(1, 2): 1 + 0j}), m({(1, 2): 1 + 1e-12j})),
+                (m({(1, 1): 1e-12}), m({}))]
+    else:
+        # one value in two forms: an unreduced F_3 int, a Q Fraction
+        alt = 4 if field == "Fp:3" else Fraction(1)
+        same = [(m({(1, 2): alt, (2, 2): 2}), m({(2, 2): 2, (1, 2): 1})),
+                (m({(1, 1): 3 if field == "Fp:3" else 0}), m({}))]
+        monkeypatch.setattr(FieldRing, "eq", _forbidden)
+    different = [(m({(1, 2): 1}), m({(1, 2): 2})),
+                 (m({(1, 2): 1}), m({(2, 2): 1})),
+                 (m({(1, 1): 1}), m({}))]
+    for a, b in same:
+        assert a.eq(b) and b.eq(a)
+    for a, b in different:
+        assert not a.eq(b) and not b.eq(a)
 
 
 def _canonical(desc, v):
