@@ -72,8 +72,7 @@ def _read_json(path: str):
 def _options(args, **extra) -> SolveOptions:
     """SolveOptions from the flags in _SWEEP_FLAGS, plus extra fields."""
     return SolveOptions(seed=args.seed, retries=args.retries, height=args.height,
-                        diag_budget=args.diag_budget,
-                        monomial_budget=args.monomial_budget, **extra)
+                        diag_budget=args.diag_budget, **extra)
 
 
 def _matrices_from_file(path: str, desc: FieldDescriptor, budget: int = 10 ** 6):
@@ -109,8 +108,7 @@ _FLAGS = {
     "--monomial-budget": dict(type=_integer, default=10 ** 6),
 }
 # the flags every witness construction (solve, hit) reads
-_SWEEP_FLAGS = ("--n", "--seed", "--retries", "--height", "--diag-budget",
-                "--monomial-budget")
+_SWEEP_FLAGS = ("--n", "--seed", "--retries", "--height", "--diag-budget")
 # the dests of the integer flags that must be at least 1 (Q samples
 # denominators from [1, height]); main refuses a smaller value before
 # any file or polynomial is read

@@ -54,14 +54,13 @@ def _mono_mul(m1: tuple, m2: tuple) -> tuple:
 
 
 class CPolynomial:
-    __slots__ = ("field", "terms", "_hash")
+    __slots__ = ("field", "terms")
 
     def __init__(self, field: FieldDescriptor, terms: dict):
         self.field = field
         nonzero = field.nonzero
         self.terms = {m: v for m, c in terms.items()
                       if (v := nonzero(c)) is not None}
-        self._hash = None
 
     # -- construction -------------------------------------------------------
 
@@ -100,11 +99,6 @@ class CPolynomial:
         if not isinstance(other, CPolynomial):
             return NotImplemented
         return self.field == other.field and self.terms == other.terms
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.field, tuple(sorted(self.terms.items()))))
-        return self._hash
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -171,7 +165,7 @@ class CPolynomial:
         return f"CPolynomial({self.field.render()}, {self.render()})"
 
 
-class _CBuilder(parsing.Builder):
+class _CBuilder:
     def __init__(self, field: FieldDescriptor, kinds: str):
         self.field = field
         self.kinds = kinds

@@ -15,8 +15,6 @@ from . import parsing
 from .errors import ArityMismatch, ConstantTermError, FieldMismatch, ParseError, VariableOutOfRange
 from .fields import FieldDescriptor, add_terms, mul_terms, render_terms
 
-Word = tuple  # tuple of 1-based variable indices, nonempty
-
 
 class NcPolynomial:
     __slots__ = ("field", "nvars", "terms", "_hash")
@@ -137,7 +135,7 @@ class NcPolynomial:
         return f"NcPolynomial({self.field.render()}, m={self.nvars}, {self.pretty()})"
 
 
-class _FreeBuilder(parsing.Builder):
+class _FreeBuilder:
     def __init__(self, field: FieldDescriptor):
         self.field = field
         self.max_index = 0

@@ -14,7 +14,7 @@ Numbers, suffixes and indices are written in the ASCII digits 0-9 only:
 other Unicode digits (x², x٣) are refused, not read as numbers.
 The engine is shared by the free-algebra parser and the structured
 coefficient-polynomial parser; each supplies a builder that decides which
-variable shapes are legal and how constants embed.
+variable shapes are legal and how constants embed (see parse_text).
 """
 
 from __future__ import annotations
@@ -97,27 +97,8 @@ def tokenize(text: str) -> list[Token]:
     return out
 
 
-class Builder:
-    """What a parse target must provide. Methods may raise ParseError."""
-
-    def const(self, text: str):
-        raise NotImplementedError
-
-    def var(self, token: Token):
-        raise NotImplementedError
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-
 class _Parser:
-    def __init__(self, tokens: list[Token], builder: Builder):
+    def __init__(self, tokens: list[Token], builder):
         self.toks = tokens
         self.i = 0
         self.b = builder
@@ -213,5 +194,8 @@ class _Parser:
         return node
 
 
-def parse_text(text: str, builder: Builder):
+def parse_text(text: str, builder):
+    """text parsed into the builder's values.  The builder provides
+    const(text) for a number literal, var(token) for a VAR or BVAR token,
+    add(a, b), neg(a) and mul(a, b); each may raise ParseError."""
     return _Parser(tokenize(text), builder).parse()

@@ -31,7 +31,8 @@ because another summation order moves the last bits of the floats and
 with them the witness the sweep prints: one partial evaluation at every
 other variable leaves c1*fresh + c0, c1 is the slope, and the offset
 c0 is that polynomial at fresh = 0; any other monomial left is an
-internal inconsistency.
+internal inconsistency.  It runs under generic_evaluate's default
+monomial guard: past it, C solve and hit raise ResourceLimit.
 
 A zero slope makes the attempt fail and the next one resample; the
 guarantee behind the construction is density, not surjectivity, so a
@@ -59,9 +60,9 @@ from .errors import (BandViolation, BudgetExhausted, DegenerateCoefficient,
                      ZeroInput)
 from .fields import FieldDescriptor, solve_univariate
 from .freealg import NcPolynomial
-from .triangular import (FieldRing, UTMatrix, _diag_keys, evaluate,
-                         evaluate_structured, generic_evaluate, live_slots,
-                         row_values, structured_entry)
+from .triangular import (FieldRing, UTMatrix, evaluate, evaluate_structured,
+                         generic_evaluate, live_slots, row_values,
+                         structured_entry)
 
 
 class PartialAssignment:
@@ -137,16 +138,14 @@ class SolveOptions:
     """The knobs of one witness construction: the seed of its random
     stream, the attempts of the sweep (retries), the sampling height (Q
     draws denominators from [1, height]), the samples of each diagonal
-    search (diag_budget), hit's random tuples after its sweeps
-    (nonzero_budget), and the monomial bound of the generic matrices the
-    C sweep reads.  The CLI refuses a value below 1 for every knob but
-    the seed."""
+    search (diag_budget) and hit's random tuples after its sweeps
+    (nonzero_budget).  The CLI refuses a value below 1 for every knob
+    but the seed."""
     seed: int = 0
     retries: int = 16
     height: int = 256
     diag_budget: int = 200
     nonzero_budget: int = 200
-    monomial_budget: int = 10 ** 6
 
 
 @dataclass
@@ -324,11 +323,11 @@ def _affine_parts(generic: UTMatrix, s: int, t: int, values: dict,
     return cur.terms.get(linear, zero), offset.terms.get((), zero)
 
 
-def _affine_entry(p: NcPolynomial, s: int, t: int, values: dict,
-                  fresh) -> tuple:
+def _affine_entry(p: NcPolynomial, diags: list, s: int, t: int,
+                  values: dict, fresh) -> tuple:
     """(slope, offset) of entry (s, t) in its fresh variable with every
-    other variable at its value: the two sums of structured_entry."""
-    diags = [tuple(values[z] for z in row) for row in _diag_keys(t, p.nvars)]
+    other variable at its value, the diagonals being the attempt's rows
+    of diagonal values: the two sums of structured_entry."""
 
     def arc(pos, i):
         v = values.get(("x", *pos, i))
@@ -348,12 +347,8 @@ def _sweep(p: NcPolynomial, n: int, r: int, target: UTMatrix,
     desc = p.field
     m = p.nvars
     rng = random.Random(opt.seed)
-    if desc.kind == "complex":
-        # the symbolic entry keeps C's float summation order
-        affine = partial(_affine_parts,
-                         generic_evaluate(p, n, opt.monomial_budget))
-    else:
-        affine = partial(_affine_entry, p)
+    # over C the symbolic entry keeps C's float summation order
+    generic = generic_evaluate(p, n) if desc.kind == "complex" else None
     if r:
         leads = leading_tuples(p, r)
         if not leads:
@@ -384,6 +379,8 @@ def _sweep(p: NcPolynomial, n: int, r: int, target: UTMatrix,
         for j in range(1, n + 1):
             for i in range(1, m + 1):
                 assign.set(diag_var(j, i), diags[j - 1][i - 1])
+        affine = (partial(_affine_entry, p, diags) if generic is None
+                  else partial(_affine_parts, generic))
         for s, t, fresh in entries:
             if fresh is not None:
                 slope, offset = affine(s, t, assign.values, fresh)
@@ -494,8 +491,9 @@ def solve_diagonal_r0(p: NcPolynomial, n: int, target: UTMatrix,
 
 
 def band_coordinates(n: int, r: int) -> list[tuple]:
-    """Positions (s,t) with t - s >= r, the coordinates of band r-1."""
-    return [(s, t) for s in range(1, n + 1) for t in range(s + 1, n + 1)
+    """Positions (s,t), s <= t, with t - s >= r: the coordinates of band
+    r-1, the diagonal included at r = 0 (band -1 is the whole algebra)."""
+    return [(s, t) for s in range(1, n + 1) for t in range(s, n + 1)
             if t - s >= r]
 
 

@@ -370,9 +370,6 @@ def _times_var(mono: tuple, var: tuple) -> tuple:
 def _generic_fold(p, n: int, ring: PolyRing) -> UTMatrix:
     """p at the generic tuple of size n, with no field arithmetic inside
     a word: see the module docstring."""
-    if not p.nvars:
-        # the generic tuple has max(nvars, 1) matrices: one too many here
-        raise ArityMismatch("0 variables but 1 matrices")
     desc = p.field
     # rows[i - 1][l]: (k, the variable of entry (l, k) of generic matrix i), k >= l
     rows = [{l: [(k, diag_var(l, i) if k == l else entry_var(l, k, i))
@@ -424,22 +421,25 @@ def live_slots(p, k: int) -> dict:
     The coefficient polynomial of slots (i_1..i_k), in z[1..k+1, *],
     multiplies x[1,2,i_1]*...*x[k,k+1,i_k] in entry (1, k+1) of the
     generic evaluation at size k+1 once every other strictly-upper
-    variable is zero.  One pass over the words counts placements:
+    variable is zero.  One pass over the words visits placements:
     positions q_1 < ... < q_k, whose letters are the slots, every other
     letter giving z[row, letter] with row 1 + the placed letters before
-    it.  Visiting placements latest first and words in p.terms order
-    repeats the field operations of the generic evaluation, so each
-    polynomial matches it bit for bit, term order (eval_full's summation
-    order over C) included.
+    it.  Row l thus has degree q_l - q_{l-1} - 1, so the monomial fixes
+    the placement: one placement, one (slots, monomial) key, and each
+    adds the word's coefficient times one, as the generic fold does.
+    Visiting placements latest first and words in p.terms order repeats
+    the field operations of the generic evaluation, so each polynomial
+    matches it bit for bit, term order (eval_full's summation order over
+    C) included.
     """
     index = _context(p)[1]
     if k in index:
         return index[k]
     desc = p.field
-    zero = desc.zero()
+    zero, one = desc.zero(), desc.one()
     sums: dict = {}          # slots -> {diagonal monomial: coefficient}
     for word, c in p.terms.items():
-        counts: dict = {}    # (slots, diagonal monomial) -> placements
+        v = c * one
         for rev in combinations(range(len(word) - 1, -1, -1), k):
             pos = rev[::-1]
             z = {}
@@ -450,20 +450,15 @@ def live_slots(p, k: int) -> dict:
                 else:
                     var = diag_var(row, letter)
                     z[var] = z.get(var, 0) + 1
-            key = (tuple(word[q] for q in pos), tuple(sorted(z.items())))
-            counts[key] = counts.get(key, 0) + 1
-        for (slots, mono), count in counts.items():
-            terms = sums.setdefault(slots, {})
-            v = c * desc.from_int(count)
-            if desc.is_zero(v):
-                continue
-            v = terms.get(mono, zero) + v
-            if desc.is_zero(v):
+            terms = sums.setdefault(tuple(word[q] for q in pos), {})
+            mono = tuple(sorted(z.items()))
+            total = terms.get(mono, zero) + v
+            if desc.is_zero(total):
                 # a cancelled monomial leaves the polynomial, as in a sum
                 # of polynomials, and re-enters at the end if met again
                 terms.pop(mono, None)
             else:
-                terms[mono] = v
+                terms[mono] = total
     out = index[k] = {slots: CPolynomial(desc, sums[slots])
                       for slots in sorted(sums) if sums[slots]}
     return out

@@ -1,5 +1,6 @@
 """Order computation, coefficient polynomials, band sets, classification."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -209,6 +210,23 @@ def test_live_slot_index_lists_exactly_the_nonzero_tuples(field):
             assert list(index) == list(want)
             for slots, q in index.items():
                 assert _terms_bits(q) == _terms_bits(want[slots]), slots
+
+
+def test_each_placement_of_a_word_has_its_own_key():
+    """A placement q_1 < ... < q_k of a word puts q_l - q_{l-1} - 1
+    letters on row l, so its monomial fixes it: no two placements share
+    a (slots, monomial) key, and live_slots adds each once, uncounted.
+    For one word c*w the index thus holds C(len(w), k) monomials, every
+    one with coefficient c, at every k."""
+    rng = random.Random(19)
+    for _ in range(300):
+        word = tuple(rng.randint(1, 2) for _ in range(rng.randint(1, 9)))
+        p = NcPolynomial(Q, 2, {word: Fraction(3)})
+        for k in range(1, len(word) + 1):
+            coeffs = [c for q in live_slots(p, k).values()
+                      for c in q.terms.values()]
+            assert len(coeffs) == math.comb(len(word), k), (word, k)
+            assert set(coeffs) == {Fraction(3)}, (word, k)
 
 
 def test_evicted_context_gives_the_same_answers():

@@ -57,6 +57,16 @@ def test_eval_generic(capsys):
     assert "x[1,2,1]" in entries[(1, 2)] and "x[1,2,2]" in entries[(1, 2)]
 
 
+def test_eval_generic_of_zero_in_no_variables(capsys):
+    """The polynomial 0 has no variables and no terms: its generic
+    evaluation is the zero matrix, as that of x1-x1 is.  It used to exit
+    2 with ArityMismatch about a matrix the user never gave."""
+    zero = run(capsys, "eval", "--poly", "0", "--generic", "--n", "2")
+    assert zero == run(capsys, "eval", "--poly", "x1-x1", "--generic",
+                       "--n", "2")
+    assert zero == (0, '{"result":{"entries":[],"n":2,"ring":"poly"}}\n', "")
+
+
 @pytest.mark.parametrize("modes", [(), ("--generic", "--matrices", "m.json")])
 def test_eval_takes_exactly_one_mode(capsys, modes):
     """--matrices and --generic are one required group: giving both was
@@ -204,6 +214,19 @@ def test_verify_open_set_checks_coordinates_first(tmp_path, capsys,
         assert code == 2 and out == "", err
         assert err == ("utpoly: VariableOutOfRange: y[1,1] is not a band "
                        "coordinate for r=1, n=3\n")
+
+
+def test_verify_open_set_at_order_zero_reads_the_diagonal(tmp_path, capsys):
+    """Order 0 is dense in band -1, the whole algebra, so y[s,s] is one
+    of its coordinates: verify used to refuse y[1,1] with exit 2."""
+    wf = tmp_path / "witness.json"
+    wf.write_text(json.dumps([{"n": 2, "entries": [
+        {"j": 1, "k": 1, "value": "3"}, {"j": 1, "k": 2, "value": "5"}]}]))
+    for open_set, met in (("y[1,1]-3", False), ("y[1,1]*y[1,2]-14", True),
+                          ("y[2,2]", False)):
+        rep = run_json(capsys, "verify", "--poly", "x1", "--witness", str(wf),
+                       "--open-set", open_set)
+        assert rep["open_set_met"] is met, open_set
 
 
 @pytest.mark.parametrize("field", ["Q", "Fp:101"])
@@ -465,8 +488,7 @@ def test_solve_complex_routes_disagree_on_every_retry(tmp_path, capsys):
 
 # -- declared options -------------------------------------------------------------
 
-_SWEEP = {"--n", "--seed", "--retries", "--height", "--diag-budget",
-          "--monomial-budget"}
+_SWEEP = {"--n", "--seed", "--retries", "--height", "--diag-budget"}
 DECLARED = {
     "order": {"--max-n", "--height"},
     "classify": {"--n"},
@@ -488,7 +510,7 @@ def test_each_subcommand_declares_only_what_it_reads():
                 for name, sp in sub.choices.items()}
     assert declared == {name: {"--poly", "--field", "--m"} | flags
                         for name, flags in DECLARED.items()}
-    assert sum(len(opts) for opts in declared.values()) == 53
+    assert sum(len(opts) for opts in declared.values()) == 51
 
 
 @pytest.mark.parametrize("argv", [
@@ -503,6 +525,10 @@ def test_each_subcommand_declares_only_what_it_reads():
     ("solve", "--poly", "x1", "--n", "1", "--target", "t.json", "--max-n", "3"),
     ("hit", "--poly", "x1*x2-x2*x1", "--n", "2", "--open-set", "y[1,2]",
      "--max-n", "3"),
+    ("solve", "--poly", "x1", "--n", "1", "--target", "t.json",
+     "--monomial-budget", "5"),
+    ("hit", "--poly", "x1*x2-x2*x1", "--n", "2", "--open-set", "y[1,2]",
+     "--monomial-budget", "5"),
 ])
 def test_undeclared_option_is_a_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -556,21 +582,6 @@ def test_nan_residual_fails_the_target(tmp_path, capsys):
         rep = json.loads(out, parse_constant=pytest.fail)
         assert rep["target_met"] is False, poly
         assert rep["target_residual"] is None, poly
-
-
-@pytest.mark.parametrize("field,code", [("Q", 0), ("Fp:101", 0), ("C", 2)])
-def test_monomial_budget_bounds_only_generic_matrices(tmp_path, capsys,
-                                                      field, code):
-    """Q and F_p solve make no generic evaluation, so a tiny budget no
-    longer stops them; the C sweep still reads the generic entry."""
-    tf = tmp_path / "t.json"
-    tf.write_text(json.dumps({"n": 3, "entries": [
-        {"j": 1, "k": 2, "value": "1"}]}))
-    got, out, err = run(capsys, "solve", "--poly", "x1*x2-x2*x1",
-                        "--field", field, "--n", "3", "--target", str(tf),
-                        "--monomial-budget", "5")
-    assert got == code, err
-    assert ("ResourceLimit" in err) == (code == 2)
 
 
 def test_parser_is_built_once():
@@ -740,7 +751,7 @@ def test_unreadable_matrix_value_exits_1(tmp_path, capsys, field, value):
      "--retries", " 4"),
     ("solve", "--poly", "x1", "--n", "1", "--target", "t.json",
      "--diag-budget", "2_00"),
-    ("solve", "--poly", "x1", "--n", "1", "--target", "t.json",
+    ("eval", "--poly", "x1", "--generic", "--n", "2",
      "--monomial-budget", "1_000"),
     ("hit", "--poly", "x1*x2-x2*x1", "--n", "2", "--open-set", "y[1,2]",
      "--nonzero-budget", "1_0")])

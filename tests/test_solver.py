@@ -325,7 +325,7 @@ def test_structured_affine_parts_match_generic_entry(field):
             for s, t, fresh in entries:
                 if fresh is None:
                     break
-                got = _affine_entry(p, s, t, assign.values, fresh)
+                got = _affine_entry(p, diags, s, t, assign.values, fresh)
                 want = _affine_parts(generic, s, t, assign.values, fresh)
                 assert got == want, (p.terms, n, s, t)
                 checked.add((r, desc.is_zero(got[0])))
@@ -401,11 +401,12 @@ def test_complex_affine_parts_keep_their_bits(field):
 def test_structured_affine_parts_need_every_other_variable():
     p = comm_product(1)
     n = 3
-    values = {diag_var(j, i): Fraction(j + i) for j in range(1, n + 1)
+    diags = [(Fraction(j + 1), Fraction(j + 2)) for j in range(1, n + 1)]
+    values = {diag_var(j, i): diags[j - 1][i - 1] for j in range(1, n + 1)
               for i in (1, 2)}
     values[entry_var(1, 2, 1)] = Fraction(1)
     with pytest.raises(InternalInconsistency, match="unassigned"):
-        _affine_entry(p, 1, 3, values, entry_var(2, 3, 1))
+        _affine_entry(p, diags, 1, 3, values, entry_var(2, 3, 1))
     with pytest.raises(InternalInconsistency, match="not affine"):
         _affine_parts(generic_evaluate(p, n), 1, 3, values, entry_var(2, 3, 1))
 

@@ -1,10 +1,11 @@
 """No library code that only tests call.
 
-Every top-level function and class in src/utpoly must be referenced by
-name somewhere in src/utpoly or bench/ outside its own definition; the
-package's re-exports in __init__.py do not count as a use.  A name with
-no such reference is either dead code or a public helper kept on
-purpose, and the latter is listed below with its reason.
+Every top-level function and class in src/utpoly, and every module-level
+name bound by assignment, must be referenced by name somewhere in
+src/utpoly or bench/ outside its own definition; the package's
+re-exports in __init__.py do not count as a use.  A name with no such
+reference is either dead code or a public helper kept on purpose, and
+the latter is listed below with its reason.
 """
 
 import ast
@@ -39,6 +40,18 @@ def _uses(tree) -> Counter:
     return out
 
 
+def _defined(node) -> list:
+    """The names a top-level statement binds: a function or class, or
+    the plain names an assignment targets (Word = tuple, say)."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
 def _unreferenced() -> dict:
     """{name: module} for top-level definitions with no reference."""
     trees = {path: ast.parse(path.read_text())
@@ -48,9 +61,8 @@ def _unreferenced() -> dict:
                 if path.parent == SRC), Counter())
     # the bench's own helpers (bench/oracle.py's commutator, say) share
     # names with utpoly's; a use of such a name in bench/ is the bench's
-    own = {node.name for path, tree in trees.items() if path.parent == BENCH
-           for node in tree.body
-           if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    own = {name for path, tree in trees.items() if path.parent == BENCH
+           for node in tree.body for name in _defined(node)}
     for path, tree in trees.items():
         if path.parent == BENCH:
             used.update({name: count for name, count in _uses(tree).items()
@@ -60,9 +72,9 @@ def _unreferenced() -> dict:
         if path.parent != SRC:
             continue
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and \
-                    used[node.name] == _uses(node)[node.name]:
-                out[node.name] = path.name
+            for name in _defined(node):
+                if used[name] == _uses(node)[name]:
+                    out[name] = path.name
     return out
 
 

@@ -256,9 +256,10 @@ def test_evaluate_checks_inputs():
         evaluate(p, [a, UTMatrix(FieldRing(F7), 2, {(1, 2): F7.from_int(1)})])
     with pytest.raises(SizeMismatch):
         evaluate(p, [a, mat(3, {(1, 2): 1})])
-    # the generic tuple of a polynomial in no variables has one matrix
-    with pytest.raises(ArityMismatch):
-        generic_evaluate(NcPolynomial.parse("0", Q), 2)
+    # a polynomial in no variables has no terms: its generic evaluation
+    # is the zero matrix, with no generic matrix to check against
+    zero = generic_evaluate(NcPolynomial.parse("0", Q), 2)
+    assert zero.n == 2 and zero.entries == {}
 
 
 def test_generic_matrix_shape():
