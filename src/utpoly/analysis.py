@@ -144,17 +144,6 @@ def leading_tuples(p: NcPolynomial, r: int) -> list[tuple]:
     return list(live_slots(p, r))
 
 
-def band_sets(s: int, t: int, r: int) -> frozenset:
-    """The off-diagonal positions between rows s and t whose jump is
-    small enough to matter at order r: pairs (j,k) with s <= j < k <= t
-    and (t-s) - (k-j) >= r-1."""
-    if not (1 <= s < t) or r < 1:
-        raise ValueError(f"band_sets needs 1 <= s < t and r >= 1, got ({s},{t},{r})")
-    return frozenset((j, k) for j in range(s, t + 1)
-                     for k in range(j + 1, t + 1)
-                     if (t - s) - (k - j) >= r - 1)
-
-
 @dataclass
 class Classification:
     case: str            # dense_full | equals_band | dense_in_band | zero

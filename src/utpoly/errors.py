@@ -78,10 +78,6 @@ class InternalInconsistency(UtpolyError):
     """A structural guarantee failed; indicates a bug, not bad input."""
 
 
-class IncompatibleAssignment(UtpolyError):
-    """Two partial assignments disagree on a shared variable."""
-
-
 # -- budget errors (exit code 3) ---------------------------------------------
 
 

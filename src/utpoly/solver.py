@@ -15,7 +15,9 @@ position (r+s-1, r+s+t') (see build_sweep_plan_rn), and every non-fresh
 variable is sampled before the first entry.  For r = 0 each diagonal
 solves a univariate restriction of p for the target's diagonal entry,
 and entry (s, t) is solved through slot i* of position (s, t), whose
-other slots are sampled just before it.
+other slots are sampled just before it.  Either way an attempt assigns
+each variable once, into a plain dict, and no earlier entry reads an
+entry's fresh variable, so a solved entry stays solved.
 
 The order comes from the live-slot index, searched only below n
 (analysis.exact_order(p, n)): the image of p on size n is fixed by the
@@ -52,85 +54,39 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import combinations
 
-from .analysis import band_sets, coeff_poly, exact_order, leading_tuples
+from .analysis import coeff_poly, exact_order, leading_tuples
 from .cpoly import CPolynomial, diag_var, entry_var, out_var, render_var
 from .errors import (BandViolation, BudgetExhausted, DegenerateCoefficient,
-                     FieldMismatch, IncompatibleAssignment, InternalInconsistency,
-                     NoRootInField, OrderMismatch, VariableOutOfRange,
-                     ZeroInput)
-from .fields import FieldDescriptor, solve_univariate
+                     FieldMismatch, InternalInconsistency, NoRootInField,
+                     OrderMismatch, VariableOutOfRange, ZeroInput)
+from .fields import solve_univariate
 from .freealg import NcPolynomial
 from .triangular import (FieldRing, UTMatrix, evaluate, evaluate_structured,
                          generic_evaluate, live_slots, row_values,
                          structured_entry)
 
 
-class PartialAssignment:
-    """Variable values accumulated across the sweep.  Setting a key twice
-    with disagreeing values fails: blocks that overlap must agree on the
-    overlap, which is what makes the per-entry solutions mergeable."""
-
-    def __init__(self, desc: FieldDescriptor):
-        self.desc = desc
-        self.values: dict = {}
-
-    def set(self, key, value):
-        if key in self.values and not self.desc.eq(self.values[key], value):
-            raise IncompatibleAssignment(
-                f"{render_var(key)} set to two different values")
-        self.values[key] = value
-
-
-@dataclass(frozen=True)
-class PlanEntry:
-    s: int
-    t: int
-    fresh: tuple              # entry variable key at (r+s-1, t)
-
-
-def build_sweep_plan_rn(r: int, n: int, lead: tuple) -> list[PlanEntry]:
-    """The combinatorial schedule for given (r, n) and leading tuple:
-    the target entries band by band (band t' = t - r - s), each with
-    its fresh variable.
-
-    Three facts are checked while building, not assumed:
-      1. each fresh position is new (not in any earlier entry's support);
-      2. for non-initial entries with r + t' >= 2, the overlap with earlier
-         supports contains (s, s+1); when r + t' = 1 (order-1 base band)
-         the blocks are singletons and the overlap is provably empty;
-      3. no position is designated fresh twice.
+def build_sweep_plan_rn(r: int, n: int, lead: tuple) -> list[tuple]:
+    """The schedule of an r >= 1 sweep: target entries (s, t) band by
+    band (t' = t - r - s), each with its fresh variable, slot lead[-1]
+    of position (r+s-1, t).  Entry (s, t) reads its support, the (j, k)
+    with s <= j < k <= t and k - j <= t' + 1.  Three facts hold for
+    every (r, n), so nothing re-checks them; tests/test_solver.py
+    recomputes them from the supports for n <= 24:
+      1. each fresh position is new: its jump t' + 1 clears the supports
+         of lower bands, and its column t those of its band before it;
+      2. for non-initial entries with r + t' >= 2, the overlap with
+         earlier supports contains (s, s+1) (in entry (s, t-1)'s when
+         t' >= 1, (s-1, t-1)'s when t' = 0); when r + t' = 1 the
+         supports are disjoint singletons;
+      3. no position is fresh twice: (s, t) -> (r+s-1, t) is injective.
     """
     if not (1 <= r < n):
         raise OrderMismatch(f"plan needs 1 <= r < n, got r={r}, n={n}")
     if len(lead) != r:
         raise OrderMismatch(f"leading tuple length {len(lead)} != r={r}")
-    entries = []
-    seen_union: set = set()
-    fresh_seen: set = set()
-    for band in range(0, n - r):
-        for s in range(1, n - r - band + 1):
-            t = r + s + band
-            support = band_sets(s, t, r)
-            fresh_pos = (r + s - 1, t)
-            old = support & seen_union
-            if fresh_pos not in support or fresh_pos in seen_union:
-                raise InternalInconsistency(
-                    f"fresh position {fresh_pos} not new at entry ({s},{t})")
-            if entries:
-                if r + band >= 2:
-                    if (s, s + 1) not in old:
-                        raise InternalInconsistency(
-                            f"(s,s+1) missing from overlap at entry ({s},{t})")
-                elif old:
-                    raise InternalInconsistency(
-                        f"unexpected overlap at order-1 base entry ({s},{t})")
-            if fresh_pos in fresh_seen:
-                raise InternalInconsistency(
-                    f"position {fresh_pos} designated fresh twice")
-            fresh_seen.add(fresh_pos)
-            entries.append(PlanEntry(s, t, entry_var(r + s - 1, t, lead[r - 1])))
-            seen_union |= support
-    return entries
+    return [(s, r + s + band, entry_var(r + s - 1, r + s + band, lead[-1]))
+            for band in range(n - r) for s in range(1, n - r - band + 1)]
 
 
 @dataclass
@@ -268,29 +224,28 @@ def _diagonals_r0(p: NcPolynomial, n: int, target: UTMatrix, rng,
     return diags, missed_root
 
 
-def _entries_positive(n: int, m: int, lead: tuple, assign: PartialAssignment,
-                      rng, height: int):
-    """(s, t, fresh) in plan order, after sampling every non-fresh
-    strictly-upper variable in (j, k, i) order."""
+def _entries_positive(n: int, m: int, lead: tuple, values: dict, desc,
+                      rng, height: int) -> list[tuple]:
+    """The plan's (s, t, fresh) entries, after sampling every non-fresh
+    strictly-upper variable into values in (j, k, i) order."""
     plan = build_sweep_plan_rn(len(lead), n, lead)
-    fresh_keys = {e.fresh for e in plan}
+    fresh_keys = {fresh for _, _, fresh in plan}
     for j in range(1, n + 1):
         for k in range(j + 1, n + 1):
             for i in range(1, m + 1):
                 key = entry_var(j, k, i)
                 if key not in fresh_keys:
-                    assign.set(key, assign.desc.sample(rng, height))
-    for e in plan:
-        yield e.s, e.t, e.fresh
+                    values[key] = desc.sample(rng, height)
+    return plan
 
 
-def _entries_r0(n: int, diags: list, arcs: list, assign: PartialAssignment,
+def _entries_r0(n: int, diags: list, arcs: list, values: dict, desc,
                 rng, height: int):
     """(s, t, fresh) band by band.  The fresh slot i* is the first in
     arcs, (slot, nonzero single-arc coefficient polynomial) pairs, whose
     polynomial is nonzero at the diagonals of rows s and t (fresh is None
-    when none is); the other slots of (s, t) are sampled just before."""
-    desc = assign.desc
+    when none is); the other slots of (s, t) are sampled into values just
+    before, and only then, so a failed entry ends the draws."""
     m = len(diags[0])
     for span in range(1, n):
         for s in range(1, n - span + 1):
@@ -303,7 +258,7 @@ def _entries_r0(n: int, diags: list, arcs: list, assign: PartialAssignment,
                 return
             for i in range(1, m + 1):
                 if i != star:
-                    assign.set(entry_var(s, t, i), desc.sample(rng, height))
+                    values[entry_var(s, t, i)] = desc.sample(rng, height)
             yield s, t, entry_var(s, t, star)
 
 
@@ -362,32 +317,29 @@ def _sweep(p: NcPolynomial, n: int, r: int, target: UTMatrix,
     missed_root = False
     last_entry = None
     for attempt in range(opt.retries):
-        # the entry generators draw nothing until the loop below pulls
-        # their first entry, after the diagonals are in place
-        assign = PartialAssignment(desc)
         if r:
             lead = leads[attempt % len(leads)]
             diags = find_diagonals(p, lead, n, rng, opt.diag_budget, opt.height)
-            entries = _entries_positive(n, m, lead, assign, rng, opt.height)
         else:
             lead = None
             diags, missed = _diagonals_r0(p, n, target, rng, opt)
             missed_root = missed_root or missed
             if diags is None:
                 continue
-            entries = _entries_r0(n, diags, arcs, assign, rng, opt.height)
-        for j in range(1, n + 1):
-            for i in range(1, m + 1):
-                assign.set(diag_var(j, i), diags[j - 1][i - 1])
+        values = {diag_var(j, i): v for j, row in enumerate(diags, 1)
+                  for i, v in enumerate(row, 1)}
+        entries = (_entries_positive(n, m, lead, values, desc, rng, opt.height)
+                   if r else
+                   _entries_r0(n, diags, arcs, values, desc, rng, opt.height))
         affine = (partial(_affine_entry, p, diags) if generic is None
                   else partial(_affine_parts, generic))
         for s, t, fresh in entries:
             if fresh is not None:
-                slope, offset = affine(s, t, assign.values, fresh)
+                slope, offset = affine(s, t, values, fresh)
             if fresh is None or desc.is_zero(slope):
                 last_entry = (s, t)
                 break
-            assign.set(fresh, desc.div(target.entry(s, t) - offset, slope))
+            values[fresh] = desc.div(target.entry(s, t) - offset, slope)
         else:
             diagnostics = {
                 "attempts": attempt + 1,
@@ -396,7 +348,7 @@ def _sweep(p: NcPolynomial, n: int, r: int, target: UTMatrix,
                               for row in diags],
                 "seed": opt.seed,
             }
-            matrices = _matrices_from_assignment(desc, n, m, assign.values)
+            matrices = _matrices_from_assignment(desc, n, m, values)
             achieved, rep = _replay(p, matrices, r, target, f)
             if not rep["dual_evaluation_agrees"]:
                 # over C an ill-conditioned witness can push the routes
@@ -407,7 +359,7 @@ def _sweep(p: NcPolynomial, n: int, r: int, target: UTMatrix,
             elif rep["target_met"]:
                 return WitnessResult(matrices, achieved, _status(desc),
                                      rep["target_residual"], diagnostics, rep)
-            last_entry = last_entry or ("verify",)
+            last_entry = ("verify",)
     if missed_root and last_entry is None:
         raise NoRootInField(
             f"diagonal equation unsolvable in {desc.render()} after "

@@ -382,7 +382,11 @@ def _generic_fold(p, n: int, ring: PolyRing) -> UTMatrix:
     def times(prod, row):
         # UTMatrix.__matmul__'s visiting order, so its term order
         out = {}
+        size = 0
         for (j, l), monos in prod.items():
+            # coefficient-free monomials never cancel: the size only grows
+            size += len(monos) * len(row[l])
+            ring.check_size(size)
             for k, var in row[l]:
                 ext = [_times_var(m, var) for m in monos]
                 pos = (j, k)
@@ -390,7 +394,6 @@ def _generic_fold(p, n: int, ring: PolyRing) -> UTMatrix:
                     out[pos] += ext
                 else:
                     out[pos] = ext
-        ring.check_size(sum(map(len, out.values())))
         return out
 
     zero, one, nonzero = desc.zero(), desc.one(), desc.nonzero

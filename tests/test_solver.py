@@ -9,20 +9,19 @@ import pytest
 import utpoly.analysis
 import utpoly.solver
 import utpoly.triangular
-from utpoly.analysis import band_sets, coeff_poly, exact_order, leading_tuples
+from plan_reference import band_sets
+from utpoly.analysis import coeff_poly, exact_order, leading_tuples
 from utpoly.cpoly import CPolynomial, diag_var, entry_var, out_var
 from utpoly.errors import (BandViolation, BudgetExhausted,
                            DegenerateCoefficient, FieldMismatch,
-                           IncompatibleAssignment, InternalInconsistency,
-                           NoRootInField, OrderMismatch, VariableOutOfRange,
-                           ZeroInput)
+                           InternalInconsistency, NoRootInField,
+                           OrderMismatch, VariableOutOfRange, ZeroInput)
 from utpoly.fields import FieldDescriptor
 from utpoly.freealg import NcPolynomial, commutator
-from utpoly.solver import (PartialAssignment, SolveOptions, _affine_entry,
-                           _affine_parts, _entries_positive, _entries_r0,
-                           band_coordinates, build_sweep_plan_rn,
-                           find_diagonals, hit_open_set, solve_diagonal_r0,
-                           solve_target, verify)
+from utpoly.solver import (SolveOptions, _affine_entry, _affine_parts,
+                           _entries_positive, _entries_r0, band_coordinates,
+                           build_sweep_plan_rn, find_diagonals, hit_open_set,
+                           solve_diagonal_r0, solve_target, verify)
 from utpoly.triangular import (FieldRing, UTMatrix, evaluate,
                                generic_evaluate, live_slots)
 
@@ -48,36 +47,19 @@ def qmat(n, entries):
     return UTMatrix(FieldRing(Q), n, {pos: Fraction(v) for pos, v in entries.items()})
 
 
-# -- partial assignments -------------------------------------------------------
-
-
-def test_partial_assignment_merge_and_conflict():
-    # overlapping blocks merge when they agree on the overlap
-    a = PartialAssignment(Q)
-    a.set(diag_var(1, 1), Fraction(2))
-    a.set(diag_var(1, 1), Fraction(2))  # same value is fine
-    a.set(entry_var(1, 2, 1), Fraction(5))
-    with pytest.raises(IncompatibleAssignment):
-        a.set(diag_var(1, 1), Fraction(3))
-    assert a.values == {diag_var(1, 1): Fraction(2),
-                        entry_var(1, 2, 1): Fraction(5)}
-
-
 # -- sweep plans ----------------------------------------------------------------
 
 
 def test_plan_order_r1_n3():
-    plan = build_sweep_plan_rn(1, 3, (1,))
-    assert [(e.s, e.t) for e in plan] == [(1, 2), (2, 3), (1, 3)]
-    assert [e.fresh for e in plan] == [
-        entry_var(1, 2, 1), entry_var(2, 3, 1), entry_var(1, 3, 1)]
+    assert build_sweep_plan_rn(1, 3, (1,)) == [
+        (1, 2, entry_var(1, 2, 1)), (2, 3, entry_var(2, 3, 1)),
+        (1, 3, entry_var(1, 3, 1))]
 
 
 def test_plan_order_r2_n4():
-    plan = build_sweep_plan_rn(2, 4, (1, 3))
-    assert [(e.s, e.t) for e in plan] == [(1, 3), (2, 4), (1, 4)]
-    assert [e.fresh for e in plan] == [
-        entry_var(2, 3, 3), entry_var(3, 4, 3), entry_var(2, 4, 3)]
+    assert build_sweep_plan_rn(2, 4, (1, 3)) == [
+        (1, 3, entry_var(2, 3, 3)), (2, 4, entry_var(3, 4, 3)),
+        (1, 4, entry_var(2, 4, 3))]
 
 
 def test_plan_rejects_bad_parameters():
@@ -90,34 +72,39 @@ def test_plan_rejects_bad_parameters():
 
 
 def test_plan_invariants_externally_recomputed():
-    """Recompute the three schedule facts from scratch for a grid of (r,n):
-    fresh positions are first seen at their own entry and never reused, and
-    the overlap with earlier supports contains (s,s+1) whenever r+t' >= 2
-    (for r=1 on the base band the supports are disjoint singletons)."""
-    for n in range(2, 9):
+    """Recompute the three schedule facts from scratch for all 276 pairs
+    1 <= r < n <= 24, the sizes the sweep is pinned and timed at
+    included: fresh positions are first seen at their own entry and never
+    reused, and the overlap with earlier supports contains (s,s+1)
+    whenever r+t' >= 2 (for r=1 on the base band the supports are
+    disjoint singletons).  build_sweep_plan_rn checks none of them."""
+    pairs = 0
+    for n in range(2, 25):
         for r in range(1, n):
             lead = tuple(1 for _ in range(r))
             plan = build_sweep_plan_rn(r, n, lead)
             seen = set()
             fresh_positions = set()
-            for e in plan:
-                support = band_sets(e.s, e.t, r)
-                fresh_pos = (e.fresh[1], e.fresh[2])
-                assert fresh_pos == (r + e.s - 1, e.t)
+            for s, t, fresh in plan:
+                support = band_sets(s, t, r)
+                fresh_pos = (fresh[1], fresh[2])
+                assert fresh_pos == (r + s - 1, t)
                 assert fresh_pos in support and fresh_pos not in seen
                 assert fresh_pos not in fresh_positions
                 fresh_positions.add(fresh_pos)
                 if seen:
-                    if e.t - e.s >= 2:
-                        assert (e.s, e.s + 1) in (support & seen)
+                    if t - s >= 2:
+                        assert (s, s + 1) in (support & seen)
                     else:
                         assert not (support & seen)
                 seen |= support
             # every band position is targeted exactly once, each through
             # its own fresh variable
-            targets = [(e.s, e.t) for e in plan]
+            targets = [(s, t) for s, t, _ in plan]
             assert sorted(targets) == sorted(band_coordinates(n, r))
             assert len(fresh_positions) == len(plan)
+            pairs += 1
+    assert pairs == 276
 
 
 # -- diagonal choices -----------------------------------------------------------
@@ -267,11 +254,11 @@ def test_entry_polynomials_affine_in_fresh_variable():
         for k in range(j + 1, n + 1):
             for i in range(1, p.nvars + 1):
                 values[entry_var(j, k, i)] = Q.sample(rng)
-    for e in plan:
-        g = generic.entry(e.s, e.t)
-        partial = {key: v for key, v in values.items() if key != e.fresh}
+    for s, t, fresh in plan:
+        g = generic.entry(s, t)
+        partial = {key: v for key, v in values.items() if key != fresh}
         restricted = g.eval_partial(partial)
-        assert max((dict(m).get(e.fresh, 0) for m in restricted.terms),
+        assert max((dict(m).get(fresh, 0) for m in restricted.terms),
                    default=0) <= 1
         assert restricted.degree() <= 1
 
@@ -310,26 +297,26 @@ def test_structured_affine_parts_match_generic_entry(field):
         m = p.nvars
         for n in range(r + 1, min(r + 3, 5) + 1):
             generic = generic_evaluate(p, n)
-            assign = PartialAssignment(desc)
+            values = {}
             diags = [tuple(desc.sample(rng) for _ in range(m))
                      for _ in range(n)]
             for j in range(1, n + 1):
                 for i in range(1, m + 1):
-                    assign.set(diag_var(j, i), diags[j - 1][i - 1])
+                    values[diag_var(j, i)] = diags[j - 1][i - 1]
             if r:
                 lead = rng.choice(list(live_slots(p, r)))
-                entries = _entries_positive(n, m, lead, assign, rng, 256)
+                entries = _entries_positive(n, m, lead, values, desc, rng, 256)
             else:
                 arcs = [(i, q) for (i,), q in live_slots(p, 1).items()]
-                entries = _entries_r0(n, diags, arcs, assign, rng, 256)
+                entries = _entries_r0(n, diags, arcs, values, desc, rng, 256)
             for s, t, fresh in entries:
                 if fresh is None:
                     break
-                got = _affine_entry(p, diags, s, t, assign.values, fresh)
-                want = _affine_parts(generic, s, t, assign.values, fresh)
+                got = _affine_entry(p, diags, s, t, values, fresh)
+                want = _affine_parts(generic, s, t, values, fresh)
                 assert got == want, (p.terms, n, s, t)
                 checked.add((r, desc.is_zero(got[0])))
-                assign.set(fresh, desc.sample(rng))
+                values[fresh] = desc.sample(rng)
     assert {(0, False), (1, False), (2, False)} <= checked
 
 
@@ -503,6 +490,30 @@ def test_solve_r0_degenerate_over_tiny_field():
     target = UTMatrix(FieldRing(F5), 2, {(1, 2): F5.from_int(1)})
     with pytest.raises((DegenerateCoefficient, NoRootInField)):
         solve_diagonal_r0(p, 2, target, SolveOptions(retries=8))
+
+
+def test_degenerate_coefficient_names_the_last_failure(monkeypatch):
+    """The first attempt fails at a zero slope and every later one at
+    the replay: the error names the replay, not the stale entry."""
+    affine_entry, replay = utpoly.solver._affine_entry, utpoly.solver._replay
+    calls = []
+
+    def zero_first_slope(*args):
+        calls.append(args)
+        return (Q.zero(), Q.zero()) if len(calls) == 1 else affine_entry(*args)
+
+    def missed_target(*args):
+        achieved, rep = replay(*args)
+        return achieved, {**rep, "target_met": False}
+
+    monkeypatch.setattr(utpoly.solver, "_affine_entry", zero_first_slope)
+    monkeypatch.setattr(utpoly.solver, "_replay", missed_target)
+    target = qmat(3, {(1, 2): 1, (2, 3): 2, (1, 3): 3})
+    with pytest.raises(DegenerateCoefficient) as err:
+        solve_target(comm_product(1), 3, target, SolveOptions(retries=3))
+    assert err.value.entry == ("verify",)
+    assert "last failing entry ('verify',)" in str(err.value)
+    assert calls[0][2:4] == (1, 2)    # the first attempt's zero slope
 
 
 # -- open sets ------------------------------------------------------------------
