@@ -13,6 +13,10 @@ to nonzero coefficients.  Unlike the free algebra, constants are allowed.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from functools import lru_cache
+from math import gcd
+
 from . import parsing
 from .errors import FieldMismatch, ParseError, UnboundVariable
 from .fields import FieldDescriptor, add_terms, mul_terms, render_terms
@@ -38,6 +42,7 @@ def out_var(s: int, t: int) -> tuple:
     return ("y", s, t)
 
 
+@lru_cache(maxsize=8192)
 def render_var(key: tuple) -> str:
     return f"{key[0]}[{','.join(str(i) for i in key[1:])}]"
 
@@ -126,7 +131,12 @@ class CPolynomial:
 
     def eval_full(self, assignment: dict):
         """Evaluate with every variable bound to a value of the field;
-        raises UnboundVariable."""
+        raises UnboundVariable.  Over Q the sum runs on integers: each
+        term's numerator and denominator are products of ints, the terms
+        are added over the lcm of their denominators, and one Fraction
+        is built at the end, equal to the term-by-term Fraction sum."""
+        if self.field.kind == "rational":
+            return self._eval_rational(assignment)
         acc = self.field.zero()
         for m, c in self.terms.items():
             prod = c
@@ -138,6 +148,22 @@ class CPolynomial:
                 prod = prod * v ** e
             acc = acc + prod
         return self.field.canonical(acc)
+
+    def _eval_rational(self, assignment: dict) -> Fraction:
+        num, den = 0, 1
+        for m, c in self.terms.items():
+            a, b = c.numerator, c.denominator
+            for key, e in m:
+                try:
+                    v = assignment[key]
+                except KeyError:
+                    raise UnboundVariable(render_var(key)) from None
+                a *= v.numerator ** e
+                b *= v.denominator ** e
+            g = gcd(b, den)
+            num = num * (b // g) + a * (den // g)
+            den = den // g * b
+        return Fraction(num, den)
 
     def eval_partial(self, assignment: dict) -> "CPolynomial":
         """Substitute the given variables, keep the rest symbolic."""

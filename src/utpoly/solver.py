@@ -10,14 +10,15 @@ variable of the entry given a random value, the entry polynomial is
 affine in the fresh variable with a generically nonzero slope.  The
 orders differ only in how diagonals and fresh variables are chosen.  For
 r >= 1 the diagonals make a leading coefficient polynomial nonvanishing
-on every (r+1)-subset of rows, entry (s, r+s+t') is solved through
-position (r+s-1, r+s+t') (see build_sweep_plan_rn), and every non-fresh
-variable is sampled before the first entry.  For r = 0 each diagonal
-solves a univariate restriction of p for the target's diagonal entry,
-and entry (s, t) is solved through slot i* of position (s, t), whose
-other slots are sampled just before it.  Either way an attempt assigns
-each variable once, into a plain dict, and no earlier entry reads an
-entry's fresh variable, so a solved entry stays solved.
+on every row set an entry's slope reads (find_diagonals), entry
+(s, r+s+t') is solved through position (r+s-1, r+s+t') (see
+build_sweep_plan_rn), and every non-fresh variable is sampled before the
+first entry.  For r = 0 each diagonal solves a univariate restriction of
+p for the target's diagonal entry, and entry (s, t) is solved through
+slot i* of position (s, t), whose other slots are sampled just before
+it.  Either way an attempt assigns each variable once, into a plain
+dict, and no earlier entry reads an entry's fresh variable, so a solved
+entry stays solved.
 
 The order comes from the live-slot index, searched only below n
 (analysis.exact_order(p, n)): the image of p on size n is fixed by the
@@ -52,7 +53,6 @@ import math
 import random
 from dataclasses import dataclass, field, replace
 from functools import partial
-from itertools import combinations
 
 from .analysis import coeff_poly, exact_order, leading_tuples
 from .cpoly import CPolynomial, diag_var, entry_var, out_var, render_var
@@ -127,11 +127,27 @@ class WitnessResult:
 def find_diagonals(p: NcPolynomial, lead: tuple, n: int, rng,
                    budget: int = 200, height: int = 256) -> list[tuple]:
     """n diagonal tuples in K^m making the leading coefficient polynomial
-    nonzero on every increasing (r+1)-subset of rows.
+    q_lead nonzero on every row set the sweep reads: {s, ..., r+s-1, t}
+    for 1 <= s and r+s <= t <= n, (n-r)(n-r+1)/2 sets in all.
 
-    Random sampling suffices because the product of the subset-renamed
-    copies is a nonzero polynomial; each candidate is then verified
-    exhaustively over all C(n, r+1) subsets."""
+    These sets suffice.  Let r = len(lead) = ord(p) >= 1 and take the
+    plan entry (s, t), whose fresh variable sits on arc (r+s-1, t) at
+    slot lead[-1] (build_sweep_plan_rn).  A term of entry (s, t) holding
+    it runs along a strictly increasing path through that arc, with a
+    live slot tuple of the path's length k (structured_entry).  The path
+    has at most r-1 arcs from s to r+s-1, so k <= r, and no tuple
+    shorter than r is live, so k = r: the path is s, s+1, ..., r+s-1, t
+    and its tuple tau ends in lead[-1].  The slope is therefore
+    sum over such tau of q_tau(rows s, ..., r+s-1, t) times
+    x[s, s+1, tau_1] ... x[r+s-2, r+s-1, tau_{r-1}], and distinct tau
+    give distinct arc monomials, so the slope is a nonzero polynomial in
+    the arcs once q_lead is nonzero at those rows.  At r = 1 the sets
+    are all pairs of rows and at r = n-1 the one set of all rows, the
+    C(n, r+1) subsets in either case.
+
+    Random sampling suffices because the product of the row-set renamed
+    copies of q_lead is a nonzero polynomial; each candidate is then
+    checked on every row set."""
     q = coeff_poly(p, lead)
     if q.is_zero():
         raise ZeroInput(f"coefficient polynomial of {lead} is zero")
@@ -140,12 +156,14 @@ def find_diagonals(p: NcPolynomial, lead: tuple, n: int, rng,
     desc = p.field
     if n < r + 1:
         raise OrderMismatch(f"need n >= r+1 = {r + 1}, got {n}")
+    row_sets = [tuple(range(s, r + s)) + (t,)
+                for s in range(1, n - r + 1) for t in range(r + s, n + 1)]
     worst = 0
     for _ in range(budget):
         diags = [tuple(desc.sample(rng, height) for _ in range(m))
                  for _ in range(n)]
         failures = 0
-        for rows in combinations(range(1, n + 1), r + 1):
+        for rows in row_sets:
             if desc.is_zero(q.eval_full(row_values(diags, rows))):
                 failures += 1
         if failures == 0:
@@ -153,7 +171,7 @@ def find_diagonals(p: NcPolynomial, lead: tuple, n: int, rng,
         worst = max(worst, failures)
     raise BudgetExhausted(
         f"no diagonal choice in {budget} samples (up to {worst} failing "
-        f"subsets of {math.comb(n, r + 1)})")
+        f"subsets of {len(row_sets)})")
 
 
 def _matrices_from_assignment(desc, n: int, m: int, values: dict) -> list[UTMatrix]:

@@ -24,7 +24,22 @@ evaluate walks p's words in p.terms order with a stack of the previous
 word's prefix products (_word_products), so a word costs only the
 letters after its longest common prefix with the word before it.  Each
 product is still the same left fold, so the result is bit for bit that
-of folding every word from scratch.
+of folding every word from scratch with UTMatrix.__matmul__.  Products
+run through one kernel on raw entry maps, _product: it visits the
+entries of the left factor, then k ascending, keeps a running sum per
+position, drops zeros and applies the poly ring's size check, and
+UTMatrix.__matmul__ is a thin call of it.  The fold builds no matrix per
+product, since _check_tuple has fixed one size and one ring for every
+factor.  Over Q each factor enters as an integer entry map over one
+denominator, the lcm of its entry denominators (_integer_entries), and
+a product carries the product of its factors' denominators, so the
+kernel runs on ints and no Fraction is made inside a product.  Each
+word's coefficient is then applied and summed in one pass, with the zero
+filter of UTMatrix.scale on each term and that of UTMatrix.__add__ on
+each sum, so C's float bits, poly-ring size checks and the order of the
+result's entries are those of scale-then-add; over Q that pass builds
+one Fraction per entry of the word.  Every step is exact over Q and F_p,
+so the values are too.
 
 generic_evaluate is p at the generic tuple, whose entries are single
 variables with coefficient one.  A product of generic matrices has, in
@@ -35,13 +50,15 @@ and no two paths meet.  _generic_fold therefore keeps a word product as
 {(j, k): [monomial, ...]} with no coefficients, and one step "times
 generic matrix i" multiplies each monomial of entry (j, l) by z[l, i]
 (k = l) or x[l, k, i] (k > l), visiting entries, k and monomials in
-UTMatrix.__matmul__'s order, so term order (C's summation order
-downstream) is that of the matrix fold.  Field arithmetic starts at the
-end of a word: its coefficient times one, added into the sum as
-UTMatrix.__add__ would.  This is still a matrix fold over the words of
-p, sharing their prefix products through the same stack as evaluate; it
-reads nothing from live_slots, so the structured route stays an
-independent check of it.
+_product's order, so term order (C's summation order downstream) is
+that of the matrix fold.  Field arithmetic starts at the end of a word:
+its coefficient times one, added into the sum as UTMatrix.__add__
+would.  Over Q those sums run on integers, each coefficient scaled by
+the lcm of p's coefficient denominators, and each term is divided once
+when the entry polynomials are built.  This is still a matrix fold over
+the words of p, sharing their prefix products through the same stack as
+evaluate; it reads nothing from live_slots, so the structured route
+stays an independent check of it.
 
 Each polynomial has one analysis context, keyed on p (whose field
 includes eps), holding its generic evaluations and its live-slot index
@@ -51,9 +68,10 @@ includes eps), holding its generic evaluations and its live-slot index
 from __future__ import annotations
 
 from bisect import bisect_left
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from operator import matmul
+from math import lcm
 
 from .cpoly import CPolynomial, diag_var, entry_var
 from .errors import (ArityMismatch, FieldMismatch, ParseError, ResourceLimit,
@@ -159,10 +177,16 @@ class UTMatrix:
             v = nonzero(v)
             if v is not None:
                 clean[pos] = v
+        return cls._of(ring, n, clean)
+
+    @classmethod
+    def _of(cls, ring, n: int, entries: dict) -> "UTMatrix":
+        """A matrix holding entries as given: in the upper triangle of
+        size n, nonzero and at rest."""
         out = cls.__new__(cls)
         out.ring = ring
         out.n = n
-        out.entries = clean
+        out.entries = entries
         return out
 
     @classmethod
@@ -193,19 +217,8 @@ class UTMatrix:
 
     def __matmul__(self, other):
         self._check(other)
-        entries = {}
-        for (j, l), a in self.entries.items():
-            for k in range(l, self.n + 1):
-                b = other.entries.get((l, k))
-                if b is None:
-                    continue
-                prod = a * b
-                pos = (j, k)
-                entries[pos] = entries[pos] + prod if pos in entries else prod
-        out = UTMatrix._own(self.ring, self.n, entries)
-        if self.ring.kind == "poly":
-            self.ring.check_size(sum(len(v.terms) for v in out.entries.values()))
-        return out
+        return UTMatrix._of(self.ring, self.n,
+                            _product(self.entries, other.entries, self.n, self.ring))
 
     def in_band(self, t: int) -> bool:
         """True when every entry with k - j <= t vanishes.  Band -1 is the
@@ -327,15 +340,74 @@ def _word_products(p, firsts, factors, times):
         yield coeff, stack[-1]
 
 
+def _product(a: dict, b: dict, n: int, ring) -> dict:
+    """The entry map of the product of the size-n entry maps a and b over
+    ring: entries of a, then k, in visiting order, zeros dropped, and the
+    poly ring's size check run on the result."""
+    entries: dict = {}
+    get = entries.get
+    for (j, l), x in a.items():
+        for k in range(l, n + 1):
+            y = b.get((l, k))
+            if y is not None:
+                pos = (j, k)
+                s = get(pos)
+                entries[pos] = x * y if s is None else s + x * y
+    nonzero = ring.nonzero
+    out = {pos: w for pos, v in entries.items() if (w := nonzero(v)) is not None}
+    if ring.kind == "poly":
+        ring.check_size(sum(len(v.terms) for v in out.values()))
+    return out
+
+
+def _integer_entries(entries: dict) -> tuple:
+    """(integer entry map, d): rational entries as integers over one
+    denominator d, the lcm of theirs."""
+    d = lcm(*(v.denominator for v in entries.values()))
+    return {pos: v.numerator * (d // v.denominator) for pos, v in entries.items()}, d
+
+
 def evaluate(p, matrices) -> UTMatrix:
-    """Evaluate p at a tuple of upper triangular matrices."""
+    """Evaluate p at a tuple of upper triangular matrices: the words'
+    products through _product, see the module docstring."""
     ring = _check_tuple(p, matrices)
     if ring is None:
         raise ArityMismatch("cannot evaluate with an empty matrix tuple")
-    acc = UTMatrix.zeros(ring, matrices[0].n)
-    for coeff, prod in _word_products(p, matrices, matrices, matmul):
-        acc = acc + prod.scale(coeff)
-    return acc
+    n = matrices[0].n
+    if ring.kind == "field" and ring.desc.kind == "rational":
+        factors = [_integer_entries(a.entries) for a in matrices]
+
+        def times(a, b):
+            return _product(a[0], b[0], n, ring), a[1] * b[1]
+
+        def terms(c, prod):
+            num, den = c.numerator, c.denominator * prod[1]
+            return [(pos, Fraction(num * v, den)) for pos, v in prod[0].items()]
+    else:
+        factors = [a.entries for a in matrices]
+
+        def times(a, b):
+            return _product(a, b, n, ring)
+
+        def terms(c, prod):
+            cc = ring.scalar(c)
+            return [(pos, cc * v) for pos, v in prod.items()]
+
+    # UTMatrix.scale's zero filter on each term, then __add__'s on each sum
+    nonzero = ring.nonzero
+    acc: dict = {}
+    for coeff, prod in _word_products(p, factors, factors, times):
+        for pos, v in terms(coeff, prod):
+            v = nonzero(v)
+            if v is None:
+                continue
+            if pos in acc:
+                v = nonzero(acc[pos] + v)
+                if v is None:
+                    del acc[pos]
+                    continue
+            acc[pos] = v
+    return UTMatrix._of(ring, n, acc)
 
 
 _CONTEXT_CAP = 32     # the witness workload returns to some p after 17-20 others
@@ -380,7 +452,7 @@ def _generic_fold(p, n: int, ring: PolyRing) -> UTMatrix:
                for by_row in rows]
 
     def times(prod, row):
-        # UTMatrix.__matmul__'s visiting order, so its term order
+        # _product's visiting order, so its term order
         out = {}
         size = 0
         for (j, l), monos in prod.items():
@@ -396,10 +468,25 @@ def _generic_fold(p, n: int, ring: PolyRing) -> UTMatrix:
                     out[pos] = ext
         return out
 
-    zero, one, nonzero = desc.zero(), desc.one(), desc.nonzero
+    nonzero = desc.nonzero
+    if desc.kind == "rational":
+        # the sums run on integers, each coefficient times den, the lcm of
+        # p's coefficient denominators; a term is divided once, at the end
+        den = lcm(*(c.denominator for c in p.terms.values()))
+        zero = 0
+
+        def weight(c):
+            return c.numerator * (den // c.denominator)
+    else:
+        den = None
+        zero, one = desc.zero(), desc.one()
+
+        def weight(c):
+            return c * one    # UTMatrix.scale's term
+
     sums: dict = {}      # position -> {monomial: coefficient}, UTMatrix.__add__'s order
     for coeff, prod in _word_products(p, letters, rows, times):
-        v = coeff * one  # UTMatrix.scale's term; nonzero, as p's coefficients are
+        v = weight(coeff)   # nonzero, as p's coefficients are
         for pos, monos in prod.items():
             terms = sums.get(pos)
             if terms is None:
@@ -413,6 +500,9 @@ def _generic_fold(p, n: int, ring: PolyRing) -> UTMatrix:
                     terms[m] = total
             if not terms:
                 del sums[pos]
+    if den is not None:
+        sums = {pos: {m: Fraction(c, den) for m, c in terms.items()}
+                for pos, terms in sums.items()}
     return UTMatrix._own(ring, n, {pos: CPolynomial(desc, terms)
                                    for pos, terms in sums.items()})
 

@@ -1,5 +1,6 @@
 """Commutative polynomials over structured variable keys."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -74,6 +75,57 @@ def test_eval_full_and_unbound():
     assert v == Fraction(17)
     with pytest.raises(UnboundVariable):
         p.eval_full({entry_var(1, 2, 1): Fraction(3)})
+
+
+def _eval_fractions(p, assignment):
+    """Reference for eval_full over Q: Fraction products and sums, term
+    by term."""
+    acc = Fraction(0)
+    for m, c in p.terms.items():
+        prod = c
+        for key, e in m:
+            prod = prod * Fraction(assignment[key]) ** e
+        acc = acc + prod
+    return acc
+
+
+def test_eval_full_over_q_matches_term_by_term_fractions():
+    """The integer sum gives the Fraction of the term-by-term sum, for the
+    zero polynomial, constant terms, cancelling terms, int values and
+    denominators up to 10^6."""
+    rng = random.Random(127)
+    keys = [diag_var(j, i) for j in range(1, 4) for i in range(1, 3)]
+    keys.append(entry_var(1, 2, 1))
+    polys = [CPolynomial.zero(Q), CPolynomial.const(Q, Fraction(-7, 3)),
+             CPolynomial.parse("z[1,1]*z[2,1] - z[2,1]*z[1,1] + z[1,2]^3", Q)]
+    for _ in range(60):
+        terms = {}
+        for _ in range(rng.randint(1, 6)):
+            mono = tuple(sorted({k: rng.randint(1, 3)
+                                 for k in rng.sample(keys, rng.randint(0, 3))}.items()))
+            terms[mono] = Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 6))
+        polys.append(CPolynomial(Q, terms))
+    for p in polys:
+        for kind in ("fraction", "int", "zero"):
+            point = {}
+            for k in keys:
+                if kind == "int" or kind == "zero" and rng.random() < 0.3:
+                    point[k] = rng.randint(-9, 9) if kind == "int" else 0
+                else:
+                    point[k] = Fraction(rng.randint(-10 ** 6, 10 ** 6),
+                                        rng.randint(1, 10 ** 6))
+            got = p.eval_full(point)
+            assert type(got) is Fraction and got == _eval_fractions(p, point), p
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp:7", "C"])
+def test_eval_full_names_the_first_unbound_variable(field):
+    desc = FieldDescriptor.parse(field)
+    p = CPolynomial.parse("2*z[1,1] + z[1,1]*x[1,2,1]*z[2,1]", desc)
+    point = {diag_var(1, 1): desc.from_int(3), diag_var(2, 1): desc.from_int(4)}
+    with pytest.raises(UnboundVariable) as exc:
+        p.eval_full(point)
+    assert str(exc.value) == "x[1,2,1]"
 
 
 def test_eval_partial():

@@ -1,6 +1,7 @@
 """Witness construction: sweep plans, diagonal choices, target solving."""
 
 import random
+import time
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -23,7 +24,7 @@ from utpoly.solver import (SolveOptions, _affine_entry, _affine_parts,
                            build_sweep_plan_rn, find_diagonals, hit_open_set,
                            solve_diagonal_r0, solve_target, verify)
 from utpoly.triangular import (FieldRing, UTMatrix, evaluate,
-                               generic_evaluate, live_slots)
+                               generic_evaluate, live_slots, row_values)
 
 Q = FieldDescriptor.parse("Q")
 F5 = FieldDescriptor.parse("Fp:5")
@@ -124,6 +125,75 @@ def test_find_diagonals_satisfies_all_subsets():
             for i in range(1, p.nvars + 1):
                 assign[diag_var(l, i)] = diags[row][i - 1]
         assert q.eval_full(assign) != 0
+
+
+def slope_paths(p, r, s, t, star):
+    """The (path, slot tuple) pairs of the terms of entry (s, t) that
+    hold the fresh variable on arc (r+s-1, t) at slot star, recomputed
+    from the live-slot index as structured_entry enumerates them."""
+    fresh_arc = (r + s - 1, t)
+    out = set()
+    for k in range(1, t - s + 1):
+        for slots in live_slots(p, k):
+            for interior in combinations(range(s + 1, t), k - 1):
+                path = (s,) + interior + (t,)
+                arcs = list(zip(path, path[1:]))
+                if fresh_arc in arcs and slots[arcs.index(fresh_arc)] == star:
+                    out.add((path, slots))
+    return out
+
+
+_P3 = "(x1*x2-x2*x1)*(x3*x4-x4*x3)*(x5*x6-x6*x5)"
+
+
+@pytest.mark.parametrize("text", ["x1*x2-x2*x1", "x1*x2*x3-x3*x2*x1",
+                                  "(x1*x2-x2*x1)*(x1*x2-x2*x1)",
+                                  "(x1*x2-x2*x1)*(x1*x3-x3*x1)", _P3])
+def test_each_slope_reads_only_its_row_set(text, monkeypatch):
+    """The fact behind find_diagonals' row sets: every term of a plan
+    entry (s, t) that holds its fresh variable runs along s, s+1, ...,
+    r+s-1, t, with a slot tuple ending in lead[-1], and lead itself is
+    one of them.  find_diagonals checks exactly those row sets."""
+    p = NcPolynomial.parse(text, Q)
+    r = exact_order(p)
+    for n in range(r + 1, r + 4):
+        for lead in leading_tuples(p, r):
+            expected = set()
+            for s, t, fresh in build_sweep_plan_rn(r, n, lead):
+                terms = slope_paths(p, r, s, t, fresh[3])
+                rows = tuple(range(s, r + s)) + (t,)
+                assert {path for path, _ in terms} == {rows}, (s, t, terms)
+                assert all(slots[-1] == lead[-1] for _, slots in terms)
+                assert lead in {slots for _, slots in terms}
+                expected.add(rows)
+            checked = []
+            real = utpoly.solver.row_values
+            monkeypatch.setattr(utpoly.solver, "row_values",
+                                lambda diags, rows: checked.append(rows) or real(diags, rows))
+            find_diagonals(p, lead, n, random.Random(n))
+            monkeypatch.undo()
+            assert len(checked) % len(expected) == 0
+            assert set(checked) == expected
+            assert len(expected) == (n - r) * (n - r + 1) // 2
+
+
+def test_find_diagonals_r4_at_n32_within_budget():
+    """Q, r = 4: checking all C(32, 5) = 201,376 row subsets took about
+    61 s per search; the 378 row sets of the slopes take well under a
+    second.  Runtime budget: 1 s, live-slot index included."""
+    p = NcPolynomial.parse(f"{_P3}*(x1*x3-x3*x1)", Q)
+    utpoly.triangular._context.cache_clear()
+    t0 = time.perf_counter()
+    r = exact_order(p)
+    lead = leading_tuples(p, r)[0]
+    diags = find_diagonals(p, lead, 32, random.Random(0))
+    elapsed = time.perf_counter() - t0
+    assert r == 4 and len(diags) == 32
+    q = coeff_poly(p, lead)
+    for s in range(1, 29):
+        for t in range(s + 4, 33):
+            assert q.eval_full(row_values(diags, tuple(range(s, s + 4)) + (t,))) != 0
+    assert elapsed < 1.0, elapsed
 
 
 def test_find_diagonals_rejects_zero_coefficient():

@@ -247,6 +247,20 @@ def test_structured_route_runs_no_matrix_product(monkeypatch):
     assert evaluate_structured(p, mats).eq(direct)
 
 
+@pytest.mark.parametrize("field", ["Q", "Fp:3", "C"])
+def test_structured_route_runs_no_product_kernel(field, monkeypatch):
+    """The direct route's product kernel and Q's integer factors stay off
+    the structured route, so the two routes remain independent."""
+    desc = FieldDescriptor.parse(field)
+    rng = random.Random(field)
+    p = shared_poly(desc, rng, 3)
+    mats = [rand_matrix(desc, FieldRing(desc), 4, rng) for _ in range(3)]
+    direct = evaluate(p, mats)
+    monkeypatch.setattr(utpoly.triangular, "_product", _forbidden)
+    monkeypatch.setattr(utpoly.triangular, "_integer_entries", _forbidden)
+    assert evaluate_structured(p, mats).eq(direct)
+
+
 def test_evaluate_checks_inputs():
     p = NcPolynomial.parse("x1*x2", Q)
     a = mat(2, {(1, 2): 1})
@@ -372,6 +386,24 @@ def test_generic_fold_budget_matches_the_matrix_fold(field):
     assert checked >= 6
 
 
+def test_generic_fold_over_q_sums_integers():
+    """Over Q the generic fold sums coefficients scaled by the lcm of
+    their denominators and divides once per term; with denominators up to
+    10^6 and cancelling words it must still give the matrix fold's
+    entries, term order included."""
+    rng = random.Random(1000003)
+    for _ in range(20):
+        m, n = rng.randint(1, 3), rng.randint(1, 5)
+        p = shared_poly(Q, rng, m)
+        scale = Fraction(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6))
+        terms = {w: c * scale if rng.random() < 0.5 else
+                 Fraction(rng.randint(-10 ** 6, 10 ** 6) or 1, rng.randint(1, 10 ** 6))
+                 for w, c in p.terms.items()}
+        p = NcPolynomial(Q, m, terms)
+        reference = bits(evaluate_words(p, generic_tuple(Q, n, m)))
+        assert bits(generic_evaluate(p, n)) == reference, (p.terms, n)
+
+
 def _outcome(run):
     """bits of the matrix run() returns, or its ResourceLimit message."""
     try:
@@ -399,15 +431,116 @@ def test_a_word_costs_the_letters_after_the_shared_prefix(monkeypatch):
     rng = random.Random(5)
     mats = [rand_matrix(Q, QRING, 3, rng) for _ in range(3)]
     calls = []
-    matmul = UTMatrix.__matmul__
+    product = utpoly.triangular._product
 
-    def counted(a, b):
+    def counted(*args):
         calls.append(1)
-        return matmul(a, b)
+        return product(*args)
 
-    monkeypatch.setattr(UTMatrix, "__matmul__", counted)
+    monkeypatch.setattr(utpoly.triangular, "_product", counted)
     evaluate(p, mats)
     assert len(calls) == 4
+
+
+def q_matrix(rng, n, kind):
+    """A Q matrix of one of the kinds the integer factors must handle."""
+    if kind == "zero":
+        return UTMatrix(QRING, n, {})
+    height = {"int": 9, "small": 9, "huge": 10 ** 12}[kind]
+    entries = {}
+    for j in range(1, n + 1):
+        for k in range(j, n + 1):
+            if rng.random() < 0.25:
+                continue
+            num = rng.randint(-height, height)
+            entries[(j, k)] = Fraction(num) if kind == "int" else \
+                Fraction(num, rng.randint(1, height))
+    return UTMatrix(QRING, n, entries)
+
+
+def test_q_evaluate_matches_the_word_by_word_fold():
+    """Over Q evaluate multiplies integer entry maps over one denominator
+    per factor; its result must be that of the Fraction fold bit for bit,
+    for cancelling coefficients, zero matrices, integer entries and
+    denominators up to 10^12."""
+    rng = random.Random(1012)
+    kinds = ["zero", "int", "small", "huge"]
+    for trial in range(60):
+        m, n = rng.randint(1, 3), rng.randint(1, 5)
+        p = shared_poly(Q, rng, m)
+        if trial % 3 == 0:
+            p = NcPolynomial(Q, m, {w: Fraction(rng.randint(-10 ** 12, 10 ** 12) or 1,
+                                                rng.randint(1, 10 ** 12))
+                                    for w in p.terms})
+        mats = [q_matrix(rng, n, rng.choice(kinds)) for _ in range(m)]
+        got = evaluate(p, mats)
+        assert bits(got) == bits(evaluate_words(p, mats)), (p.terms, n)
+        assert all(type(v) is Fraction for v in got.entries.values())
+
+
+def matmul_reference(a, b):
+    """A test-local copy of the matrix product: entries of a, then k, in
+    visiting order, running sums per position, then the zero filter."""
+    entries = {}
+    for (j, l), x in a.entries.items():
+        for k in range(l, a.n + 1):
+            y = b.entries.get((l, k))
+            if y is not None:
+                pos = (j, k)
+                entries[pos] = entries[pos] + x * y if pos in entries else x * y
+    return UTMatrix(a.ring, a.n, entries)
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp:3", "C", "poly"])
+def test_matmul_is_the_product_kernel(field):
+    """a @ b is the kernel's entry map, and both are the reference's, term
+    order and float bits included; over Q the kernel on the integer
+    factors, divided by the product of their denominators, gives the same
+    entries in the same order."""
+    rng = random.Random(field)
+    for _ in range(30):
+        n = rng.randint(1, 5)
+        if field == "poly":
+            ring = PolyRing(Q)
+            a, b = (evaluate(rand_poly(Q, rng, 2), generic_tuple(Q, n, 2)) for _ in range(2))
+        elif field == "Q":
+            ring = QRING
+            a, b = q_matrix(rng, n, "huge"), q_matrix(rng, n, "small")
+        else:
+            desc = FieldDescriptor.parse(field)
+            ring = FieldRing(desc)
+            a, b = (rand_matrix(desc, ring, n, rng) for _ in range(2))
+        want = bits(matmul_reference(a, b))
+        assert bits(a @ b) == want
+        kernel = utpoly.triangular._product(a.entries, b.entries, n, ring)
+        assert bits(UTMatrix(ring, n, kernel)) == want
+        if field == "Q":
+            (ia, da), (ib, db) = (utpoly.triangular._integer_entries(x.entries)
+                                  for x in (a, b))
+            ints = utpoly.triangular._product(ia, ib, n, ring)
+            assert all(type(v) is int for v in ints.values())
+            scaled = {pos: Fraction(v, da * db) for pos, v in ints.items()}
+            assert bits(UTMatrix(ring, n, scaled)) == want
+
+
+def test_q_evaluate_applies_each_coefficient_once_per_entry(monkeypatch):
+    """Over Q no Fraction is multiplied or added inside a product: the
+    Fraction products and sums of an evaluation number at most one per
+    word per entry."""
+    rng = random.Random(7)
+    n, m = 5, 3
+    p = rand_poly(Q, rng, m, max_len=5, max_terms=12)
+    mats = [rand_matrix(Q, QRING, n, rng, height=10 ** 6) for _ in range(m)]
+    want = bits(evaluate_words(p, mats))
+    calls = []
+    for name in ("__mul__", "__add__"):
+        op = getattr(Fraction, name)
+        monkeypatch.setattr(Fraction, name,
+                            lambda a, b, op=op: calls.append(1) or op(a, b))
+    got = bits(evaluate(p, mats))
+    monkeypatch.undo()
+    assert got == want
+    assert 0 < len(calls) <= len(p.terms) * n * (n + 1) // 2
 
 
 def _forbidden(*args, **kwargs):
