@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 from functools import cache
-from itertools import product
+from itertools import islice, product
 
 from .analysis import classify, coeff_poly, leading_tuples, order
 from .cpoly import CPolynomial
@@ -28,6 +28,7 @@ from .triangular import (FieldRing, UTMatrix, evaluate, evaluate_structured,
 
 ORACLE_PRIMES = (2, 3, 5)
 ORACLE_TUPLE_LIMIT = 10 ** 8
+ORACLE_CHUNK = 4096      # tuples evaluated at once, one lane each: bounds memory
 ORACLE_NOTE = ("exhaustive finite-field enumeration; validates evaluation "
                "and band containment at desk scale, says nothing about "
                "density (an infinite-field notion)")
@@ -239,7 +240,97 @@ def _cmd_verify(args, desc: FieldDescriptor, p: NcPolynomial) -> None:
     _emit(report)
 
 
+class _LaneTables:
+    """Byte tables for the lanes of F_p, p <= 5, each read by
+    bytes.translate: index x gives the residue of x, of c*x or of x**e,
+    and index x*p + y that of x*y (x, y residues)."""
+
+    def __init__(self, p: int):
+        self.p = p
+        self.mod = bytes(x % p for x in range(256))
+        self.mul = bytes((x // p) * (x % p) % p for x in range(256))
+        self.scale = [bytes(x * c % p for x in range(256)) for c in range(p)]
+        self.pows: dict = {}
+
+    def power(self, e: int) -> bytes:
+        if e not in self.pows:
+            self.pows[e] = bytes(pow(x, e, self.p) for x in range(256))
+        return self.pows[e]
+
+
+@cache
+def _lane_tables(p: int) -> _LaneTables:
+    return _LaneTables(p)
+
+
+class _Lanes:
+    """One matrix entry's values over a chunk of oracle-enum tuples, one
+    lane per tuple, as residues mod p in one byte each.
+
+    The evaluation routes take these where they take F_p ints: +, * and
+    ** by an int act lane by lane, with a plain int on either side; % p
+    is the identity, the lanes being reduced; truthiness says whether
+    some lane is nonzero and == whether two vectors are equal in every
+    lane (the routes' entries are all vectors or dropped).  Residues
+    are enough, since every value a route returns passes through % p and
+    reduction mod p commutes with + and *.  A lane sum or product packs
+    the lanes into one int, a byte each: for p <= 5, x + y and x*p + y
+    stay below 256, so no lane carries into the next, and one translate
+    reduces them all."""
+
+    __slots__ = ("data", "tables")
+
+    def __init__(self, data: bytes, tables: _LaneTables):
+        self.data = data
+        self.tables = tables
+
+    def _packed(self, value: int, table: bytes) -> "_Lanes":
+        data = value.to_bytes(len(self.data), "big").translate(table)
+        return _Lanes(data, self.tables)
+
+    def __add__(self, other):
+        if isinstance(other, int):
+            c = other % self.tables.p
+            if not c:
+                return self
+            other = _Lanes(bytes([c]) * len(self.data), self.tables)
+        return self._packed(int.from_bytes(self.data, "big")
+                            + int.from_bytes(other.data, "big"), self.tables.mod)
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        t = self.tables
+        if isinstance(other, int):
+            c = other % t.p
+            return self if c == 1 else _Lanes(self.data.translate(t.scale[c]), t)
+        return self._packed(int.from_bytes(self.data, "big") * t.p
+                            + int.from_bytes(other.data, "big"), t.mul)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, e: int) -> "_Lanes":
+        return _Lanes(self.data.translate(self.tables.power(e)), self.tables)
+
+    def __mod__(self, p: int):
+        return self if p == self.tables.p else NotImplemented
+
+    def __bool__(self) -> bool:
+        return self.data.count(0) < len(self.data)
+
+    def __eq__(self, other):
+        if isinstance(other, _Lanes):
+            return self.data == other.data
+        return NotImplemented
+
+
 def _cmd_oracle_enum(args, desc: FieldDescriptor, p: NcPolynomial) -> None:
+    """p at every tuple over F_q, ORACLE_CHUNK tuples at a time: each
+    route runs once per chunk on matrices of _Lanes, lane i of a chunk
+    being its i-th tuple in product() order.  The routes branch on a
+    value only through the zero filter, which on lanes drops only an
+    entry that is zero in every tuple, so each lane is that tuple's
+    evaluation; the image keys are read lane by lane."""
     n = args.n
     m = p.nvars
     if desc.kind != "prime" or desc.p not in ORACLE_PRIMES:
@@ -254,21 +345,26 @@ def _cmd_oracle_enum(args, desc: FieldDescriptor, p: NcPolynomial) -> None:
         raise ResourceLimit(
             f"{desc.p}^{cells} = {total} tuples exceeds {ORACLE_TUPLE_LIMIT}")
     ring = FieldRing(desc)
+    tables = _lane_tables(desc.p)
     positions = [(j, k) for j in range(1, n + 1) for k in range(j, n + 1)]
-    values = [desc.from_int(v) for v in range(desc.p)]
-    per_matrix = [UTMatrix(ring, n, dict(zip(positions, combo)))
-                  for combo in product(values, repeat=len(positions))]
+    # one digit per cell, matrix 1's positions first: the tuples' order
+    digits = product(range(desc.p), repeat=cells)
     image = {}
     dual_ok = True
-    count = 0
-    for tup in product(per_matrix, repeat=m):
-        out = evaluate(p, list(tup))
-        if dual_ok and not out.eq(evaluate_structured(p, list(tup))):
+    for _ in range(0, total, ORACLE_CHUNK):
+        chunk = list(islice(digits, ORACLE_CHUNK))
+        columns = iter(zip(*chunk))
+        mats = [UTMatrix(ring, n, {pos: _Lanes(bytes(next(columns)), tables)
+                                   for pos in positions})
+                for _ in range(m)]
+        out = evaluate(p, mats)
+        if dual_ok and not out.eq(evaluate_structured(p, mats)):
             dual_ok = False
-        key = tuple(sorted(out.entries.items()))
-        if key not in image:
-            image[key] = out
-        count += 1
+        cols = sorted(out.entries.items())
+        for values in set(zip(*(v.data for _, v in cols))) or {()}:
+            key = tuple((pos, v) for (pos, _), v in zip(cols, values) if v)
+            if key not in image:
+                image[key] = UTMatrix._of(ring, n, dict(key))
     band_counts: dict = {}
     for mat in image.values():
         lvl = mat.band_level()
@@ -278,7 +374,7 @@ def _cmd_oracle_enum(args, desc: FieldDescriptor, p: NcPolynomial) -> None:
         "q": desc.p,
         "n": n,
         "m": m,
-        "tuples": count,
+        "tuples": total,
         "dual_evaluation_agrees": dual_ok,
         "image_size": len(image),
         "band_counts": band_counts,

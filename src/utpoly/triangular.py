@@ -34,12 +34,22 @@ factor.  Over Q each factor enters as an integer entry map over one
 denominator, the lcm of its entry denominators (_integer_entries), and
 a product carries the product of its factors' denominators, so the
 kernel runs on ints and no Fraction is made inside a product.  Each
-word's coefficient is then applied and summed in one pass, with the zero
-filter of UTMatrix.scale on each term and that of UTMatrix.__add__ on
-each sum, so C's float bits, poly-ring size checks and the order of the
-result's entries are those of scale-then-add; over Q that pass builds
-one Fraction per entry of the word.  Every step is exact over Q and F_p,
-so the values are too.
+word's coefficient is then applied and summed in one pass with two zero
+filters: a term that is zero is dropped, and an entry whose sum is zero
+leaves the result, to re-enter at the end if a later word gives it a
+term.  C's float bits, poly-ring size checks and the order of the
+result's entries are thus those of multiplying each word's product by
+its coefficient and adding the products one by one, dropping zeros each
+time; over Q that pass builds one Fraction per entry of the word.  Every
+step is exact over Q and F_p, so the values are too.
+
+Both routes read a value only through arithmetic (+, * and ** by an
+int, % p) and the zero filter (ring.nonzero, v % p or None over F_p),
+which decides which entries and terms exist; they never branch on a
+value otherwise.  So they run unchanged on any value type with those
+operations: oracle-enum evaluates a chunk of tuples at once with each
+matrix entry a lane vector, one lane per tuple, whose zero filter drops
+only a vector that is zero in every lane.
 
 generic_evaluate is p at the generic tuple, whose entries are single
 variables with coefficient one.  A product of generic matrices has, in
@@ -52,13 +62,13 @@ generic matrix i" multiplies each monomial of entry (j, l) by z[l, i]
 (k = l) or x[l, k, i] (k > l), visiting entries, k and monomials in
 _product's order, so term order (C's summation order downstream) is
 that of the matrix fold.  Field arithmetic starts at the end of a word:
-its coefficient times one, added into the sum as UTMatrix.__add__
-would.  Over Q those sums run on integers, each coefficient scaled by
-the lcm of p's coefficient denominators, and each term is divided once
-when the entry polynomials are built.  This is still a matrix fold over
-the words of p, sharing their prefix products through the same stack as
-evaluate; it reads nothing from live_slots, so the structured route
-stays an independent check of it.
+its coefficient times one, added into the entry's sum with evaluate's
+two zero filters.  Over Q those sums run on integers, each coefficient
+scaled by the lcm of p's coefficient denominators, and each term is
+divided once when the entry polynomials are built.  This is still a
+matrix fold over the words of p, sharing their prefix products through
+the same stack as evaluate; it reads nothing from live_slots, so the
+structured route stays an independent check of it.
 
 Each polynomial has one analysis context, keyed on p (whose field
 includes eps), holding its generic evaluations and its live-slot index
@@ -202,18 +212,6 @@ class UTMatrix:
             raise SizeMismatch(f"sizes {self.n} and {other.n}")
         if not self.ring.same(other.ring):
             raise FieldMismatch("matrices over different rings")
-
-    def __add__(self, other):
-        self._check(other)
-        entries = dict(self.entries)
-        for pos, v in other.entries.items():
-            entries[pos] = entries[pos] + v if pos in entries else v
-        return UTMatrix._own(self.ring, self.n, entries)
-
-    def scale(self, c) -> "UTMatrix":
-        cc = self.ring.scalar(c)
-        return UTMatrix._own(self.ring, self.n,
-                             {pos: cc * v for pos, v in self.entries.items()})
 
     def __matmul__(self, other):
         self._check(other)
@@ -482,9 +480,9 @@ def _generic_fold(p, n: int, ring: PolyRing) -> UTMatrix:
         zero, one = desc.zero(), desc.one()
 
         def weight(c):
-            return c * one    # UTMatrix.scale's term
+            return c * one    # the term evaluate applies
 
-    sums: dict = {}      # position -> {monomial: coefficient}, UTMatrix.__add__'s order
+    sums: dict = {}      # position -> {monomial: coefficient}, in evaluate's order
     for coeff, prod in _word_products(p, letters, rows, times):
         v = weight(coeff)   # nonzero, as p's coefficients are
         for pos, monos in prod.items():

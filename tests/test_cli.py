@@ -3,13 +3,24 @@
 import argparse
 import hashlib
 import json
+import os
+import random
+import subprocess
+import sys
 import time
+from collections import Counter
+from itertools import product
 
 import pytest
 
+import utpoly.cli
 import utpoly.solver
 import utpoly.triangular
-from utpoly.cli import build_parser, main
+from utpoly.cli import ORACLE_NOTE, build_parser, main
+from utpoly.fields import FieldDescriptor
+from utpoly.freealg import NcPolynomial
+from utpoly.triangular import (FieldRing, UTMatrix, evaluate,
+                               evaluate_structured)
 
 
 def run(capsys, *argv):
@@ -406,6 +417,183 @@ def test_oracle_enum_guards(capsys):
     code, _, _ = run(capsys, "oracle-enum", "--poly", "x1", "--field", "Fp:5",
                      "--n", "4")
     assert code == 2  # size guard is a resource limit, not a usage error
+
+
+def test_oracle_enum_tuple_limit(capsys, monkeypatch):
+    """5^12 tuples pass the n and m caps but not ORACLE_TUPLE_LIMIT,
+    which refuses them before any evaluation."""
+    monkeypatch.setattr(utpoly.cli, "evaluate", _forbidden)
+    code, out, err = run(capsys, "oracle-enum", "--poly", "x1*x2",
+                         "--field", "Fp:5", "--n", "3", "--m", "2")
+    assert code == 2 and out == ""
+    assert "ResourceLimit: 5^12 = 244140625 tuples exceeds 100000000" in err
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("forbidden call")
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_lanes_act_lane_by_lane(q):
+    """+, * and ** by an int, each with a plain int on either side, % q,
+    truthiness and ==, against the same operations on each lane's int."""
+    rng = random.Random(q)
+    tables = utpoly.cli._lane_tables(q)
+    xs, ys = ([rng.randrange(q) for _ in range(40)] for _ in range(2))
+    a, b = (utpoly.cli._Lanes(bytes(v), tables) for v in (xs, ys))
+
+    def lanes(v):
+        return list(v.data)
+
+    assert lanes(a + b) == [(x + y) % q for x, y in zip(xs, ys)]
+    assert lanes(a * b) == [x * y % q for x, y in zip(xs, ys)]
+    for c in range(-q, 2 * q + 1):
+        assert lanes(a + c) == lanes(c + a) == [(x + c) % q for x in xs]
+        assert lanes(a * c) == lanes(c * a) == [x * c % q for x in xs]
+    for e in range(8):
+        assert lanes(a ** e) == [x ** e % q for x in xs]
+    assert a % q is a
+    zero = utpoly.cli._Lanes(bytes(40), tables)
+    assert a and not zero and utpoly.cli._Lanes(bytes(39) + b"\1", tables)
+    assert a == utpoly.cli._Lanes(bytes(xs), tables) and a != b and a + zero == a
+
+
+def per_tuple_oracle(text, field, n, m):
+    """Reference for oracle-enum: its stdout computed one tuple at a
+    time, each route called on plain F_q matrices."""
+    desc = FieldDescriptor.parse(field)
+    p = NcPolynomial.parse(text, desc, nvars=m)
+    ring = FieldRing(desc)
+    positions = [(j, k) for j in range(1, n + 1) for k in range(j, n + 1)]
+    values = [desc.from_int(v) for v in range(desc.p)]
+    per_matrix = [UTMatrix(ring, n, dict(zip(positions, combo)))
+                  for combo in product(values, repeat=len(positions))]
+    image = {}
+    dual_ok = True
+    count = 0
+    for tup in product(per_matrix, repeat=m):
+        out = evaluate(p, list(tup))
+        if dual_ok and not out.eq(evaluate_structured(p, list(tup))):
+            dual_ok = False
+        key = tuple(sorted(out.entries.items()))
+        if key not in image:
+            image[key] = out
+        count += 1
+    band_counts = {}
+    for mat in image.values():
+        lvl = str(mat.band_level())
+        band_counts[lvl] = band_counts.get(lvl, 0) + 1
+    doc = {"note": ORACLE_NOTE, "q": desc.p, "n": n, "m": m, "tuples": count,
+           "dual_evaluation_agrees": dual_ok, "image_size": len(image),
+           "band_counts": band_counts,
+           "image": [image[k].to_json() for k in sorted(image)]}
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _random_poly_text(rng, q, m):
+    """Up to five terms of up to four letters; a repeated word adds its
+    coefficients, which may cancel."""
+    terms = []
+    for _ in range(rng.randint(1, 5)):
+        word = "*".join(f"x{rng.randint(1, m)}" for _ in range(rng.randint(1, 4)))
+        terms.append(f"{rng.randint(1, q - 1)}*{word}")
+    return "+".join(terms)
+
+
+# every (q, n, m) with at most 729 tuples
+_SMALL_ENUMERATIONS = [(q, n, m) for q in (2, 3, 5) for n in (1, 2, 3)
+                       for m in (1, 2) if q ** (m * n * (n + 1) // 2) <= 729]
+_SPECIAL_POLYS = [
+    ("0", "Fp:2", 2, 1), ("0", "Fp:3", 3, 1), ("0", "Fp:5", 1, 2),
+    ("x1^4", "Fp:3", 3, 1), ("x1^2+x1^5", "Fp:5", 2, 1), ("x1^3", "Fp:2", 3, 1),
+    ("x1^3-x1", "Fp:3", 3, 1),                    # zero on every diagonal
+    ("x1*x2+2*x1*x2", "Fp:3", 2, 2),              # the coefficients cancel
+    ("x1*x2-x2*x1+x1*x1*x2", "Fp:3", 2, 2),
+]
+
+
+@pytest.mark.parametrize("q,n,m", _SMALL_ENUMERATIONS)
+def test_oracle_enum_lanes_match_the_per_tuple_loop(capsys, monkeypatch, q, n, m):
+    """Chunks of 7 lanes, so most enumerations end in a partial chunk."""
+    monkeypatch.setattr(utpoly.cli, "ORACLE_CHUNK", 7)
+    rng = random.Random(q * 100 + n * 10 + m)
+    for _ in range(2):
+        text = _random_poly_text(rng, q, m)
+        argv = ("--poly", text, "--field", f"Fp:{q}", "--n", str(n), "--m", str(m))
+        code, out, err = run(capsys, "oracle-enum", *argv)
+        assert code == 0, err
+        assert out == per_tuple_oracle(text, f"Fp:{q}", n, m), text
+
+
+@pytest.mark.parametrize("text,field,n,m", _SPECIAL_POLYS)
+def test_oracle_enum_lanes_match_on_special_polys(capsys, monkeypatch, text,
+                                                  field, n, m):
+    monkeypatch.setattr(utpoly.cli, "ORACLE_CHUNK", 7)
+    code, out, err = run(capsys, "oracle-enum", "--poly", text, "--field", field,
+                         "--n", str(n), "--m", str(m))
+    assert code == 0, err
+    assert out == per_tuple_oracle(text, field, n, m)
+
+
+def test_oracle_enum_sees_one_wrong_lane(capsys, monkeypatch):
+    """The structured route made wrong in lane 3 of the second of four
+    chunks of 7, 7, 7 and 6 tuples: the routes no longer agree, and the
+    image, read from the direct route, stays as it was."""
+    monkeypatch.setattr(utpoly.cli, "ORACLE_CHUNK", 7)
+    argv = ("oracle-enum", "--poly", "x1^2", "--field", "Fp:3", "--n", "2")
+    good = run_json(capsys, *argv)
+    real = utpoly.cli.evaluate_structured
+    chunks = []
+
+    def wrong_in_one_lane(p, mats):
+        out = real(p, mats)
+        chunks.append(out)
+        if len(chunks) == 2:
+            v = out.entries[(1, 1)]
+            data = bytearray(v.data)
+            data[3] = (data[3] + 1) % 3
+            out.entries[(1, 1)] = type(v)(bytes(data), v.tables)
+        return out
+
+    monkeypatch.setattr(utpoly.cli, "evaluate_structured", wrong_in_one_lane)
+    bad = run_json(capsys, *argv)
+    assert len(chunks) == 2     # once the routes disagree, it is not called again
+    assert good["dual_evaluation_agrees"] is True
+    assert bad["dual_evaluation_agrees"] is False
+    assert {**bad, "dual_evaluation_agrees": True} == good
+
+
+@pytest.mark.parametrize("chunk,chunks", [(4096, 1), (7, 105)])
+def test_oracle_enum_runs_each_route_once_per_chunk(capsys, monkeypatch,
+                                                    chunk, chunks):
+    monkeypatch.setattr(utpoly.cli, "ORACLE_CHUNK", chunk)
+    calls = Counter()
+    for name in ("evaluate", "evaluate_structured"):
+        route = getattr(utpoly.cli, name)
+        monkeypatch.setattr(utpoly.cli, name, lambda p, mats, route=route, name=name:
+                            calls.update([name]) or route(p, mats))
+    data = run_json(capsys, "oracle-enum", "--poly", "x1*x2-x2*x1+x1*x1*x2",
+                    "--field", "Fp:3", "--n", "2", "--m", "2")
+    assert data["tuples"] == 729 and data["dual_evaluation_agrees"] is True
+    assert calls == {"evaluate": chunks, "evaluate_structured": chunks}
+
+
+def test_oracle_enum_f5_n3_within_budget():
+    """15,625 tuples over F_5, timed as a process with its start-up:
+    about 2.0 s one tuple at a time, 0.3 s in lane chunks.  The digest
+    is that of the per-tuple enumeration's stdout."""
+    src = os.path.dirname(os.path.dirname(utpoly.cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    t0 = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "utpoly.cli", "oracle-enum", "--poly",
+         "x1^2+2*x1^3", "--field", "Fp:5", "--n", "3"],
+        capture_output=True, env=env, timeout=60)
+    elapsed = time.perf_counter() - t0
+    assert done.returncode == 0, done.stderr
+    assert hashlib.sha256(done.stdout).hexdigest() == \
+        "0f12ae774c78698739f8363f0017271202081b69c5a97aad00f74b8d06ab6fb0"
+    assert elapsed < 1.2, elapsed
 
 
 def test_byte_determinism(capsys):

@@ -157,7 +157,6 @@ def _target(desc):
 
 
 _MIXED = {
-    "matrix+": lambda: _mats(F7)[0] + _mats(F11)[0],
     "matrix@": lambda: _mats(F7)[0] @ _mats(F11)[0],
     "evaluate": lambda: evaluate(NcPolynomial.parse(_COMM, F7), _mats(F11)),
     "evaluate_structured": lambda: evaluate_structured(
