@@ -21,6 +21,9 @@ no slot tuple of length n or more.  classify, coeff_poly and leading_tuples
 read the index too; only order probes generic evaluations, since its
 report names a nonzero generic entry and samples a point of that entry
 polynomial.
+
+The index is cached per polynomial, keyed on p and the order of its
+words (triangular._context); order's generic evaluations are not.
 """
 
 from __future__ import annotations

@@ -56,8 +56,8 @@ variables with coefficient one.  A product of generic matrices has, in
 entry (j, k), one monomial per weakly increasing row path from j to k,
 the path being readable from the monomial (its x variables are the
 arcs, its z exponents per row the stays), so every coefficient is one
-and no two paths meet.  _generic_fold therefore keeps a word product as
-{(j, k): [monomial, ...]} with no coefficients, and one step "times
+and no two paths meet.  generic_evaluate therefore keeps a word product
+as {(j, k): [monomial, ...]} with no coefficients, and one step "times
 generic matrix i" multiplies each monomial of entry (j, l) by z[l, i]
 (k = l) or x[l, k, i] (k > l), visiting entries, k and monomials in
 _product's order, so term order (C's summation order downstream) is
@@ -70,9 +70,13 @@ matrix fold over the words of p, sharing their prefix products through
 the same stack as evaluate; it reads nothing from live_slots, so the
 structured route stays an independent check of it.
 
-Each polynomial has one analysis context, keyed on p (whose field
-includes eps), holding its generic evaluations and its live-slot index
-(live_slots); those of the _CONTEXT_CAP most recent polynomials are kept.
+The one cache, _context, keeps the live-slot index (live_slots) of the
+_CONTEXT_CAP most recent polynomials, which a witness session reads in
+every request.  Its key is p (whose field includes eps) and p's words in
+p.terms order: over C that order sets the float bits of the index, so
+an equal p listing its terms in another order gets its own, and a warm
+index is always the one a fresh build gives.  Generic evaluations are
+computed afresh on each call.
 """
 
 from __future__ import annotations
@@ -300,7 +304,7 @@ def _check_tuple(p, matrices):
     if len(matrices) != p.nvars:
         raise ArityMismatch(f"{p.nvars} variables but {len(matrices)} matrices")
     if not matrices:
-        return None
+        raise ArityMismatch("cannot evaluate with an empty matrix tuple")
     first = matrices[0]
     for a in matrices:
         if a.n != first.n:
@@ -369,8 +373,6 @@ def evaluate(p, matrices) -> UTMatrix:
     """Evaluate p at a tuple of upper triangular matrices: the words'
     products through _product, see the module docstring."""
     ring = _check_tuple(p, matrices)
-    if ring is None:
-        raise ArityMismatch("cannot evaluate with an empty matrix tuple")
     n = matrices[0].n
     if ring.kind == "field" and ring.desc.kind == "rational":
         factors = [_integer_entries(a.entries) for a in matrices]
@@ -391,7 +393,7 @@ def evaluate(p, matrices) -> UTMatrix:
             cc = ring.scalar(c)
             return [(pos, cc * v) for pos, v in prod.items()]
 
-    # UTMatrix.scale's zero filter on each term, then __add__'s on each sum
+    # a zero term is dropped, then a zero sum
     nonzero = ring.nonzero
     acc: dict = {}
     for coeff, prod in _word_products(p, factors, factors, times):
@@ -408,25 +410,16 @@ def evaluate(p, matrices) -> UTMatrix:
     return UTMatrix._of(ring, n, acc)
 
 
-_CONTEXT_CAP = 32     # the witness workload returns to some p after 17-20 others
+# 40 witness rounds (1800 requests, 363 polynomials) built the index 400,
+# 389, 374, 372 and 368 times at caps 8, 16, 20, 32 and 64: 9 rebuilds at 32
+_CONTEXT_CAP = 32
 
 
 @lru_cache(maxsize=_CONTEXT_CAP)
-def _context(p) -> tuple:
-    """p's analysis context: (generic evaluations by (n, budget), index by k)."""
-    return {}, {}
-
-
-def generic_evaluate(p, n: int, monomial_budget: int = 10 ** 6) -> UTMatrix:
-    """p at the generic tuple of size n, kept in p's context since order
-    probing, classification, and the solver all revisit the same matrix.
-    The budget is part of the key, so a result computed under a larger
-    budget never stands in for a call that must raise ResourceLimit."""
-    generic = _context(p)[0]
-    key = (n, monomial_budget)
-    if key not in generic:
-        generic[key] = _generic_fold(p, n, PolyRing(p.field, monomial_budget))
-    return generic[key]
+def _context(p, words: tuple) -> dict:
+    """The live-slot index of p by k, for p with its words in the order
+    words: see the module docstring."""
+    return {}
 
 
 def _times_var(mono: tuple, var: tuple) -> tuple:
@@ -437,10 +430,12 @@ def _times_var(mono: tuple, var: tuple) -> tuple:
     return mono[:at] + ((var, 1),) + mono[at:]
 
 
-def _generic_fold(p, n: int, ring: PolyRing) -> UTMatrix:
+def generic_evaluate(p, n: int, monomial_budget: int = 10 ** 6) -> UTMatrix:
     """p at the generic tuple of size n, with no field arithmetic inside
-    a word: see the module docstring."""
+    a word: see the module docstring.  Not cached: a cache served 31 of
+    768 calls in 12 witness and 20 symbolic benchmark rounds."""
     desc = p.field
+    ring = PolyRing(desc, monomial_budget)
     # rows[i - 1][l]: (k, the variable of entry (l, k) of generic matrix i), k >= l
     rows = [{l: [(k, diag_var(l, i) if k == l else entry_var(l, k, i))
                  for k in range(l, n + 1)]
@@ -523,7 +518,7 @@ def live_slots(p, k: int) -> dict:
     matches it bit for bit, term order (eval_full's summation order over
     C) included.
     """
-    index = _context(p)[1]
+    index = _context(p, tuple(p.terms))
     if k in index:
         return index[k]
     desc = p.field
@@ -563,7 +558,7 @@ def evaluate_structured(p, matrices) -> UTMatrix:
     entries read off the matrices.
     """
     ring = _check_tuple(p, matrices)
-    if ring is None or ring.kind != "field":
+    if ring.kind != "field":
         raise FieldMismatch("structured evaluation needs concrete field matrices")
     n = matrices[0].n
     diags = [tuple(a.entry(j, j) for a in matrices) for j in range(1, n + 1)]
@@ -579,20 +574,12 @@ def evaluate_structured(p, matrices) -> UTMatrix:
     return UTMatrix._own(ring, n, entries)
 
 
-@lru_cache(maxsize=None)
-def _diag_keys(rows: int, m: int) -> tuple:
-    """diag_var(l, i) at [l - 1][i - 1] for rows 1..rows, slots 1..m."""
-    return tuple(tuple(diag_var(l, i) for i in range(1, m + 1))
-                 for l in range(1, rows + 1))
-
-
 def row_values(diags, rows) -> dict:
     """The assignment binding a coefficient polynomial's diagonal rows to
     matrix rows: z[l, i] -> diags[rows[l - 1] - 1][i - 1], where
     diags[j - 1] is matrix row j's tuple of diagonal values."""
-    keys = _diag_keys(len(rows), len(diags[0]))
-    return {z: v for l, row in enumerate(rows)
-            for z, v in zip(keys[l], diags[row - 1])}
+    return {diag_var(l, i): v for l, row in enumerate(rows, 1)
+            for i, v in enumerate(diags[row - 1], 1)}
 
 
 def structured_entry(p, s: int, t: int, diags, arc, fresh=None) -> tuple:

@@ -232,7 +232,8 @@ def test_each_placement_of_a_word_has_its_own_key():
 
 def test_evicted_context_gives_the_same_answers():
     """A polynomial whose context was evicted is analysed again from its
-    words with the same results, generic evaluations included."""
+    words with the same results; generic evaluations, which no context
+    holds, are recomputed with the same results too."""
     rng = random.Random(77)
     p = NcPolynomial.parse("x1*x2*x3 - 2*x3*x1*x2 + x2*x2", Q)
     mats = [UTMatrix(FieldRing(Q), 4,

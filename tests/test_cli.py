@@ -155,6 +155,59 @@ def test_eval_structured_complex_pinned(tmp_path, capsys):
         "72a60e87b1f1b87340563127cd8f9282b1ed0e49dc8ce7809414bd054ae180a1"
 
 
+@pytest.mark.parametrize("route", ["direct", "structured"])
+def test_empty_matrix_tuple_is_an_arity_error(tmp_path, capsys, route):
+    """The polynomial 0 takes no matrices, and an empty tuple has no size
+    to evaluate at: both routes say so.  The structured route used to
+    say FieldMismatch, as if the matrices were over the wrong ring."""
+    f = tmp_path / "m.json"
+    f.write_text(json.dumps({"matrices": []}))
+    code, out, err = run(capsys, "eval", "--poly", "0", "--matrices", str(f),
+                         "--route", route)
+    assert (code, out) == (2, "")
+    assert err == ("utpoly: ArityMismatch: cannot evaluate with an empty "
+                   "matrix tuple\n")
+
+
+@pytest.mark.parametrize("command", ["solve", "eval"])
+def test_c_answers_ignore_an_equal_polynomial_run_before(tmp_path, capsys,
+                                                         command):
+    """p1 is p2 with its terms in reverse order: an equal polynomial, whose
+    coefficient polynomials over C sum their floats in another order.
+    A live-slot index shared between the two made a C request on p2
+    print other bytes after one on p1.  Re-reading p2 still reuses its
+    own index."""
+    p2 = "1.3*x1*x2*x1 - 0.9*x2*x1*x1 + 0.3*x1*x1*x2 + 0.7*x2*x1 + 0.1*x1*x2"
+    p1 = "0.1*x1*x2 + 0.7*x2*x1 + 0.3*x1*x1*x2 - 0.9*x2*x1*x1 + 1.3*x1*x2*x1"
+    c = FieldDescriptor.parse("C")
+    terms = list(NcPolynomial.parse(p2, c).terms.items())
+    assert list(NcPolynomial.parse(p1, c).terms.items()) == terms[::-1]
+    target = tmp_path / "t.json"
+    target.write_text(json.dumps({"n": 3, "entries": [
+        {"j": j, "k": k, "value": f"{j + 2 * k}.5"}
+        for j in range(1, 4) for k in range(j, 4)]}))
+    mats = tmp_path / "m.json"
+    mats.write_text(json.dumps({"matrices": [{"n": 3, "entries": [
+        {"j": j, "k": k, "value": f"{0.3 * j + 0.7 * k + i:.3f}"}
+        for j in range(1, 4) for k in range(j, 4)]} for i in range(2)]}))
+    rest = {"solve": ("--n", "3", "--target", str(target)),
+            "eval": ("--matrices", str(mats), "--route", "structured")}[command]
+
+    def request(poly):
+        return run(capsys, command, "--poly", poly, "--field", "C", *rest)
+
+    context = utpoly.triangular._context
+    context.cache_clear()
+    alone = request(p2)
+    assert alone[0] == 0, alone[2]
+    hits = context.cache_info().hits
+    assert request(p2) == alone
+    assert context.cache_info().hits > hits
+    context.cache_clear()
+    request(p1)
+    assert request(p2) == alone
+
+
 def test_coeffs_slots(capsys):
     data = run_json(capsys, "coeffs", "--poly", "x1*x2-x2*x1",
                     "--slots", "1")
@@ -314,8 +367,7 @@ def test_order_of_five_commutators_within_budget(capsys):
     """order probes the generic evaluation at sizes 1..6 of a product of
     five commutators (order 5).  Folded as coefficient-one monomials with
     shared prefixes it took about 1.2 s; through polynomial matrix
-    products it took about 9 s.  Runtime budget: 4 s, from a cold cache."""
-    utpoly.triangular._context.cache_clear()
+    products it took about 9 s.  Runtime budget: 4 s."""
     t0 = time.perf_counter()
     data = run_json(capsys, "order", "--poly", _FIVE)
     elapsed = time.perf_counter() - t0
@@ -438,7 +490,7 @@ def test_lanes_act_lane_by_lane(q):
     """+, * and ** by an int, each with a plain int on either side, % q,
     truthiness and ==, against the same operations on each lane's int."""
     rng = random.Random(q)
-    tables = utpoly.cli._lane_tables(q)
+    tables = utpoly.cli._LaneTables(q)
     xs, ys = ([rng.randrange(q) for _ in range(40)] for _ in range(2))
     a, b = (utpoly.cli._Lanes(bytes(v), tables) for v in (xs, ys))
 

@@ -19,11 +19,17 @@ from worker import run_pass  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 
-@pytest.mark.parametrize("workload", sorted(WORKLOADS))
-def test_golden_rounds_match(workload, tmp_path, monkeypatch):
+@pytest.mark.parametrize("workload, passes",
+                         [pytest.param(w, 1, id=w) for w in sorted(WORKLOADS)]
+                         + [pytest.param(w, 2, id=f"{w}-twice")
+                            for w in sorted(WORKLOADS)])
+def test_golden_rounds_match(workload, passes, tmp_path, monkeypatch):
+    """A second pass runs in the same process, its caches warm from the
+    first: a warm cache must not change an answer."""
     # the worker writes its request files under .bench_work/ in the cwd
     monkeypatch.chdir(tmp_path)
-    result = run_pass({"workload": workload, "seed": 0, "seconds": 0,
-                       "rounds": 3, "trace": False, "golden": True})
-    assert result["failures"] == []
-    assert result["golden_checked"] == len(result["records"]) > 0
+    for _ in range(passes):
+        result = run_pass({"workload": workload, "seed": 0, "seconds": 0,
+                           "rounds": 3, "trace": False, "golden": True})
+        assert result["failures"] == []
+        assert result["golden_checked"] == len(result["records"]) > 0

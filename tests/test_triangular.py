@@ -329,7 +329,7 @@ def test_generic_evaluate_specializes_to_concrete():
 
 def test_generic_evaluate_monomial_budget():
     p = NcPolynomial.parse("x1*x2*x1*x2*x1", Q)
-    generic_evaluate(p, 4)  # cached under the default budget
+    generic_evaluate(p, 4)  # within the default budget
     with pytest.raises(ResourceLimit):
         generic_evaluate(p, 4, monomial_budget=5)
 
@@ -566,7 +566,6 @@ def _forbidden(*args, **kwargs):
 def test_generic_evaluate_multiplies_no_polynomials(monkeypatch):
     p = NcPolynomial.parse("(x1*x2-x2*x1)*(x3*x1-x1*x3)*x2 + 2*x1*x2*x2", Q)
     reference = bits(evaluate_words(p, generic_tuple(Q, 4, 3)))
-    utpoly.triangular._context.cache_clear()
     monkeypatch.setattr(CPolynomial, "__mul__", _forbidden)
     monkeypatch.setattr(UTMatrix, "__matmul__", _forbidden)
     assert bits(generic_evaluate(p, 4)) == reference
