@@ -245,18 +245,27 @@ def _cmd_verify(args, desc: FieldDescriptor, p: NcPolynomial) -> None:
 class _LaneTables:
     """Byte tables for the lanes of F_p, p <= 5, each read by
     bytes.translate: index x gives the residue of x, of c*x or of x**e,
-    and index x*p + y that of x*y (x, y residues)."""
+    and index x*p + y that of x*y (x, y residues).  The first three are
+    periodic in x with period p, so each repeats its p residues; mul is
+    read only below p*p, and its other entries are zero."""
 
     def __init__(self, p: int):
         self.p = p
-        self.mod = bytes(x % p for x in range(256))
-        self.mul = bytes((x // p) * (x % p) % p for x in range(256))
-        self.scale = [bytes(x * c % p for x in range(256)) for c in range(p)]
+        self.mod = self._periodic(range(p))
+        self.mul = bytes(x * y % p for x in range(p)
+                         for y in range(p)).ljust(256, b"\0")
+        self.scale = [self._periodic(x * c % p for x in range(p))
+                      for c in range(p)]
         self.pows: dict = {}
+
+    def _periodic(self, residues) -> bytes:
+        """The 256-byte table whose entry x is residues[x % p]."""
+        return (bytes(residues) * (256 // self.p + 1))[:256]
 
     def power(self, e: int) -> bytes:
         if e not in self.pows:
-            self.pows[e] = bytes(pow(x, e, self.p) for x in range(256))
+            self.pows[e] = self._periodic(pow(x, e, self.p)
+                                          for x in range(self.p))
         return self.pows[e]
 
 

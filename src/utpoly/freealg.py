@@ -17,7 +17,7 @@ from .fields import FieldDescriptor, add_terms, mul_terms, render_terms
 
 
 class NcPolynomial:
-    __slots__ = ("field", "nvars", "terms", "_hash")
+    __slots__ = ("field", "nvars", "terms", "_hash", "_words")
 
     def __init__(self, field: FieldDescriptor, nvars: int, terms: dict):
         clean = {}
@@ -37,6 +37,7 @@ class NcPolynomial:
         self.nvars = nvars
         self.terms = clean
         self._hash = None
+        self._words = None
 
     # -- construction ------------------------------------------------------
 
@@ -83,6 +84,13 @@ class NcPolynomial:
             key = tuple(sorted(self.terms.items()))
             self._hash = hash((self.field, self.nvars, key))
         return self._hash
+
+    def word_order(self) -> "WordOrder":
+        """The words of p in p.terms order, which equality ignores, as a
+        key hashed once per polynomial."""
+        if self._words is None:
+            self._words = WordOrder(tuple(self.terms))
+        return self._words
 
     def _check(self, other: "NcPolynomial") -> int:
         if not self.field.same_field(other.field):
@@ -133,6 +141,25 @@ class NcPolynomial:
 
     def __repr__(self):
         return f"NcPolynomial({self.field.render()}, m={self.nvars}, {self.pretty()})"
+
+
+class WordOrder:
+    """A tuple of words whose hash is computed once: equal word orders
+    are equal keys, and a lookup hashes no word."""
+
+    __slots__ = ("words", "_hash")
+
+    def __init__(self, words: tuple):
+        self.words = words
+        self._hash = hash(words)
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if not isinstance(other, WordOrder):
+            return NotImplemented
+        return self.words == other.words
 
 
 class _FreeBuilder:

@@ -15,10 +15,17 @@ agreement is a strong end-to-end check and is exercised by tests; do
 not collapse one into the other.  structured_entry is the one walk over
 an entry's (path, live tuple) terms: evaluate_structured sums them at
 matrix entries, and the exact-field witness sweep splits them into the
-slope and offset of the entry's fresh variable.  row_values is the one
-binding of a coefficient polynomial's rows z[l, *] to matrix rows: the
-path walk, the solver's diagonal search and its order-0 slot choice all
-read coefficient polynomials through it.
+slope and offset of the entry's fresh variable.  The walk reads each
+coefficient polynomial in a row-indexed form kept beside it in the
+analysis context (_walk), its factors z[l, i]^e as (l - 1, i - 1, e), so
+a term takes row l's value straight from the path's row of diagonal
+values, and it reads each (arc, letter) once per entry.  Over F_p and C
+it performs eval_full's operations in eval_full's order, so C's float
+bits do not move; over Q every product and sum of the walk runs on
+integers over one running denominator, and each of the entry's two sums
+becomes one Fraction.  row_values binds a coefficient polynomial's rows
+z[l, *] to matrix rows for eval_full: the solver's diagonal search and
+its order-0 slot choice read coefficient polynomials through it.
 
 evaluate walks p's words in p.terms order with a stack of the previous
 word's prefix products (_word_products), so a word costs only the
@@ -70,13 +77,14 @@ matrix fold over the words of p, sharing their prefix products through
 the same stack as evaluate; it reads nothing from live_slots, so the
 structured route stays an independent check of it.
 
-The one cache, _context, keeps the live-slot index (live_slots) of the
-_CONTEXT_CAP most recent polynomials, which a witness session reads in
-every request.  Its key is p (whose field includes eps) and p's words in
-p.terms order: over C that order sets the float bits of the index, so
-an equal p listing its terms in another order gets its own, and a warm
-index is always the one a fresh build gives.  Generic evaluations are
-computed afresh on each call.
+The one cache, _context, keeps the live-slot index (live_slots), with
+its walk form, of the _CONTEXT_CAP most recent polynomials, which a
+witness session reads in every request.  Its key is p (whose field
+includes eps) and p's words in p.terms order, p.word_order(), which is
+hashed once per polynomial: over C that order sets the float bits of the
+index, so an equal p listing its terms in another order gets its own,
+and a warm index is always the one a fresh build gives.  Generic
+evaluations are computed afresh on each call.
 """
 
 from __future__ import annotations
@@ -85,7 +93,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 
 from .cpoly import CPolynomial, diag_var, entry_var
 from .errors import (ArityMismatch, FieldMismatch, ParseError, ResourceLimit,
@@ -416,10 +424,25 @@ _CONTEXT_CAP = 32
 
 
 @lru_cache(maxsize=_CONTEXT_CAP)
-def _context(p, words: tuple) -> dict:
-    """The live-slot index of p by k, for p with its words in the order
-    words: see the module docstring."""
-    return {}
+def _context(p, words) -> tuple:
+    """The analysis context of p with its words in the order words
+    (p.word_order()): the live-slot index by k (live_slots) and its walk
+    form by k (_walk), each filled on first use; see the module
+    docstring."""
+    return {}, {}
+
+
+def _ratio(v) -> tuple:
+    """v as the walk keeps a Q value: (numerator, denominator)."""
+    return v.numerator, v.denominator
+
+
+def _same(v):
+    """v as the walk keeps an F_p or C value: v itself."""
+    return v
+
+
+_UNREAD = object()      # an arc entry the walk has not read yet
 
 
 def _times_var(mono: tuple, var: tuple) -> tuple:
@@ -518,7 +541,7 @@ def live_slots(p, k: int) -> dict:
     matches it bit for bit, term order (eval_full's summation order over
     C) included.
     """
-    index = _context(p, tuple(p.terms))
+    index = _context(p, p.word_order())[0]
     if k in index:
         return index[k]
     desc = p.field
@@ -548,6 +571,25 @@ def live_slots(p, k: int) -> dict:
     out = index[k] = {slots: CPolynomial(desc, sums[slots])
                       for slots in sorted(sums) if sums[slots]}
     return out
+
+
+def _walk(context: tuple, p, k: int) -> tuple:
+    """The walk form of live_slots(p, k) from p's context, built on first
+    use: the row-indexed form structured_entry reads.  It lists the
+    index's tuples in index order as (slots, terms), each term of the
+    tuple's coefficient polynomial, in term order, as (coefficient,
+    factors), its factors z[l, i]^e in key order as (l - 1, i - 1, e),
+    and the coefficient as a (numerator, denominator) pair over Q."""
+    walks = context[1]
+    walk = walks.get(k)
+    if walk is None:
+        read = _ratio if p.field.kind == "rational" else _same
+        walk = walks[k] = tuple(
+            (slots, tuple((read(c), tuple((l - 1, i - 1, e)
+                                          for (_, l, i), e in mono))
+                          for mono, c in q.terms.items()))
+            for slots, q in live_slots(p, k).items())
+    return walk
 
 
 def evaluate_structured(p, matrices) -> UTMatrix:
@@ -589,41 +631,108 @@ def structured_entry(p, s: int, t: int, diags, arc, fresh=None) -> tuple:
     a live k-slot tuple (i_1..i_k) of p (live_slots): the tuple's
     coefficient polynomial at the path's diagonal rows (diags[j - 1] is
     row j's tuple of diagonal values) times arc((j_l, j_{l+1}), i_l) for
-    each arc.  A term is skipped when arc returns None.  Terms are summed
-    k ascending, interior rows in combinations() order, tuples in index
-    order.  A path uses each arc once, so a term holds the entry variable
-    fresh at most once: the terms that slot it on its arc go, without
-    that factor, to the first sum, all others to the second.
+    each arc.  A term is skipped when arc returns None.  A path uses each
+    arc once, so a term holds the entry variable fresh at most once: the
+    terms that slot it on its arc go, without that factor, to the first
+    sum, all others to the second.
+
+    Terms are summed k ascending, interior rows in combinations() order,
+    tuples in index order.  A term reads its arcs in path order up to the
+    first None, and arc is called only on an (arc, letter) no term of the
+    entry has read yet, so it sees the pairs, in the same first-call
+    order, that calls per term would show it.  Over F_p and C a term is
+    eval_full's sum over the polynomial's terms, in term order, of
+    c * v_1**e_1 * v_2**e_2 ..., row values in key order, put through
+    canonical and times one * a_1 * a_2 ... over its arc values, so C's
+    float bits and the operations on oracle-enum's lane vectors are
+    those of eval_full term by term.  Over Q each value is read as
+    (numerator, denominator), products and sums run on integers over one
+    running denominator, and each sum becomes one Fraction at the end.
     """
     desc = p.field
-    one = desc.one()
+    rational = desc.kind == "rational"
+    read = _ratio if rational else _same
+    context = _context(p, p.word_order())
     fresh_arc, star = (fresh[1:3], fresh[3]) if fresh else (None, None)
-    fresh_sum = total = desc.zero()
+    row_of = {j: tuple(map(read, diags[j - 1])) for j in range(s, t + 1)}
+    arc_values: dict = {}     # arc -> its value by letter, or _UNREAD
+    width = p.nvars + 1
+    one, zero, canonical = desc.one(), desc.zero(), desc.canonical
+    fresh_sum = total = zero
+    # over Q: the sums as numerator over denominator
+    fresh_num = total_num = 0
+    fresh_den = total_den = 1
     for k in range(1, t - s + 1):
-        tuples = live_slots(p, k)
-        if not tuples:
+        walk = _walk(context, p, k)
+        if not walk:
             continue
         for interior in combinations(range(s + 1, t), k - 1):
             path = (s,) + interior + (t,)
             arcs = tuple(zip(path, path[1:]))
             at = arcs.index(fresh_arc) if fresh_arc in arcs else -1
-            assign = None
-            for slots, q in tuples.items():
+            rows = [row_of[j] for j in path]
+            cells = []
+            for a in arcs:
+                cell = arc_values.get(a)
+                if cell is None:
+                    cell = arc_values[a] = [_UNREAD] * width
+                cells.append(cell)
+            for slots, terms in walk:
                 hit = at >= 0 and slots[at] == star
+                num = den = 1
                 arc_val = one
-                for a, i in zip(arcs, slots):
-                    if hit and a == fresh_arc:
+                for l, i in enumerate(slots):
+                    if hit and l == at:
                         continue
-                    v = arc(a, i)
+                    cell = cells[l]
+                    v = cell[i]
+                    if v is _UNREAD:
+                        v = arc(arcs[l], i)
+                        v = cell[i] = None if v is None else read(v)
                     if v is None:
                         break
-                    arc_val = arc_val * v
+                    if rational:
+                        num *= v[0]
+                        den *= v[1]
+                    else:
+                        arc_val = arc_val * v
                 else:
-                    if assign is None:
-                        assign = row_values(diags, path)
-                    term = q.eval_full(assign) * arc_val
+                    if rational:
+                        q_num, q_den = 0, 1
+                        for (a, b), factors in terms:
+                            for r, i, e in factors:
+                                x, y = rows[r][i]
+                                if e == 1:
+                                    a *= x
+                                    b *= y
+                                else:
+                                    a *= x ** e
+                                    b *= y ** e
+                            g = gcd(b, q_den)
+                            q_num = q_num * (b // g) + a * (q_den // g)
+                            q_den = q_den // g * b
+                        num *= q_num
+                        den *= q_den
+                        if hit:
+                            g = gcd(den, fresh_den)
+                            fresh_num = fresh_num * (den // g) + num * (fresh_den // g)
+                            fresh_den = fresh_den // g * den
+                        else:
+                            g = gcd(den, total_den)
+                            total_num = total_num * (den // g) + num * (total_den // g)
+                            total_den = total_den // g * den
+                        continue
+                    acc = zero
+                    for c, factors in terms:
+                        prod = c
+                        for r, i, e in factors:
+                            prod = prod * rows[r][i] ** e
+                        acc = acc + prod
+                    term = canonical(acc) * arc_val
                     if hit:
                         fresh_sum = fresh_sum + term
                     else:
                         total = total + term
-    return desc.canonical(fresh_sum), desc.canonical(total)
+    if rational:
+        return Fraction(fresh_num, fresh_den), Fraction(total_num, total_den)
+    return canonical(fresh_sum), canonical(total)

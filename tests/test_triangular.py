@@ -13,20 +13,21 @@ may be weakened to compare a route with itself.
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 import utpoly.triangular
-from utpoly.analysis import exact_order
+from utpoly.analysis import exact_order, leading_tuples
 from utpoly.cpoly import CPolynomial, diag_var, entry_var
 from utpoly.errors import (ArityMismatch, FieldMismatch, ParseError,
                            ResourceLimit, SizeMismatch, UtpolyError)
 from utpoly.fields import FieldDescriptor
 from utpoly.freealg import NcPolynomial, commutator
-from utpoly.solver import SolveOptions, solve_target
+from utpoly.solver import SolveOptions, build_sweep_plan_rn, solve_target
 from utpoly.triangular import (FieldRing, PolyRing, UTMatrix, evaluate,
                                evaluate_structured, generic_evaluate,
-                               live_slots)
+                               live_slots, row_values, structured_entry)
 
 Q = FieldDescriptor.parse("Q")
 F7 = FieldDescriptor.parse("Fp:7")
@@ -666,3 +667,156 @@ def test_prime_field_values_are_reduced_at_rest(field):
             assert all(_canonical(desc, v) for v in a.entries.values())
         assert res.achieved.entries == target.entries
     assert solved >= 5
+
+
+# -- the structured path walk --------------------------------------------------
+
+
+def structured_entry_reference(p, s, t, diags, arc, fresh=None):
+    """Reference for structured_entry: the same terms in the same order,
+    each polynomial bound to its rows through row_values and evaluated by
+    eval_full, each term's arcs read through arc, and both sums built
+    term by term in the field's arithmetic (Fraction sums over Q)."""
+    desc = p.field
+    one = desc.one()
+    fresh_arc, star = (fresh[1:3], fresh[3]) if fresh else (None, None)
+    fresh_sum = total = desc.zero()
+    for k in range(1, t - s + 1):
+        tuples = live_slots(p, k)
+        for interior in combinations(range(s + 1, t), k - 1):
+            path = (s,) + interior + (t,)
+            arcs = tuple(zip(path, path[1:]))
+            at = arcs.index(fresh_arc) if fresh_arc in arcs else -1
+            assign = None
+            for slots, q in tuples.items():
+                hit = at >= 0 and slots[at] == star
+                arc_val = one
+                for a, i in zip(arcs, slots):
+                    if hit and a == fresh_arc:
+                        continue
+                    v = arc(a, i)
+                    if v is None:
+                        break
+                    arc_val = arc_val * v
+                else:
+                    if assign is None:
+                        assign = row_values(diags, path)
+                    term = q.eval_full(assign) * arc_val
+                    if hit:
+                        fresh_sum = fresh_sum + term
+                    else:
+                        total = total + term
+    return desc.canonical(fresh_sum), desc.canonical(total)
+
+
+def walk_cases(desc, rng, count):
+    """(p, diags, values, entries) for structured_entry, n <= 7: p repeats
+    letters (exponents of 2 and more) and cancels in pairs; over Q its
+    coefficients and the values have denominators up to 10^12; some rows
+    of diagonal values repeat, so a commutator's polynomial cancels at
+    them; values holds arc variables, half the time with a random quarter
+    of them missing; entries lists (s, t, fresh): fresh None, on a random
+    arc of the entry, and where the sweep places it for the order of p."""
+    height = 10 ** 12
+    made = 0
+    while made < count:
+        m, n = rng.randint(1, 3), rng.randint(2, 7)
+        p = shared_poly(desc, rng, m, max_len=rng.randint(2, 6))
+        if desc.kind == "rational":
+            scale = Fraction(rng.randint(1, height), rng.randint(1, height))
+            p = NcPolynomial(desc, m, {w: c * scale for w, c in p.terms.items()})
+        if p.is_zero():
+            continue
+        made += 1
+        diags = []
+        for _ in range(n):
+            if diags and rng.random() < 0.3:
+                diags.append(diags[-1])
+            else:
+                diags.append(tuple(desc.sample(rng, height) for _ in range(m)))
+        drop = 0.25 if rng.random() < 0.5 else 0.0
+        values = {entry_var(j, k, i): desc.sample(rng, height)
+                  for j in range(1, n + 1) for k in range(j + 1, n + 1)
+                  for i in range(1, m + 1) if rng.random() >= drop}
+        entries = []
+        for s in range(1, n + 1):
+            for t in range(s + 1, n + 1):
+                j, k = sorted(rng.sample(range(s, t + 1), 2))
+                entries += [(s, t, None),
+                            (s, t, entry_var(j, k, rng.randint(1, m)))]
+        r = exact_order(p)
+        if r == 0:
+            entries += [(s, t, entry_var(s, t, rng.randint(1, m)))
+                        for s in range(1, n + 1) for t in range(s + 1, n + 1)]
+        elif r < n:
+            entries += build_sweep_plan_rn(r, n, rng.choice(leading_tuples(p, r)))
+        yield p, diags, values, entries
+
+
+def arc_reader(values, calls):
+    def arc(pos, i):
+        calls.append((pos, i))
+        return values.get(("x", *pos, i))
+    return arc
+
+
+WALK_FIELDS = ["Q", "Fp:2", "Fp:3", "Fp:101", "C"]
+
+
+@pytest.mark.parametrize("field", WALK_FIELDS)
+def test_structured_entry_matches_the_reference_walk(field):
+    """structured_entry returns the reference's two sums exactly: the same
+    Fractions over Q, the same residues over F_p, the same float bits over
+    C (compared by repr)."""
+    desc = FieldDescriptor.parse(field)
+    rng = random.Random(f"walk {field}")
+    for p, diags, values, entries in walk_cases(desc, rng, 12):
+        for s, t, fresh in entries:
+            want = structured_entry_reference(p, s, t, diags,
+                                              arc_reader(values, []), fresh)
+            got = structured_entry(p, s, t, diags, arc_reader(values, []), fresh)
+            assert repr(got) == repr(want), (p.terms, s, t, fresh)
+
+
+@pytest.fixture
+def fractions_made(monkeypatch):
+    """A list that gets an item per Fraction built while the test runs."""
+    made = []
+    new = Fraction.__new__
+
+    def counted_new(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted_new)
+    if hasattr(Fraction, "_from_coprime_ints"):    # Python 3.12 and later
+        coprime = Fraction._from_coprime_ints
+
+        def counted_coprime(cls, *args):
+            made.append(args)
+            return coprime(*args)
+
+        monkeypatch.setattr(Fraction, "_from_coprime_ints",
+                            classmethod(counted_coprime))
+    return made
+
+
+@pytest.mark.parametrize("field", WALK_FIELDS)
+def test_structured_entry_reads_each_arc_once(field, fractions_made):
+    """arc is called at most once per (arc, letter) of an entry, on the
+    pairs the reference reads, in the order the reference first reads
+    them; over Q a call builds at most two Fractions, its two sums."""
+    desc = FieldDescriptor.parse(field)
+    rng = random.Random(f"reads {field}")
+    cases = list(walk_cases(desc, rng, 8))
+    for p, diags, values, entries in cases:
+        for s, t, fresh in entries:
+            want, got = [], []
+            structured_entry_reference(p, s, t, diags, arc_reader(values, want), fresh)
+            before = len(fractions_made)
+            structured_entry(p, s, t, diags, arc_reader(values, got), fresh)
+            assert got == list(dict.fromkeys(want)), (p.terms, s, t, fresh)
+            if field == "Q":
+                assert len(fractions_made) - before <= 2
+    if field == "Q":
+        assert len(fractions_made) > 2 * sum(len(e) for *_, e in cases)
