@@ -228,3 +228,7 @@ class _CBuilder:
     def mul(self, a, b):
         return a * b
 
+    def pow(self, a, e):
+        # a monomial's exponents are counts, so the loop is already linear
+        return parsing.power(self.mul, a, e)
+

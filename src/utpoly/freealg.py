@@ -188,6 +188,15 @@ class _FreeBuilder:
     def mul(self, a, b):
         return mul_terms(a, b, operator.add)
 
+    def pow(self, a, e):
+        """a^e, equal to parsing.power(self.mul, a, e): a single term's
+        word is built once, in linear time, and its coefficient by the
+        same left fold, so C's bits do not move."""
+        if len(a) != 1:
+            return parsing.power(self.mul, a, e)
+        (word, c), = a.items()
+        return {word * e: parsing.power(operator.mul, c, e)}
+
 
 def commutator(a: NcPolynomial, b: NcPolynomial) -> NcPolynomial:
     return a * b - b * a

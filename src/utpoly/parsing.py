@@ -12,14 +12,16 @@ Variables come in two shapes: a letter with a numeric suffix (x1, x12)
 and a bracketed form with integer indices (x[1,2,3], z[2,1], y[1,3]).
 Numbers, suffixes and indices are written in the ASCII digits 0-9 only:
 other Unicode digits (x², x٣) are refused, not read as numbers.
+tokenize makes one Token, a __slots__ object, per lexeme and tests
+single characters against a frozenset of those digits; is_digits tests
+a run (an index here, a literal in cli and fields).  A power x^e is the
+builder's pow, equal to the left fold ((x*x)*x)... of its mul.
 The engine is shared by the free-algebra parser and the structured
 coefficient-polynomial parser; each supplies a builder that decides which
 variable shapes are legal and how constants embed (see parse_text).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import ParseError
 
@@ -29,36 +31,49 @@ def is_digits(text: str) -> bool:
     return text.isascii() and text.isdigit()
 
 
-@dataclass(frozen=True)
+_DIGITS = frozenset("0123456789")
+
+
 class Token:
-    kind: str  # NUMBER | VAR | BVAR | OP | END
-    text: str
-    pos: int
-    payload: object = None
+    """A token: kind is NUMBER, VAR, BVAR, OP or END; payload is a VAR's
+    index or a BVAR's (letter, indices)."""
+
+    __slots__ = ("kind", "text", "pos", "payload")
+
+    def __init__(self, kind: str, text: str, pos: int, payload: object = None):
+        self.kind = kind
+        self.text = text
+        self.pos = pos
+        self.payload = payload
 
 
 def tokenize(text: str) -> list[Token]:
+    digits = _DIGITS
     out = []
     i, n = 0, len(text)
     while i < n:
         ch = text[i]
+        if ch in "+-*^/()":
+            out.append(Token("OP", ch, i))
+            i += 1
+            continue
         if ch.isspace():
             i += 1
             continue
-        if is_digits(ch):
-            j = i
-            while j < n and is_digits(text[j]):
+        if ch in digits:
+            j = i + 1
+            while j < n and text[j] in digits:
                 j += 1
             if j < n and text[j] == ".":
                 j += 1
-                while j < n and is_digits(text[j]):
+                while j < n and text[j] in digits:
                     j += 1
             if j < n and text[j] in "eE":
                 k = j + 1
                 if k < n and text[k] in "+-":
                     k += 1
-                if k < n and is_digits(text[k]):
-                    while k < n and is_digits(text[k]):
+                if k < n and text[k] in digits:
+                    while k < n and text[k] in digits:
                         k += 1
                     j = k
             if j < n and text[j] == "j":
@@ -68,8 +83,8 @@ def tokenize(text: str) -> list[Token]:
             continue
         if ch in "xzy":
             j = i + 1
-            if j < n and is_digits(text[j]):
-                while j < n and is_digits(text[j]):
+            if j < n and text[j] in digits:
+                while j < n and text[j] in digits:
                     j += 1
                 if ch != "x":
                     raise ParseError(f"unknown variable {text[i:j]!r}", i)
@@ -88,10 +103,6 @@ def tokenize(text: str) -> list[Token]:
                 i = k + 1
                 continue
             raise ParseError(f"dangling variable letter {ch!r}", i)
-        if ch in "+-*^/()":
-            out.append(Token("OP", ch, i))
-            i += 1
-            continue
         raise ParseError(f"unexpected character {ch!r}", i)
     out.append(Token("END", "", n))
     return out
@@ -187,15 +198,21 @@ class _Parser:
             e = int(etok.text)
             if e == 0:
                 return self.b.const("1")
-            acc = node
-            for _ in range(e - 1):
-                acc = self.b.mul(acc, node)
-            node = acc
+            node = self.b.pow(node, e)
         return node
+
+
+def power(mul, a, e: int):
+    """a^e, e >= 1, as the left fold ((a*a)*a)... of mul."""
+    acc = a
+    for _ in range(e - 1):
+        acc = mul(acc, a)
+    return acc
 
 
 def parse_text(text: str, builder):
     """text parsed into the builder's values.  The builder provides
     const(text) for a number literal, var(token) for a VAR or BVAR token,
-    add(a, b), neg(a) and mul(a, b); each may raise ParseError."""
+    add(a, b), neg(a), mul(a, b) and pow(a, e) for e >= 1, whose value
+    must be that of power(mul, a, e); each may raise ParseError."""
     return _Parser(tokenize(text), builder).parse()

@@ -47,8 +47,14 @@ leaves the result, to re-enter at the end if a later word gives it a
 term.  C's float bits, poly-ring size checks and the order of the
 result's entries are thus those of multiplying each word's product by
 its coefficient and adding the products one by one, dropping zeros each
-time; over Q that pass builds one Fraction per entry of the word.  Every
-step is exact over Q and F_p, so the values are too.
+time.  Over Q that pass runs on integers: every sum is kept over one
+running denominator, a multiple of each word's denominator so far (the
+coefficient's times the word's factors'), which grows to the lcm with a
+word's denominator that does not divide it, the sums rescaled with it.
+A term or a sum is zero exactly when its Fraction is, so the entries
+and their order are those of the Fraction pass, and one Fraction is
+built per entry of the result.  Every step is exact over Q and F_p, so
+the values are too.
 
 Both routes read a value only through arithmetic (+, * and ** by an
 int, % p) and the zero filter (ring.nonzero, v % p or None over F_p),
@@ -379,33 +385,47 @@ def _integer_entries(entries: dict) -> tuple:
 
 def evaluate(p, matrices) -> UTMatrix:
     """Evaluate p at a tuple of upper triangular matrices: the words'
-    products through _product, see the module docstring."""
+    products through _product; over Q the sums run on integers over one
+    running denominator and one Fraction is built per entry of the
+    result.  See the module docstring."""
     ring = _check_tuple(p, matrices)
     n = matrices[0].n
-    if ring.kind == "field" and ring.desc.kind == "rational":
+    acc: dict = {}
+    rational = ring.kind == "field" and ring.desc.kind == "rational"
+    if rational:
         factors = [_integer_entries(a.entries) for a in matrices]
+        # every sum in acc is an integer over common; grown word by word,
+        # not the lcm of all words up front, it keeps early sums small
+        common = 1
 
         def times(a, b):
             return _product(a[0], b[0], n, ring), a[1] * b[1]
 
-        def terms(c, prod):
-            num, den = c.numerator, c.denominator * prod[1]
-            return [(pos, Fraction(num * v, den)) for pos, v in prod[0].items()]
+        def terms(c, product):
+            nonlocal common
+            den = c.denominator * product[1]
+            if common % den:
+                grown = lcm(common, den)
+                rescale = grown // common
+                for pos in acc:
+                    acc[pos] *= rescale
+                common = grown
+            scale = c.numerator * (common // den)
+            return [(pos, scale * v) for pos, v in product[0].items()]
     else:
         factors = [a.entries for a in matrices]
 
         def times(a, b):
             return _product(a, b, n, ring)
 
-        def terms(c, prod):
+        def terms(c, product):
             cc = ring.scalar(c)
-            return [(pos, cc * v) for pos, v in prod.items()]
+            return [(pos, cc * v) for pos, v in product.items()]
 
     # a zero term is dropped, then a zero sum
     nonzero = ring.nonzero
-    acc: dict = {}
-    for coeff, prod in _word_products(p, factors, factors, times):
-        for pos, v in terms(coeff, prod):
+    for coeff, product in _word_products(p, factors, factors, times):
+        for pos, v in terms(coeff, product):
             v = nonzero(v)
             if v is None:
                 continue
@@ -415,6 +435,8 @@ def evaluate(p, matrices) -> UTMatrix:
                     del acc[pos]
                     continue
             acc[pos] = v
+    if rational:
+        acc = {pos: Fraction(v, common) for pos, v in acc.items()}
     return UTMatrix._of(ring, n, acc)
 
 

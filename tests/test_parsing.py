@@ -1,0 +1,165 @@
+"""The lexer and the parser's power rule.
+
+tokenize is checked against a test-local copy of the earlier lexer, a
+frozen dataclass per token and a function call per digit test, on a
+generated corpus of valid and invalid text: every token, or the
+ParseError message and position, must match.  x^e is checked against
+the left fold of multiplications it replaces.
+"""
+
+import random
+import time
+from dataclasses import dataclass
+
+import pytest
+
+from utpoly import freealg, parsing
+from utpoly.errors import ParseError
+from utpoly.fields import FieldDescriptor
+from utpoly.freealg import NcPolynomial
+from utpoly.parsing import is_digits, tokenize
+
+Q = FieldDescriptor.parse("Q")
+F7 = FieldDescriptor.parse("Fp:7")
+C = FieldDescriptor.parse("C")
+
+
+@dataclass(frozen=True)
+class ReferenceToken:
+    kind: str
+    text: str
+    pos: int
+    payload: object = None
+
+
+def tokenize_reference(text: str) -> list:
+    """The earlier lexer, kept as the reference."""
+    out = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if is_digits(ch):
+            j = i
+            while j < n and is_digits(text[j]):
+                j += 1
+            if j < n and text[j] == ".":
+                j += 1
+                while j < n and is_digits(text[j]):
+                    j += 1
+            if j < n and text[j] in "eE":
+                k = j + 1
+                if k < n and text[k] in "+-":
+                    k += 1
+                if k < n and is_digits(text[k]):
+                    while k < n and is_digits(text[k]):
+                        k += 1
+                    j = k
+            if j < n and text[j] == "j":
+                j += 1
+            out.append(ReferenceToken("NUMBER", text[i:j], i))
+            i = j
+            continue
+        if ch in "xzy":
+            j = i + 1
+            if j < n and is_digits(text[j]):
+                while j < n and is_digits(text[j]):
+                    j += 1
+                if ch != "x":
+                    raise ParseError(f"unknown variable {text[i:j]!r}", i)
+                out.append(ReferenceToken("VAR", text[i:j], i, int(text[i + 1:j])))
+                i = j
+                continue
+            if j < n and text[j] == "[":
+                k = text.find("]", j)
+                if k < 0:
+                    raise ParseError("unterminated variable index", j)
+                parts = [s.strip() for s in text[j + 1:k].split(",")]
+                if not all(map(is_digits, parts)):
+                    raise ParseError(f"bad index list {text[j:k+1]!r}", j)
+                idx = tuple(map(int, parts))
+                out.append(ReferenceToken("BVAR", text[i:k + 1], i, (ch, idx)))
+                i = k + 1
+                continue
+            raise ParseError(f"dangling variable letter {ch!r}", i)
+        if ch in "+-*^/()":
+            out.append(ReferenceToken("OP", ch, i))
+            i += 1
+            continue
+        raise ParseError(f"unexpected character {ch!r}", i)
+    out.append(ReferenceToken("END", "", n))
+    return out
+
+
+def outcome(lex, text):
+    """(kind, text, pos, payload) per token, or the error's message and
+    position."""
+    try:
+        return [(t.kind, t.text, t.pos, t.payload) for t in lex(text)]
+    except ParseError as exc:
+        return ("ParseError", str(exc), exc.position)
+
+
+HAND = [
+    "", "   ", "x1*x2 - x2*x1", "3/4*x1^2 + 0.5*x2", "1e5", "1.e", "1.e+", "2E-3j",
+    "1.5e3j*x1", "12.", ".5", "7e", "7E+", "3j", "x1e2", " x1 +　x2\t\n",
+    "x²", "x٣", "y[1,٣]", "x[1, 2 ,3]", "z[2,1]^3", "y[1,3]", "x[]",
+    "x[1,]", "x", "z", "y+", "x1*y", "x[1,2", "y[3", "z2", "y12", "x01", "a", "x1 ! x2",
+    "(x1+x2)^17", "x1^-2", "1_0*x1", "١*x1", "x1*²",
+]
+ALPHABET = ("0123456789" "xyz" "[],." "eEj" "+-*^/()" " \t\n  　"
+            "²٣١" "a!_")
+
+
+def corpus():
+    rng = random.Random("tokenize")
+    yield from HAND
+    for _ in range(3000):
+        yield "".join(rng.choice(ALPHABET) for _ in range(rng.randint(1, 14)))
+    pieces = ["x1", "x23", "y[1,2]", "z[3,1]", "x[1,2,3]", "12", "3.5", "1e-3",
+              "2.5E+2j", "4/7", "+", "-", "*", "^", "(", ")", " ", " "]
+    for _ in range(1000):
+        yield "".join(rng.choice(pieces) for _ in range(rng.randint(1, 12)))
+
+
+def test_tokenize_matches_the_reference_lexer():
+    texts = list(corpus())
+    for text in texts:
+        assert outcome(tokenize, text) == outcome(tokenize_reference, text), text
+    errors = sum(isinstance(outcome(tokenize, text), tuple) for text in texts)
+    assert 0 < errors < len(texts)
+
+
+def loop_pow(self, a, e):
+    return parsing.power(self.mul, a, e)
+
+
+POWERS = {
+    Q: ["x1^5", "(2*x1*x2)^7", "(1/3*x2*x1)^4", "(x1-x1)^3", "(2)^3*x1", "(x1^2)^3",
+        "(x1+x2)^3", "(-x2)^6 - x1^2", "(5/7*x1)^1"],
+    F7: ["(3*x1)^9", "(x1*x2)^6", "(7*x1)^2 + x2", "(6*x1 + x2)^3", "(3)^4*x1"],
+    C: ["((0.3+0.7j)*x1*x2)^13", "(1e-3*x1)^5", "(0.1*x1)^3", "((1+2j)*x1)^2",
+        "(x1 + 1j*x2)^3", "(1.1*x1)^25"],
+}
+
+
+@pytest.mark.parametrize("field", [Q, F7, C], ids=["Q", "F7", "C"])
+def test_power_equals_the_left_fold(field, monkeypatch):
+    """x^e gives the loop's polynomial: its words, and over C the float
+    bits of its coefficients (repr tells them)."""
+    for text in POWERS[field]:
+        got = repr(NcPolynomial.parse(text, field))
+        with monkeypatch.context() as patch:
+            patch.setattr(freealg._FreeBuilder, "pow", loop_pow)
+            want = repr(NcPolynomial.parse(text, field))
+        assert got == want, text
+
+
+def test_power_of_one_term_takes_linear_time():
+    start = time.perf_counter()
+    p = NcPolynomial.parse("x1^20000", Q)
+    elapsed = time.perf_counter() - start
+    assert p.terms == {(1,) * 20000: 1}
+    assert elapsed < 0.3, elapsed

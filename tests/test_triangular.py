@@ -540,10 +540,10 @@ def test_matmul_is_the_product_kernel(field):
             assert bits(UTMatrix(ring, n, scaled)) == want
 
 
-def test_q_evaluate_applies_each_coefficient_once_per_entry(monkeypatch):
-    """Over Q no Fraction is multiplied or added inside a product: the
-    Fraction products and sums of an evaluation number at most one per
-    word per entry."""
+def test_q_evaluate_applies_each_coefficient_once_per_entry(monkeypatch, fractions_made):
+    """Over Q no Fraction is multiplied or added: every term and sum runs
+    on integers over one denominator, and one Fraction is built per entry
+    of the result."""
     rng = random.Random(7)
     n, m = 5, 3
     p = rand_poly(Q, rng, m, max_len=5, max_terms=12)
@@ -554,10 +554,44 @@ def test_q_evaluate_applies_each_coefficient_once_per_entry(monkeypatch):
         op = getattr(Fraction, name)
         monkeypatch.setattr(Fraction, name,
                             lambda a, b, op=op: calls.append(1) or op(a, b))
-    got = bits(evaluate(p, mats))
+    before = len(fractions_made)
+    got = evaluate(p, mats)
+    made = len(fractions_made) - before
     monkeypatch.undo()
-    assert got == want
-    assert 0 < len(calls) <= len(p.terms) * n * (n + 1) // 2
+    assert bits(got) == want
+    assert calls == []
+    assert 0 < made == len(got.entries)
+
+
+def test_q_evaluate_sums_mixed_denominators_exactly():
+    """The integer sums over one running denominator give the Fraction
+    fold's entries in its order: an entry whose sum cancels leaves and
+    re-enters at the end, and the denominators of coefficients and
+    entries mix."""
+    diag = UTMatrix(QRING, 3, {(1, 1): Fraction(2, 3), (2, 2): Fraction(-5, 7),
+                               (3, 3): Fraction(1, 11)})
+    strict = UTMatrix(QRING, 3, {(1, 2): Fraction(1, 4), (2, 3): Fraction(3, 8),
+                                 (1, 3): Fraction(-7, 6)})
+    double = UTMatrix(QRING, 3, {pos: 2 * v for pos, v in strict.entries.items()})
+    # x2 and x3 cancel everywhere, then x1 and x1*x2 give every entry
+    p = NcPolynomial(Q, 3, {(2,): Fraction(1, 3), (3,): Fraction(-1, 6),
+                            (1,): Fraction(2, 5), (1, 2): Fraction(5, 9)})
+    got = evaluate(p, [diag, strict, double])
+    assert bits(got) == bits(evaluate_words(p, [diag, strict, double]))
+    assert list(got.entries) == [(1, 1), (2, 2), (3, 3), (1, 2), (1, 3), (2, 3)]
+    rng = random.Random(1000033)
+    for _ in range(40):
+        m, n = rng.randint(2, 3), rng.randint(1, 5)
+        scale = Fraction(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6))
+        terms = {w: c * scale if rng.random() < 0.5 else
+                 Fraction(rng.randint(-9, 9) or 1, rng.choice((1, 2, 3, rng.randint(1, 10 ** 6))))
+                 for w, c in shared_poly(Q, rng, m).terms.items()}
+        terms[(m,)] = terms[(1,)] = terms.get((1,), scale)    # they cancel: x_m = -x_1
+        p = NcPolynomial(Q, m, terms)
+        mats = [rand_matrix(Q, QRING, n, rng, height=rng.choice((1, 9, 10 ** 6)))
+                for _ in range(m - 1)]
+        mats.append(UTMatrix(QRING, n, {pos: -v for pos, v in mats[0].entries.items()}))
+        assert bits(evaluate(p, mats)) == bits(evaluate_words(p, mats)), p.terms
 
 
 def _forbidden(*args, **kwargs):
