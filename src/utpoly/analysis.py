@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from .cpoly import CPolynomial, render_var
 from .errors import OrderMismatch, VariableOutOfRange, ZeroInput
 from .freealg import NcPolynomial
-from .triangular import _context, generic_evaluate, live_slots
+from .triangular import _context, generic_evaluate, index_poly, live_slots
 
 _ORDER_SAMPLES = 200     # witness points order() tries
 
@@ -48,8 +48,7 @@ def coeff_poly(p: NcPolynomial, slots: tuple) -> CPolynomial:
     for i in slots:
         if not (1 <= i <= p.nvars):
             raise VariableOutOfRange(f"slot {i} outside 1..{p.nvars}")
-    q = live_slots(p, k).get(slots)
-    return CPolynomial.zero(p.field) if q is None else q
+    return index_poly(p.field, live_slots(p, k).get(slots, ()))
 
 
 # the cache behind coeff_poly is the context cache

@@ -22,11 +22,13 @@ from __future__ import annotations
 import cmath
 import math
 import random
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 
-from .errors import NoRootInField, NonConvergence, ParseError
+from .errors import NoRootInField, NonConvergence, ParseError, ResourceLimit
 from .parsing import is_digits
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -160,17 +162,14 @@ class FieldDescriptor:
             except ValueError:
                 pass
             raise ParseError(f"bad complex literal {text!r}")
-        if "/" in text:
-            num, _, den = text.partition("/")
-            try:
-                q = Fraction(int(num), int(den))
-            except (ValueError, ZeroDivisionError):
-                raise ParseError(f"bad fraction literal {text!r}") from None
-            return self.from_fraction(q)
         try:
-            q = Fraction(text)
-        except ValueError:
-            raise ParseError(f"bad literal {text!r}") from None
+            if "/" in text:
+                num, _, den = text.partition("/")
+                q = Fraction(int(num), int(den))
+            else:
+                q = Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(_bad_literal(text)) from None
         return self.from_fraction(q)
 
     def render_value(self, v) -> str:
@@ -178,7 +177,7 @@ class FieldDescriptor:
             return str(v)
         if self.kind == "complex":
             return repr(v).strip("()")
-        return str(v)
+        return _rational_text(v)
 
     # -- predicates ------------------------------------------------------
 
@@ -239,6 +238,34 @@ class FieldDescriptor:
         return complex(rng.uniform(-8.0, 8.0), rng.uniform(-8.0, 8.0))
 
 
+# the most digits Python converts between int and text, 0 for no limit:
+# read at each use, never set (Pythons before 3.10.7 have no limit)
+_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+def _bad_literal(text: str) -> str:
+    """The message for a literal int() or Fraction() refused."""
+    what = "bad fraction literal" if "/" in text else "bad literal"
+    limit = _digit_limit()
+    longest = max(map(len, re.findall("[0-9]+", text)), default=0)
+    if limit and longest > limit:
+        return (f"{what}: {longest} digits in a row, past Python's "
+                f"{limit}-digit int-string conversion limit")
+    return f"{what} {text!r}"
+
+
+def _rational_text(q: Fraction) -> str:
+    """str(q), the one way a Q value becomes text, or ResourceLimit,
+    before any text is built, for a part past _digit_limit."""
+    num, den = q.as_integer_ratio()
+    limit, big = _digit_limit(), max(abs(num), den)
+    # an int of at most 3 * limit bits is below 8**limit < 10**limit
+    if limit and big.bit_length() > 3 * limit and big >= 10 ** limit:
+        raise ResourceLimit(f"a value with more than {limit} digits, past "
+                            f"Python's int-string conversion limit")
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
 def split_sign(desc: FieldDescriptor, c):
     """Split a coefficient into (sign, magnitude text) for term rendering.
 
@@ -249,7 +276,7 @@ def split_sign(desc: FieldDescriptor, c):
     if desc.kind == "rational":
         sign = -1 if c < 0 else 1
         mag = abs(c)
-        return sign, "" if mag == 1 else str(mag)
+        return sign, "" if mag == 1 else _rational_text(mag)
     if desc.kind == "prime":
         return 1, "" if c == 1 else str(c)
     if c.imag == 0:

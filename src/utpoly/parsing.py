@@ -3,10 +3,12 @@
 Grammar (sums of scaled products):
 
     expr   := ['+'|'-'] term (('+'|'-') term)*
-    term   := coeff | [coeff '*'] factor ('*' factor)*
+    term   := factor ('*' factor)*
     factor := atom ['^' nat]
     atom   := var | coeff | '(' expr ')'
     coeff  := number ['/' number]
+
+A coefficient is one atom, so 2^3*x1 is 8*x1 and 3/4^2*x1 is 9/16*x1.
 
 Variables come in two shapes: a letter with a numeric suffix (x1, x12)
 and a bracketed form with integer indices (x[1,2,3], z[2,1], y[1,3]).
@@ -153,22 +155,15 @@ class _Parser:
         return node
 
     def term(self):
-        if self.peek().kind == "NUMBER":
-            c = self.coeff()
-            if not self.at_op("*"):
-                return self.b.const(c)
-            node = self.b.const(c)
-        else:
-            node = self.factor()
+        node = self.factor()
         while self.at_op("*"):
             self.take()
             node = self.b.mul(node, self.factor())
         return node
 
     def coeff(self) -> str:
+        """The literal text of the NUMBER token next, with its '/' part."""
         tok = self.take()
-        if tok.kind != "NUMBER":
-            raise ParseError(f"expected a number, found {tok.text!r}", tok.pos)
         if self.at_op("/"):
             self.take()
             den = self.take()

@@ -328,7 +328,7 @@ def _sweep(p: NcPolynomial, n: int, r: int, target: UTMatrix,
             raise InternalInconsistency(
                 f"no nonzero coefficient polynomial of length {r}")
     else:
-        arcs = [(i, q) for (i,), q in live_slots(p, 1).items()]
+        arcs = [(i, coeff_poly(p, (i,))) for (i,) in live_slots(p, 1)]
         if not arcs:
             raise InternalInconsistency(
                 "no nonzero single-arc coefficient at order 0")

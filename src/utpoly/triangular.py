@@ -15,46 +15,37 @@ agreement is a strong end-to-end check and is exercised by tests; do
 not collapse one into the other.  structured_entry is the one walk over
 an entry's (path, live tuple) terms: evaluate_structured sums them at
 matrix entries, and the exact-field witness sweep splits them into the
-slope and offset of the entry's fresh variable.  The walk reads each
-coefficient polynomial in a row-indexed form kept beside it in the
-analysis context (_walk), its factors z[l, i]^e as (l - 1, i - 1, e), so
-a term takes row l's value straight from the path's row of diagonal
-values, and it reads each (arc, letter) once per entry.  Over F_p and C
-it performs eval_full's operations in eval_full's order, so C's float
-bits do not move; over Q every product and sum of the walk runs on
-integers over one running denominator, and each of the entry's two sums
-becomes one Fraction.  row_values binds a coefficient polynomial's rows
-z[l, *] to matrix rows for eval_full: the solver's diagonal search and
-its order-0 slot choice read coefficient polynomials through it.
+slope and offset of the entry's fresh variable.  The index has one form,
+the one the walk reads: a live tuple's coefficient polynomial as terms
+whose factors z[l, i]^e are (l - 1, i - 1, e), so a term takes row l's
+value straight from the path's rows.  index_poly makes the CPolynomial
+a reader needs (analysis.coeff_poly), and row_values binds its rows
+z[l, *] to matrix rows for eval_full, as the solver's diagonal search
+and order-0 slot choice do.
 
 evaluate walks p's words in p.terms order with a stack of the previous
 word's prefix products (_word_products), so a word costs only the
-letters after its longest common prefix with the word before it.  Each
+letters after its longest common prefix with the word before it; each
 product is still the same left fold, so the result is bit for bit that
-of folding every word from scratch with UTMatrix.__matmul__.  Products
-run through one kernel on raw entry maps, _product: it visits the
-entries of the left factor, then k ascending, keeps a running sum per
-position, drops zeros and applies the poly ring's size check, and
-UTMatrix.__matmul__ is a thin call of it.  The fold builds no matrix per
-product, since _check_tuple has fixed one size and one ring for every
-factor.  Over Q each factor enters as an integer entry map over one
-denominator, the lcm of its entry denominators (_integer_entries), and
-a product carries the product of its factors' denominators, so the
-kernel runs on ints and no Fraction is made inside a product.  Each
-word's coefficient is then applied and summed in one pass with two zero
-filters: a term that is zero is dropped, and an entry whose sum is zero
-leaves the result, to re-enter at the end if a later word gives it a
-term.  C's float bits, poly-ring size checks and the order of the
-result's entries are thus those of multiplying each word's product by
-its coefficient and adding the products one by one, dropping zeros each
-time.  Over Q that pass runs on integers: every sum is kept over one
-running denominator, a multiple of each word's denominator so far (the
-coefficient's times the word's factors'), which grows to the lcm with a
-word's denominator that does not divide it, the sums rescaled with it.
-A term or a sum is zero exactly when its Fraction is, so the entries
-and their order are those of the Fraction pass, and one Fraction is
-built per entry of the result.  Every step is exact over Q and F_p, so
-the values are too.
+of folding every word from scratch.  Products run through one kernel on
+raw entry maps, _product, of which UTMatrix.__matmul__ is a thin call;
+the fold builds no matrix per product, since _check_tuple has fixed one
+size and one ring for every factor.  Over Q each factor enters as an
+integer entry map over one denominator (_integer_entries), and a product
+carries the product of its factors' denominators, so no Fraction is
+made inside a product.  Each word's coefficient is then applied and
+summed in one pass with two zero filters: a term that is zero is
+dropped, and an entry whose sum is zero leaves the result, to re-enter
+at the end if a later word gives it a term.  C's float bits, poly-ring
+size checks and the order of the result's entries are thus those of
+multiplying each word's product by its coefficient and adding the
+products one by one, dropping zeros each time.  Over Q that pass runs on
+integers: every sum is kept over one running denominator, a multiple of
+each word's denominator so far (the coefficient's times the word's
+factors'), which grows to the lcm with a word's denominator that does
+not divide it, the sums rescaled with it.  A term or a sum is zero
+exactly when its Fraction is, so the entries and their order are those
+of the Fraction pass, and one Fraction is built per entry of the result.
 
 Both routes read a value only through arithmetic (+, * and ** by an
 int, % p) and the zero filter (ring.nonzero, v % p or None over F_p),
@@ -83,14 +74,13 @@ matrix fold over the words of p, sharing their prefix products through
 the same stack as evaluate; it reads nothing from live_slots, so the
 structured route stays an independent check of it.
 
-The one cache, _context, keeps the live-slot index (live_slots), with
-its walk form, of the _CONTEXT_CAP most recent polynomials, which a
-witness session reads in every request.  Its key is p (whose field
-includes eps) and p's words in p.terms order, p.word_order(), which is
-hashed once per polynomial: over C that order sets the float bits of the
-index, so an equal p listing its terms in another order gets its own,
-and a warm index is always the one a fresh build gives.  Generic
-evaluations are computed afresh on each call.
+The one cache, _context, keeps the live-slot index (live_slots) of the
+_CONTEXT_CAP most recent polynomials, one dict by k each, which a witness
+session reads in every request.  Its key is p (whose field includes eps)
+and p's words in p.terms order, p.word_order(), hashed once per
+polynomial: over C that order sets the float bits of the index, so an
+equal p listing its terms in another order gets its own, and a warm
+index is always the one a fresh build gives.
 """
 
 from __future__ import annotations
@@ -100,6 +90,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
+from operator import attrgetter
 
 from .cpoly import CPolynomial, diag_var, entry_var
 from .errors import (ArityMismatch, FieldMismatch, ParseError, ResourceLimit,
@@ -446,22 +437,14 @@ _CONTEXT_CAP = 32
 
 
 @lru_cache(maxsize=_CONTEXT_CAP)
-def _context(p, words) -> tuple:
+def _context(p, words) -> dict:
     """The analysis context of p with its words in the order words
-    (p.word_order()): the live-slot index by k (live_slots) and its walk
-    form by k (_walk), each filled on first use; see the module
-    docstring."""
-    return {}, {}
+    (p.word_order()): live_slots(p, k) by k, filled on first use."""
+    return {}
 
 
-def _ratio(v) -> tuple:
-    """v as the walk keeps a Q value: (numerator, denominator)."""
-    return v.numerator, v.denominator
-
-
-def _same(v):
-    """v as the walk keeps an F_p or C value: v itself."""
-    return v
+# a Q value as the index and the walk keep it
+_pair = attrgetter("numerator", "denominator")
 
 
 _UNREAD = object()      # an arc entry the walk has not read yet
@@ -546,8 +529,11 @@ def generic_evaluate(p, n: int, monomial_budget: int = 10 ** 6) -> UTMatrix:
 
 
 def live_slots(p, k: int) -> dict:
-    """Read-only live-slot index of p for k: {slots: coefficient polynomial}
-    over the k-slot tuples with a nonzero one, in lexicographic order.
+    """Read-only live-slot index of p for k: {slots: terms} over the
+    k-slot tuples with a nonzero coefficient polynomial, in lexicographic
+    order, its terms in term order as (coefficient, factors): the
+    coefficient at rest, a (numerator, denominator) pair over Q, and
+    factors z[l, i]^e in key order as (l - 1, i - 1, e).
 
     The coefficient polynomial of slots (i_1..i_k), in z[1..k+1, *],
     multiplies x[1,2,i_1]*...*x[k,k+1,i_k] in entry (1, k+1) of the
@@ -563,24 +549,24 @@ def live_slots(p, k: int) -> dict:
     matches it bit for bit, term order (eval_full's summation order over
     C) included.
     """
-    index = _context(p, p.word_order())[0]
+    index = _context(p, p.word_order())
     if k in index:
         return index[k]
     desc = p.field
     zero, one = desc.zero(), desc.one()
-    sums: dict = {}          # slots -> {diagonal monomial: coefficient}
+    sums: dict = {}          # slots -> {((l - 1, i - 1), e), ...: coefficient}
     for word, c in p.terms.items():
         v = c * one
         for rev in combinations(range(len(word) - 1, -1, -1), k):
             pos = rev[::-1]
             z = {}
-            row = 1
+            row = 0
             for q, letter in enumerate(word):
-                if row <= k and q == pos[row - 1]:
+                if row < k and q == pos[row]:
                     row += 1
                 else:
-                    var = diag_var(row, letter)
-                    z[var] = z.get(var, 0) + 1
+                    key = (row, letter - 1)
+                    z[key] = z.get(key, 0) + 1
             terms = sums.setdefault(tuple(word[q] for q in pos), {})
             mono = tuple(sorted(z.items()))
             total = terms.get(mono, zero) + v
@@ -590,28 +576,22 @@ def live_slots(p, k: int) -> dict:
                 terms.pop(mono, None)
             else:
                 terms[mono] = total
-    out = index[k] = {slots: CPolynomial(desc, sums[slots])
-                      for slots in sorted(sums) if sums[slots]}
+    read = _pair if desc.kind == "rational" else desc.canonical
+    out = index[k] = {
+        slots: tuple((read(c), tuple((l, i, e) for (l, i), e in mono))
+                     for mono, c in sums[slots].items())
+        for slots in sorted(sums) if sums[slots]}
     return out
 
 
-def _walk(context: tuple, p, k: int) -> tuple:
-    """The walk form of live_slots(p, k) from p's context, built on first
-    use: the row-indexed form structured_entry reads.  It lists the
-    index's tuples in index order as (slots, terms), each term of the
-    tuple's coefficient polynomial, in term order, as (coefficient,
-    factors), its factors z[l, i]^e in key order as (l - 1, i - 1, e),
-    and the coefficient as a (numerator, denominator) pair over Q."""
-    walks = context[1]
-    walk = walks.get(k)
-    if walk is None:
-        read = _ratio if p.field.kind == "rational" else _same
-        walk = walks[k] = tuple(
-            (slots, tuple((read(c), tuple((l - 1, i - 1, e)
-                                          for (_, l, i), e in mono))
-                          for mono, c in q.terms.items()))
-            for slots, q in live_slots(p, k).items())
-    return walk
+def index_poly(desc: FieldDescriptor, terms: tuple) -> CPolynomial:
+    """The coefficient polynomial of a live-slot index entry's terms
+    (live_slots), in z[l, i], its terms in the same order."""
+    rational = desc.kind == "rational"
+    return CPolynomial(desc, {
+        tuple((diag_var(l + 1, i + 1), e) for l, i, e in factors):
+            Fraction(*c) if rational else c
+        for c, factors in terms})
 
 
 def evaluate_structured(p, matrices) -> UTMatrix:
@@ -650,31 +630,29 @@ def structured_entry(p, s: int, t: int, diags, arc, fresh=None) -> tuple:
     """(fresh sum, other sum) of the terms of entry (s, t), s < t.
 
     A term is a strictly increasing path s = j_1 < ... < j_{k+1} = t with
-    a live k-slot tuple (i_1..i_k) of p (live_slots): the tuple's
-    coefficient polynomial at the path's diagonal rows (diags[j - 1] is
-    row j's tuple of diagonal values) times arc((j_l, j_{l+1}), i_l) for
-    each arc.  A term is skipped when arc returns None.  A path uses each
-    arc once, so a term holds the entry variable fresh at most once: the
-    terms that slot it on its arc go, without that factor, to the first
-    sum, all others to the second.
+    a live k-slot tuple (i_1..i_k) of p: the tuple's index terms
+    (live_slots) at the path's rows of diags, row j's diagonal values
+    being diags[j - 1], times arc((j_l, j_{l+1}), i_l) for each arc, and
+    skipped when arc returns None.  A path uses each arc once, so a term
+    holds fresh at most once: the terms that slot it on its arc go,
+    without that factor, to the first sum, all others to the second.
 
     Terms are summed k ascending, interior rows in combinations() order,
     tuples in index order.  A term reads its arcs in path order up to the
     first None, and arc is called only on an (arc, letter) no term of the
     entry has read yet, so it sees the pairs, in the same first-call
     order, that calls per term would show it.  Over F_p and C a term is
-    eval_full's sum over the polynomial's terms, in term order, of
-    c * v_1**e_1 * v_2**e_2 ..., row values in key order, put through
-    canonical and times one * a_1 * a_2 ... over its arc values, so C's
-    float bits and the operations on oracle-enum's lane vectors are
-    those of eval_full term by term.  Over Q each value is read as
+    eval_full's sum over the index terms, in term order, of c * v_1**e_1
+    * v_2**e_2 ..., put through canonical and times one * a_1 * a_2 ...,
+    so C's float bits and the operations on oracle-enum's lane vectors
+    are those of eval_full term by term.  Over Q each value is read as
     (numerator, denominator), products and sums run on integers over one
     running denominator, and each sum becomes one Fraction at the end.
     """
     desc = p.field
     rational = desc.kind == "rational"
-    read = _ratio if rational else _same
-    context = _context(p, p.word_order())
+    read = _pair if rational else (lambda v: v)
+    index = _context(p, p.word_order())
     fresh_arc, star = (fresh[1:3], fresh[3]) if fresh else (None, None)
     row_of = {j: tuple(map(read, diags[j - 1])) for j in range(s, t + 1)}
     arc_values: dict = {}     # arc -> its value by letter, or _UNREAD
@@ -685,8 +663,8 @@ def structured_entry(p, s: int, t: int, diags, arc, fresh=None) -> tuple:
     fresh_num = total_num = 0
     fresh_den = total_den = 1
     for k in range(1, t - s + 1):
-        walk = _walk(context, p, k)
-        if not walk:
+        tuples = index[k] if k in index else live_slots(p, k)
+        if not tuples:
             continue
         for interior in combinations(range(s + 1, t), k - 1):
             path = (s,) + interior + (t,)
@@ -699,7 +677,7 @@ def structured_entry(p, s: int, t: int, diags, arc, fresh=None) -> tuple:
                 if cell is None:
                     cell = arc_values[a] = [_UNREAD] * width
                 cells.append(cell)
-            for slots, terms in walk:
+            for slots, terms in tuples.items():
                 hit = at >= 0 and slots[at] == star
                 num = den = 1
                 arc_val = one

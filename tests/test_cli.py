@@ -838,6 +838,59 @@ def test_nan_residual_fails_the_target(tmp_path, capsys):
         assert rep["target_residual"] is None, poly
 
 
+@pytest.mark.parametrize("field", ["Q", "Fp:7", "C"])
+def test_a_power_of_a_number_parses(tmp_path, capsys, field):
+    """2^3*x1, once refused at its '^', prints the bytes of (2)^3*x1."""
+    mats = tmp_path / "m.json"
+    mats.write_text(json.dumps([{"n": 2, "entries": [
+        {"j": 1, "k": 1, "value": "3"}, {"j": 1, "k": 2, "value": "5"},
+        {"j": 2, "k": 2, "value": "2"}]}] * 2))
+    for argv in (["eval", "--matrices", str(mats)],
+                 ["coeffs", "--slots", "1"], ["order"]):
+        got, want = (run(capsys, *argv, "--field", field, "--poly",
+                         f"{c}*x1*x2 - x2*x1 + 3*x1")
+                     for c in ("2^3", "(2)^3"))
+        assert got == want and got[0] == 0, argv
+
+
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(
+    not 0 < DIGIT_LIMIT < 4772,
+    reason="needs Python's int-string limit below 4772 digits (default 4300)")
+
+
+@needs_digit_limit
+def test_a_value_past_the_digit_limit_exits_2(tmp_path, capsys):
+    """x1^10000 at 1/3 is 1/3^10000, whose denominator has 4772 digits:
+    past Python's int-string limit it is a ResourceLimit naming the
+    limit, with no traceback and nothing on stdout, where it was a
+    ValueError from deep inside the JSON output."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, "eval", "--poly", "x1^10000", "--matrices",
+                         _one_by_one(tmp_path / "m.json", "1/3"))
+    assert (code, out) == (2, "")
+    assert err == (f"utpoly: ResourceLimit: a value with more than "
+                   f"{DIGIT_LIMIT} digits, past Python's int-string "
+                   f"conversion limit\n")
+    assert time.perf_counter() - start < 1
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("field", ["Q", "Fp:101"])
+def test_a_literal_past_the_digit_limit_exits_1(tmp_path, capsys, field):
+    """A target literal of 5001 digits is a ParseError that names the
+    limit, not a bare "bad literal"."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--poly", "x1", "--field", field,
+                         "--witness", _one_by_one(tmp_path / "w.json", "2"),
+                         "--target", _one_by_one(tmp_path / "t.json", "7" * 5001))
+    assert (code, out) == (1, "")
+    assert err == (f"utpoly: ParseError: bad literal: 5001 digits in a row, "
+                   f"past Python's {DIGIT_LIMIT}-digit int-string conversion "
+                   f"limit\n")
+    assert time.perf_counter() - start < 1
+
+
 def test_parser_is_built_once():
     assert build_parser() is build_parser()
 

@@ -2,14 +2,16 @@
 
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 from itertools import groupby
 
 import pytest
 
+import utpoly.fields
 from utpoly.cpoly import CPolynomial, _mono_mul, diag_var, entry_var, render_var
-from utpoly.errors import FieldMismatch, NoRootInField, ParseError
+from utpoly.errors import FieldMismatch, NoRootInField, ParseError, ResourceLimit
 from utpoly.fields import (FieldDescriptor, _rational_roots, is_prime,
                            solve_univariate, split_sign)
 from utpoly.freealg import NcPolynomial, _FreeBuilder
@@ -225,6 +227,45 @@ def test_rational_render_is_exact():
     v = Fraction(-22, 7)
     assert Q.render_value(v) == "-22/7"
     assert Q.parse_literal("-22/7") == v
+
+
+LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.parametrize("value", [
+    Fraction(10 ** 12 - 1, 7), Fraction(-(10 ** 12 - 1), 10 ** 12 - 3),
+    Fraction(1, 10 ** 11 + 1), Fraction(-(10 ** 12 - 1))])
+def test_rational_text_stops_past_the_digit_limit(monkeypatch, value):
+    """Every Q value becomes text through one check of Python's digit
+    limit: a part of 12 digits renders under a limit of 12, and raises
+    ResourceLimit, naming the limit, under 11; the library only reads
+    the limit."""
+    monkeypatch.setattr(utpoly.fields, "_digit_limit", lambda: 12)
+    assert Q.render_value(value) == str(value)
+    q = CPolynomial.const(Q, value) * CPolynomial.variable(Q, diag_var(1, 1))
+    assert q.render() == f"{value}*z[1,1]"
+    monkeypatch.setattr(utpoly.fields, "_digit_limit", lambda: 11)
+    for text in (lambda: Q.render_value(value), q.render):
+        with pytest.raises(ResourceLimit, match="more than 11 digits"):
+            text()
+    monkeypatch.setattr(utpoly.fields, "_digit_limit", lambda: 0)
+    assert Q.render_value(value) == str(value)
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == LIMIT
+
+
+@pytest.mark.skipif(not LIMIT, reason="this Python converts ints of any size")
+@pytest.mark.parametrize("desc", [Q, F7], ids=["Q", "F7"])
+@pytest.mark.parametrize("shape", ["{}", "1/{}", "-{}/3", "1.{}"])
+def test_a_literal_past_the_digit_limit_names_it(desc, shape):
+    """A literal with a run of digits past Python's limit is a ParseError
+    that names the limit, not a bare "bad literal"; one at the limit
+    reads."""
+    digits = "1" + "0" * (LIMIT - 1) + "1"
+    with pytest.raises(ParseError, match=f"{LIMIT + 1} digits in a row, past "
+                                         f"Python's {LIMIT}-digit"):
+        desc.parse_literal(shape.format(digits))
+    assert desc.parse_literal(shape.format(digits[1:])) == desc.from_fraction(
+        Fraction(shape.format(digits[1:])))
 
 
 def test_from_int_from_fraction():

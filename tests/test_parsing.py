@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import pytest
 
 from utpoly import freealg, parsing
-from utpoly.errors import ParseError
+from utpoly.errors import ParseError, UtpolyError
 from utpoly.fields import FieldDescriptor
 from utpoly.freealg import NcPolynomial
 from utpoly.parsing import is_digits, tokenize
@@ -138,10 +138,11 @@ def loop_pow(self, a, e):
 
 POWERS = {
     Q: ["x1^5", "(2*x1*x2)^7", "(1/3*x2*x1)^4", "(x1-x1)^3", "(2)^3*x1", "(x1^2)^3",
-        "(x1+x2)^3", "(-x2)^6 - x1^2", "(5/7*x1)^1"],
-    F7: ["(3*x1)^9", "(x1*x2)^6", "(7*x1)^2 + x2", "(6*x1 + x2)^3", "(3)^4*x1"],
+        "(x1+x2)^3", "(-x2)^6 - x1^2", "(5/7*x1)^1", "2^3*x1", "3/4^2*x1*2^2"],
+    F7: ["(3*x1)^9", "(x1*x2)^6", "(7*x1)^2 + x2", "(6*x1 + x2)^3", "(3)^4*x1",
+         "2^3*x1", "x2 - 3^5*x1"],
     C: ["((0.3+0.7j)*x1*x2)^13", "(1e-3*x1)^5", "(0.1*x1)^3", "((1+2j)*x1)^2",
-        "(x1 + 1j*x2)^3", "(1.1*x1)^25"],
+        "(x1 + 1j*x2)^3", "(1.1*x1)^25", "2^3*x1", "1.1^7*x1 + 0.3j^3*x2"],
 }
 
 
@@ -163,3 +164,62 @@ def test_power_of_one_term_takes_linear_time():
     elapsed = time.perf_counter() - start
     assert p.terms == {(1,) * 20000: 1}
     assert elapsed < 0.3, elapsed
+
+
+@pytest.mark.parametrize("field,text,same", [
+    (field, text, same) for field in (Q, F7, C) for text, same in [
+        ("2^3*x1", "(2)^3*x1"), ("2^0*x1", "x1"), ("5*2^2*x1", "20*x1"),
+        ("x2 - 2^2*x1^2", "x2 - (2)^2*(x1)^2")]
+] + [(Q, "3/4^2*x1", "9/16*x1"), (F7, "3/4^2*x1", "(3/4)^2*x1")])
+def test_a_number_is_a_factor(field, text, same):
+    """A coefficient takes a power like any atom: term := factor ('*'
+    factor)*, with the polynomial, and over C the float bits, of the
+    parenthesised form."""
+    assert repr(NcPolynomial.parse(text, field)) == repr(NcPolynomial.parse(same, field))
+
+
+class _NumberFirstParser(parsing._Parser):
+    """The earlier parser, whose term read a leading number as a
+    coefficient with no power: term := coeff | [coeff '*'] factor ..."""
+
+    def term(self):
+        if self.peek().kind == "NUMBER":
+            c = self.coeff()
+            if not self.at_op("*"):
+                return self.b.const(c)
+            node = self.b.const(c)
+        else:
+            node = self.factor()
+        while self.at_op("*"):
+            self.take()
+            node = self.b.mul(node, self.factor())
+        return node
+
+
+def parsed(text):
+    """The polynomial, or the error's type, message and position."""
+    try:
+        return repr(NcPolynomial.parse(text, Q))
+    except UtpolyError as exc:
+        return (type(exc).__name__, str(exc), getattr(exc, "position", None))
+
+
+def test_only_texts_refused_before_parse_otherwise(monkeypatch):
+    """On the lexer corpus, every text the earlier parser took gives the
+    same outcome, and so does every text it refused anywhere but at a
+    '^' after a number: such a text now parses, or is refused further
+    on.  (x1+x2)^17, 131,072 words, is left out for time."""
+    changed = parses = 0
+    texts = [text for text in corpus() if text != "(x1+x2)^17"]
+    for text in [*texts, "2^3*x1", "x2 - 3/4^2*x1", "(2^2*x1)^2 + x1*5^3"]:
+        got = parsed(text)
+        with monkeypatch.context() as patch:
+            patch.setattr(parsing, "_Parser", _NumberFirstParser)
+            want = parsed(text)
+        if got != want:
+            assert want[0] == "ParseError" and text[want[2]] == "^", text
+            changed += 1
+            parses += isinstance(got, str)
+    assert 0 < parses < changed
+    for text in ["2 x1", "2/x", "2/x1", "2^x1", "2^-1*x1", "x1*2^"]:
+        assert parsed(text)[0] == "ParseError", text

@@ -377,7 +377,7 @@ def test_structured_affine_parts_match_generic_entry(field):
                 lead = rng.choice(list(live_slots(p, r)))
                 entries = _entries_positive(n, m, lead, values, desc, rng, 256)
             else:
-                arcs = [(i, q) for (i,), q in live_slots(p, 1).items()]
+                arcs = [(i, coeff_poly(p, (i,))) for (i,) in live_slots(p, 1)]
                 entries = _entries_r0(n, diags, arcs, values, desc, rng, 256)
             for s, t, fresh in entries:
                 if fresh is None:

@@ -18,7 +18,7 @@ from itertools import combinations
 import pytest
 
 import utpoly.triangular
-from utpoly.analysis import exact_order, leading_tuples
+from utpoly.analysis import coeff_poly, exact_order, leading_tuples
 from utpoly.cpoly import CPolynomial, diag_var, entry_var
 from utpoly.errors import (ArityMismatch, FieldMismatch, ParseError,
                            ResourceLimit, SizeMismatch, UtpolyError)
@@ -681,8 +681,9 @@ def test_prime_field_values_are_reduced_at_rest(field):
         for q in generic_evaluate(p, min(n, 3)).entries.values():
             values += q.terms.values()
         for k in range(1, 3):
-            for q in live_slots(p, k).values():
-                values += q.terms.values()
+            for slots, terms in live_slots(p, k).items():
+                values += [c for c, _ in terms]
+                q = coeff_poly(p, slots)
                 point = {v: desc.sample(rng) for v in q.variables()}
                 values.append(q.eval_full(point))
         assert all(_canonical(desc, v) for v in values), (p.terms, values)
@@ -716,7 +717,7 @@ def structured_entry_reference(p, s, t, diags, arc, fresh=None):
     fresh_arc, star = (fresh[1:3], fresh[3]) if fresh else (None, None)
     fresh_sum = total = desc.zero()
     for k in range(1, t - s + 1):
-        tuples = live_slots(p, k)
+        tuples = {slots: coeff_poly(p, slots) for slots in live_slots(p, k)}
         for interior in combinations(range(s + 1, t), k - 1):
             path = (s,) + interior + (t,)
             arcs = tuple(zip(path, path[1:]))
