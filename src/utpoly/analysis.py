@@ -8,8 +8,8 @@ field it decides identity for the infinite extensions of F_p (a small base
 field itself may satisfy extra pointwise identities that the symbolic test
 deliberately ignores).
 
-The test reads the live-slot index of p's analysis context
-(triangular.live_slots), not a generic evaluation.  Entry (s, t) of the
+The test reads p's own live-slot index (triangular.live_slots, kept in
+p.index), not a generic evaluation.  Entry (s, t) of the
 generic evaluation sums, over increasing paths s -> t and slot tuples, a
 coefficient polynomial at the path's rows times that path's own arc
 monomial, so no two terms cancel: p vanishes on size n iff p(z), the
@@ -22,8 +22,10 @@ read the index too; only order probes generic evaluations, since its
 report names a nonzero generic entry and samples a point of that entry
 polynomial.
 
-The index is cached per polynomial, keyed on p and the order of its
-words (triangular._context); order's generic evaluations are not.
+Each polynomial keeps its own index (NcPolynomial.index); requests share
+one through the CLI's shared parse (freealg.shared_parse), whose cache
+statistics coeff_poly.cache_info reports.  order's generic evaluations
+are not cached.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ from dataclasses import dataclass
 
 from .cpoly import CPolynomial, render_var
 from .errors import OrderMismatch, VariableOutOfRange, ZeroInput
-from .freealg import NcPolynomial
-from .triangular import _context, generic_evaluate, index_poly, live_slots
+from .freealg import NcPolynomial, shared_parse
+from .triangular import generic_evaluate, index_poly, live_slots
 
 _ORDER_SAMPLES = 200     # witness points order() tries
 
@@ -51,8 +53,8 @@ def coeff_poly(p: NcPolynomial, slots: tuple) -> CPolynomial:
     return index_poly(p.field, live_slots(p, k).get(slots, ()))
 
 
-# the cache behind coeff_poly is the context cache
-coeff_poly.cache_info = _context.cache_info
+# a hit is a request whose polynomial, and its index, were already built
+coeff_poly.cache_info = shared_parse.cache_info
 
 
 @dataclass

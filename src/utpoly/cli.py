@@ -20,7 +20,7 @@ from .cpoly import CPolynomial
 from .errors import (ParseError, ResourceLimit, UsageError, UtpolyError,
                      ZeroInput)
 from .fields import FieldDescriptor
-from .freealg import NcPolynomial
+from .freealg import NcPolynomial, shared_parse
 from .parsing import is_digits
 from .solver import SolveOptions, hit_open_set, solve_target, verify
 from .triangular import (FieldRing, UTMatrix, evaluate, evaluate_structured,
@@ -66,7 +66,8 @@ def _read_json(path: str):
             return json.load(fh)
     except FileNotFoundError:
         raise UsageError(f"file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # a JSONDecodeError, or an integer past Python's int-string limit
         raise ParseError(f"bad JSON in {path}: {exc}") from None
 
 
@@ -408,7 +409,7 @@ def main(argv=None) -> int:
             if value is not None and value < 1:
                 raise ZeroInput(f"{dest} must be at least 1")
         desc = FieldDescriptor.parse(args.field)
-        p = NcPolynomial.parse(args.poly, desc, nvars=args.m)
+        p = shared_parse(args.poly, desc, args.m)
         _COMMANDS[args.command](args, desc, p)
     except UtpolyError as exc:
         sys.stderr.write(f"utpoly: {type(exc).__name__}: {exc}\n")

@@ -97,7 +97,13 @@ class FieldDescriptor:
             body = text[3:]
             if not is_digits(body):
                 raise ParseError(f"bad prime field descriptor {text!r}")
-            p = int(body)
+            # checked before int(), which refuses a run of digits past
+            # Python's int-string limit
+            digits = body.lstrip("0") or "0"
+            if len(digits) > len(str(_PSI_13)):
+                raise ParseError(f"modulus of {len(digits)} digits is too large: "
+                                 f"primality is certified only below {_PSI_13}")
+            p = int(digits)
             if p >= _PSI_13:
                 raise ParseError(f"modulus {p} is too large: primality is "
                                  f"certified only below {_PSI_13}")

@@ -9,15 +9,22 @@ operation downstream assumes it is absent.
 from __future__ import annotations
 
 import operator
+from functools import lru_cache
 from itertools import groupby
 
 from . import parsing
-from .errors import ArityMismatch, ConstantTermError, FieldMismatch, ParseError, VariableOutOfRange
+from .errors import (ArityMismatch, ConstantTermError, FieldMismatch, ParseError,
+                     ResourceLimit, VariableOutOfRange)
 from .fields import FieldDescriptor, add_terms, mul_terms, render_terms
 
 
 class NcPolynomial:
-    __slots__ = ("field", "nvars", "terms", "_hash", "_words")
+    """terms maps each word to its nonzero coefficient.  index holds the
+    live-slot index by k (triangular.live_slots), empty at construction
+    and filled on first use: always built from this instance's words in
+    this terms order, which over C sets its float bits."""
+
+    __slots__ = ("field", "nvars", "terms", "index")
 
     def __init__(self, field: FieldDescriptor, nvars: int, terms: dict):
         clean = {}
@@ -36,8 +43,7 @@ class NcPolynomial:
         self.field = field
         self.nvars = nvars
         self.terms = clean
-        self._hash = None
-        self._words = None
+        self.index = {}
 
     # -- construction ------------------------------------------------------
 
@@ -80,17 +86,7 @@ class NcPolynomial:
                 and self.terms == other.terms)
 
     def __hash__(self):
-        if self._hash is None:
-            key = tuple(sorted(self.terms.items()))
-            self._hash = hash((self.field, self.nvars, key))
-        return self._hash
-
-    def word_order(self) -> "WordOrder":
-        """The words of p in p.terms order, which equality ignores, as a
-        key hashed once per polynomial."""
-        if self._words is None:
-            self._words = WordOrder(tuple(self.terms))
-        return self._words
+        return hash((self.field, self.nvars, tuple(sorted(self.terms.items()))))
 
     def _check(self, other: "NcPolynomial") -> int:
         if not self.field.same_field(other.field):
@@ -143,23 +139,26 @@ class NcPolynomial:
         return f"NcPolynomial({self.field.render()}, m={self.nvars}, {self.pretty()})"
 
 
-class WordOrder:
-    """A tuple of words whose hash is computed once: equal word orders
-    are equal keys, and a lookup hashes no word."""
+# 40 witness rounds (1800 requests, 363 polynomials) parsed, and built an
+# index, 400, 389, 374, 372 and 368 times at caps 8, 16, 20, 32 and 64
+@lru_cache(maxsize=32)
+def shared_parse(text: str, field: FieldDescriptor, nvars: int | None) -> NcPolynomial:
+    """NcPolynomial.parse, one instance per recent (text, field, nvars):
+    a request repeating a text reads the index its polynomial has built."""
+    return NcPolynomial.parse(text, field, nvars)
 
-    __slots__ = ("words", "_hash")
 
-    def __init__(self, words: tuple):
-        self.words = words
-        self._hash = hash(words)
+# the most letters the words of one product or power may hold before like
+# words merge: (x1+x2)^17 would build 131,072 words of 2.2 M letters,
+# which took 6.3 s and 60 MB in eval; the golden corpus's largest product
+# holds 56
+_MAX_LETTERS = 10 ** 5
 
-    def __hash__(self):
-        return self._hash
 
-    def __eq__(self, other):
-        if not isinstance(other, WordOrder):
-            return NotImplemented
-        return self.words == other.words
+def _check_letters(letters: int) -> None:
+    if letters > _MAX_LETTERS:
+        raise ResourceLimit(f"a product of {letters} letters before like words "
+                            f"merge, past the parser's limit of {_MAX_LETTERS}")
 
 
 class _FreeBuilder:
@@ -186,6 +185,7 @@ class _FreeBuilder:
         return {w: -c for w, c in a.items()}
 
     def mul(self, a, b):
+        _check_letters(len(b) * sum(map(len, a)) + len(a) * sum(map(len, b)))
         return mul_terms(a, b, operator.add)
 
     def pow(self, a, e):
@@ -195,6 +195,7 @@ class _FreeBuilder:
         if len(a) != 1:
             return parsing.power(self.mul, a, e)
         (word, c), = a.items()
+        _check_letters(len(word) * e)
         return {word * e: parsing.power(operator.mul, c, e)}
 
 

@@ -74,20 +74,17 @@ matrix fold over the words of p, sharing their prefix products through
 the same stack as evaluate; it reads nothing from live_slots, so the
 structured route stays an independent check of it.
 
-The one cache, _context, keeps the live-slot index (live_slots) of the
-_CONTEXT_CAP most recent polynomials, one dict by k each, which a witness
-session reads in every request.  Its key is p (whose field includes eps)
-and p's words in p.terms order, p.word_order(), hashed once per
-polynomial: over C that order sets the float bits of the index, so an
-equal p listing its terms in another order gets its own, and a warm
-index is always the one a fresh build gives.
+This module holds no cache.  live_slots keeps p's index by k on p
+itself (p.index), built from p's own words in p.terms order, which over
+C sets its float bits; so a warm index is always the one a fresh build
+gives.  Requests share an index by sharing the polynomial
+(freealg.shared_parse).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
 from operator import attrgetter
@@ -431,18 +428,6 @@ def evaluate(p, matrices) -> UTMatrix:
     return UTMatrix._of(ring, n, acc)
 
 
-# 40 witness rounds (1800 requests, 363 polynomials) built the index 400,
-# 389, 374, 372 and 368 times at caps 8, 16, 20, 32 and 64: 9 rebuilds at 32
-_CONTEXT_CAP = 32
-
-
-@lru_cache(maxsize=_CONTEXT_CAP)
-def _context(p, words) -> dict:
-    """The analysis context of p with its words in the order words
-    (p.word_order()): live_slots(p, k) by k, filled on first use."""
-    return {}
-
-
 # a Q value as the index and the walk keep it
 _pair = attrgetter("numerator", "denominator")
 
@@ -549,7 +534,7 @@ def live_slots(p, k: int) -> dict:
     matches it bit for bit, term order (eval_full's summation order over
     C) included.
     """
-    index = _context(p, p.word_order())
+    index = p.index
     if k in index:
         return index[k]
     desc = p.field
@@ -652,7 +637,7 @@ def structured_entry(p, s: int, t: int, diags, arc, fresh=None) -> tuple:
     desc = p.field
     rational = desc.kind == "rational"
     read = _pair if rational else (lambda v: v)
-    index = _context(p, p.word_order())
+    index = p.index
     fresh_arc, star = (fresh[1:3], fresh[3]) if fresh else (None, None)
     row_of = {j: tuple(map(read, diags[j - 1])) for j in range(s, t + 1)}
     arc_values: dict = {}     # arc -> its value by letter, or _UNREAD

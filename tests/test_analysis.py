@@ -1,5 +1,6 @@
 """Order computation, coefficient polynomials, band sets, classification."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -15,10 +16,9 @@ from utpoly.analysis import (classify, coeff_poly, exact_order,
 from utpoly.cpoly import CPolynomial, entry_var
 from utpoly.errors import OrderMismatch, ZeroInput
 from utpoly.fields import FieldDescriptor
-from utpoly.freealg import NcPolynomial, commutator
-from utpoly.triangular import (_CONTEXT_CAP, FieldRing, UTMatrix,
-                               evaluate_structured, generic_evaluate,
-                               live_slots)
+from utpoly.cli import main
+from utpoly.freealg import NcPolynomial, commutator, shared_parse
+from utpoly.triangular import generic_evaluate, live_slots
 
 Q = FieldDescriptor.parse("Q")
 F7 = FieldDescriptor.parse("Fp:7")
@@ -231,35 +231,50 @@ def test_each_placement_of_a_word_has_its_own_key():
             assert set(coeffs) == {Fraction(3)}, (word, k)
 
 
-def test_evicted_context_gives_the_same_answers():
-    """A polynomial whose context was evicted is analysed again from its
-    words with the same results; generic evaluations, which no context
-    holds, are recomputed with the same results too."""
+def test_evicted_context_gives_the_same_answers(tmp_path, capsys):
+    """A CLI text pushed out of the shared parse cache by as many others
+    as it holds is parsed again, with a fresh index, and gives the same
+    stdout; generic evaluations, which nothing caches, are recomputed
+    with the same results too."""
     rng = random.Random(77)
-    p = NcPolynomial.parse("x1*x2*x3 - 2*x3*x1*x2 + x2*x2", Q)
-    mats = [UTMatrix(FieldRing(Q), 4,
-                     {(j, k): Fraction(rng.randint(-5, 5))
-                      for j in range(1, 5) for k in range(j, 5)})
-            for _ in range(3)]
-    first = evaluate_structured(p, mats).to_json()
-    generic = generic_evaluate(p, 3).to_json()
-    index = live_slots(p, 2)
-    for c in range(1, _CONTEXT_CAP + 1):
-        live_slots(NcPolynomial.parse(f"{c}*x1*x2", Q), 1)
-    assert live_slots(p, 2) is not index        # rebuilt, not kept
-    assert evaluate_structured(p, mats).to_json() == first
-    assert generic_evaluate(p, 3).to_json() == generic
+    text = "x1*x2*x3 - 2*x3*x1*x2 + x2*x2"
+    mats = tmp_path / "m.json"
+    mats.write_text(json.dumps({"matrices": [{"n": 4, "entries": [
+        {"j": j, "k": k, "value": str(rng.randint(-5, 5))}
+        for j in range(1, 5) for k in range(j, 5)]} for _ in range(3)]}))
+
+    def request(poly, *argv):
+        assert main([*argv, "--poly", poly]) == 0
+        return capsys.readouterr().out
+
+    structured = ("eval", "--matrices", str(mats), "--route", "structured")
+    generic = ("eval", "--generic", "--n", "3")
+    shared_parse.cache_clear()
+    first = request(text, *structured)
+    first_generic = request(text, *generic)
+    p = shared_parse(text, Q, None)
+    index = p.index[2]
+    for c in range(1, shared_parse.cache_info().maxsize + 1):
+        request(f"{c}*x1*x2", "classify", "--n", "2")
+    again = shared_parse(text, Q, None)
+    assert again is not p and not again.index       # parsed again
+    assert request(text, *structured) == first
+    assert again.index[2] == index and again.index[2] is not index
+    assert request(text, *generic) == first_generic
 
 
 @pytest.mark.parametrize("first", ["C", "C:0.5"])
 def test_contexts_do_not_mix_tolerances(first):
     """Slot 1 of x1*x2*x1 - 1.25*x1*x1*x2 gets 1 - 1.25 on z[2,1]*z[2,2]:
-    a term within C:0.5 but not within C's default tolerance."""
+    a term within C:0.5 but not within C's default tolerance.  The
+    shared parse keeps one polynomial, and so one index, per tolerance."""
     mono = (((("z", 2, 1), 1), (("z", 2, 2), 1)))
     second = "C:0.5" if first == "C" else "C"
+    shared_parse.cache_clear()
     for field in (first, second):
         desc = FieldDescriptor.parse(field)
-        p = NcPolynomial.parse("x1*x2*x1 - 1.25*x1*x1*x2", desc)
+        p = shared_parse("x1*x2*x1 - 1.25*x1*x1*x2", desc, None)
+        assert p.field == desc
         assert (1,) in live_slots(p, 1)
         q = coeff_poly(p, (1,))
         assert (mono in q.terms) == (field == "C"), field

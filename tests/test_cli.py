@@ -14,8 +14,8 @@ from itertools import product
 import pytest
 
 import utpoly.cli
+import utpoly.freealg
 import utpoly.solver
-import utpoly.triangular
 from utpoly.cli import ORACLE_NOTE, build_parser, main
 from utpoly.fields import FieldDescriptor
 from utpoly.freealg import NcPolynomial
@@ -196,14 +196,14 @@ def test_c_answers_ignore_an_equal_polynomial_run_before(tmp_path, capsys,
     def request(poly):
         return run(capsys, command, "--poly", poly, "--field", "C", *rest)
 
-    context = utpoly.triangular._context
-    context.cache_clear()
+    shared = utpoly.freealg.shared_parse
+    shared.cache_clear()
     alone = request(p2)
     assert alone[0] == 0, alone[2]
-    hits = context.cache_info().hits
+    hits = shared.cache_info().hits
     assert request(p2) == alone
-    assert context.cache_info().hits > hits
-    context.cache_clear()
+    assert shared.cache_info().hits > hits
+    shared.cache_clear()
     request(p1)
     assert request(p2) == alone
 
@@ -337,7 +337,7 @@ def test_commands_that_know_n_search_the_order_below_n(tmp_path, capsys,
     extra = {"solve": ("--n", "3", "--target", str(tf)),
              "hit": ("--n", "3", "--open-set", "y[1,3]"),
              "verify": ("--witness", str(wf), "--open-set", "1")}[command]
-    utpoly.triangular._context.cache_clear()
+    utpoly.freealg.shared_parse.cache_clear()
     t0 = time.perf_counter()
     code, out, err = run(capsys, command, "--poly", _SEVEN, *extra)
     elapsed = time.perf_counter() - t0
@@ -891,6 +891,38 @@ def test_a_literal_past_the_digit_limit_exits_1(tmp_path, capsys, field):
     assert time.perf_counter() - start < 1
 
 
+@needs_digit_limit
+@pytest.mark.parametrize("flag", ["--matrices", "--target", "--witness"])
+def test_a_json_integer_past_the_digit_limit_exits_1(tmp_path, capsys, flag):
+    """json.load refuses an integer of 5000 digits with a plain
+    ValueError, not a JSONDecodeError: a ParseError naming the limit,
+    where it was a traceback."""
+    f = tmp_path / "m.json"
+    f.write_text('{"n": ' + "1" * 5000 + ', "entries": []}')
+    argv = {"--matrices": ("eval", "--matrices", str(f)),
+            "--target": ("solve", "--n", "2", "--target", str(f)),
+            "--witness": ("verify", "--witness", str(f), "--open-set", "1")}[flag]
+    code, out, err = run(capsys, argv[0], "--poly", "x1", *argv[1:])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"utpoly: ParseError: bad JSON in {f}: ")
+    assert f"limit ({DIGIT_LIMIT} digits)" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("poly", ["(x1+x2)^17", "x1^100000000"])
+def test_a_product_past_the_parser_letter_limit_exits_2(tmp_path, capsys, poly):
+    """(x1+x2)^17 expanded to 131,072 words and took 6.3 s and 60 MB in
+    eval; x1^100000000 would build one word of 10^8 letters.  Each is a
+    ResourceLimit naming the parser's letter limit, before any matrix is
+    read.  Runtime budget: 0.5 s each."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, "eval", "--poly", poly, "--matrices",
+                         _one_by_one(tmp_path / "m.json", "1", "2"))
+    assert (code, out) == (2, "")
+    assert err.startswith("utpoly: ResourceLimit: a product of ")
+    assert err.endswith(f"past the parser's limit of {utpoly.freealg._MAX_LETTERS}\n")
+    assert time.perf_counter() - start < 0.5
+
+
 def test_parser_is_built_once():
     assert build_parser() is build_parser()
 
@@ -1041,7 +1073,9 @@ def test_malformed_matrix_file_is_a_parse_error(tmp_path, capsys, command, case)
     ("classify", "--poly", "x1*x2-x2*x1", "--n", "3",
      "--field", "Fp:318665857834031151167461"),
     ("classify", "--poly", "x1*x2-x2*x1", "--n", "3",
-     "--field", "Fp:3317044064679887385961981")])
+     "--field", "Fp:3317044064679887385961981"),
+    # past Python's int-string limit: refused by its length before int()
+    ("order", "--poly", "x1", "--field", "Fp:" + "1" * 5000)])
 def test_non_ascii_digits_and_uncertified_moduli_exit_1(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == "", err

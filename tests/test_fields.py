@@ -58,6 +58,18 @@ def test_fp_takes_only_certified_moduli():
     assert FieldDescriptor.parse(f"Fp:{largest}").p == largest
 
 
+def test_fp_modulus_length_is_checked_before_int():
+    """A modulus longer than psi_13 is refused by its length, before
+    int() meets a run of digits past Python's limit, and its digits are
+    not echoed; leading zeros do not count."""
+    with pytest.raises(ParseError, match="modulus of 5000 digits is too large") as info:
+        FieldDescriptor.parse("Fp:" + "1" * 5000)
+    assert "1" * 26 not in str(info.value)
+    with pytest.raises(ParseError, match="modulus of 26 digits"):
+        FieldDescriptor.parse(f"Fp:0{PSI_13 * 10 + 1}")
+    assert FieldDescriptor.parse("Fp:" + "0" * 5000 + "7").p == 7
+
+
 @pytest.mark.parametrize("text", ["Fp:\u00b2", "Fp:\u0663"])
 def test_fp_modulus_needs_ascii_digits(text):
     # str.isdigit() takes both; int() reads "\u0663" (Arabic-Indic 3) as

@@ -182,7 +182,7 @@ def test_find_diagonals_r4_at_n32_within_budget():
     61 s per search; the 378 row sets of the slopes take well under a
     second.  Runtime budget: 1 s, live-slot index included."""
     p = NcPolynomial.parse(f"{_P3}*(x1*x3-x3*x1)", Q)
-    utpoly.triangular._context.cache_clear()
+    assert not p.index          # built inside the budget
     t0 = time.perf_counter()
     r = exact_order(p)
     lead = leading_tuples(p, r)[0]
