@@ -8,6 +8,7 @@ operation downstream assumes it is absent.
 
 from __future__ import annotations
 
+import math
 import operator
 from functools import lru_cache
 from itertools import groupby
@@ -161,6 +162,34 @@ def _check_letters(letters: int) -> None:
                             f"merge, past the parser's limit of {_MAX_LETTERS}")
 
 
+# a number has no letters, so _check_letters does not bound its power:
+# folded e - 1 times, 2^100000000 ran past 10 s on every field.  Over Q
+# the bound is on the power's bits (order, classify and coeffs on a
+# coefficient of 10^6 bits take about 0.2 s), over C on the exponent of
+# its fold
+_MAX_POWER_BITS = 10 ** 6
+_MAX_POWER_FOLD = 10 ** 6
+
+
+def _coefficient_power(field: FieldDescriptor, c, e: int):
+    """c^e, equal at rest to parsing.power(operator.mul, c, e): pow mod p
+    over F_p, an exact ** over Q, and over C the left fold itself, which
+    sets the float bits; ResourceLimit past _MAX_POWER_BITS over Q or
+    _MAX_POWER_FOLD over C."""
+    if field.kind == "prime":
+        return pow(c, e, field.p)
+    if field.kind == "rational":
+        bits = e * math.log2(max(abs(c.numerator), c.denominator))
+        if bits > _MAX_POWER_BITS:
+            raise ResourceLimit(f"a coefficient's power of about {bits:.0f} "
+                                f"bits, past the parser's limit of {_MAX_POWER_BITS}")
+        return c ** e
+    if e > _MAX_POWER_FOLD:
+        raise ResourceLimit(f"a coefficient's power of exponent {e}, past the "
+                            f"parser's limit of {_MAX_POWER_FOLD}")
+    return parsing.power(operator.mul, c, e)
+
+
 class _FreeBuilder:
     def __init__(self, field: FieldDescriptor):
         self.field = field
@@ -189,14 +218,14 @@ class _FreeBuilder:
         return mul_terms(a, b, operator.add)
 
     def pow(self, a, e):
-        """a^e, equal to parsing.power(self.mul, a, e): a single term's
-        word is built once, in linear time, and its coefficient by the
-        same left fold, so C's bits do not move."""
+        """a^e, equal to parsing.power(self.mul, a, e) at rest: a single
+        term's word is built once, in linear time, and its coefficient's
+        power by _coefficient_power."""
         if len(a) != 1:
             return parsing.power(self.mul, a, e)
         (word, c), = a.items()
         _check_letters(len(word) * e)
-        return {word * e: parsing.power(operator.mul, c, e)}
+        return {word * e: _coefficient_power(self.field, c, e)}
 
 
 def commutator(a: NcPolynomial, b: NcPolynomial) -> NcPolynomial:

@@ -61,18 +61,30 @@ entry (j, k), one monomial per weakly increasing row path from j to k,
 the path being readable from the monomial (its x variables are the
 arcs, its z exponents per row the stays), so every coefficient is one
 and no two paths meet.  generic_evaluate therefore keeps a word product
-as {(j, k): [monomial, ...]} with no coefficients, and one step "times
-generic matrix i" multiplies each monomial of entry (j, l) by z[l, i]
-(k = l) or x[l, k, i] (k > l), visiting entries, k and monomials in
-_product's order, so term order (C's summation order downstream) is
-that of the matrix fold.  Field arithmetic starts at the end of a word:
-its coefficient times one, added into the entry's sum with evaluate's
-two zero filters.  Over Q those sums run on integers, each coefficient
-scaled by the lcm of p's coefficient denominators, and each term is
-divided once when the entry polynomials are built.  This is still a
-matrix fold over the words of p, sharing their prefix products through
-the same stack as evaluate; it reads nothing from live_slots, so the
-structured route stays an independent check of it.
+as {(j, k): [monomial, ...]} with no coefficients, each monomial one int
+that packs its exponent vector: a bit field per variable, laid out in
+the variables' key order, every x[l, k, i] below every z[l, i].  An x
+field has 1 bit, since a weakly increasing path leaves row l at most
+once, so no x[l, k, i] has an exponent above 1; a z field has
+w = deg(p).bit_length() bits, since no exponent exceeds deg p, so no
+field ever carries into the next.  One step "times generic matrix i"
+adds to each monomial of entry (j, l) the int of z[l, i] (k = l) or of
+x[l, k, i] (k > l), visiting entries, k and monomials in _product's
+order, so term order (C's summation order downstream) is that of the
+matrix fold; and as the packing is one to one, every dict operation
+happens in the sequence it would on the monomials themselves.  Field
+arithmetic starts at the end of a word: its coefficient times one,
+added into the entry's sum with evaluate's two zero filters.  Over Q
+those sums run on integers, each coefficient scaled by the lcm of p's
+coefficient denominators, and each term is divided once when the entry
+polynomials are built.  Each monomial of the result is decoded once,
+into (key, exponent) pairs made once per call, an entry's packed map
+dropped as its polynomial is built: fields are read from the top and
+the pairs reversed, so they come out in key order, as CPolynomial keeps
+them.  This is still a matrix fold over the words of p, sharing their
+prefix products through the same stack as evaluate; it reads nothing
+from live_slots, so the structured route stays an independent check
+of it.
 
 This module holds no cache.  live_slots keeps p's index by k on p
 itself (p.index), built from p's own words in p.terms order, which over
@@ -83,7 +95,6 @@ gives.  Requests share an index by sharing the polynomial
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
@@ -435,26 +446,28 @@ _pair = attrgetter("numerator", "denominator")
 _UNREAD = object()      # an arc entry the walk has not read yet
 
 
-def _times_var(mono: tuple, var: tuple) -> tuple:
-    """The monomial mono * var, mono a sorted tuple of (key, exponent)."""
-    at = bisect_left(mono, (var,))
-    if at < len(mono) and mono[at][0] == var:
-        return mono[:at] + ((var, mono[at][1] + 1),) + mono[at + 1:]
-    return mono[:at] + ((var, 1),) + mono[at:]
-
-
 def generic_evaluate(p, n: int, monomial_budget: int = 10 ** 6) -> UTMatrix:
     """p at the generic tuple of size n, with no field arithmetic inside
     a word: see the module docstring.  Not cached: a cache served 31 of
     768 calls in 12 witness and 20 symbolic benchmark rounds."""
     desc = p.field
     ring = PolyRing(desc, monomial_budget)
-    # rows[i - 1][l]: (k, the variable of entry (l, k) of generic matrix i), k >= l
-    rows = [{l: [(k, diag_var(l, i) if k == l else entry_var(l, k, i))
+    m = p.nvars
+    # a monomial is one int packing its exponent vector, a field per key
+    # in key order: 1 bit per x[l, k, i], then w bits per z[l, i]
+    w = p.degree().bit_length()
+    xkeys = [entry_var(l, k, i) for l in range(1, n + 1)
+             for k in range(l + 1, n + 1) for i in range(1, m + 1)]
+    zkeys = [diag_var(l, i) for l in range(1, n + 1) for i in range(1, m + 1)]
+    xbits = len(xkeys)
+    step = {key: 1 << b for b, key in enumerate(xkeys)}
+    step.update((key, 1 << (xbits + w * f)) for f, key in enumerate(zkeys))
+    # rows[i - 1][l]: (k, the step of entry (l, k) of generic matrix i), k >= l
+    rows = [{l: [(k, step[diag_var(l, i) if k == l else entry_var(l, k, i)])
                  for k in range(l, n + 1)]
              for l in range(1, n + 1)}
-            for i in range(1, p.nvars + 1)]
-    letters = [{(l, k): [((var, 1),)] for l, row in by_row.items() for k, var in row}
+            for i in range(1, m + 1)]
+    letters = [{(l, k): [s] for l, row in by_row.items() for k, s in row}
                for by_row in rows]
 
     def times(prod, row):
@@ -465,8 +478,8 @@ def generic_evaluate(p, n: int, monomial_budget: int = 10 ** 6) -> UTMatrix:
             # coefficient-free monomials never cancel: the size only grows
             size += len(monos) * len(row[l])
             ring.check_size(size)
-            for k, var in row[l]:
-                ext = [_times_var(m, var) for m in monos]
+            for k, s in row[l]:
+                ext = [mo + s for mo in monos]
                 pos = (j, k)
                 if pos in out:
                     out[pos] += ext
@@ -498,19 +511,41 @@ def generic_evaluate(p, n: int, monomial_budget: int = 10 ** 6) -> UTMatrix:
             if terms is None:
                 sums[pos] = dict.fromkeys(monos, v)
                 continue
-            for m in monos:
-                total = nonzero(terms.get(m, zero) + v)
+            for mo in monos:
+                total = nonzero(terms.get(mo, zero) + v)
                 if total is None:
-                    terms.pop(m, None)
+                    terms.pop(mo, None)
                 else:
-                    terms[m] = total
+                    terms[mo] = total
             if not terms:
                 del sums[pos]
-    if den is not None:
-        sums = {pos: {m: Fraction(c, den) for m, c in terms.items()}
-                for pos, terms in sums.items()}
-    return UTMatrix._own(ring, n, {pos: CPolynomial(desc, terms)
-                                   for pos, terms in sums.items()})
+
+    # each monomial is decoded once, top field first: bit b lies in the
+    # field fields[b] = (start, its (key, e) pairs by e, the mask of the
+    # bits below it), the pairs made once per call
+    fields = [(b, (None, (key, 1)), (1 << b) - 1) for b, key in enumerate(xkeys)]
+    for f, key in enumerate(zkeys):
+        start = xbits + w * f
+        fields += [(start, [(key, e) for e in range(1 << w)], (1 << start) - 1)] * w
+
+    def decode(mo):
+        pairs = []
+        while mo:
+            start, by_exponent, below = fields[mo.bit_length() - 1]
+            pairs.append(by_exponent[mo >> start])
+            mo &= below
+        pairs.reverse()     # key order
+        return tuple(pairs)
+
+    out = {}
+    for pos in list(sums):
+        terms = sums.pop(pos)    # an entry's packed map goes as it is decoded
+        if den is None:
+            out[pos] = CPolynomial(desc, {decode(mo): c for mo, c in terms.items()})
+        else:
+            out[pos] = CPolynomial(desc, {decode(mo): Fraction(c, den)
+                                          for mo, c in terms.items()})
+    return UTMatrix._own(ring, n, out)
 
 
 def live_slots(p, k: int) -> dict:

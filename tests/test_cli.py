@@ -321,7 +321,8 @@ def test_zero_target_solves_to_the_zero_tuple(tmp_path, capsys, monkeypatch,
 
 _FIVE = ("(x1*x2-x2*x1)*(x3*x4-x4*x3)*(x1*x3-x3*x1)*(x2*x4-x4*x2)"
          "*(x1*x4-x4*x1)")
-_SEVEN = _FIVE + "*(x2*x3-x3*x2)*(x1*x2-x2*x1)"
+_SIX = _FIVE + "*(x2*x3-x3*x2)"
+_SEVEN = _SIX + "*(x1*x2-x2*x1)"
 
 
 @pytest.mark.parametrize("command", ["solve", "hit", "verify"])
@@ -365,13 +366,29 @@ def test_generic_monomial_budget_fires_while_the_product_grows(capsys):
 
 def test_order_of_five_commutators_within_budget(capsys):
     """order probes the generic evaluation at sizes 1..6 of a product of
-    five commutators (order 5).  Folded as coefficient-one monomials with
-    shared prefixes it took about 1.2 s; through polynomial matrix
-    products it took about 9 s.  Runtime budget: 4 s."""
+    five commutators (order 5).  Folded on packed exponent vectors it
+    takes about 0.1 s, on tuple monomials it took about 1.2 s, and
+    through polynomial matrix products about 9 s.  Runtime budget: 4 s."""
     t0 = time.perf_counter()
     data = run_json(capsys, "order", "--poly", _FIVE)
     elapsed = time.perf_counter() - t0
     assert data["r"] == 5 and data["witness"]["entry"] == [1, 6]
+    assert elapsed < 4.0, elapsed
+
+
+def test_order_of_six_commutators_within_budget(capsys):
+    """order probes the generic evaluation at sizes 1..7 of a product of
+    six commutators (order 6).  Folded on packed exponent vectors it
+    takes about 1.1 s; on tuple monomials, one bisect per monomial and
+    letter, it took about 12 s.  stdout is pinned to the byte.  Runtime
+    budget: 4 s."""
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "order", "--poly", _SIX)
+    elapsed = time.perf_counter() - t0
+    assert code == 0, err
+    assert json.loads(out)["r"] == 6
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "1644f065af45d5fee59c323147fbe3d0a7d33ce47e94a32d9d83bf1db1176ff8")
     assert elapsed < 4.0, elapsed
 
 
@@ -921,6 +938,42 @@ def test_a_product_past_the_parser_letter_limit_exits_2(tmp_path, capsys, poly):
     assert err.startswith("utpoly: ResourceLimit: a product of ")
     assert err.endswith(f"past the parser's limit of {utpoly.freealg._MAX_LETTERS}\n")
     assert time.perf_counter() - start < 0.5
+
+
+# order's stdout for 2^100000*x1, by field
+_POWER_OF_TWO = {
+    "Q": '{"max_n":2,"r":0,"witness":{"entry":[1,1],"n":1,'
+         '"point":{"z[1,1]":"23/36"}}}\n',
+    "Fp:101": '{"max_n":2,"r":0,"witness":{"entry":[1,1],"n":1,'
+              '"point":{"z[1,1]":"49"}}}\n',
+    "C": '{"max_n":2,"r":0,"witness":{"entry":[1,1],"n":1,'
+         '"point":{"z[1,1]":"5.51074962440077+4.12727044704484j"}}}\n',
+}
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp:101", "C"])
+def test_a_power_of_a_number_is_bounded(capsys, field):
+    """A number has no letters, so the letter limit never bounded its
+    power: 2^100000000 was folded with 10^8 - 1 multiplications and ran
+    past a 10 s timeout.  Over F_p it is now pow mod p, over Q an exact
+    power whose predicted bits are bounded, over C the same fold under a
+    bound on the exponent; 2^100000 keeps its bytes on every field (over
+    Q its fold took about 2 s).  Runtime budget: 1 s each."""
+    start = time.perf_counter()
+    assert run(capsys, "order", "--poly", "2^100000*x1", "--field", field) == (
+        0, _POWER_OF_TWO[field], "")
+    code, out, err = run(capsys, "order", "--poly", "2^100000000*x1",
+                         "--field", field)
+    if field == "Fp:101":
+        # 2^100 = 1 mod 101, so 2^100000 and 2^100000000 are both 1
+        assert (code, out, err) == (0, _POWER_OF_TWO[field], "")
+    else:
+        assert (code, out) == (2, "")
+        bound = (utpoly.freealg._MAX_POWER_BITS if field == "Q"
+                 else utpoly.freealg._MAX_POWER_FOLD)
+        assert err.startswith("utpoly: ResourceLimit: a coefficient's power of ")
+        assert err.endswith(f"past the parser's limit of {bound}\n")
+    assert time.perf_counter() - start < 1
 
 
 def test_parser_is_built_once():

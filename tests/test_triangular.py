@@ -421,6 +421,28 @@ def test_generic_fold_over_q_sums_integers():
         assert bits(generic_evaluate(p, n)) == reference, (p.terms, n)
 
 
+@pytest.mark.parametrize("field", FOLD_FIELDS)
+def test_generic_fold_at_the_packing_boundaries(field):
+    """generic_evaluate packs a monomial's exponents into one int: 1 bit
+    per x[l, k, i], w = deg(p).bit_length() bits per z[l, i].  At z
+    exponents of 2^w - 1 and 2^(w - 1), at n = 1 (no x field), for the
+    zero polynomial and with six letters it must give the matrix fold's
+    entries, term order included; a field one bit short carries into the
+    next key and fails here."""
+    desc = FieldDescriptor.parse(field)
+    c = desc.parse_literal("0.3" if desc.kind == "complex" else "3/7")
+    cases = [(NcPolynomial.parse(text, desc), n) for text, n in [
+        ("x1^7", 3), ("x1^8", 3), ("x1^15", 2), ("x1^16*x2", 2), ("x2*x1^16", 3),
+        ("x1^3*x2^4 + 2*x2^4*x1^3 - x1^2*x2^5", 3), ("x1^7 - x1^3*x2*x1^3", 1),
+        ("x1*x2^4", 1)]]
+    cases += [(NcPolynomial(desc, 2, {}), 3), (NcPolynomial(desc, 2, {(1, 2): c}), 1)]
+    rng = random.Random(field)
+    cases += [(shared_poly(desc, rng, 6, max_len=6), n) for n in (1, 2, 5, 7, 8)]
+    for p, n in cases:
+        reference = bits(evaluate_words(p, generic_tuple(desc, n, p.nvars)))
+        assert bits(generic_evaluate(p, n)) == reference, (p.terms, n)
+
+
 def _outcome(run):
     """bits of the matrix run() returns, or its ResourceLimit message."""
     try:
