@@ -162,9 +162,8 @@ def _check_letters(letters: int) -> None:
                             f"merge, past the parser's limit of {_MAX_LETTERS}")
 
 
-# a number has no letters, so _check_letters does not bound its power:
-# folded e - 1 times, 2^100000000 ran past 10 s on every field.  Over Q
-# the bound is on the power's bits (order, classify and coeffs on a
+# a number has no letters, so _check_letters does not bound its power.
+# Over Q the bound is on the power's bits (order, classify and coeffs on a
 # coefficient of 10^6 bits take about 0.2 s), over C on the exponent of
 # its fold
 _MAX_POWER_BITS = 10 ** 6
@@ -179,10 +178,15 @@ def _coefficient_power(field: FieldDescriptor, c, e: int):
     if field.kind == "prime":
         return pow(c, e, field.p)
     if field.kind == "rational":
-        bits = e * math.log2(max(abs(c.numerator), c.denominator))
-        if bits > _MAX_POWER_BITS:
-            raise ResourceLimit(f"a coefficient's power of about {bits:.0f} "
-                                f"bits, past the parser's limit of {_MAX_POWER_BITS}")
+        # c^e has about e log2(base) bits, so at least e when base > 1,
+        # which bounds an e too large for a float product; 0, 1 and -1
+        # keep their size
+        base = max(abs(c.numerator), c.denominator)
+        if base > 1:
+            bits = e if e > _MAX_POWER_BITS else int(e * math.log2(base))
+            if bits > _MAX_POWER_BITS:
+                raise ResourceLimit(f"a coefficient's power of at least {bits} "
+                                    f"bits, past the parser's limit of {_MAX_POWER_BITS}")
         return c ** e
     if e > _MAX_POWER_FOLD:
         raise ResourceLimit(f"a coefficient's power of exponent {e}, past the "
@@ -225,7 +229,8 @@ class _FreeBuilder:
             return parsing.power(self.mul, a, e)
         (word, c), = a.items()
         _check_letters(len(word) * e)
-        return {word * e: _coefficient_power(self.field, c, e)}
+        # a number's word is (), and () * e overflows past sys.maxsize
+        return {word * e if word else (): _coefficient_power(self.field, c, e)}
 
 
 def commutator(a: NcPolynomial, b: NcPolynomial) -> NcPolynomial:

@@ -35,7 +35,8 @@ with them the witness the sweep prints: one partial evaluation at every
 other variable leaves c1*fresh + c0, c1 is the slope, and the offset
 c0 is that polynomial at fresh = 0; any other monomial left is an
 internal inconsistency.  It runs under generic_evaluate's default
-monomial guard: past it, C solve and hit raise ResourceLimit.
+monomial guard and its bound on a packed monomial's bits: past either,
+C solve and hit raise ResourceLimit.
 
 A zero slope makes the attempt fail and the next one resample; the
 guarantee behind the construction is density, not surjectivity, so a

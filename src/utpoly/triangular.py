@@ -62,13 +62,17 @@ the path being readable from the monomial (its x variables are the
 arcs, its z exponents per row the stays), so every coefficient is one
 and no two paths meet.  generic_evaluate therefore keeps a word product
 as {(j, k): [monomial, ...]} with no coefficients, each monomial one int
-that packs its exponent vector: a bit field per variable, laid out in
-the variables' key order, every x[l, k, i] below every z[l, i].  An x
-field has 1 bit, since a weakly increasing path leaves row l at most
-once, so no x[l, k, i] has an exponent above 1; a z field has
-w = deg(p).bit_length() bits, since no exponent exceeds deg p, so no
-field ever carries into the next.  One step "times generic matrix i"
-adds to each monomial of entry (j, l) the int of z[l, i] (k = l) or of
+that packs its exponent vector.  Only the u letters p holds get fields,
+laid out in the variables' key order.  Row l has one index field for
+all its x[l, k, i]: a weakly increasing path leaves row l at most once,
+so at most one of them divides a monomial, and the field holds 1 + its
+place among the (n - l) * u in (k, i) order, or 0.  Above every index
+field, z[l, i] gets the bits of the most times a word of p holds letter
+i, which bounds its exponent.  So no addition ever carries out of a
+field, and a monomial takes about n log2(n u) + n u log2(deg p) bits,
+not one bit per variable; a layout past _MAX_PACKED_BITS is refused
+before any table is built.  One step "times generic matrix i" adds to
+each monomial of entry (j, l) the int of z[l, i] (k = l) or of
 x[l, k, i] (k > l), visiting entries, k and monomials in _product's
 order, so term order (C's summation order downstream) is that of the
 matrix fold; and as the packing is one to one, every dict operation
@@ -81,10 +85,10 @@ polynomials are built.  Each monomial of the result is decoded once,
 into (key, exponent) pairs made once per call, an entry's packed map
 dropped as its polynomial is built: fields are read from the top and
 the pairs reversed, so they come out in key order, as CPolynomial keeps
-them.  This is still a matrix fold over the words of p, sharing their
-prefix products through the same stack as evaluate; it reads nothing
-from live_slots, so the structured route stays an independent check
-of it.
+them.  This is still a matrix fold over the words of
+p, sharing their prefix products through the same stack as evaluate;
+it reads nothing from live_slots, so the structured route stays an
+independent check of it.
 
 This module holds no cache.  live_slots keeps p's index by k on p
 itself (p.index), built from p's own words in p.terms order, which over
@@ -446,28 +450,54 @@ _pair = attrgetter("numerator", "denominator")
 _UNREAD = object()      # an arc entry the walk has not read yet
 
 
+# a packed monomial of more bits is refused before any table is built:
+# each would take over 1 KiB, and the steps of row l's index field take
+# its offset in bits for each of its (n - l) * u arcs, so the tables grow
+# as n^3.  Just under the bound, generic_evaluate of x1+x2 at n = 700
+# (8076 bits) takes about 3.5 s and 555 MB
+_MAX_PACKED_BITS = 1 << 13
+
+
 def generic_evaluate(p, n: int, monomial_budget: int = 10 ** 6) -> UTMatrix:
     """p at the generic tuple of size n, with no field arithmetic inside
     a word: see the module docstring.  Not cached: a cache served 31 of
     768 calls in 12 witness and 20 symbolic benchmark rounds."""
     desc = p.field
     ring = PolyRing(desc, monomial_budget)
-    m = p.nvars
-    # a monomial is one int packing its exponent vector, a field per key
-    # in key order: 1 bit per x[l, k, i], then w bits per z[l, i]
-    w = p.degree().bit_length()
-    xkeys = [entry_var(l, k, i) for l in range(1, n + 1)
-             for k in range(l + 1, n + 1) for i in range(1, m + 1)]
-    zkeys = [diag_var(l, i) for l in range(1, n + 1) for i in range(1, m + 1)]
-    xbits = len(xkeys)
-    step = {key: 1 << b for b, key in enumerate(xkeys)}
-    step.update((key, 1 << (xbits + w * f)) for f, key in enumerate(zkeys))
+    # a monomial is one int packing its exponent vector, fields in key
+    # order for the u letters p holds: per row l an index field, 1 + the
+    # place of its one x[l, k, i] among row l's (n - l) * u in (k, i)
+    # order, or 0; then per z[l, i] the bits of most[i], the most times a
+    # word of p holds letter i
+    most: dict = {}
+    for word in p.terms:
+        for i in set(word):
+            most[i] = max(most.get(i, 0), word.count(i))
+    used = sorted(most)
+    u = len(used)
+    xstart = []          # xstart[l - 1]: the lowest bit of row l's x field
+    width = 0
+    for l in range(1, n + 1):
+        xstart.append(width)
+        width += ((n - l) * u).bit_length()
+    zstart = {}          # (l, i) -> the lowest bit of z[l, i]'s field
+    for l in range(1, n + 1):
+        for i in used:
+            zstart[l, i] = width
+            width += most[i].bit_length()
+    if width > _MAX_PACKED_BITS:
+        raise ResourceLimit(
+            f"generic evaluation at n = {n} packs a monomial into {width} "
+            f"bits, past the limit of {_MAX_PACKED_BITS}")
     # rows[i - 1][l]: (k, the step of entry (l, k) of generic matrix i), k >= l
-    rows = [{l: [(k, step[diag_var(l, i) if k == l else entry_var(l, k, i)])
-                 for k in range(l, n + 1)]
-             for l in range(1, n + 1)}
-            for i in range(1, m + 1)]
-    letters = [{(l, k): [s] for l, row in by_row.items() for k, s in row}
+    rows: list = [None] * p.nvars
+    for f, i in enumerate(used):
+        rows[i - 1] = {l: [(l, 1 << zstart[l, i])]
+                       + [(k, ((k - l - 1) * u + f + 1) << xstart[l - 1])
+                          for k in range(l + 1, n + 1)]
+                       for l in range(1, n + 1)}
+    letters = [None if by_row is None else
+               {(l, k): [s] for l, row in by_row.items() for k, s in row}
                for by_row in rows]
 
     def times(prod, row):
@@ -521,18 +551,25 @@ def generic_evaluate(p, n: int, monomial_budget: int = 10 ** 6) -> UTMatrix:
                 del sums[pos]
 
     # each monomial is decoded once, top field first: bit b lies in the
-    # field fields[b] = (start, its (key, e) pairs by e, the mask of the
-    # bits below it), the pairs made once per call
-    fields = [(b, (None, (key, 1)), (1 << b) - 1) for b, key in enumerate(xkeys)]
-    for f, key in enumerate(zkeys):
-        start = xbits + w * f
-        fields += [(start, [(key, e) for e in range(1 << w)], (1 << start) - 1)] * w
+    # field fields[b] = (its lowest bit, its (key, e) pairs by value, the
+    # mask of the bits below it), made once per call
+    fields: list = [None] * width
+    for l in range(1, n):
+        start, stop = xstart[l - 1], xstart[l]
+        field = (start, [None] + [(entry_var(l, k, i), 1)
+                                  for k in range(l + 1, n + 1) for i in used],
+                 (1 << start) - 1)
+        fields[start:stop] = [field] * (stop - start)
+    for (l, i), start in zstart.items():
+        w = most[i].bit_length()
+        fields[start:start + w] = [(start, [(diag_var(l, i), e) for e in range(1 << w)],
+                                    (1 << start) - 1)] * w
 
     def decode(mo):
         pairs = []
         while mo:
-            start, by_exponent, below = fields[mo.bit_length() - 1]
-            pairs.append(by_exponent[mo >> start])
+            start, by_value, below = fields[mo.bit_length() - 1]
+            pairs.append(by_value[mo >> start])
             mo &= below
         pairs.reverse()     # key order
         return tuple(pairs)

@@ -16,6 +16,7 @@ import pytest
 import utpoly.cli
 import utpoly.freealg
 import utpoly.solver
+import utpoly.triangular
 from utpoly.cli import ORACLE_NOTE, build_parser, main
 from utpoly.fields import FieldDescriptor
 from utpoly.freealg import NcPolynomial
@@ -364,11 +365,43 @@ def test_generic_monomial_budget_fires_while_the_product_grows(capsys):
     assert elapsed < 1.0, elapsed
 
 
+def test_generic_monomial_budget_fires_at_n_400(capsys):
+    """At n = 400 the products of x1*x2 pass 10^6 monomials in the first
+    product of two generic matrices; the tables that product reads are
+    built first, and must stay small enough for the budget to fire
+    within the runtime budget: 3 s."""
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "eval", "--generic", "--poly", "x1*x2",
+                         "--n", "400")
+    elapsed = time.perf_counter() - t0
+    assert code == 2 and out == ""
+    assert "ResourceLimit: symbolic matrix grew past 1000000 monomials" in err
+    assert elapsed < 3.0, elapsed
+
+
+def test_generic_evaluation_refuses_a_wide_packing(capsys):
+    """generic_evaluate packs each monomial into one int with a field per
+    variable of the letters p holds.  Past _MAX_PACKED_BITS it refuses
+    before building any table, whatever --m adds in unused letters.
+    Runtime budget: 0.5 s."""
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "eval", "--generic", "--poly", "x1*x2",
+                         "--n", "2000")
+    elapsed = time.perf_counter() - t0
+    assert code == 2 and out == ""
+    bound = utpoly.triangular._MAX_PACKED_BITS
+    assert err.startswith("utpoly: ResourceLimit: generic evaluation at n = 2000 ")
+    assert err.endswith(f"bits, past the limit of {bound}\n")
+    assert elapsed < 0.5, elapsed
+    # letters p does not hold take no bits
+    narrow = run(capsys, "eval", "--generic", "--poly", "x1*x2", "--n", "3")
+    assert run(capsys, "eval", "--generic", "--poly", "x1*x2", "--n", "3",
+               "--m", "400") == narrow
+
+
 def test_order_of_five_commutators_within_budget(capsys):
     """order probes the generic evaluation at sizes 1..6 of a product of
-    five commutators (order 5).  Folded on packed exponent vectors it
-    takes about 0.1 s, on tuple monomials it took about 1.2 s, and
-    through polynomial matrix products about 9 s.  Runtime budget: 4 s."""
+    five commutators (order 5), in about 0.1 s.  Runtime budget: 4 s."""
     t0 = time.perf_counter()
     data = run_json(capsys, "order", "--poly", _FIVE)
     elapsed = time.perf_counter() - t0
@@ -378,10 +411,8 @@ def test_order_of_five_commutators_within_budget(capsys):
 
 def test_order_of_six_commutators_within_budget(capsys):
     """order probes the generic evaluation at sizes 1..7 of a product of
-    six commutators (order 6).  Folded on packed exponent vectors it
-    takes about 1.1 s; on tuple monomials, one bisect per monomial and
-    letter, it took about 12 s.  stdout is pinned to the byte.  Runtime
-    budget: 4 s."""
+    six commutators (order 6), in about 1 s.  stdout is pinned to the
+    byte.  Runtime budget: 4 s."""
     t0 = time.perf_counter()
     code, out, err = run(capsys, "order", "--poly", _SIX)
     elapsed = time.perf_counter() - t0
@@ -953,27 +984,37 @@ _POWER_OF_TWO = {
 
 @pytest.mark.parametrize("field", ["Q", "Fp:101", "C"])
 def test_a_power_of_a_number_is_bounded(capsys, field):
-    """A number has no letters, so the letter limit never bounded its
-    power: 2^100000000 was folded with 10^8 - 1 multiplications and ran
-    past a 10 s timeout.  Over F_p it is now pow mod p, over Q an exact
-    power whose predicted bits are bounded, over C the same fold under a
-    bound on the exponent; 2^100000 keeps its bytes on every field (over
-    Q its fold took about 2 s).  Runtime budget: 1 s each."""
+    """A number has no letters, so the letter limit does not bound its
+    power.  Over F_p it is pow mod p, over Q an exact power whose bits are
+    bounded beforehand, over C the left fold under a bound on the
+    exponent; 2^100000 keeps its bytes on every field, and an exponent
+    of 401 digits is refused, not overflowed.  Runtime budget: 1 s each."""
     start = time.perf_counter()
     assert run(capsys, "order", "--poly", "2^100000*x1", "--field", field) == (
         0, _POWER_OF_TWO[field], "")
-    code, out, err = run(capsys, "order", "--poly", "2^100000000*x1",
-                         "--field", field)
-    if field == "Fp:101":
-        # 2^100 = 1 mod 101, so 2^100000 and 2^100000000 are both 1
-        assert (code, out, err) == (0, _POWER_OF_TWO[field], "")
-    else:
-        assert (code, out) == (2, "")
-        bound = (utpoly.freealg._MAX_POWER_BITS if field == "Q"
-                 else utpoly.freealg._MAX_POWER_FOLD)
-        assert err.startswith("utpoly: ResourceLimit: a coefficient's power of ")
-        assert err.endswith(f"past the parser's limit of {bound}\n")
+    for e in ("100000000", "1" + "0" * 400):
+        code, out, err = run(capsys, "order", "--poly", f"2^{e}*x1",
+                             "--field", field)
+        if field == "Fp:101":
+            # 2^100 = 1 mod 101, and 100 divides both exponents
+            assert (code, out, err) == (0, _POWER_OF_TWO[field], "")
+        else:
+            assert (code, out) == (2, ""), err
+            bound = (utpoly.freealg._MAX_POWER_BITS if field == "Q"
+                     else utpoly.freealg._MAX_POWER_FOLD)
+            assert err.startswith("utpoly: ResourceLimit: a coefficient's power of ")
+            assert err.endswith(f"past the parser's limit of {bound}\n")
     assert time.perf_counter() - start < 1
+
+
+def test_a_power_of_zero_or_one_is_exact_over_q(capsys):
+    """Over Q, 0, 1 and -1 keep their size under any power, so no bound
+    refuses them, even at an exponent of 401 digits."""
+    huge = "1" + "0" * 400
+    x1 = run(capsys, "order", "--poly", "x1")
+    assert x1[0] == 0
+    for text in (f"1^{huge}*x1", f"(-1)^{huge}*x1", f"x1 + 0^{huge}*x2"):
+        assert run(capsys, "order", "--poly", text) == x1, text
 
 
 def test_parser_is_built_once():

@@ -423,19 +423,23 @@ def test_generic_fold_over_q_sums_integers():
 
 @pytest.mark.parametrize("field", FOLD_FIELDS)
 def test_generic_fold_at_the_packing_boundaries(field):
-    """generic_evaluate packs a monomial's exponents into one int: 1 bit
-    per x[l, k, i], w = deg(p).bit_length() bits per z[l, i].  At z
-    exponents of 2^w - 1 and 2^(w - 1), at n = 1 (no x field), for the
-    zero polynomial and with six letters it must give the matrix fold's
-    entries, term order included; a field one bit short carries into the
-    next key and fails here."""
+    """generic_evaluate packs a monomial's exponents into one int, with a
+    field per variable of the letters p holds: per row l an index field
+    naming its one x[l, k, i] among (n - l) * u, u the number of letters,
+    and per z[l, i] the bit length of the most times a word holds letter
+    i.  At index fields whose top value is 2^b - 1 and 2^b, at z
+    exponents of 2^w - 1 and 2^(w - 1), for letters of different widths
+    and letters p skips, at n = 1 (no x field), for the zero polynomial
+    and with six letters it must give the matrix fold's entries, term
+    order included; a field one bit short carries into the next key and
+    fails here."""
     desc = FieldDescriptor.parse(field)
     c = desc.parse_literal("0.3" if desc.kind == "complex" else "3/7")
     cases = [(NcPolynomial.parse(text, desc), n) for text, n in [
         ("x1^7", 3), ("x1^8", 3), ("x1^15", 2), ("x1^16*x2", 2), ("x2*x1^16", 3),
         ("x1^3*x2^4 + 2*x2^4*x1^3 - x1^2*x2^5", 3), ("x1^7 - x1^3*x2*x1^3", 1),
-        ("x1*x2^4", 1)]]
-    cases += [(NcPolynomial(desc, 2, {}), 3), (NcPolynomial(desc, 2, {(1, 2): c}), 1)]
+        ("x1*x2^4", 1), ("x1^3", 8), ("x1^3", 9), ("x1*x2*x3 - x3*x1", 6),
+        ("x2*x1^2 + x1*x2", 5), ("x5*x2^3 - x2*x5", 4), ("x4^3*x2 + x2^2", 5)]]
     rng = random.Random(field)
     cases += [(shared_poly(desc, rng, 6, max_len=6), n) for n in (1, 2, 5, 7, 8)]
     for p, n in cases:
