@@ -436,8 +436,8 @@ def test_generic_fold_at_the_packing_boundaries(field):
     desc = FieldDescriptor.parse(field)
     c = desc.parse_literal("0.3" if desc.kind == "complex" else "3/7")
     cases = [(NcPolynomial.parse(text, desc), n) for text, n in [
-        ("x1^7", 3), ("x1^8", 3), ("x1^15", 2), ("x1^16*x2", 2), ("x2*x1^16", 3),
-        ("x1^3*x2^4 + 2*x2^4*x1^3 - x1^2*x2^5", 3), ("x1^7 - x1^3*x2*x1^3", 1),
+        ("x1^7", 3), ("x1^8", 3), ("x1^15", 2), ("x1^15*x2", 2), ("x1^16*x2", 2),
+        ("x2*x1^16", 3), ("x1^3*x2^4 + 2*x2^4*x1^3 - x1^2*x2^5", 3), ("x1^7 - x1^3*x2*x1^3", 1),
         ("x1*x2^4", 1), ("x1^3", 8), ("x1^3", 9), ("x1*x2*x3 - x3*x1", 6),
         ("x2*x1^2 + x1*x2", 5), ("x5*x2^3 - x2*x5", 4), ("x4^3*x2 + x2^2", 5)]]
     rng = random.Random(field)
