@@ -226,9 +226,23 @@ class _CBuilder:
         return -a
 
     def mul(self, a, b):
+        parsing._check_letters(len(b.terms) * _letters(a) + len(a.terms) * _letters(b),
+                               "terms")
         return a * b
 
     def pow(self, a, e):
-        # a monomial's exponents are counts, so the loop is already linear
-        return parsing.power(self.mul, a, e)
+        """a^e, equal to parsing.power(self.mul, a, e) at rest: a single
+        term's exponents are multiplied by e, and its coefficient's power
+        taken by FieldDescriptor.power."""
+        if len(a.terms) != 1:
+            return parsing.power(self.mul, a, e)
+        (m, c), = a.terms.items()
+        parsing._check_letters(_letters(a) * e, "terms")
+        return CPolynomial(self.field, {tuple((key, k * e) for key, k in m):
+                                        self.field.power(c, e)})
+
+
+def _letters(a: CPolynomial) -> int:
+    """The letters of a's monomials, each monomial's being its degree."""
+    return sum(k for m in a.terms for _, k in m)
 

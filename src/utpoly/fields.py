@@ -10,9 +10,12 @@ refuse to meet one over another field, and a function that takes bare
 values wants them in its polynomial's field.  The FieldDescriptor owns
 that format and is the one place that reduces mod p: it names the field,
 parses and renders element literals, samples random elements,
-canonicalises and divides values, and solves univariate equations.
-Complex is an approximate stand-in for an algebraically closed field:
-equality there means agreement within eps.
+canonicalises, divides and raises values to powers, and solves
+univariate equations.  It alone defines a value's zero: nonzero is the
+zero filter of every sparse container, and two values are equal when
+their difference does not pass it.  Complex is an approximate stand-in
+for an algebraically closed field: equality there means agreement
+within eps.
 The sum, product and text of sparse polynomials (add_terms, mul_terms,
 render_terms) live here too, shared by the free and commutative kinds.
 """
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 import random
 import re
 import sys
@@ -29,7 +33,7 @@ from fractions import Fraction
 from itertools import count
 
 from .errors import NoRootInField, NonConvergence, ParseError, ResourceLimit
-from .parsing import is_digits
+from .parsing import is_digits, power as left_fold
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # psi_13, the least composite that is a strong probable prime to every
@@ -40,6 +44,12 @@ _DK_ITERS = 500       # iterations per run
 # primes whose residues sieve out rootless polynomials over Q; a literal,
 # so that nothing runs at import time
 _SIEVE_PRIMES = (3, 5, 7, 11, 13, 17)
+# a number has no letters, so the parser's letter limit does not bound
+# its power.  Over Q the bound is on the power's bits (order, classify and
+# coeffs on a coefficient of 10^6 bits take about 0.2 s), over C on the
+# exponent of its fold
+_MAX_POWER_BITS = 10 ** 6
+_MAX_POWER_FOLD = 10 ** 6
 
 
 def is_prime(n: int) -> bool:
@@ -195,15 +205,6 @@ class FieldDescriptor:
             return v % self.p == 0
         return v == 0
 
-    def eq(self, a, b) -> bool:
-        """Equality in the field (within eps over C); F_p ints need not
-        be reduced."""
-        if self.kind == "complex":
-            return abs(a - b) <= self.eps
-        if self.kind == "prime":
-            return (a - b) % self.p == 0
-        return a == b
-
     # -- canonical form -----------------------------------------------------
 
     def canonical(self, v):
@@ -228,6 +229,29 @@ class FieldDescriptor:
                 raise ZeroDivisionError("inverse of zero in F_p")
             return a * pow(b, -1, self.p) % self.p
         return a / b
+
+    def power(self, c, e: int):
+        """c^e, e >= 1, equal at rest to parsing.power(operator.mul, c, e):
+        pow mod p over F_p, an exact ** over Q, and over C the left fold
+        itself, which sets the float bits; ResourceLimit past
+        _MAX_POWER_BITS over Q or _MAX_POWER_FOLD over C."""
+        if self.kind == "prime":
+            return pow(c, e, self.p)
+        if self.kind == "rational":
+            # c^e has about e log2(base) bits, so at least e when base > 1,
+            # which bounds an e too large for a float product; 0, 1 and -1
+            # keep their size
+            base = max(abs(c.numerator), c.denominator)
+            if base > 1:
+                bits = e if e > _MAX_POWER_BITS else int(e * math.log2(base))
+                if bits > _MAX_POWER_BITS:
+                    raise ResourceLimit(f"a coefficient's power of at least {bits} "
+                                        f"bits, past the parser's limit of {_MAX_POWER_BITS}")
+            return c ** e
+        if e > _MAX_POWER_FOLD:
+            raise ResourceLimit(f"a coefficient's power of exponent {e}, past the "
+                                f"parser's limit of {_MAX_POWER_FOLD}")
+        return left_fold(operator.mul, c, e)
 
     def same_field(self, other: "FieldDescriptor") -> bool:
         return self.kind == other.kind and self.p == other.p

@@ -8,14 +8,13 @@ operation downstream assumes it is absent.
 
 from __future__ import annotations
 
-import math
 import operator
 from functools import lru_cache
 from itertools import groupby
 
 from . import parsing
 from .errors import (ArityMismatch, ConstantTermError, FieldMismatch, ParseError,
-                     ResourceLimit, VariableOutOfRange)
+                     VariableOutOfRange)
 from .fields import FieldDescriptor, add_terms, mul_terms, render_terms
 
 
@@ -149,51 +148,6 @@ def shared_parse(text: str, field: FieldDescriptor, nvars: int | None) -> NcPoly
     return NcPolynomial.parse(text, field, nvars)
 
 
-# the most letters the words of one product or power may hold before like
-# words merge: (x1+x2)^17 would build 131,072 words of 2.2 M letters,
-# which took 6.3 s and 60 MB in eval; the golden corpus's largest product
-# holds 56
-_MAX_LETTERS = 10 ** 5
-
-
-def _check_letters(letters: int) -> None:
-    if letters > _MAX_LETTERS:
-        raise ResourceLimit(f"a product of {letters} letters before like words "
-                            f"merge, past the parser's limit of {_MAX_LETTERS}")
-
-
-# a number has no letters, so _check_letters does not bound its power.
-# Over Q the bound is on the power's bits (order, classify and coeffs on a
-# coefficient of 10^6 bits take about 0.2 s), over C on the exponent of
-# its fold
-_MAX_POWER_BITS = 10 ** 6
-_MAX_POWER_FOLD = 10 ** 6
-
-
-def _coefficient_power(field: FieldDescriptor, c, e: int):
-    """c^e, equal at rest to parsing.power(operator.mul, c, e): pow mod p
-    over F_p, an exact ** over Q, and over C the left fold itself, which
-    sets the float bits; ResourceLimit past _MAX_POWER_BITS over Q or
-    _MAX_POWER_FOLD over C."""
-    if field.kind == "prime":
-        return pow(c, e, field.p)
-    if field.kind == "rational":
-        # c^e has about e log2(base) bits, so at least e when base > 1,
-        # which bounds an e too large for a float product; 0, 1 and -1
-        # keep their size
-        base = max(abs(c.numerator), c.denominator)
-        if base > 1:
-            bits = e if e > _MAX_POWER_BITS else int(e * math.log2(base))
-            if bits > _MAX_POWER_BITS:
-                raise ResourceLimit(f"a coefficient's power of at least {bits} "
-                                    f"bits, past the parser's limit of {_MAX_POWER_BITS}")
-        return c ** e
-    if e > _MAX_POWER_FOLD:
-        raise ResourceLimit(f"a coefficient's power of exponent {e}, past the "
-                            f"parser's limit of {_MAX_POWER_FOLD}")
-    return parsing.power(operator.mul, c, e)
-
-
 class _FreeBuilder:
     def __init__(self, field: FieldDescriptor):
         self.field = field
@@ -218,19 +172,20 @@ class _FreeBuilder:
         return {w: -c for w, c in a.items()}
 
     def mul(self, a, b):
-        _check_letters(len(b) * sum(map(len, a)) + len(a) * sum(map(len, b)))
+        parsing._check_letters(len(b) * sum(map(len, a)) + len(a) * sum(map(len, b)),
+                               "words")
         return mul_terms(a, b, operator.add)
 
     def pow(self, a, e):
         """a^e, equal to parsing.power(self.mul, a, e) at rest: a single
         term's word is built once, in linear time, and its coefficient's
-        power by _coefficient_power."""
+        power by FieldDescriptor.power."""
         if len(a) != 1:
             return parsing.power(self.mul, a, e)
         (word, c), = a.items()
-        _check_letters(len(word) * e)
+        parsing._check_letters(len(word) * e, "words")
         # a number's word is (), and () * e overflows past sys.maxsize
-        return {word * e if word else (): _coefficient_power(self.field, c, e)}
+        return {word * e if word else (): self.field.power(c, e)}
 
 
 def commutator(a: NcPolynomial, b: NcPolynomial) -> NcPolynomial:

@@ -125,9 +125,6 @@ class FieldRing:
     def scalar(self, c):
         return c
 
-    def eq(self, a, b) -> bool:
-        return self.desc.eq(a, b)
-
     def render(self, v) -> str:
         return self.desc.render_value(v)
 
@@ -157,9 +154,6 @@ class PolyRing:
 
     def scalar(self, c):
         return CPolynomial.const(self.desc, c)
-
-    def eq(self, a, b) -> bool:
-        return (a - b).is_zero()
 
     def render(self, v) -> str:
         return v.render()
@@ -251,17 +245,16 @@ class UTMatrix:
         return min(k - j for j, k in self.entries) - 1
 
     def eq(self, other: "UTMatrix") -> bool:
-        """Equality entry by entry: within eps over C, as polynomials over
-        the poly ring.  Over Q and F_p, entries at rest are canonical and
-        zero-free, so the entry maps are equal exactly when the matrices
-        are."""
+        """Equality entry by entry: a - b passes no zero filter, so within
+        eps over C, as polynomials over the poly ring.  Over Q and F_p,
+        entries at rest are canonical and zero-free, so the entry maps are
+        equal exactly when the matrices are."""
         self._check(other)
         if self.ring.kind == "field" and self.ring.desc.kind != "complex":
             return self.entries == other.entries
-        for pos in set(self.entries) | set(other.entries):
-            if not self.ring.eq(self.entry(*pos), other.entry(*pos)):
-                return False
-        return True
+        nonzero = self.ring.nonzero
+        return all(nonzero(self.entry(*pos) - other.entry(*pos)) is None
+                   for pos in set(self.entries) | set(other.entries))
 
     def to_json(self) -> dict:
         return {

@@ -14,7 +14,9 @@ from itertools import product
 import pytest
 
 import utpoly.cli
+import utpoly.fields
 import utpoly.freealg
+import utpoly.parsing
 import utpoly.solver
 import utpoly.triangular
 from utpoly.cli import ORACLE_NOTE, build_parser, main
@@ -967,7 +969,7 @@ def test_a_product_past_the_parser_letter_limit_exits_2(tmp_path, capsys, poly):
                          _one_by_one(tmp_path / "m.json", "1", "2"))
     assert (code, out) == (2, "")
     assert err.startswith("utpoly: ResourceLimit: a product of ")
-    assert err.endswith(f"past the parser's limit of {utpoly.freealg._MAX_LETTERS}\n")
+    assert err.endswith(f"past the parser's limit of {utpoly.parsing._MAX_LETTERS}\n")
     assert time.perf_counter() - start < 0.5
 
 
@@ -1000,8 +1002,8 @@ def test_a_power_of_a_number_is_bounded(capsys, field):
             assert (code, out, err) == (0, _POWER_OF_TWO[field], "")
         else:
             assert (code, out) == (2, ""), err
-            bound = (utpoly.freealg._MAX_POWER_BITS if field == "Q"
-                     else utpoly.freealg._MAX_POWER_FOLD)
+            bound = (utpoly.fields._MAX_POWER_BITS if field == "Q"
+                     else utpoly.fields._MAX_POWER_FOLD)
             assert err.startswith("utpoly: ResourceLimit: a coefficient's power of ")
             assert err.endswith(f"past the parser's limit of {bound}\n")
     assert time.perf_counter() - start < 1
@@ -1015,6 +1017,51 @@ def test_a_power_of_zero_or_one_is_exact_over_q(capsys):
     assert x1[0] == 0
     for text in (f"1^{huge}*x1", f"(-1)^{huge}*x1", f"x1 + 0^{huge}*x2"):
         assert run(capsys, "order", "--poly", text) == x1, text
+
+
+# the open-set parser's guarded texts, and their exit code by field
+_OPEN_SET_POWERS = [
+    ("y[1,2]^100000000", {"Q": 2, "Fp:101": 2, "C": 2}),
+    ("(y[1,2]+1)^100000000", {"Q": 2, "Fp:101": 2, "C": 2}),
+    ("2^100000000*y[1,2]", {"Q": 2, "Fp:101": 0, "C": 2}),
+]
+
+
+@pytest.mark.parametrize("text,field,code", [
+    (text, field, codes[field]) for text, codes in _OPEN_SET_POWERS
+    for field in ("Q", "Fp:101", "C")])
+def test_an_open_set_power_is_bounded(capsys, text, field, code):
+    """--open-set texts take the free parser's guards: a power of one
+    monomial multiplies its exponents, so y[1,2]^100000000 is refused by
+    the letter limit at once, a sum's power stops at the limit in the
+    fold, and a number's power is FieldDescriptor.power, which over F_p
+    is pow mod p (2^100 = 1 mod 101, so the text is y[1,2]).  Runtime
+    budget: 1 s each."""
+    start = time.perf_counter()
+    argv = ("hit", "--poly", "x1*x2-x2*x1", "--field", field, "--n", "3")
+    got = run(capsys, *argv, "--open-set", text)
+    if code == 0:
+        assert got == run(capsys, *argv, "--open-set", "y[1,2]")
+    else:
+        assert got[:2] == (2, ""), got
+        assert got[2].startswith("utpoly: ResourceLimit: a ")
+        assert "past the parser's limit of " in got[2]
+    assert time.perf_counter() - start < 1
+
+
+def test_a_poly_matrix_entry_power_is_bounded(tmp_path, capsys):
+    """A poly-ring matrix entry goes through the open-set parser, and so
+    through its letter limit.  Runtime budget: 0.5 s."""
+    f = tmp_path / "m.json"
+    f.write_text(json.dumps([{"n": 2, "ring": "poly", "entries": [
+        {"j": 1, "k": 2, "value": "x[1,2,1]^100000000"}]}]))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "eval", "--poly", "x1", "--matrices", str(f))
+    assert (code, out) == (2, "")
+    assert err == ("utpoly: ResourceLimit: a product of 100000000 letters before "
+                   f"like terms merge, past the parser's limit of "
+                   f"{utpoly.parsing._MAX_LETTERS}\n")
+    assert time.perf_counter() - start < 0.5
 
 
 def test_parser_is_built_once():

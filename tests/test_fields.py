@@ -1,6 +1,7 @@
 """Field descriptors, prime-field arithmetic, and univariate solving."""
 
 import math
+import operator
 import random
 import sys
 import time
@@ -10,6 +11,7 @@ from itertools import groupby
 import pytest
 
 import utpoly.fields
+from utpoly import parsing
 from utpoly.cpoly import CPolynomial, _mono_mul, diag_var, entry_var, render_var
 from utpoly.errors import FieldMismatch, NoRootInField, ParseError, ResourceLimit
 from utpoly.fields import (FieldDescriptor, _rational_roots, is_prime,
@@ -136,10 +138,11 @@ def test_fp_division_by_zero():
 
 
 def test_fp_hash_consistent_with_eq():
-    """eq, is_zero and nonzero read unreduced ints; a value at rest is
-    the residue, so equal elements hash alike."""
-    assert F7.eq(3, 10) and F7.eq(-4, 3) and F7.eq(0, -21)
-    assert not F7.eq(3, 4)
+    """is_zero and nonzero read unreduced ints, so equality, the zero
+    filter on a difference, does too; a value at rest is the residue, so
+    equal elements hash alike."""
+    assert all(F7.nonzero(a - b) is None for a, b in ((3, 10), (-4, 3), (0, -21)))
+    assert F7.nonzero(3 - 4) is not None
     assert F7.is_zero(14) and F7.is_zero(-7) and not F7.is_zero(8)
     assert F7.nonzero(14) is None and F7.nonzero(-1) == 6
     assert F7.canonical(10) == F7.canonical(-4) == 3
@@ -152,7 +155,7 @@ def test_fp_hash_consistent_with_eq():
 def test_zero_and_one_are_one_object_per_descriptor():
     for desc in (Q, F7, C):
         assert desc.zero() is desc.zero() and desc.one() is desc.one()
-        assert desc.is_zero(desc.zero()) and desc.eq(desc.one(), desc.from_int(1))
+        assert desc.is_zero(desc.zero()) and desc.nonzero(desc.one() - desc.from_int(1)) is None
     assert FieldDescriptor.parse("Q").zero() == Fraction(0)
 
 
@@ -225,7 +228,7 @@ def test_literals_roundtrip_prime():
 def test_literals_roundtrip_complex():
     for text in ("3", "-2.5", "1e-3", "2j", "1+2j", "-1.5-0.5j"):
         v = C.parse_literal(text)
-        assert C.eq(C.parse_literal(C.render_value(v)), v)
+        assert C.nonzero(C.parse_literal(C.render_value(v)) - v) is None
 
 
 @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "nan+1j", "1+infj",
@@ -290,8 +293,44 @@ def test_from_int_from_fraction():
 def test_is_zero_and_eq_tolerance():
     assert C.is_zero(1e-12)
     assert not C.is_zero(1e-3)
-    assert C.eq(1.0, 1.0 + 1e-12)
+    assert C.nonzero(1.0 - (1.0 + 1e-12)) is None
     assert Q.is_zero(Fraction(0)) and not Q.is_zero(Fraction(1, 10 ** 9))
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp:2", "Fp:101", "C"])
+def test_power_equals_the_left_fold(field):
+    """FieldDescriptor.power gives at rest what the parser's left fold of
+    products gives: pow mod p, an exact power, and over C the fold's
+    float bits."""
+    desc = FieldDescriptor.parse(field)
+    bases = [desc.from_int(k) for k in (0, 1, -1, 2)] + [desc.from_fraction(Fraction(1, 3))]
+    if field == "C":
+        bases.append(0.5 + 1j)
+    for c in bases:
+        for e in (1, 2, 7):
+            want = desc.canonical(parsing.power(operator.mul, c, e))
+            got = desc.power(c, e)
+            assert got == want and type(got) is type(want), (c, e)
+
+
+def test_power_bounds_name_their_limits():
+    """A number has no letters, so its power has bounds of its own: bits
+    over Q (none for 0, 1 and -1), the fold's exponent over C, none over
+    F_p."""
+    bits, fold = utpoly.fields._MAX_POWER_BITS, utpoly.fields._MAX_POWER_FOLD
+    assert Q.power(Fraction(2), bits) == 2 ** bits
+    with pytest.raises(ResourceLimit) as info:
+        Q.power(Fraction(2), bits + 1)
+    assert str(info.value).endswith(f"past the parser's limit of {bits}")
+    with pytest.raises(ResourceLimit) as info:
+        Q.power(Fraction(1, 3), 10 ** 400)
+    assert str(info.value).endswith(f"past the parser's limit of {bits}")
+    with pytest.raises(ResourceLimit) as info:
+        C.power(2 + 0j, fold + 1)
+    assert str(info.value).endswith(f"past the parser's limit of {fold}")
+    huge = 10 ** 400
+    assert [Q.power(Fraction(k), huge) for k in (0, 1, -1)] == [0, 1, 1]
+    assert F7.power(3, huge) == pow(3, huge, 7)
 
 
 def test_sample_support_rational():

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import pytest
 
-from utpoly import freealg, parsing
+from utpoly import cpoly, freealg, parsing
+from utpoly.cpoly import CPolynomial
 from utpoly.errors import ParseError, ResourceLimit, UtpolyError
 from utpoly.fields import FieldDescriptor
 from utpoly.freealg import NcPolynomial
@@ -146,16 +147,30 @@ POWERS = {
 }
 
 
+_OPEN_SET_SHARED = ["y[1,2]^5", "(2*y[1,2]*z[1,1])^7", "(3*z[2,1]*y[1,3]^2)^4",
+                    "(y[1,2]-y[1,2])^3", "(y[1,2]^2)^3", "(y[1,2]+1)^3", "2^3*y[1,2]",
+                    "(2)^3*y[1,2] + 3^5", "(-y[2,3])^6 - y[1,2]^2"]
+OPEN_SET_POWERS = {
+    Q: _OPEN_SET_SHARED + ["(1/3*z[2,1]*y[1,3]^2)^4", "(5/7*y[1,2])^1"],
+    F7: _OPEN_SET_SHARED + ["(7*y[1,2])^2 + y[1,3]", "(1/3*y[1,2]*z[1,1])^9"],
+    C: _OPEN_SET_SHARED + ["((0.3+0.7j)*y[1,2]*z[1,1])^13", "(1e-3*y[1,2])^5",
+                           "(1.1*y[1,2])^25", "1.1^7*y[1,2] + 0.3j^3*z[1,1]"],
+}
+
+
 @pytest.mark.parametrize("field", [Q, F7, C], ids=["Q", "F7", "C"])
 def test_power_equals_the_left_fold(field, monkeypatch):
-    """x^e gives the loop's polynomial: its words, and over C the float
-    bits of its coefficients (repr tells them)."""
-    for text in POWERS[field]:
-        got = repr(NcPolynomial.parse(text, field))
-        with monkeypatch.context() as patch:
-            patch.setattr(freealg._FreeBuilder, "pow", loop_pow)
-            want = repr(NcPolynomial.parse(text, field))
-        assert got == want, text
+    """x^e gives the loop's polynomial, in the free parser and in the
+    open-set one: its words or monomials, and over C the float bits of
+    its coefficients (repr tells them)."""
+    for parse, builder, texts in ((NcPolynomial.parse, freealg._FreeBuilder, POWERS),
+                                  (CPolynomial.parse, cpoly._CBuilder, OPEN_SET_POWERS)):
+        for text in texts[field]:
+            got = repr(parse(text, field))
+            with monkeypatch.context() as patch:
+                patch.setattr(builder, "pow", loop_pow)
+                want = repr(parse(text, field))
+            assert got == want, text
 
 
 def test_power_of_one_term_takes_linear_time():
@@ -176,8 +191,8 @@ def test_power_of_one_term_takes_linear_time():
     ("x1^100000*x2", 100_001)])
 def test_parser_refuses_a_product_past_its_letter_limit(text, letters):
     """The builder predicts the letters of a product or power before
-    any word is built, and refuses past freealg._MAX_LETTERS."""
-    limit = freealg._MAX_LETTERS
+    any word is built, and refuses past parsing._MAX_LETTERS."""
+    limit = parsing._MAX_LETTERS
     start = time.perf_counter()
     with pytest.raises(ResourceLimit) as info:
         NcPolynomial.parse(text, Q)
@@ -185,6 +200,25 @@ def test_parser_refuses_a_product_past_its_letter_limit(text, letters):
                                f"words merge, past the parser's limit of {limit}")
     assert time.perf_counter() - start < 0.5
     assert len(NcPolynomial.parse(f"x1^{limit}", Q).terms) == 1
+
+
+@pytest.mark.parametrize("text,letters", [
+    # a power of one monomial, whose exponents are multiplied at once
+    ("y[1,2]^100000000", 10 ** 8),
+    ("(y[1,2]*z[1,1]^2)^40000", 120_000),
+    # the fold's product (y[1,2]+1)^316 * (y[1,2]+1): 2 * 50,086 + 317 * 1
+    ("(y[1,2]+1)^1000", 100_489),
+    # one product, not a power: 1 * 100,000 + 1 * 1
+    ("y[1,2]^100000*y[1,3]", 100_001)])
+def test_open_set_parser_refuses_a_product_past_its_letter_limit(text, letters):
+    """The open-set builder counts a monomial's degree as its letters
+    and refuses past parsing._MAX_LETTERS, as the free builder does."""
+    limit = parsing._MAX_LETTERS
+    with pytest.raises(ResourceLimit) as info:
+        CPolynomial.parse(text, Q)
+    assert str(info.value) == (f"a product of {letters} letters before like "
+                               f"terms merge, past the parser's limit of {limit}")
+    assert CPolynomial.parse(f"y[1,2]^{limit}", Q).degree() == limit
 
 
 @pytest.mark.parametrize("field,text,same", [

@@ -325,7 +325,7 @@ def test_generic_evaluate_specializes_to_concrete():
     for j in range(1, n + 1):
         for k in range(j, n + 1):
             got = g.entry(j, k).eval_full(assignment)
-            assert Q.eq(got, direct.entry(j, k)), (j, k)
+            assert got == direct.entry(j, k), (j, k)
 
 
 def test_generic_evaluate_monomial_budget():
@@ -650,28 +650,46 @@ def test_matrices_built_from_entries_skip_the_position_check(monkeypatch):
     assert [x.entries for x in results()] == expected
 
 
-@pytest.mark.parametrize("field", ["Q", "Fp:3", "C"])
+@pytest.mark.parametrize("field", ["Q", "Fp:3", "C", "poly"])
 def test_matrix_eq(field, monkeypatch):
-    """Over Q and F_p the entry maps decide, with no per-entry ring.eq;
-    over C values within eps are equal."""
-    desc = FieldDescriptor.parse(field)
-    ring = FieldRing(desc)
+    """Over Q and F_p the entry maps decide, with no per-entry zero
+    filter once the matrices are built; over C values within eps are
+    equal, and over the poly ring entries equal as polynomials."""
+    if field == "poly":
+        ring = PolyRing(Q)
+    else:
+        desc = FieldDescriptor.parse(field)
+        ring = FieldRing(desc)
 
     def m(entries):
         return UTMatrix(ring, 2, entries)
 
-    if field == "C":
+    if field != "poly":
+        different = [(m({(1, 2): 1}), m({(1, 2): 2})),
+                     (m({(1, 2): 1}), m({(2, 2): 1})),
+                     (m({(1, 1): 1}), m({}))]
+    if field == "poly":
+        v = ring.parse
+        same = [(m({(1, 2): v("x[1,2,1] + 2*z[1,1]")}),
+                 m({(1, 2): v("2*z[1,1] + x[1,2,1]")})),
+                (m({(1, 2): v("x[1,2,1]*z[1,1]"), (2, 2): v("z[2,1]")}),
+                 m({(2, 2): v("z[2,1]"), (1, 2): v("z[1,1]*x[1,2,1]")}))]
+        different = [(m({(1, 2): v("x[1,2,1]")}), m({(1, 2): v("x[1,2,2]")})),
+                     (m({(1, 2): v("x[1,2,1]")}), m({(2, 2): v("x[1,2,1]")})),
+                     (m({(1, 1): v("z[1,1] - 1")}), m({(1, 1): v("z[1,1]")})),
+                     (m({(1, 1): v("z[1,1]")}), m({}))]
+    elif field == "C":
         same = [(m({(1, 2): 1 + 0j}), m({(1, 2): 1 + 1e-12j})),
                 (m({(1, 1): 1e-12}), m({}))]
+        # two overflowed entries never compare equal, as inf - inf is NaN
+        inf = complex(float("inf"), 0)
+        different.append((m({(1, 2): inf}), m({(1, 2): inf})))
     else:
         # one value in two forms: an unreduced F_3 int, a Q Fraction
         alt = 4 if field == "Fp:3" else Fraction(1)
         same = [(m({(1, 2): alt, (2, 2): 2}), m({(2, 2): 2, (1, 2): 1})),
                 (m({(1, 1): 3 if field == "Fp:3" else 0}), m({}))]
-        monkeypatch.setattr(FieldRing, "eq", _forbidden)
-    different = [(m({(1, 2): 1}), m({(1, 2): 2})),
-                 (m({(1, 2): 1}), m({(2, 2): 1})),
-                 (m({(1, 1): 1}), m({}))]
+        monkeypatch.setattr(ring, "nonzero", _forbidden)
     for a, b in same:
         assert a.eq(b) and b.eq(a)
     for a, b in different:
