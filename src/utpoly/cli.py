@@ -77,8 +77,8 @@ def _options(args, **extra) -> SolveOptions:
                         diag_budget=args.diag_budget, **extra)
 
 
-def _matrices_from_file(path: str, desc: FieldDescriptor, budget: int = 10 ** 6):
-    """The matrix tuple in path; budget bounds its poly matrices."""
+def _matrices_from_file(path: str, desc: FieldDescriptor):
+    """The matrix tuple in path."""
     data = _read_json(path)
     if isinstance(data, dict) and "matrices" in data:
         items = data["matrices"]
@@ -88,7 +88,7 @@ def _matrices_from_file(path: str, desc: FieldDescriptor, budget: int = 10 ** 6)
         items = data
     else:
         items = [data]
-    return [UTMatrix.from_json(item, desc, budget) for item in items]
+    return [UTMatrix.from_json(item, desc) for item in items]
 
 
 def _target_from_file(path: str, desc: FieldDescriptor) -> UTMatrix:
@@ -107,15 +107,13 @@ _FLAGS = {
                      help="sampling height for random field elements"),
     "--diag-budget": dict(type=_integer, default=200),
     "--nonzero-budget": dict(type=_integer, default=200),
-    "--monomial-budget": dict(type=_integer, default=10 ** 6),
 }
 # the flags every witness construction (solve, hit) reads
 _SWEEP_FLAGS = ("--n", "--seed", "--retries", "--height", "--diag-budget")
 # the dests of the integer flags that must be at least 1 (Q samples
 # denominators from [1, height]); main refuses a smaller value before
 # any file or polynomial is read
-_BOUNDED = ("n", "max_n", "height", "retries", "diag_budget",
-            "nonzero_budget", "monomial_budget")
+_BOUNDED = ("n", "max_n", "height", "retries", "diag_budget", "nonzero_budget")
 
 
 def _add_common(sp, *flags):
@@ -144,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp, "--n")
 
     sp = sub.add_parser("eval", help="evaluate on a matrix tuple")
-    _add_common(sp, "--monomial-budget")
+    _add_common(sp)
     group = sp.add_mutually_exclusive_group(required=True)
     group.add_argument("--matrices", help="JSON file with {\"matrices\": [...]}")
     group.add_argument("--generic", action="store_true",
@@ -201,11 +199,11 @@ def _cmd_eval(args, desc: FieldDescriptor, p: NcPolynomial) -> None:
             raise UsageError("--generic needs --n")
         if args.route is not None:
             raise UsageError("--route takes --matrices: --generic has no route")
-        out = generic_evaluate(p, args.n, args.monomial_budget)
+        out = generic_evaluate(p, args.n)
     else:
         if args.n is not None:
             raise UsageError("--n takes --generic: a --matrices file gives its own size")
-        mats = _matrices_from_file(args.matrices, desc, args.monomial_budget)
+        mats = _matrices_from_file(args.matrices, desc)
         route = evaluate_structured if args.route == "structured" else evaluate
         out = route(p, mats)
     _emit({"result": out.to_json()})

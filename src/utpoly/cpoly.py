@@ -18,7 +18,7 @@ from functools import lru_cache
 from math import gcd
 
 from . import parsing
-from .errors import FieldMismatch, ParseError, UnboundVariable
+from .errors import FieldMismatch, ParseError, ResourceLimit, UnboundVariable
 from .fields import FieldDescriptor, add_terms, mul_terms, render_terms
 
 EMPTY = ()
@@ -133,7 +133,8 @@ class CPolynomial:
 
     def eval_full(self, assignment: dict):
         """Evaluate with every variable bound to a value of the field;
-        raises UnboundVariable.  Over Q the sum runs on integers: each
+        raises UnboundVariable, and ResourceLimit for a power over C past
+        the float range.  Over Q the sum runs on integers: each
         term's numerator and denominator are products of ints, the terms
         are added over the lcm of their denominators, and one Fraction
         is built at the end, equal to the term-by-term Fraction sum."""
@@ -144,10 +145,11 @@ class CPolynomial:
             prod = c
             for key, e in m:
                 try:
-                    v = assignment[key]
+                    prod = prod * assignment[key] ** e
                 except KeyError:
                     raise UnboundVariable(render_var(key)) from None
-                prod = prod * v ** e
+                except OverflowError:
+                    raise ResourceLimit("a power over C is past the float range") from None
             acc = acc + prod
         return self.field.canonical(acc)
 

@@ -1,8 +1,10 @@
 """Upper triangular matrices and evaluation of free polynomials on them.
 
-Matrices are sparse maps {(j,k): value} with 1 <= j <= k <= n, over either
-a concrete field or the polynomial ring in generic-entry variables.  Two
-independent evaluation routes are kept side by side on purpose:
+Matrices are sparse maps {(j,k): value} with 1 <= j <= k <= n over a
+concrete field, the only kind a file holds and the routes take; a
+symbolic matrix, over the polynomial ring in generic-entry variables, is
+output only (generic_evaluate).  Two independent evaluation routes are
+kept side by side on purpose:
 
   * evaluate             folds matrix products entry by entry,
   * evaluate_structured  rebuilds each entry from strictly increasing
@@ -36,14 +38,14 @@ carries the product of its factors' denominators, so no Fraction is
 made inside a product.  Each word's coefficient is then applied and
 summed in one pass with two zero filters: a term that is zero is
 dropped, and an entry whose sum is zero leaves the result, to re-enter
-at the end if a later word gives it a term.  C's float bits, poly-ring
-size checks and the order of the result's entries are thus those of
-multiplying each word's product by its coefficient and adding the
-products one by one, dropping zeros each time.  Over Q that pass runs on
-integers: every sum is kept over one running denominator, a multiple of
-each word's denominator so far (the coefficient's times the word's
-factors'), which grows to the lcm with a word's denominator that does
-not divide it, the sums rescaled with it.  A term or a sum is zero
+at the end if a later word gives it a term.  C's float bits and the
+order of the result's entries are thus those of multiplying each word's
+product by its coefficient and adding the products one by one, dropping
+zeros each time.  Over Q that pass runs on integers: every sum is kept
+over one running denominator, a multiple of each word's denominator so
+far (the coefficient's times the word's factors'), which grows to the
+lcm with a word's denominator that does not divide it, the sums
+rescaled with it.  A term or a sum is zero
 exactly when its Fraction is, so the entries and their order are those
 of the Fraction pass, and one Fraction is built per entry of the result.
 
@@ -101,7 +103,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from operator import attrgetter
 
 from .cpoly import CPolynomial, diag_var, entry_var
@@ -122,28 +124,21 @@ class FieldRing:
     def zero(self):
         return self.desc.zero()
 
-    def scalar(self, c):
-        return c
-
     def render(self, v) -> str:
         return self.desc.render_value(v)
-
-    def parse(self, text: str):
-        return self.desc.parse_literal(text)
 
     def same(self, other) -> bool:
         return other.kind == "field" and self.desc.same_field(other.desc)
 
 
 class PolyRing:
-    """Ring adapter for symbolic entries, with a monomial budget that
-    caps how large any intermediate product may grow."""
+    """Ring adapter for the symbolic entries of generic_evaluate's
+    result: it is output only, never read from a file or evaluated on."""
 
     kind = "poly"
 
-    def __init__(self, desc: FieldDescriptor, monomial_budget: int = 10 ** 6):
+    def __init__(self, desc: FieldDescriptor):
         self.desc = desc
-        self.monomial_budget = monomial_budget
 
     def zero(self):
         return CPolynomial.zero(self.desc)
@@ -152,19 +147,8 @@ class PolyRing:
     def nonzero(v):
         return v if v.terms else None
 
-    def scalar(self, c):
-        return CPolynomial.const(self.desc, c)
-
     def render(self, v) -> str:
         return v.render()
-
-    def parse(self, text: str):
-        return CPolynomial.parse(text, self.desc, kinds="xz")
-
-    def check_size(self, total_terms: int):
-        if total_terms > self.monomial_budget:
-            raise ResourceLimit(
-                f"symbolic matrix grew past {self.monomial_budget} monomials")
 
     def same(self, other) -> bool:
         return other.kind == "poly" and self.desc.same_field(other.desc)
@@ -267,8 +251,8 @@ class UTMatrix:
         }
 
     @classmethod
-    def from_json(cls, data: dict, desc: FieldDescriptor,
-                  monomial_budget: int = 10 ** 6) -> "UTMatrix":
+    def from_json(cls, data: dict, desc: FieldDescriptor) -> "UTMatrix":
+        """A field matrix over desc: no other ring kind is read."""
         try:
             n = _json_int(data["n"])
             kind = data.get("ring", "field")
@@ -281,12 +265,9 @@ class UTMatrix:
             raise ParseError(f"matrix entries must be a list, got {raw!r}")
         if n < 1:
             raise ParseError(f"matrix size must be at least 1, got {n}")
-        if kind == "field":
-            ring = FieldRing(desc)
-        elif kind == "poly":
-            ring = PolyRing(desc, monomial_budget)
-        else:
-            raise ParseError(f"unknown ring kind {kind!r}")
+        if kind != "field":
+            raise ParseError(f"matrix ring {kind!r} is not read: a matrix "
+                             f"file holds field matrices (\"ring\": \"field\")")
         entries = {}
         for item in raw:
             try:
@@ -298,8 +279,8 @@ class UTMatrix:
                 raise ParseError(f"bad matrix entry index: {exc}") from None
             if not isinstance(text, str):
                 raise ParseError(f"matrix entry value must be a string, got {text!r}")
-            entries[(j, k)] = ring.parse(text)
-        return cls(ring, n, entries)
+            entries[(j, k)] = desc.parse_literal(text)
+        return cls(FieldRing(desc), n, entries)
 
     def __repr__(self):
         cells = ", ".join(f"({j},{k})={self.ring.render(v)}"
@@ -316,15 +297,13 @@ def _check_tuple(p, matrices):
     if not matrices:
         raise ArityMismatch("cannot evaluate with an empty matrix tuple")
     first = matrices[0]
+    field = FieldRing(p.field)
     for a in matrices:
         if a.n != first.n:
             raise SizeMismatch("matrices of mixed sizes")
-        if not a.ring.same(first.ring):
-            raise FieldMismatch("matrices over mixed rings")
-    if not first.ring.desc.same_field(p.field):
-        raise FieldMismatch(
-            f"polynomial over {p.field.render()}, matrices over "
-            f"{first.ring.desc.render()}")
+        if not field.same(a.ring):
+            raise FieldMismatch(f"matrices must be over {p.field.render()}, "
+                                f"not symbolic or over another field")
     return first.ring
 
 
@@ -354,8 +333,7 @@ def _word_products(p, firsts, factors, times):
 
 def _product(a: dict, b: dict, n: int, ring) -> dict:
     """The entry map of the product of the size-n entry maps a and b over
-    ring: entries of a, then k, in visiting order, zeros dropped, and the
-    poly ring's size check run on the result."""
+    ring: entries of a, then k, in visiting order, zeros dropped."""
     entries: dict = {}
     get = entries.get
     for (j, l), x in a.items():
@@ -366,10 +344,7 @@ def _product(a: dict, b: dict, n: int, ring) -> dict:
                 s = get(pos)
                 entries[pos] = x * y if s is None else s + x * y
     nonzero = ring.nonzero
-    out = {pos: w for pos, v in entries.items() if (w := nonzero(v)) is not None}
-    if ring.kind == "poly":
-        ring.check_size(sum(len(v.terms) for v in out.values()))
-    return out
+    return {pos: w for pos, v in entries.items() if (w := nonzero(v)) is not None}
 
 
 def _integer_entries(entries: dict) -> tuple:
@@ -387,7 +362,7 @@ def evaluate(p, matrices) -> UTMatrix:
     ring = _check_tuple(p, matrices)
     n = matrices[0].n
     acc: dict = {}
-    rational = ring.kind == "field" and ring.desc.kind == "rational"
+    rational = ring.desc.kind == "rational"
     if rational:
         factors = [_integer_entries(a.entries) for a in matrices]
         # every sum in acc is an integer over common; grown word by word,
@@ -415,8 +390,7 @@ def evaluate(p, matrices) -> UTMatrix:
             return _product(a, b, n, ring)
 
         def terms(c, product):
-            cc = ring.scalar(c)
-            return [(pos, cc * v) for pos, v in product.items()]
+            return [(pos, c * v) for pos, v in product.items()]
 
     # a zero term is dropped, then a zero sum
     nonzero = ring.nonzero
@@ -450,13 +424,22 @@ _UNREAD = object()      # an arc entry the walk has not read yet
 # (8076 bits) takes about 3.5 s and 555 MB
 _MAX_PACKED_BITS = 1 << 13
 
+# the most monomials one product of generic matrices may hold: x1*x2 at
+# n = 400 passes it in its first product
+_MONOMIAL_BUDGET = 10 ** 6
 
-def generic_evaluate(p, n: int, monomial_budget: int = 10 ** 6) -> UTMatrix:
+# the most letters live_slots may visit: seven commutators at k = 7 visit
+# 6.15 M in about 5 s; x1^400 at k = 2 would visit 31.9 M, about 6.2 s
+_MAX_SLOT_VISITS = 10 ** 7
+
+
+def generic_evaluate(p, n: int) -> UTMatrix:
     """p at the generic tuple of size n, with no field arithmetic inside
-    a word: see the module docstring.  Not cached: a cache served 31 of
-    768 calls in 12 witness and 20 symbolic benchmark rounds."""
+    a word: see the module docstring.  ResourceLimit once a product holds
+    more than _MONOMIAL_BUDGET monomials.  Not cached: a cache served 31
+    of 768 calls in 12 witness and 20 symbolic benchmark rounds."""
     desc = p.field
-    ring = PolyRing(desc, monomial_budget)
+    budget = _MONOMIAL_BUDGET
     # a monomial is one int packing its exponent vector, fields in key
     # order for the u letters p holds: per row l an index field, 1 + the
     # place of its one x[l, k, i] among row l's (n - l) * u in (k, i)
@@ -500,7 +483,8 @@ def generic_evaluate(p, n: int, monomial_budget: int = 10 ** 6) -> UTMatrix:
         for (j, l), monos in prod.items():
             # coefficient-free monomials never cancel: the size only grows
             size += len(monos) * len(row[l])
-            ring.check_size(size)
+            if size > budget:
+                raise ResourceLimit(f"symbolic matrix grew past {budget} monomials")
             for k, s in row[l]:
                 ext = [mo + s for mo in monos]
                 pos = (j, k)
@@ -575,7 +559,7 @@ def generic_evaluate(p, n: int, monomial_budget: int = 10 ** 6) -> UTMatrix:
         else:
             out[pos] = CPolynomial(desc, {decode(mo): Fraction(c, den)
                                           for mo, c in terms.items()})
-    return UTMatrix._own(ring, n, out)
+    return UTMatrix._own(PolyRing(desc), n, out)
 
 
 def live_slots(p, k: int) -> dict:
@@ -597,11 +581,17 @@ def live_slots(p, k: int) -> dict:
     Visiting placements latest first and words in p.terms order repeats
     the field operations of the generic evaluation, so each polynomial
     matches it bit for bit, term order (eval_full's summation order over
-    C) included.
+    C) included.  A build that would visit more than _MAX_SLOT_VISITS
+    letters, sum over the words w of C(|w|, k) * |w|, is refused first.
     """
     index = p.index
     if k in index:
         return index[k]
+    visits = sum(comb(len(word), k) * len(word) for word in p.terms)
+    if visits > _MAX_SLOT_VISITS:
+        raise ResourceLimit(
+            f"the live-slot index at k = {k} would visit {visits} letters "
+            f"of placements, past the limit of {_MAX_SLOT_VISITS}")
     desc = p.field
     zero, one = desc.zero(), desc.one()
     sums: dict = {}          # slots -> {((l - 1, i - 1), e), ...: coefficient}
@@ -652,8 +642,6 @@ def evaluate_structured(p, matrices) -> UTMatrix:
     entries read off the matrices.
     """
     ring = _check_tuple(p, matrices)
-    if ring.kind != "field":
-        raise FieldMismatch("structured evaluation needs concrete field matrices")
     n = matrices[0].n
     diags = [tuple(a.entry(j, j) for a in matrices) for j in range(1, n + 1)]
     entries = {(s, s): p.eval_scalar(diags[s - 1]) for s in range(1, n + 1)}
@@ -773,11 +761,14 @@ def structured_entry(p, s: int, t: int, diags, arc, fresh=None) -> tuple:
                             total_den = total_den // g * den
                         continue
                     acc = zero
-                    for c, factors in terms:
-                        prod = c
-                        for r, i, e in factors:
-                            prod = prod * rows[r][i] ** e
-                        acc = acc + prod
+                    try:
+                        for c, factors in terms:
+                            prod = c
+                            for r, i, e in factors:
+                                prod = prod * rows[r][i] ** e
+                            acc = acc + prod
+                    except OverflowError:
+                        raise ResourceLimit("a power over C is past the float range") from None
                     term = canonical(acc) * arc_val
                     if hit:
                         fresh_sum = fresh_sum + term

@@ -353,14 +353,15 @@ def test_commands_that_know_n_search_the_order_below_n(tmp_path, capsys,
     assert elapsed < 2.0, elapsed
 
 
-def test_generic_monomial_budget_fires_while_the_product_grows(capsys):
+def test_generic_monomial_budget_fires_while_the_product_grows(capsys, monkeypatch):
     """The guard counts each product entry by entry, so x1*x2 at
-    n = 260 stops at the first entries past 10 monomials instead of
-    after building all 2.96 M (about 9.7 s and 440 MB when it summed the
-    finished product).  Runtime budget: 1 s."""
+    n = 260 under a budget of 10 stops at the first entries past 10
+    monomials instead of after building all 2.96 M (about 9.7 s and
+    440 MB when it summed the finished product).  Runtime budget: 1 s."""
+    monkeypatch.setattr(utpoly.triangular, "_MONOMIAL_BUDGET", 10)
     t0 = time.perf_counter()
     code, out, err = run(capsys, "eval", "--generic", "--poly", "x1*x2",
-                         "--n", "260", "--monomial-budget", "10")
+                         "--n", "260")
     elapsed = time.perf_counter() - t0
     assert code == 2 and out == ""
     assert "ResourceLimit: symbolic matrix grew past 10 monomials" in err
@@ -796,7 +797,7 @@ _SWEEP = {"--n", "--seed", "--retries", "--height", "--diag-budget"}
 DECLARED = {
     "order": {"--max-n", "--height"},
     "classify": {"--n"},
-    "eval": {"--matrices", "--generic", "--n", "--route", "--monomial-budget"},
+    "eval": {"--matrices", "--generic", "--n", "--route"},
     "coeffs": {"--slots", "--leading"},
     "solve": _SWEEP | {"--target"},
     "hit": _SWEEP | {"--open-set", "--nonzero-budget"},
@@ -814,7 +815,7 @@ def test_each_subcommand_declares_only_what_it_reads():
                 for name, sp in sub.choices.items()}
     assert declared == {name: {"--poly", "--field", "--m"} | flags
                         for name, flags in DECLARED.items()}
-    assert sum(len(opts) for opts in declared.values()) == 51
+    assert sum(len(opts) for opts in declared.values()) == 50
 
 
 @pytest.mark.parametrize("argv", [
@@ -833,6 +834,7 @@ def test_each_subcommand_declares_only_what_it_reads():
      "--monomial-budget", "5"),
     ("hit", "--poly", "x1*x2-x2*x1", "--n", "2", "--open-set", "y[1,2]",
      "--monomial-budget", "5"),
+    ("eval", "--poly", "x1*x2", "--generic", "--n", "2", "--monomial-budget", "9"),
 ])
 def test_undeclared_option_is_a_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -1049,19 +1051,79 @@ def test_an_open_set_power_is_bounded(capsys, text, field, code):
     assert time.perf_counter() - start < 1
 
 
-def test_a_poly_matrix_entry_power_is_bounded(tmp_path, capsys):
-    """A poly-ring matrix entry goes through the open-set parser, and so
-    through its letter limit.  Runtime budget: 0.5 s."""
+# -- long words and powers past the float range ------------------------------------
+
+# diagonal 1, so over Q u^400 = 1 has the roots solve needs
+_LONG_WORD_MATRIX = {"n": 4, "entries": [
+    {"j": j, "k": k, "value": "1" if j == k else str(j + 2 * k)}
+    for j in range(1, 5) for k in range(j, 5)]}
+_LONG_WORD_REFUSED = ("utpoly: ResourceLimit: the live-slot index at k = 2 would "
+                      "visit 31920000 letters of placements, past the limit of "
+                      "10000000\n")
+
+
+def _timed_process(*argv) -> tuple:
+    """(exit code, stdout, stderr, seconds) of the CLI run as a process,
+    its start-up included."""
+    src = os.path.dirname(os.path.dirname(utpoly.cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    t0 = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "utpoly.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    return done.returncode, done.stdout, done.stderr, time.perf_counter() - t0
+
+
+@pytest.mark.parametrize("command,field", [
+    *((command, field) for command in ("eval", "verify")
+      for field in ("Q", "Fp:101", "C")), ("solve", "Q")])
+def test_a_long_word_is_refused_before_its_placements(tmp_path, command, field):
+    """x1^400 on a 4x4 matrix: the structured route (eval --route
+    structured, and the replay of verify and solve) needs the live-slot
+    index at k = 2, C(400, 2) = 79,800 placements of 400 letters each,
+    31.9 M letters and about 6 s.  The guard refuses it before the
+    enumeration starts.  Timed as a process, start-up included: 0.5 s.
+    solve over Fp:101 ends earlier, with exit 3 at entry (1, 2), and
+    over C it first runs a generic evaluation for seconds until the
+    monomial budget stops it, so neither is checked here.  The work is
+    the same on every run, so the fastest of up to three runs is timed:
+    on a busy shared machine solve's 0.3 s (root finding on its retries,
+    then the guard) has taken 0.55 s."""
     f = tmp_path / "m.json"
-    f.write_text(json.dumps([{"n": 2, "ring": "poly", "entries": [
-        {"j": 1, "k": 2, "value": "x[1,2,1]^100000000"}]}]))
-    start = time.perf_counter()
-    code, out, err = run(capsys, "eval", "--poly", "x1", "--matrices", str(f))
-    assert (code, out) == (2, "")
-    assert err == ("utpoly: ResourceLimit: a product of 100000000 letters before "
-                   f"like terms merge, past the parser's limit of "
-                   f"{utpoly.parsing._MAX_LETTERS}\n")
-    assert time.perf_counter() - start < 0.5
+    f.write_text(json.dumps(_LONG_WORD_MATRIX if command == "solve"
+                            else {"matrices": [_LONG_WORD_MATRIX]}))
+    flag = {"eval": ("--matrices", str(f), "--route", "structured"),
+            "verify": ("--witness", str(f)),
+            "solve": ("--n", "4", "--target", str(f))}[command]
+    for _ in range(3):
+        code, out, err, seconds = _timed_process(command, "--poly", "x1^400",
+                                                 "--field", field, *flag)
+        assert (code, out, err) == (2, "", _LONG_WORD_REFUSED)
+        if seconds < 0.5:
+            break
+    assert seconds < 0.5, seconds
+
+
+_FLOAT_RANGE = "utpoly: ResourceLimit: a power over C is past the float range\n"
+
+
+def test_a_power_past_the_float_range_is_a_resource_limit(tmp_path, capsys):
+    """Over C, v ** e raises OverflowError past the float range, where a
+    product gives inf or nan instead.  Both places that raise a value to
+    a power, the structured walk and eval_full (here through the open-set
+    check of hit), exit 2 with one stderr line, not a traceback.  The
+    direct route's nan output is left as it is."""
+    f = tmp_path / "m.json"
+    f.write_text(json.dumps({"n": 2, "entries": [
+        {"j": 1, "k": 1, "value": "1e200"}, {"j": 1, "k": 2, "value": "1"},
+        {"j": 2, "k": 2, "value": "3"}]}))
+    argv = ("eval", "--poly", "x1^3", "--field", "C", "--matrices", str(f))
+    assert run(capsys, *argv, "--route", "structured") == (2, "", _FLOAT_RANGE)
+    assert run(capsys, *argv) == (0, (
+        '{"result":{"entries":[{"j":1,"k":1,"value":"nan+nanj"},'
+        '{"j":1,"k":2,"value":"nan+nanj"},{"j":2,"k":2,"value":"27+0j"}],'
+        '"n":2,"ring":"field"}}\n'), "")
+    assert run(capsys, "hit", "--poly", "x1*x2-x2*x1", "--field", "C", "--n", "3",
+               "--open-set", "y[1,2]^400") == (2, "", _FLOAT_RANGE)
 
 
 def test_parser_is_built_once():
@@ -1175,6 +1237,7 @@ _BAD_MATRICES = {
     "n a digit string": {"n": "2", "entries": []},
     "entries not a list": {"n": 2, "entries": 5},
     "value not a string": {"n": 2, "entries": [{"j": 1, "k": 2, "value": 3}]},
+    # a poly file is refused by its ring before its entries are parsed
     "poly value not a string": {"n": 2, "ring": "poly",
                                 "entries": [{"j": 1, "k": 2, "value": 3}]},
 }
@@ -1257,8 +1320,7 @@ def test_unreadable_matrix_value_exits_1(tmp_path, capsys, field, value):
      "--retries", " 4"),
     ("solve", "--poly", "x1", "--n", "1", "--target", "t.json",
      "--diag-budget", "2_00"),
-    ("eval", "--poly", "x1", "--generic", "--n", "2",
-     "--monomial-budget", "1_000"),
+    ("eval", "--poly", "x1", "--generic", "--n", "1_000"),
     ("hit", "--poly", "x1*x2-x2*x1", "--n", "2", "--open-set", "y[1,2]",
      "--nonzero-budget", "1_0")])
 def test_integer_flags_need_ascii_digits(capsys, argv):
@@ -1309,11 +1371,13 @@ def test_large_rational_roots_are_found(tmp_path, capsys, poly, root):
     assert data["verify"]["target_met"] is True
 
 
-# -- solve and verify take field matrices only --------------------------------------
+# -- matrix files hold field matrices only -------------------------------------------
 
 _POLY_MATRIX = {"n": 2, "ring": "poly",
                 "entries": [{"j": 1, "k": 2, "value": "x[1,2,1]"}]}
 _FIELD_MATRIX = {"n": 2, "entries": [{"j": 1, "k": 2, "value": "1"}]}
+_POLY_REFUSED = ("utpoly: ParseError: matrix ring 'poly' is not read: a matrix "
+                 "file holds field matrices (\"ring\": \"field\")\n")
 
 
 @pytest.mark.parametrize("field", ["Q", "Fp:7", "C"])
@@ -1322,7 +1386,7 @@ def test_solve_refuses_a_symbolic_target(tmp_path, capsys, field):
     tf.write_text(json.dumps(_POLY_MATRIX))
     code, out, err = run(capsys, "solve", "--poly", "x1*x2-x2*x1", "--field",
                          field, "--n", "2", "--target", str(tf))
-    assert code == 2 and out == "" and "utpoly: FieldMismatch" in err
+    assert (code, out, err) == (1, "", _POLY_REFUSED)
 
 
 @pytest.mark.parametrize("witness,target", [(_POLY_MATRIX, None),
@@ -1336,14 +1400,36 @@ def test_verify_refuses_symbolic_matrices(tmp_path, capsys, witness, target):
         tf.write_text(json.dumps(target))
         argv += ["--target", str(tf)]
     code, out, err = run(capsys, *argv)
-    assert code == 2 and out == "" and "utpoly: FieldMismatch" in err
+    assert (code, out, err) == (1, "", _POLY_REFUSED)
+
+
+@pytest.mark.parametrize("command", ["eval", "verify", "solve"])
+@pytest.mark.parametrize("value", ["x[1,2,1]^100000000", 3])
+def test_a_poly_matrix_file_is_refused_before_its_entries_are_parsed(
+        tmp_path, capsys, monkeypatch, command, value):
+    """A "ring": "poly" file is refused by its ring before any entry is
+    read: an entry past the parser's letter limit, or one that is not a
+    string, is never looked at, and nothing is evaluated.  Runtime
+    budget: 0.5 s."""
+    f = tmp_path / "m.json"
+    poly = {"n": 2, "ring": "poly", "entries": [{"j": 1, "k": 2, "value": value}]}
+    f.write_text(json.dumps(poly if command == "solve" else [poly]))
+    # both evaluation routes start with _check_tuple
+    monkeypatch.setattr(utpoly.triangular, "_check_tuple", _forbidden)
+    argv = {"eval": ("eval", "--poly", "x1", "--matrices", str(f)),
+            "verify": ("verify", "--poly", "x1", "--witness", str(f)),
+            "solve": ("solve", "--poly", "x1*x2-x2*x1", "--n", "2",
+                      "--target", str(f))}[command]
+    start = time.perf_counter()
+    assert run(capsys, *argv) == (1, "", _POLY_REFUSED)
+    assert time.perf_counter() - start < 0.5
 
 
 # -- integer bounds ----------------------------------------------------------------
 
 _MISSING = "/nonexistent/utpoly-test.json"
 _BOUNDED = ("--n", "--max-n", "--height", "--retries", "--diag-budget",
-            "--nonzero-budget", "--monomial-budget")
+            "--nonzero-budget")
 # what each subcommand needs besides --poly; file flags name a missing file
 _BOUND_BASE = {
     "order": {},

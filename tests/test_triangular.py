@@ -5,8 +5,9 @@ entry from coefficient polynomials in the diagonals times arc products.
 Both are checked against a third, test-local reference that sums over
 nondecreasing index paths.  The generic evaluation, a fold with no field
 arithmetic inside a word, and the direct route's shared prefix products
-are checked against a fourth: one full matrix fold per word, at generic
-matrices built entry by entry.  Agreement of independently-coded routes
+are checked against a fourth: one full matrix fold per word through a
+test-local product (matmul_reference), not the direct route's kernel, at
+generic matrices built entry by entry.  Agreement of independently-coded routes
 on random inputs is the core correctness check, so none of these tests
 may be weakened to compare a route with itself.
 """
@@ -49,17 +50,37 @@ def add(a, b):
     return UTMatrix._own(a.ring, a.n, entries)
 
 
+def const(ring, c):
+    """The element c of ring: c itself over a field, the constant
+    polynomial c over the poly ring."""
+    return CPolynomial.const(ring.desc, c) if ring.kind == "poly" else c
+
+
 def scale(a, c):
     """Reference multiple c*a, a zero term dropped."""
-    cc = a.ring.scalar(c)
+    cc = const(a.ring, c)
     return UTMatrix._own(a.ring, a.n, {pos: cc * v for pos, v in a.entries.items()})
 
 
+def matmul_reference(a, b):
+    """A test-local copy of the matrix product: entries of a, then k, in
+    visiting order, running sums per position, then the zero filter."""
+    entries = {}
+    for (j, l), x in a.entries.items():
+        for k in range(l, a.n + 1):
+            y = b.entries.get((l, k))
+            if y is not None:
+                pos = (j, k)
+                entries[pos] = entries[pos] + x * y if pos in entries else x * y
+    return UTMatrix(a.ring, a.n, entries)
+
+
 def word_product(matrices, word):
-    """Reference fold of matrix products A_{i_1} @ ... @ A_{i_w}."""
+    """Reference fold of matrix products A_{i_1} ... A_{i_w}, through
+    matmul_reference, not the direct route's kernel."""
     acc = matrices[word[0] - 1]
     for i in word[1:]:
-        acc = acc @ matrices[i - 1]
+        acc = matmul_reference(acc, matrices[i - 1])
     return acc
 
 
@@ -81,8 +102,8 @@ def generic_matrix(ring, n, i):
     return UTMatrix(ring, n, entries)
 
 
-def generic_tuple(field, n, m, monomial_budget=10 ** 6):
-    ring = PolyRing(field, monomial_budget)
+def generic_tuple(field, n, m):
+    ring = PolyRing(field)
     return [generic_matrix(ring, n, i) for i in range(1, m + 1)]
 
 
@@ -109,7 +130,7 @@ def word_product_paths(matrices, word):
                 j, step, val = stack.pop()
                 if step == w:
                     if j == t:
-                        total = total + (ring.scalar(ring.desc.one()) if val is None else val)
+                        total = total + (const(ring, ring.desc.one()) if val is None else val)
                     continue
                 a = matrices[word[step] - 1]
                 for nxt in range(j, t + 1):
@@ -210,6 +231,11 @@ def test_json_bad_inputs():
         UTMatrix.from_json({"entries": []}, Q)  # no n
     with pytest.raises(ParseError):
         UTMatrix.from_json({"n": 2, "ring": "nope", "entries": []}, Q)
+    # symbolic matrices are output only: a poly matrix is refused by its
+    # ring, before its entries are read
+    with pytest.raises(ParseError, match="matrix ring 'poly' is not read"):
+        UTMatrix.from_json({"n": 2, "ring": "poly", "entries": [
+            {"j": 1, "k": 2, "value": 3}]}, Q)
     with pytest.raises(ParseError):
         UTMatrix.from_json({"n": 2, "entries": [{"j": 1, "k": 2}]}, Q)
 
@@ -287,6 +313,10 @@ def test_evaluate_checks_inputs():
         evaluate(p, [a, UTMatrix(FieldRing(F7), 2, {(1, 2): F7.from_int(1)})])
     with pytest.raises(SizeMismatch):
         evaluate(p, [a, mat(3, {(1, 2): 1})])
+    # both routes take field matrices only
+    for route in (evaluate, evaluate_structured):
+        with pytest.raises(FieldMismatch, match="not symbolic or over another field"):
+            route(p, generic_tuple(Q, 2, 2))
     # a polynomial in no variables has no terms: its generic evaluation
     # is the zero matrix, with no generic matrix to check against
     zero = generic_evaluate(NcPolynomial.parse("0", Q), 2)
@@ -294,7 +324,7 @@ def test_evaluate_checks_inputs():
 
 
 def test_generic_matrix_shape():
-    ring = PolyRing(Q, 10 ** 6)
+    ring = PolyRing(Q)
     g = generic_matrix(ring, 3, 1)
     # every upper-triangular cell holds its own variable
     for j in range(1, 4):
@@ -328,11 +358,12 @@ def test_generic_evaluate_specializes_to_concrete():
             assert got == direct.entry(j, k), (j, k)
 
 
-def test_generic_evaluate_monomial_budget():
+def test_generic_evaluate_monomial_budget(monkeypatch):
     p = NcPolynomial.parse("x1*x2*x1*x2*x1", Q)
     generic_evaluate(p, 4)  # within the default budget
-    with pytest.raises(ResourceLimit):
-        generic_evaluate(p, 4, monomial_budget=5)
+    monkeypatch.setattr(utpoly.triangular, "_MONOMIAL_BUDGET", 5)
+    with pytest.raises(ResourceLimit, match="grew past 5 monomials"):
+        generic_evaluate(p, 4)
 
 
 def test_generic_tuple_arity():
@@ -366,8 +397,7 @@ FOLD_FIELDS = ["Q", "Fp:2", "Fp:3", "Fp:101", "C"]
 def test_generic_fold_matches_the_matrix_fold(field):
     """generic_evaluate folds each word as coefficient-one monomials.  It
     must give the reference's entries with their term order (C's
-    summation order downstream) and float bits; so must evaluate, with
-    its shared prefix products, at the reference's generic matrices."""
+    summation order downstream) and float bits."""
     desc = FieldDescriptor.parse(field)
     rng = random.Random(field)
     for _ in range(25):
@@ -375,13 +405,12 @@ def test_generic_fold_matches_the_matrix_fold(field):
         p = shared_poly(desc, rng, m)
         reference = bits(evaluate_words(p, generic_tuple(desc, n, m)))
         assert bits(generic_evaluate(p, n)) == reference, (p.terms, n)
-        assert bits(evaluate(p, generic_tuple(desc, n, m))) == reference
 
 
 @pytest.mark.parametrize("field", FOLD_FIELDS)
-def test_generic_fold_budget_matches_the_matrix_fold(field):
-    """ResourceLimit fires under exactly the budgets where the reference's
-    products outgrow them: one below the largest product, not at it."""
+def test_generic_fold_budget_matches_the_matrix_fold(field, monkeypatch):
+    """ResourceLimit fires under exactly the budgets the reference's
+    products outgrow: one below the largest product, not at it."""
     desc = FieldDescriptor.parse(field)
     rng = random.Random(field)
     checked = 0
@@ -396,10 +425,16 @@ def test_generic_fold_budget_matches_the_matrix_fold(field):
         if not largest:
             continue
         checked += 1
-        for budget in (largest - 1, largest):
-            want = _outcome(lambda: evaluate_words(p, generic_tuple(desc, n, m, budget)))
-            assert _outcome(lambda: generic_evaluate(p, n, budget)) == want
-            assert want.startswith("symbolic matrix grew") == (budget < largest)
+        reference = bits(evaluate_words(p, generic_tuple(desc, n, m)))
+        for budget, want in ((largest - 1, f"symbolic matrix grew past {largest - 1} "
+                                           f"monomials"),
+                             (largest, reference)):
+            monkeypatch.setattr(utpoly.triangular, "_MONOMIAL_BUDGET", budget)
+            try:
+                got = bits(generic_evaluate(p, n))
+            except ResourceLimit as exc:
+                got = str(exc)
+            assert got == want, (p.terms, n, budget)
     assert checked >= 6
 
 
@@ -445,14 +480,6 @@ def test_generic_fold_at_the_packing_boundaries(field):
     for p, n in cases:
         reference = bits(evaluate_words(p, generic_tuple(desc, n, p.nvars)))
         assert bits(generic_evaluate(p, n)) == reference, (p.terms, n)
-
-
-def _outcome(run):
-    """bits of the matrix run() returns, or its ResourceLimit message."""
-    try:
-        return bits(run())
-    except ResourceLimit as exc:
-        return str(exc)
 
 
 @pytest.mark.parametrize("field", ["Q", "Fp:3", "C"])
@@ -521,19 +548,6 @@ def test_q_evaluate_matches_the_word_by_word_fold():
         assert all(type(v) is Fraction for v in got.entries.values())
 
 
-def matmul_reference(a, b):
-    """A test-local copy of the matrix product: entries of a, then k, in
-    visiting order, running sums per position, then the zero filter."""
-    entries = {}
-    for (j, l), x in a.entries.items():
-        for k in range(l, a.n + 1):
-            y = b.entries.get((l, k))
-            if y is not None:
-                pos = (j, k)
-                entries[pos] = entries[pos] + x * y if pos in entries else x * y
-    return UTMatrix(a.ring, a.n, entries)
-
-
 @pytest.mark.parametrize("field", ["Q", "Fp:3", "C", "poly"])
 def test_matmul_is_the_product_kernel(field):
     """a @ b is the kernel's entry map, and both are the reference's, term
@@ -545,7 +559,7 @@ def test_matmul_is_the_product_kernel(field):
         n = rng.randint(1, 5)
         if field == "poly":
             ring = PolyRing(Q)
-            a, b = (evaluate(rand_poly(Q, rng, 2), generic_tuple(Q, n, 2)) for _ in range(2))
+            a, b = (generic_evaluate(rand_poly(Q, rng, 2), n) for _ in range(2))
         elif field == "Q":
             ring = QRING
             a, b = q_matrix(rng, n, "huge"), q_matrix(rng, n, "small")
@@ -669,7 +683,8 @@ def test_matrix_eq(field, monkeypatch):
                      (m({(1, 2): 1}), m({(2, 2): 1})),
                      (m({(1, 1): 1}), m({}))]
     if field == "poly":
-        v = ring.parse
+        def v(text):
+            return CPolynomial.parse(text, Q, kinds="xz")
         same = [(m({(1, 2): v("x[1,2,1] + 2*z[1,1]")}),
                  m({(1, 2): v("2*z[1,1] + x[1,2,1]")})),
                 (m({(1, 2): v("x[1,2,1]*z[1,1]"), (2, 2): v("z[2,1]")}),
@@ -746,6 +761,26 @@ def test_prime_field_values_are_reduced_at_rest(field):
             assert all(_canonical(desc, v) for v in a.entries.values())
         assert res.achieved.entries == target.entries
     assert solved >= 5
+
+
+def test_live_slots_bounds_the_letters_it_visits(monkeypatch):
+    """live_slots(p, k) visits C(|w|, k) placements of each word w, |w|
+    letters each; past _MAX_SLOT_VISITS it raises ResourceLimit, naming
+    the count and the bound, before it enumerates a placement."""
+    p = NcPolynomial.parse("x1^5 + 2*x1*x2", Q)
+    visits = 10 * 5 + 1 * 2      # C(5, 2) * 5 + C(2, 2) * 2
+    monkeypatch.setattr(utpoly.triangular, "_MAX_SLOT_VISITS", visits)
+    assert live_slots(p, 2)
+    q = NcPolynomial.parse("x1^5 + 2*x1*x2", Q)
+    monkeypatch.setattr(utpoly.triangular, "_MAX_SLOT_VISITS", visits - 1)
+    monkeypatch.setattr(utpoly.triangular, "combinations", _forbidden)
+    with pytest.raises(ResourceLimit) as info:
+        live_slots(q, 2)
+    assert str(info.value) == (f"the live-slot index at k = 2 would visit {visits} "
+                               f"letters of placements, past the limit of {visits - 1}")
+    assert q.index == {}
+    # a warm index is read, not counted again
+    assert live_slots(p, 2)
 
 
 # -- the structured path walk --------------------------------------------------
