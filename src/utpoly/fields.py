@@ -193,7 +193,7 @@ class FieldDescriptor:
             return str(v)
         if self.kind == "complex":
             return repr(v).strip("()")
-        return _rational_text(v)
+        return _rational_text(*v.as_integer_ratio())
 
     # -- predicates ------------------------------------------------------
 
@@ -284,10 +284,9 @@ def _bad_literal(text: str) -> str:
     return f"{what} {text!r}"
 
 
-def _rational_text(q: Fraction) -> str:
-    """str(q), the one way a Q value becomes text, or ResourceLimit,
-    before any text is built, for a part past _digit_limit."""
-    num, den = q.as_integer_ratio()
+def _rational_text(num: int, den: int) -> str:
+    """str(Fraction(num, den)), the one way a Q value becomes text, or
+    ResourceLimit, before any text is built, for a part past _digit_limit."""
     limit, big = _digit_limit(), max(abs(num), den)
     # an int of at most 3 * limit bits is below 8**limit < 10**limit
     if limit and big.bit_length() > 3 * limit and big >= 10 ** limit:
@@ -304,20 +303,17 @@ def split_sign(desc: FieldDescriptor, c):
     get a minus pulled out.
     """
     if desc.kind == "rational":
-        sign = -1 if c < 0 else 1
-        mag = abs(c)
-        return sign, "" if mag == 1 else _rational_text(mag)
+        num, den = c.as_integer_ratio()    # in lowest terms: |num| == den only for 1
+        mag = abs(num)
+        return -1 if num < 0 else 1, "" if mag == den else _rational_text(mag, den)
     if desc.kind == "prime":
         return 1, "" if c == 1 else str(c)
     if c.imag == 0:
-        sign = -1 if c.real < 0 else 1
         mag = abs(c.real)
-        return sign, "" if mag == 1 else repr(mag)
+        return -1 if c.real < 0 else 1, "" if mag == 1 else repr(mag)
     if c.real == 0:
-        sign = -1 if c.imag < 0 else 1
-        return sign, f"{abs(c.imag)!r}j"
-    inner = f"{c.real!r}{'+' if c.imag > 0 else '-'}{abs(c.imag)!r}j"
-    return 1, f"({inner})"
+        return -1 if c.imag < 0 else 1, f"{abs(c.imag)!r}j"
+    return 1, f"({c.real!r}{'+' if c.imag > 0 else '-'}{abs(c.imag)!r}j)"
 
 
 # -- sparse polynomials as {key: coefficient} maps ------------------------
@@ -349,12 +345,12 @@ def render_terms(desc: FieldDescriptor, items) -> str:
     pieces = []
     for body, c in items:
         sign, mag = split_sign(desc, c)
-        if pieces:
-            pieces.append(" - " if sign < 0 else " + ")
-        elif sign < 0:
-            pieces.append("-")
-        pieces.append("*".join(filter(None, (mag, body))) or "1")
-    return "".join(pieces) or "0"
+        pieces.append(" - " if sign < 0 else " + ")
+        pieces.append(f"{mag}*{body}" if mag and body else mag or body or "1")
+    if not pieces:
+        return "0"
+    pieces[0] = "-" if pieces[0] == " - " else ""
+    return "".join(pieces)
 
 
 # -- univariate root finding ---------------------------------------------

@@ -435,11 +435,10 @@ _MAX_SLOT_VISITS = 10 ** 7
 
 def generic_evaluate(p, n: int) -> UTMatrix:
     """p at the generic tuple of size n, with no field arithmetic inside
-    a word: see the module docstring.  ResourceLimit once a product holds
-    more than _MONOMIAL_BUDGET monomials.  Not cached: a cache served 31
-    of 768 calls in 12 witness and 20 symbolic benchmark rounds."""
+    a word: see the module docstring.  ResourceLimit before the fold when
+    a product would pass _MONOMIAL_BUDGET monomials.  Not cached: a cache
+    served 31 of 768 calls in 12 witness and 20 symbolic benchmark rounds."""
     desc = p.field
-    budget = _MONOMIAL_BUDGET
     # a monomial is one int packing its exponent vector, fields in key
     # order for the u letters p holds: per row l an index field, 1 + the
     # place of its one x[l, k, i] among row l's (n - l) * u in (k, i)
@@ -465,6 +464,11 @@ def generic_evaluate(p, n: int) -> UTMatrix:
         raise ResourceLimit(
             f"generic evaluation at n = {n} packs a monomial into {width} "
             f"bits, past the limit of {_MAX_PACKED_BITS}")
+    # products only grow along a word, and a word of L letters makes one
+    # monomial per row sequence l_0 <= ... <= l_L: C(L + n, n - 1) of them
+    budget, longest = _MONOMIAL_BUDGET, max(map(len, p.terms), default=0)
+    if longest >= 2 and comb(longest + n, n - 1) > budget:
+        raise ResourceLimit(f"symbolic matrix grew past {budget} monomials")
     # rows[i - 1][l]: (k, the step of entry (l, k) of generic matrix i), k >= l
     rows: list = [None] * p.nvars
     for f, i in enumerate(used):
@@ -479,12 +483,7 @@ def generic_evaluate(p, n: int) -> UTMatrix:
     def times(prod, row):
         # _product's visiting order, so its term order
         out = {}
-        size = 0
         for (j, l), monos in prod.items():
-            # coefficient-free monomials never cancel: the size only grows
-            size += len(monos) * len(row[l])
-            if size > budget:
-                raise ResourceLimit(f"symbolic matrix grew past {budget} monomials")
             for k, s in row[l]:
                 ext = [mo + s for mo in monos]
                 pos = (j, k)

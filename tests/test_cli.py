@@ -354,10 +354,10 @@ def test_commands_that_know_n_search_the_order_below_n(tmp_path, capsys,
 
 
 def test_generic_monomial_budget_fires_while_the_product_grows(capsys, monkeypatch):
-    """The guard counts each product entry by entry, so x1*x2 at
-    n = 260 under a budget of 10 stops at the first entries past 10
-    monomials instead of after building all 2.96 M (about 9.7 s and
-    440 MB when it summed the finished product).  Runtime budget: 1 s."""
+    """The guard counts the product of x1*x2 at n = 260 from its word
+    and n before the fold, so under a budget of 10 it stops before
+    building any of its 2.96 M monomials (about 9.7 s and 440 MB when it
+    summed the finished product).  Runtime budget: 1 s."""
     monkeypatch.setattr(utpoly.triangular, "_MONOMIAL_BUDGET", 10)
     t0 = time.perf_counter()
     code, out, err = run(capsys, "eval", "--generic", "--poly", "x1*x2",
@@ -369,10 +369,9 @@ def test_generic_monomial_budget_fires_while_the_product_grows(capsys, monkeypat
 
 
 def test_generic_monomial_budget_fires_at_n_400(capsys):
-    """At n = 400 the products of x1*x2 pass 10^6 monomials in the first
-    product of two generic matrices; the tables that product reads are
-    built first, and must stay small enough for the budget to fire
-    within the runtime budget: 3 s."""
+    """At n = 400 the first product of x1*x2 would pass 10^6 monomials;
+    the layout of its packed monomials is checked first, and must stay
+    cheap enough for the budget to fire within the runtime budget: 3 s."""
     t0 = time.perf_counter()
     code, out, err = run(capsys, "eval", "--generic", "--poly", "x1*x2",
                          "--n", "400")
@@ -1083,8 +1082,8 @@ def test_a_long_word_is_refused_before_its_placements(tmp_path, command, field):
     31.9 M letters and about 6 s.  The guard refuses it before the
     enumeration starts.  Timed as a process, start-up included: 0.5 s.
     solve over Fp:101 ends earlier, with exit 3 at entry (1, 2), and
-    over C it first runs a generic evaluation for seconds until the
-    monomial budget stops it, so neither is checked here.  The work is
+    over C the generic evaluation's monomial budget refuses it first
+    (the test below), so neither is checked here.  The work is
     the same on every run, so the fastest of up to three runs is timed:
     on a busy shared machine solve's 0.3 s (root finding on its retries,
     then the guard) has taken 0.55 s."""
@@ -1098,6 +1097,28 @@ def test_a_long_word_is_refused_before_its_placements(tmp_path, command, field):
         code, out, err, seconds = _timed_process(command, "--poly", "x1^400",
                                                  "--field", field, *flag)
         assert (code, out, err) == (2, "", _LONG_WORD_REFUSED)
+        if seconds < 0.5:
+            break
+    assert seconds < 0.5, seconds
+
+
+@pytest.mark.parametrize("command,field", [
+    ("eval", "Q"), ("eval", "Fp:101"), ("eval", "C"), ("solve", "C")])
+def test_an_oversized_generic_fold_is_refused_before_it_starts(tmp_path, command, field):
+    """x1^400 at n = 4: the generic evaluation (eval --generic, and the
+    C sweep of solve) would hold C(404, 3) = 10,908,404 monomials in its
+    last product, past the budget of 10^6.  The budget is read from p's
+    words and n before the fold, where it once stopped the fold after
+    5-8 s.  Timed as a process, start-up included, the fastest of up to
+    three runs: 0.5 s."""
+    f = tmp_path / "m.json"
+    f.write_text(json.dumps(_LONG_WORD_MATRIX))
+    flag = {"eval": ("--generic",), "solve": ("--target", str(f))}[command]
+    for _ in range(3):
+        code, out, err, seconds = _timed_process(command, "--poly", "x1^400", "--field",
+                                                 field, "--n", "4", *flag)
+        assert (code, out, err) == (2, "", "utpoly: ResourceLimit: symbolic matrix grew "
+                                           "past 1000000 monomials\n")
         if seconds < 0.5:
             break
     assert seconds < 0.5, seconds

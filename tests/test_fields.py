@@ -12,7 +12,7 @@ import pytest
 
 import utpoly.fields
 from utpoly import parsing
-from utpoly.cpoly import CPolynomial, _mono_mul, diag_var, entry_var, render_var
+from utpoly.cpoly import CPolynomial, _mono_mul, diag_var, entry_var, out_var
 from utpoly.errors import FieldMismatch, NoRootInField, ParseError, ResourceLimit
 from utpoly.fields import (FieldDescriptor, _rational_roots, is_prime,
                            solve_univariate, split_sign)
@@ -391,6 +391,32 @@ def _ref_comm_mul(a, b):
     return terms
 
 
+def _ref_split_sign(desc, c):
+    """split_sign as it was written when render sorted on (degree,
+    monomial) and rendered each term's variables one by one: the sign and
+    the text of the magnitude, "" for 1.  The references below use it and
+    nothing of the library's text code."""
+    if desc.kind == "rational":
+        sign = -1 if c < 0 else 1
+        mag = abs(c)
+        return sign, "" if mag == 1 else str(mag)
+    if desc.kind == "prime":
+        return 1, "" if c == 1 else str(c)
+    if c.imag == 0:
+        sign = -1 if c.real < 0 else 1
+        mag = abs(c.real)
+        return sign, "" if mag == 1 else repr(mag)
+    if c.real == 0:
+        sign = -1 if c.imag < 0 else 1
+        return sign, f"{abs(c.imag)!r}j"
+    inner = f"{c.real!r}{'+' if c.imag > 0 else '-'}{abs(c.imag)!r}j"
+    return 1, f"({inner})"
+
+
+def _ref_var(key):
+    return f"{key[0]}[{','.join(str(i) for i in key[1:])}]"
+
+
 def _ref_pretty(p):
     if not p.terms:
         return "0"
@@ -399,7 +425,7 @@ def _ref_pretty(p):
         body = "*".join(
             f"x{i}^{k}" if (k := len(list(run))) > 1 else f"x{i}"
             for i, run in groupby(word))
-        sign, coeff_text = split_sign(p.field, p.terms[word])
+        sign, coeff_text = _ref_split_sign(p.field, p.terms[word])
         text = f"{coeff_text}*{body}" if coeff_text else body
         if not pieces:
             pieces.append(("-" if sign < 0 else "") + text)
@@ -415,9 +441,8 @@ def _ref_render(q):
         return (sum(e for _, e in m), m)
     pieces = []
     for m in sorted(q.terms, key=mono_key):
-        sign, coeff_text = split_sign(q.field, q.terms[m])
-        body = "*".join(
-            f"{render_var(k)}^{e}" if e > 1 else render_var(k) for k, e in m)
+        sign, coeff_text = _ref_split_sign(q.field, q.terms[m])
+        body = "*".join(f"{_ref_var(k)}^{e}" if e > 1 else _ref_var(k) for k, e in m)
         if not body:
             text = coeff_text or "1"
         else:
@@ -505,6 +530,49 @@ def test_term_helpers_match_the_loops_they_replaced(spec):
         assert _exact(got.terms.items()) == _exact(want.terms.items())
         for q in (f, g, h, got):
             assert q.render() == _ref_render(q)
+
+
+_RENDER_COEFFS = {
+    "Q": [Fraction(1), Fraction(-1), Fraction(-3), Fraction(7), Fraction(2, 3),
+          Fraction(-5, 4), Fraction(10 ** 30 + 7), Fraction(-(10 ** 25), 3 ** 20)],
+    "Fp:101": [1, 100, 2, 57],
+    "C": [complex(1.0, 0.0), complex(-1.0, 0.0), complex(2.5, 0.0), complex(-0.75, 0.0),
+          complex(0.0, 1.0), complex(0.0, -2.0), complex(1.5, 2.0), complex(-1.5, 2.0),
+          complex(1.5, -0.25), complex(-3.0, -1.0)],
+}
+# x[1,10,1] sorts after x[1,2,1] but its text before: the order is the keys'
+_RENDER_KEYS = (entry_var(1, 2, 1), entry_var(1, 10, 1), entry_var(2, 10, 3),
+                diag_var(1, 1), diag_var(2, 1), diag_var(10, 2), out_var(1, 3), out_var(1, 10))
+
+
+@pytest.mark.parametrize("spec", list(_RENDER_COEFFS))
+def test_render_matches_a_reference_that_shares_no_code(spec):
+    """CPolynomial.render and NcPolynomial.pretty against _ref_render and
+    _ref_pretty on seeded random polynomials: every coefficient kind the
+    renderers treat apart (Q's +-1, negatives, fractions and big integers;
+    C's real, imaginary and mixed values of either sign), exponents above
+    1, constant terms, and the zero polynomial."""
+    desc = FieldDescriptor.parse(spec)
+    pool = [desc.from_fraction(c) if spec == "Q" else c for c in _RENDER_COEFFS[spec]]
+    rng = random.Random(spec)
+    used, exponents, constants = set(), 0, 0
+    for _ in range(200):
+        terms, words = {}, {}
+        for _ in range(rng.randint(0, 12)):
+            keys = rng.sample(_RENDER_KEYS, rng.randint(0, 4))
+            m = tuple(sorted((k, rng.choice((1, 1, 2, 3))) for k in keys))
+            word = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 5)))
+            i, j = rng.randrange(len(pool)), rng.randrange(len(pool))
+            terms[m], words[word] = pool[i], pool[j]
+            used |= {i, j}
+            exponents += any(e > 1 for _, e in m)
+            constants += not m
+        q, p = CPolynomial(desc, terms), NcPolynomial(desc, 3, words)
+        assert q.render() == _ref_render(q), terms
+        assert p.pretty() == _ref_pretty(p), words
+    assert used == set(range(len(pool))) and exponents and constants
+    assert CPolynomial.zero(desc).render() == _ref_render(CPolynomial.zero(desc)) == "0"
+    assert NcPolynomial(desc, 3, {}).pretty() == _ref_pretty(NcPolynomial(desc, 3, {})) == "0"
 
 
 def test_solve_univariate_rational_quadratic():
