@@ -6,7 +6,7 @@ from .analysis import (Classification, OrderReport, classify, coeff_poly,
 from .cpoly import CPolynomial, diag_var, entry_var, out_var, render_var
 from .errors import UtpolyError
 from .fields import FieldDescriptor, solve_univariate
-from .freealg import NcPolynomial, commutator
+from .freealg import NcPolynomial
 from .solver import (SolveOptions, WitnessResult, build_sweep_plan_rn,
                      find_diagonals, hit_open_set, solve_diagonal_r0,
                      solve_target, verify)

@@ -199,11 +199,7 @@ class FieldDescriptor:
 
     def is_zero(self, v) -> bool:
         """Whether v is zero in the field; an F_p int need not be reduced."""
-        if self.kind == "complex":
-            return abs(v) <= self.eps
-        if self.kind == "prime":
-            return v % self.p == 0
-        return v == 0
+        return self.nonzero(v) is None
 
     # -- canonical form -----------------------------------------------------
 
@@ -633,7 +629,7 @@ def solve_univariate(desc: FieldDescriptor, coeffs: list, target, rng):
 
     # complex
     trimmed = list(g)
-    while trimmed and abs(trimmed[-1]) <= desc.eps:
+    while trimmed and desc.is_zero(trimmed[-1]):
         trimmed.pop()
     if not trimmed:
         return desc.sample(rng)

@@ -3,7 +3,8 @@
 Monomials are words over x1..xm, stored as tuples of 1-based variable
 indices; a polynomial is a sparse map from words to nonzero coefficients.
 The empty word (a constant term) is rejected at construction since every
-operation downstream assumes it is absent.
+operation downstream assumes it is absent.  A polynomial comes from text
+(parse, shared_parse) or from a term map; it has no arithmetic of its own.
 """
 
 from __future__ import annotations
@@ -13,8 +14,7 @@ from functools import lru_cache
 from itertools import groupby
 
 from . import parsing
-from .errors import (ArityMismatch, ConstantTermError, FieldMismatch, ParseError,
-                     VariableOutOfRange)
+from .errors import ArityMismatch, ConstantTermError, ParseError, VariableOutOfRange
 from .fields import FieldDescriptor, add_terms, mul_terms, render_terms
 
 
@@ -48,16 +48,6 @@ class NcPolynomial:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def zero(cls, field: FieldDescriptor, nvars: int) -> "NcPolynomial":
-        return cls(field, nvars, {})
-
-    @classmethod
-    def variable(cls, field: FieldDescriptor, nvars: int, i: int) -> "NcPolynomial":
-        if not (1 <= i <= nvars):
-            raise VariableOutOfRange(f"x{i} outside x1..x{nvars}")
-        return cls(field, nvars, {(i,): field.one()})
-
-    @classmethod
     def parse(cls, text: str, field: FieldDescriptor, nvars: int | None = None) -> "NcPolynomial":
         builder = _FreeBuilder(field)
         raw = parsing.parse_text(text, builder)
@@ -87,31 +77,6 @@ class NcPolynomial:
 
     def __hash__(self):
         return hash((self.field, self.nvars, tuple(sorted(self.terms.items()))))
-
-    def _check(self, other: "NcPolynomial") -> int:
-        if not self.field.same_field(other.field):
-            raise FieldMismatch(
-                f"{self.field.render()} vs {other.field.render()}")
-        return max(self.nvars, other.nvars)
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def __add__(self, other):
-        m = self._check(other)
-        return NcPolynomial(self.field, m,
-                            add_terms(self.terms, other.terms, self.field.zero()))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return NcPolynomial(self.field, self.nvars,
-                            {w: -c for w, c in self.terms.items()})
-
-    def __mul__(self, other):
-        m = self._check(other)
-        return NcPolynomial(self.field, m,
-                            mul_terms(self.terms, other.terms, operator.add))
 
     # -- evaluation -----------------------------------------------------------
 
@@ -186,7 +151,3 @@ class _FreeBuilder:
         parsing._check_letters(len(word) * e, "words")
         # a number's word is (), and () * e overflows past sys.maxsize
         return {word * e if word else (): self.field.power(c, e)}
-
-
-def commutator(a: NcPolynomial, b: NcPolynomial) -> NcPolynomial:
-    return a * b - b * a

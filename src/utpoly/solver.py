@@ -188,10 +188,11 @@ def _matrices_from_assignment(desc, n: int, m: int, values: dict) -> list[UTMatr
     return out
 
 
-def _residual(desc, achieved: UTMatrix, target: UTMatrix) -> float:
+def _residual(achieved: UTMatrix, target: UTMatrix) -> float:
     diffs = [abs(achieved.entry(*pos) - target.entry(*pos))
              for pos in set(achieved.entries) | set(target.entries)]
-    # max() would drop a NaN difference (inf - inf, say) and pass the target
+    # max() would drop a NaN difference (inf - inf, say) and print a finite
+    # residual for a missed target
     return math.nan if any(map(math.isnan, diffs)) else max(diffs, default=0.0)
 
 
@@ -545,17 +546,16 @@ def _replay(p: NcPolynomial, matrices: list, r: int | None,
         "band_level": direct.band_level(),
     }
     if target is not None:
+        met = direct.eq(target)
         if desc.kind == "complex":
-            residual = _residual(desc, direct, target)
+            residual = _residual(direct, target)
             # JSON has no inf or nan: an overflowed residual reads null,
             # as a missed exact target does
             report["target_residual"] = (residual if math.isfinite(residual)
                                          else None)
-            report["target_met"] = residual <= desc.eps
         else:
-            met = direct.eq(target)
             report["target_residual"] = 0.0 if met else None
-            report["target_met"] = met
+        report["target_met"] = met
     if f is not None:
         value = f.eval_full({out_var(s, t): direct.entry(s, t)
                              for s, t in band_coordinates(direct.n, r)})

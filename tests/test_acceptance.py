@@ -14,13 +14,14 @@ from itertools import combinations, product
 
 import pytest
 
+from nc_terms import plus, times
 from plan_reference import band_sets
 from utpoly.analysis import classify, exact_order, leading_tuples, order
 from utpoly.cli import main as cli_main
 from utpoly.cpoly import CPolynomial, out_var
 from utpoly.errors import DegenerateCoefficient, NoRootInField
 from utpoly.fields import FieldDescriptor
-from utpoly.freealg import NcPolynomial, commutator
+from utpoly.freealg import NcPolynomial
 from utpoly.solver import (SolveOptions, band_coordinates,
                            build_sweep_plan_rn, hit_open_set,
                            solve_diagonal_r0, solve_target)
@@ -32,15 +33,13 @@ C = FieldDescriptor.parse("C")
 
 
 def variable(field, m, i):
-    return NcPolynomial.variable(field, m, i)
+    return NcPolynomial(field, m, {(i,): field.one()})
 
 
 def comm_product(field, pairs, m):
-    out = None
-    for a, b in pairs:
-        c = commutator(variable(field, m, a), variable(field, m, b))
-        out = c if out is None else out * c
-    return out
+    """[xa,xb][xc,xd]... over the given (a, b) pairs, in m variables."""
+    return NcPolynomial.parse(
+        "*".join(f"(x{a}*x{b}-x{b}*x{a})" for a, b in pairs), field, m)
 
 
 def scaled(p, c):
@@ -162,13 +161,13 @@ def test_criterion_4_band_containment():
                 pairs.append((a, b))
             q = comm_product(F101, pairs, m)
             if rng.random() < 0.3:
-                q = q * variable(F101, m, rng.randint(1, m))
+                q = times(q, variable(F101, m, rng.randint(1, m)))
             if rng.random() < 0.3:
-                q = variable(F101, m, rng.randint(1, m)) * q
+                q = times(variable(F101, m, rng.randint(1, m)), q)
             parts.append(scaled(q, F101.from_int(rng.randint(1, 100))))
         p = parts[0]
         for q in parts[1:]:
-            p = p + q
+            p = plus(p, q)
         if p.is_zero():
             continue
         r = exact_order(p)

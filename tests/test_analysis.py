@@ -10,6 +10,7 @@ import pytest
 
 import utpoly.analysis
 import utpoly.triangular
+from nc_terms import bracket, plus, times
 from plan_reference import band_sets
 from utpoly.analysis import (classify, coeff_poly, exact_order,
                              leading_tuples, order)
@@ -17,25 +18,17 @@ from utpoly.cpoly import CPolynomial, entry_var
 from utpoly.errors import OrderMismatch, ZeroInput
 from utpoly.fields import FieldDescriptor
 from utpoly.cli import main
-from utpoly.freealg import NcPolynomial, commutator, shared_parse
+from utpoly.freealg import NcPolynomial, shared_parse
 from utpoly.triangular import generic_evaluate, live_slots
 
 Q = FieldDescriptor.parse("Q")
 F7 = FieldDescriptor.parse("Fp:7")
 
 
-def X(i, m):
-    return NcPolynomial.variable(Q, m, i)
-
-
 def comm_product(K):
     """[x1,x2][x3,x4]...[x_{2K-1},x_{2K}]"""
-    m = 2 * K
-    out = None
-    for k in range(K):
-        c = commutator(X(2 * k + 1, m), X(2 * k + 2, m))
-        out = c if out is None else out * c
-    return out
+    return NcPolynomial.parse("*".join(
+        f"(x{2 * k + 1}*x{2 * k + 2}-x{2 * k + 2}*x{2 * k + 1})" for k in range(K)), Q)
 
 
 def is_identity(p, n):
@@ -295,16 +288,16 @@ def random_ordered_polys(desc, seed, count=12):
         m = rng.randint(1, 3)
         out = word(m) if rng.random() < 0.3 else None
         for _ in range(rng.randint(1, 3)):
-            c = commutator(word(m), word(m))
-            out = c if out is None else out * c
+            c = bracket(word(m), word(m))
+            out = c if out is None else times(out, c)
         if rng.random() < 0.3:
             c = desc.from_int(rng.randint(1, 2))
             if desc.kind == "complex" and rng.random() < 0.5:
                 c = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
             extra = word(m) if rng.random() < 0.3 else \
-                commutator(word(m), word(m))
-            out = out + NcPolynomial(desc, m, {w: c * v
-                                               for w, v in extra.terms.items()})
+                bracket(word(m), word(m))
+            out = plus(out, NcPolynomial(desc, m, {w: c * v
+                                                   for w, v in extra.terms.items()}))
         if not out.is_zero():
             count -= 1
             yield out
@@ -357,7 +350,7 @@ def test_classify_matches_generic_probe(field, monkeypatch):
                 seen.add(("order", "cap" if got is None else "r"))
             assert exact_order(p) == order_r, p.terms
     with pytest.raises(ZeroInput):
-        exact_order(NcPolynomial.zero(desc, 2))
+        exact_order(NcPolynomial(desc, 2, {}))
     assert {"dense_full", "equals_band", "zero"} <= seen
     assert {("order", "cap"), ("order", "r")} <= seen
 

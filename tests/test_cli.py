@@ -2,6 +2,7 @@
 
 import argparse
 import hashlib
+import io
 import json
 import os
 import random
@@ -353,7 +354,7 @@ def test_commands_that_know_n_search_the_order_below_n(tmp_path, capsys,
     assert elapsed < 2.0, elapsed
 
 
-def test_generic_monomial_budget_fires_while_the_product_grows(capsys, monkeypatch):
+def test_generic_monomial_budget_fires_before_the_fold(capsys, monkeypatch):
     """The guard counts the product of x1*x2 at n = 260 from its word
     and n before the fold, so under a budget of 10 it stops before
     building any of its 2.96 M monomials (about 9.7 s and 440 MB when it
@@ -507,6 +508,44 @@ def test_exit_code_missing_file(capsys):
     code, _, err = run(capsys, "solve", "--poly", "x1*x2-x2*x1", "--n", "2",
                        "--target", "/nonexistent/t.json")
     assert code == 1 and "not found" in err
+
+
+# a pair (x1, x2) of 2x2 matrices over Q, at which x1*x2 - x2*x1 is -2 at (1,2)
+_PAIR = {"matrices": [
+    {"n": 2, "entries": [{"j": 1, "k": 1, "value": "1"}, {"j": 1, "k": 2, "value": "2"},
+                         {"j": 2, "k": 2, "value": "3"}]},
+    {"n": 2, "entries": [{"j": 1, "k": 1, "value": "5"}, {"j": 1, "k": 2, "value": "7"},
+                         {"j": 2, "k": 2, "value": "11"}]}]}
+
+
+@pytest.mark.parametrize("argv,code,error", [
+    (("eval", "--poly", "x1*x2-x2*x1", "--matrices", "-"), 0, None),
+    (("solve", "--poly", "x1*x2-x2*x1", "--n", "2", "--target", "PAIR"), 1,
+     "UsageError"),
+    (("eval", "--poly", "x1", "--generic"), 1, "UsageError"),
+    (("order", "--poly", "x1", "--field", "C:abc"), 1, "ParseError"),
+    (("oracle-enum", "--poly", "x1+x2+x3", "--field", "Fp:3", "--n", "3"), 2,
+     "ResourceLimit"),
+    (("hit", "--poly", "x1*x2-x2*x1", "--field", "Fp:2", "--n", "2",
+      "--open-set", "y[1,2]^2 - y[1,2]", "--nonzero-budget", "5"), 3,
+     "BudgetExhausted")])
+def test_rarely_taken_exits(tmp_path, capsys, monkeypatch, argv, code, error):
+    """A tuple read from stdin, a tuple file given as a target, --generic
+    without --n, a bad C tolerance, more than two variables for
+    oracle-enum, and an open set that F_2 never leaves: each exit code,
+    and for a failure its one 'utpoly: <Error>:' line on stderr."""
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps(_PAIR))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(_PAIR)))
+    got, out, err = run(capsys, *(str(pair) if a == "PAIR" else a for a in argv))
+    assert got == code, err
+    if error is None:
+        assert err == ""
+        assert json.loads(out)["result"]["entries"] == [
+            {"j": 1, "k": 2, "value": "-2"}]
+    else:
+        assert out == "" and err.count("\n") == 1, err
+        assert err.startswith(f"utpoly: {error}: "), err
 
 
 def test_oracle_enum_guards(capsys):
@@ -887,6 +926,22 @@ def test_nan_residual_fails_the_target(tmp_path, capsys):
         rep = json.loads(out, parse_constant=pytest.fail)
         assert rep["target_met"] is False, poly
         assert rep["target_residual"] is None, poly
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp:101", "C"])
+def test_verify_refuses_a_target_of_another_size(tmp_path, capsys, field):
+    """A 2x2 witness against a 3x3 target is a SizeMismatch on every
+    field.  Over C verify once compared the two entry by entry within
+    eps, and met this target, whose only entry is the witness's value."""
+    witness = tmp_path / "w.json"
+    witness.write_text(json.dumps(_PAIR))
+    target = tmp_path / "t.json"
+    target.write_text(json.dumps({"n": 3, "entries": [
+        {"j": 1, "k": 2, "value": "-2"}]}))
+    code, out, err = run(capsys, "verify", "--poly", "x1*x2-x2*x1", "--field",
+                         field, "--witness", str(witness), "--target", str(target))
+    assert code == 2 and out == "", out
+    assert err == "utpoly: SizeMismatch: sizes 2 and 3\n", err
 
 
 @pytest.mark.parametrize("field", ["Q", "Fp:7", "C"])

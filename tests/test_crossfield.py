@@ -16,10 +16,11 @@ from fractions import Fraction
 
 import pytest
 
+from nc_terms import bracket, times
 from utpoly.analysis import coeff_poly, exact_order
 from utpoly.errors import UtpolyError
 from utpoly.fields import FieldDescriptor
-from utpoly.freealg import NcPolynomial, commutator
+from utpoly.freealg import NcPolynomial
 from utpoly.solver import SolveOptions, solve_target, verify
 from utpoly.triangular import (FieldRing, UTMatrix, evaluate,
                                evaluate_structured, live_slots)
@@ -66,8 +67,8 @@ def random_poly(rng, ell):
                 terms[swapped] = terms.get(swapped, Fraction(0)) - c
         p = NcPolynomial(Q, m, terms)
         for _ in range(rng.randint(0, 2)):
-            p = p * commutator(NcPolynomial(Q, m, {word(1, 2): Q.one()}),
-                               NcPolynomial(Q, m, {word(1, 2): Q.one()}))
+            p = times(p, bracket(NcPolynomial(Q, m, {word(1, 2): Q.one()}),
+                                 NcPolynomial(Q, m, {word(1, 2): Q.one()})))
         if not p.is_zero():
             return p
 

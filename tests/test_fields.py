@@ -11,6 +11,7 @@ from itertools import groupby
 import pytest
 
 import utpoly.fields
+from nc_terms import plus, times
 from utpoly import parsing
 from utpoly.cpoly import CPolynomial, _mono_mul, diag_var, entry_var, out_var
 from utpoly.errors import FieldMismatch, NoRootInField, ParseError, ResourceLimit
@@ -182,8 +183,6 @@ _MIXED = {
                        + CPolynomial.parse("z[1,1]", F11)),
     "cpoly*": lambda: (CPolynomial.parse("z[1,1]", F7)
                        * CPolynomial.parse("z[1,1]", F11)),
-    "ncpoly+": lambda: NcPolynomial.parse("x1", F7) + NcPolynomial.parse("x1", F11),
-    "ncpoly*": lambda: NcPolynomial.parse("x1", F7) * NcPolynomial.parse("x1", F11),
     "solve_target": lambda: solve_target(NcPolynomial.parse(_COMM, F7), 2,
                                          _target(F11)),
     "verify_witness": lambda: verify(NcPolynomial.parse(_COMM, F7), _mats(F11)),
@@ -353,9 +352,10 @@ def test_split_sign():
 
 
 # -- shared sparse-polynomial helpers against the loops they replaced ----------
-# NcPolynomial.__add__, CPolynomial.__add__ and _FreeBuilder.add each had
-# the loop of _ref_add; NcPolynomial.__mul__ and _FreeBuilder.mul that of
-# _ref_free_mul, CPolynomial.__mul__ that of _ref_comm_mul.
+# CPolynomial.__add__ and _FreeBuilder.add each had the loop of _ref_add;
+# _FreeBuilder.mul that of _ref_free_mul, CPolynomial.__mul__ that of
+# _ref_comm_mul.  The free sums and products here wrap the same kernels
+# (tests/nc_terms.py).
 
 
 def _ref_add(field, a, b):
@@ -504,7 +504,7 @@ def test_term_helpers_match_the_loops_they_replaced(spec):
     for _ in range(150):
         a, b, c = (NcPolynomial(desc, 2, _random_terms(desc, rng, _word))
                    for _ in range(3))
-        got = (a * b + c) * a
+        got = times(plus(times(a, b), c), a)
         want = NcPolynomial(desc, 2, _ref_free_mul(NcPolynomial(
             desc, 2, _ref_add(desc, NcPolynomial(
                 desc, 2, _ref_free_mul(a.terms, b.terms)).terms,

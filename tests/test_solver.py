@@ -10,6 +10,7 @@ import pytest
 import utpoly.analysis
 import utpoly.solver
 import utpoly.triangular
+from nc_terms import bracket, times
 from plan_reference import band_sets
 from utpoly.analysis import coeff_poly, exact_order, leading_tuples
 from utpoly.cpoly import CPolynomial, diag_var, entry_var, out_var
@@ -18,7 +19,7 @@ from utpoly.errors import (BandViolation, BudgetExhausted,
                            InternalInconsistency, NoRootInField,
                            OrderMismatch, VariableOutOfRange, ZeroInput)
 from utpoly.fields import FieldDescriptor
-from utpoly.freealg import NcPolynomial, commutator
+from utpoly.freealg import NcPolynomial
 from utpoly.solver import (SolveOptions, _affine_entry, _affine_parts,
                            _entries_positive, _entries_r0, band_coordinates,
                            build_sweep_plan_rn, find_diagonals, hit_open_set,
@@ -31,17 +32,10 @@ F5 = FieldDescriptor.parse("Fp:5")
 C = FieldDescriptor.parse("C")
 
 
-def X(i, m):
-    return NcPolynomial.variable(Q, m, i)
-
-
 def comm_product(K):
-    m = 2 * K
-    out = None
-    for k in range(K):
-        c = commutator(X(2 * k + 1, m), X(2 * k + 2, m))
-        out = c if out is None else out * c
-    return out
+    """[x1,x2][x3,x4]...[x_{2K-1},x_{2K}]"""
+    return NcPolynomial.parse("*".join(
+        f"(x{2 * k + 1}*x{2 * k + 2}-x{2 * k + 2}*x{2 * k + 1})" for k in range(K)), Q)
 
 
 def qmat(n, entries):
@@ -199,7 +193,7 @@ def test_find_diagonals_r4_at_n32_within_budget():
 def test_find_diagonals_rejects_zero_coefficient():
     p = comm_product(1)
     with pytest.raises(ZeroInput):
-        find_diagonals(p + NcPolynomial.zero(Q, 3), (3,), 3, random.Random(0))
+        find_diagonals(NcPolynomial(Q, 3, p.terms), (3,), 3, random.Random(0))
 
 
 def test_find_diagonals_needs_enough_rows():
@@ -348,7 +342,7 @@ def sweep_polys(desc, seed, count=10):
         for _ in range(rng.randint(0, 2)):
             a = NcPolynomial(desc, m, {word(m): desc.one()})
             b = NcPolynomial(desc, m, {word(m): desc.one()})
-            out = out * commutator(a, b)
+            out = times(out, bracket(a, b))
         if not out.is_zero():
             count -= 1
             yield out

@@ -18,10 +18,7 @@ SRC = ROOT / "src" / "utpoly"
 BENCH = ROOT / "bench"
 _DOTTED = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)*")
 
-ALLOWED = {
-    "commutator": "a public helper in the utpoly namespace for building "
-                  "polynomials such as [x1, x2] in scripts",
-}
+ALLOWED = {}
 
 
 def _uses(tree) -> Counter:

@@ -19,12 +19,13 @@ from itertools import combinations
 import pytest
 
 import utpoly.triangular
+from nc_terms import plus
 from utpoly.analysis import coeff_poly, exact_order, leading_tuples
 from utpoly.cpoly import CPolynomial, diag_var, entry_var
 from utpoly.errors import (ArityMismatch, FieldMismatch, ParseError,
                            ResourceLimit, SizeMismatch, UtpolyError)
 from utpoly.fields import FieldDescriptor
-from utpoly.freealg import NcPolynomial, commutator
+from utpoly.freealg import NcPolynomial
 from utpoly.solver import SolveOptions, build_sweep_plan_rn, solve_target
 from utpoly.triangular import (FieldRing, PolyRing, UTMatrix, evaluate,
                                evaluate_structured, generic_evaluate,
@@ -729,7 +730,7 @@ def test_prime_field_values_are_reduced_at_rest(field):
         n, m = rng.randint(1, 4), rng.randint(1, 3)
         p = rand_poly(desc, rng, m)
         # coefficients p - 1 and 1 make every sum and product leave [0, p)
-        p = p + NcPolynomial(desc, m, {(rng.randint(1, m),): desc.from_int(-1)})
+        p = plus(p, NcPolynomial(desc, m, {(rng.randint(1, m),): desc.from_int(-1)}))
         if p.is_zero():
             continue
         mats = [rand_matrix(desc, ring, n, rng) for _ in range(m)]
