@@ -9,6 +9,7 @@ Generic upper triangular matrices expand into three variable kinds:
 Keys are plain tuples so they sort and hash naturally.  A monomial is a
 tuple of (key, exponent) pairs sorted by key; a polynomial maps monomials
 to nonzero coefficients.  Unlike the free algebra, constants are allowed.
+A polynomial comes from text (parse) or a term map; it has no + or -.
 """
 
 from __future__ import annotations
@@ -19,9 +20,8 @@ from math import gcd
 
 from . import parsing
 from .errors import FieldMismatch, ParseError, ResourceLimit, UnboundVariable
-from .fields import FieldDescriptor, add_terms, mul_terms, render_terms
+from .fields import FieldDescriptor, TermBuilder, mul_terms, render_terms
 
-EMPTY = ()
 
 
 def entry_var(j: int, k: int, i: int) -> tuple:
@@ -76,16 +76,8 @@ class CPolynomial:
         return cls(field, {})
 
     @classmethod
-    def const(cls, field: FieldDescriptor, c) -> "CPolynomial":
-        return cls(field, {EMPTY: c})
-
-    @classmethod
-    def variable(cls, field: FieldDescriptor, key: tuple) -> "CPolynomial":
-        return cls(field, {((key, 1),): field.one()})
-
-    @classmethod
     def parse(cls, text: str, field: FieldDescriptor, kinds: str = "xzy") -> "CPolynomial":
-        return parsing.parse_text(text, _CBuilder(field, kinds))
+        return cls(field, parsing.parse_text(text, _CBuilder(field, kinds)))
 
     # -- structure -----------------------------------------------------------
 
@@ -112,17 +104,6 @@ class CPolynomial:
     def _check(self, other: "CPolynomial"):
         if not self.field.same_field(other.field):
             raise FieldMismatch(f"{self.field.render()} vs {other.field.render()}")
-
-    def __add__(self, other):
-        self._check(other)
-        return CPolynomial(self.field,
-                           add_terms(self.terms, other.terms, self.field.zero()))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return CPolynomial(self.field, {m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other):
         self._check(other)
@@ -200,13 +181,15 @@ class CPolynomial:
         return f"CPolynomial({self.field.render()}, {self.render()})"
 
 
-class _CBuilder:
-    def __init__(self, field: FieldDescriptor, kinds: str):
-        self.field = field
-        self.kinds = kinds
+class _CBuilder(TermBuilder):
+    """Term maps keyed by monomials, a monomial's letters its degree."""
 
-    def const(self, text: str):
-        return CPolynomial.const(self.field, self.field.parse_literal(text))
+    like = "terms"
+    join = staticmethod(_mono_mul)
+
+    def __init__(self, field: FieldDescriptor, kinds: str):
+        super().__init__(field)
+        self.kinds = kinds
 
     def var(self, token: parsing.Token):
         if token.kind != "BVAR":
@@ -216,40 +199,15 @@ class _CBuilder:
         if letter not in self.kinds:
             raise ParseError(f"variable kind {letter!r} not allowed here", token.pos)
         try:
-            if letter == "x":
-                key = entry_var(*idx)
-            elif letter == "z":
-                key = diag_var(*idx)
-            else:
-                key = out_var(*idx)
+            key = {"x": entry_var, "z": diag_var, "y": out_var}[letter](*idx)
         except (TypeError, ValueError) as exc:
             raise ParseError(str(exc), token.pos) from None
-        return CPolynomial.variable(self.field, key)
+        return {((key, 1),): self.field.one()}
 
-    def add(self, a, b):
-        return a + b
+    @staticmethod
+    def letters(m: tuple) -> int:
+        return sum(e for _, e in m)
 
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        parsing._check_letters(len(b.terms) * _letters(a) + len(a.terms) * _letters(b),
-                               "terms")
-        return a * b
-
-    def pow(self, a, e):
-        """a^e, equal to parsing.power(self.mul, a, e) at rest: a single
-        term's exponents are multiplied by e, and its coefficient's power
-        taken by FieldDescriptor.power."""
-        if len(a.terms) != 1:
-            return parsing.power(self.mul, a, e)
-        (m, c), = a.terms.items()
-        parsing._check_letters(_letters(a) * e, "terms")
-        return CPolynomial(self.field, {tuple((key, k * e) for key, k in m):
-                                        self.field.power(c, e)})
-
-
-def _letters(a: CPolynomial) -> int:
-    """The letters of a's monomials, each monomial's being its degree."""
-    return sum(k for m in a.terms for _, k in m)
-
+    @staticmethod
+    def key_power(m: tuple, e: int) -> tuple:
+        return tuple((key, k * e) for key, k in m)

@@ -16,8 +16,9 @@ zero filter of every sparse container, and two values are equal when
 their difference does not pass it.  Complex is an approximate stand-in
 for an algebraically closed field: equality there means agreement
 within eps.
-The sum, product and text of sparse polynomials (add_terms, mul_terms,
-render_terms) live here too, shared by the free and commutative kinds.
+The sparse-polynomial helpers of the free and commutative kinds, sum,
+product, text and parser builder (add_terms, mul_terms, render_terms,
+TermBuilder), live here too.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from fractions import Fraction
 from itertools import count
 
 from .errors import NoRootInField, NonConvergence, ParseError, ResourceLimit
-from .parsing import is_digits, power as left_fold
+from .parsing import _check_letters, is_digits, power as left_fold
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # psi_13, the least composite that is a strong probable prime to every
@@ -333,6 +334,41 @@ def mul_terms(a: dict, b: dict, join) -> dict:
             prod = c1 * c2
             out[key] = out[key] + prod if key in out else prod
     return out
+
+
+class TermBuilder:
+    """parsing.parse_text's builder of {key: coefficient} maps, () the
+    constant key.  A kind's subclass gives var(token), its key rules
+    join(k1, k2), letters(key) and key_power(key, e), and like, its keys'
+    name in the letter guard's message.  Cancelled terms stay in
+    (add_terms): the polynomial's constructor drops the zeros once."""
+
+    def __init__(self, field: FieldDescriptor):
+        self.field = field
+
+    def const(self, text: str) -> dict:
+        return {(): self.field.parse_literal(text)}
+
+    def add(self, a: dict, b: dict) -> dict:
+        return add_terms(a, b, self.field.zero())
+
+    def neg(self, a: dict) -> dict:
+        return {key: -c for key, c in a.items()}
+
+    def mul(self, a: dict, b: dict) -> dict:
+        letters = self.letters
+        _check_letters(len(b) * sum(map(letters, a)) + len(a) * sum(map(letters, b)),
+                       self.like)
+        return mul_terms(a, b, self.join)
+
+    def pow(self, a: dict, e: int) -> dict:
+        """a^e, equal at rest to parsing.power(self.mul, a, e): a single
+        term's key and coefficient (FieldDescriptor.power) raised at once."""
+        if len(a) != 1:
+            return left_fold(self.mul, a, e)
+        (key, c), = a.items()
+        _check_letters(self.letters(key) * e, self.like)
+        return {self.key_power(key, e): self.field.power(c, e)}
 
 
 def render_terms(desc: FieldDescriptor, items) -> str:

@@ -15,7 +15,7 @@ from itertools import groupby
 
 from . import parsing
 from .errors import ArityMismatch, ConstantTermError, ParseError, VariableOutOfRange
-from .fields import FieldDescriptor, add_terms, mul_terms, render_terms
+from .fields import FieldDescriptor, TermBuilder, render_terms
 
 
 class NcPolynomial:
@@ -113,13 +113,16 @@ def shared_parse(text: str, field: FieldDescriptor, nvars: int | None) -> NcPoly
     return NcPolynomial.parse(text, field, nvars)
 
 
-class _FreeBuilder:
-    def __init__(self, field: FieldDescriptor):
-        self.field = field
-        self.max_index = 0
+class _FreeBuilder(TermBuilder):
+    """Term maps keyed by words, a word's letters its length."""
 
-    def const(self, text: str):
-        return {(): self.field.parse_literal(text)}
+    like = "words"
+    join = operator.add
+    letters = len
+
+    def __init__(self, field: FieldDescriptor):
+        super().__init__(field)
+        self.max_index = 0
 
     def var(self, token: parsing.Token):
         if token.kind != "VAR":
@@ -130,24 +133,7 @@ class _FreeBuilder:
         self.max_index = max(self.max_index, i)
         return {(i,): self.field.one()}
 
-    def add(self, a, b):
-        return add_terms(a, b, self.field.zero())
-
-    def neg(self, a):
-        return {w: -c for w, c in a.items()}
-
-    def mul(self, a, b):
-        parsing._check_letters(len(b) * sum(map(len, a)) + len(a) * sum(map(len, b)),
-                               "words")
-        return mul_terms(a, b, operator.add)
-
-    def pow(self, a, e):
-        """a^e, equal to parsing.power(self.mul, a, e) at rest: a single
-        term's word is built once, in linear time, and its coefficient's
-        power by FieldDescriptor.power."""
-        if len(a) != 1:
-            return parsing.power(self.mul, a, e)
-        (word, c), = a.items()
-        parsing._check_letters(len(word) * e, "words")
+    @staticmethod
+    def key_power(word: tuple, e: int) -> tuple:
         # a number's word is (), and () * e overflows past sys.maxsize
-        return {word * e if word else (): self.field.power(c, e)}
+        return word * e if word else ()

@@ -17,13 +17,13 @@ other Unicode digits (x², x٣) are refused, not read as numbers.
 tokenize makes one Token, a __slots__ object, per lexeme and tests
 single characters against a frozenset of those digits; is_digits tests
 a run (an index here, a literal in cli and fields).  A power x^e is the
-builder's pow, equal to the left fold ((x*x)*x)... of its mul.  Both
-builders refuse a product or power whose monomials would hold more than
-_MAX_LETTERS letters before like ones merge (_check_letters), and take
-a number's power through FieldDescriptor.power.
+builder's pow, equal to the left fold ((x*x)*x)... of its mul.
 The engine is shared by the free-algebra parser and the structured
-coefficient-polynomial parser; each supplies a builder that decides which
-variable shapes are legal and how constants embed (see parse_text).
+coefficient-polynomial parser: each builds the text's term map with a
+subclass of fields.TermBuilder, whose var decides which variable shapes
+are legal (see parse_text).  The builder refuses a product or power
+whose monomials would hold more than _MAX_LETTERS letters before like
+ones merge (_check_letters).
 """
 
 from __future__ import annotations

@@ -214,6 +214,8 @@ class UTMatrix:
 
     def __matmul__(self, other):
         self._check(other)
+        if self.ring.kind != "field":
+            raise FieldMismatch("symbolic matrices are output only: no product")
         return UTMatrix._of(self.ring, self.n,
                             _product(self.entries, other.entries, self.n, self.ring))
 
@@ -229,12 +231,12 @@ class UTMatrix:
         return min(k - j for j, k in self.entries) - 1
 
     def eq(self, other: "UTMatrix") -> bool:
-        """Equality entry by entry: a - b passes no zero filter, so within
-        eps over C, as polynomials over the poly ring.  Over Q and F_p,
+        """Equality entry by entry: over C, a - b passes no zero filter, so
+        within eps.  Over Q and F_p, and over the poly ring term by term,
         entries at rest are canonical and zero-free, so the entry maps are
         equal exactly when the matrices are."""
         self._check(other)
-        if self.ring.kind == "field" and self.ring.desc.kind != "complex":
+        if self.ring.kind == "poly" or self.ring.desc.kind != "complex":
             return self.entries == other.entries
         nonzero = self.ring.nonzero
         return all(nonzero(self.entry(*pos) - other.entry(*pos)) is None
@@ -469,16 +471,14 @@ def generic_evaluate(p, n: int) -> UTMatrix:
     budget, longest = _MONOMIAL_BUDGET, max(map(len, p.terms), default=0)
     if longest >= 2 and comb(longest + n, n - 1) > budget:
         raise ResourceLimit(f"symbolic matrix grew past {budget} monomials")
-    # rows[i - 1][l]: (k, the step of entry (l, k) of generic matrix i), k >= l
-    rows: list = [None] * p.nvars
-    for f, i in enumerate(used):
-        rows[i - 1] = {l: [(l, 1 << zstart[l, i])]
-                       + [(k, ((k - l - 1) * u + f + 1) << xstart[l - 1])
-                          for k in range(l + 1, n + 1)]
-                       for l in range(1, n + 1)}
-    letters = [None if by_row is None else
-               {(l, k): [s] for l, row in by_row.items() for k, s in row}
-               for by_row in rows]
+    # rows[i - 1][l]: (k, the step of entry (l, k) of generic matrix i), k >= l, i in used
+    rows = {i - 1: {l: [(l, 1 << zstart[l, i])]
+                    + [(k, ((k - l - 1) * u + f + 1) << xstart[l - 1])
+                       for k in range(l + 1, n + 1)]
+                    for l in range(1, n + 1)}
+            for f, i in enumerate(used)}
+    letters = {i: {(l, k): [s] for l, row in by_row.items() for k, s in row}
+               for i, by_row in rows.items()}
 
     def times(prod, row):
         # _product's visiting order, so its term order
@@ -585,6 +585,9 @@ def live_slots(p, k: int) -> dict:
     """
     index = p.index
     if k in index:
+        return index[k]
+    if k > p.degree():      # no placement; combinations would allocate k indices
+        index[k] = {}
         return index[k]
     visits = sum(comb(len(word), k) * len(word) for word in p.terms)
     if visits > _MAX_SLOT_VISITS:

@@ -235,6 +235,17 @@ def test_coeffs_leading_past_the_last_live_length(capsys):
     assert out == '{"leading_tuples":[],"r":3}\n'
 
 
+def test_coeffs_leading_past_the_degree_enumerates_nothing(capsys):
+    """R past the degree of p has no placement: an empty list at once.
+    It used to end in an OverflowError traceback (a MemoryError at
+    R = 10^12) from allocating R indices for the placements."""
+    r = 10 ** 20
+    code, out, err = run(capsys, "coeffs", "--poly", "x1*x2-x2*x1",
+                         "--leading", str(r))
+    assert (code, err) == (0, ""), err
+    assert out == f'{{"leading_tuples":[],"r":{r}}}\n'
+
+
 def test_solve_and_verify_roundtrip(tmp_path, capsys):
     target = {"n": 2, "ring": "field",
               "entries": [{"j": 1, "k": 2, "value": "5"}]}
@@ -402,6 +413,18 @@ def test_generic_evaluation_refuses_a_wide_packing(capsys):
                "--m", "400") == narrow
 
 
+@pytest.mark.parametrize("command", [("order",), ("eval", "--generic", "--n", "3")])
+def test_a_huge_m_is_read_like_the_letters_p_holds(capsys, command):
+    """--m past the letters of p declares letters p does not hold: the
+    generic evaluation keys its tables by the letters p holds, so the
+    answer is that of --m 2.  A table per declared letter used to end in
+    an OverflowError traceback (a MemoryError at m = 10^9)."""
+    argv = (*command, "--poly", "x1*x2-x2*x1", "--m")
+    code, out, err = run(capsys, *argv, str(10 ** 20))
+    assert (code, err) == (0, ""), err
+    assert (code, out, err) == run(capsys, *argv, "2")
+
+
 def test_order_of_five_commutators_within_budget(capsys):
     """order probes the generic evaluation at sizes 1..6 of a product of
     five commutators (order 5), in about 0.1 s.  Runtime budget: 4 s."""
@@ -455,6 +478,18 @@ def test_solve_routes_order_zero(tmp_path, capsys):
 def test_hit_command(capsys):
     data = run_json(capsys, "hit", "--poly", "x1*x2-x2*x1", "--n", "3",
                     "--open-set", "y[1,2]*y[2,3]-1")
+    assert data["verify"]["open_set_met"] is True
+
+
+@pytest.mark.parametrize("text", ["(1e-5*y[1,2])*(1e-5*y[1,2])*1e10",
+                                  "1e10*(1e-5*y[1,2])*(1e-5*y[1,2])",
+                                  "(1e-5*y[1,2])^2*1e10"])
+def test_an_open_set_over_c_does_not_depend_on_its_bracketing(capsys, text):
+    """Each text is y[1,2]^2 up to rounding: its term map is built
+    whole and its zeros dropped once.  The first and last exited 2 with
+    ZeroInput, the 1e-10 of an intermediate product dropped as zero."""
+    data = run_json(capsys, "hit", "--poly", "x1*x2-x2*x1", "--field", "C",
+                    "--n", "3", "--open-set", text)
     assert data["verify"]["open_set_met"] is True
 
 

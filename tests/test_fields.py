@@ -13,7 +13,7 @@ import pytest
 import utpoly.fields
 from nc_terms import plus, times
 from utpoly import parsing
-from utpoly.cpoly import CPolynomial, _mono_mul, diag_var, entry_var, out_var
+from utpoly.cpoly import CPolynomial, _CBuilder, _mono_mul, diag_var, entry_var, out_var
 from utpoly.errors import FieldMismatch, NoRootInField, ParseError, ResourceLimit
 from utpoly.fields import (FieldDescriptor, _rational_roots, is_prime,
                            solve_univariate, split_sign)
@@ -179,8 +179,6 @@ _MIXED = {
     "evaluate": lambda: evaluate(NcPolynomial.parse(_COMM, F7), _mats(F11)),
     "evaluate_structured": lambda: evaluate_structured(
         NcPolynomial.parse(_COMM, F7), _mats(F11)),
-    "cpoly+": lambda: (CPolynomial.parse("z[1,1]", F7)
-                       + CPolynomial.parse("z[1,1]", F11)),
     "cpoly*": lambda: (CPolynomial.parse("z[1,1]", F7)
                        * CPolynomial.parse("z[1,1]", F11)),
     "solve_target": lambda: solve_target(NcPolynomial.parse(_COMM, F7), 2,
@@ -256,7 +254,7 @@ def test_rational_text_stops_past_the_digit_limit(monkeypatch, value):
     the limit."""
     monkeypatch.setattr(utpoly.fields, "_digit_limit", lambda: 12)
     assert Q.render_value(value) == str(value)
-    q = CPolynomial.const(Q, value) * CPolynomial.variable(Q, diag_var(1, 1))
+    q = CPolynomial(Q, {((diag_var(1, 1), 1),): value})
     assert q.render() == f"{value}*z[1,1]"
     monkeypatch.setattr(utpoly.fields, "_digit_limit", lambda: 11)
     for text in (lambda: Q.render_value(value), q.render):
@@ -352,10 +350,10 @@ def test_split_sign():
 
 
 # -- shared sparse-polynomial helpers against the loops they replaced ----------
-# CPolynomial.__add__ and _FreeBuilder.add each had the loop of _ref_add;
-# _FreeBuilder.mul that of _ref_free_mul, CPolynomial.__mul__ that of
-# _ref_comm_mul.  The free sums and products here wrap the same kernels
-# (tests/nc_terms.py).
+# TermBuilder.add has the loop of _ref_add; its mul, that of _ref_free_mul
+# with the free builder's join and that of _ref_comm_mul with the open-set
+# builder's, as CPolynomial.__mul__ has.  The free sums and products here
+# wrap the same kernels (tests/nc_terms.py).
 
 
 def _ref_add(field, a, b):
@@ -495,12 +493,12 @@ def _exact(items):
 
 @pytest.mark.parametrize("spec", ["Q", "Fp:2", "Fp:101", "C", "C:0.5"])
 def test_term_helpers_match_the_loops_they_replaced(spec):
-    """Sums, products and text of both polynomial kinds, and the free
-    parser's raw sums and products, against the copies above: same
+    """Sums, products and text of both polynomial kinds, and both
+    parsers' raw sums and products, against the copies above: same
     coefficients to the bit and same term order (C's summation order)."""
     desc = FieldDescriptor.parse(spec)
     rng = random.Random(spec)
-    builder = _FreeBuilder(desc)
+    builder, cbuilder = _FreeBuilder(desc), _CBuilder(desc, "xzy")
     for _ in range(150):
         a, b, c = (NcPolynomial(desc, 2, _random_terms(desc, rng, _word))
                    for _ in range(3))
@@ -522,12 +520,14 @@ def test_term_helpers_match_the_loops_they_replaced(spec):
 
         f, g, h = (CPolynomial(desc, _random_terms(desc, rng, _mono))
                    for _ in range(3))
-        got = (f * g + h) * f
-        want = CPolynomial(desc, _ref_comm_mul(CPolynomial(
-            desc, _ref_add(desc, CPolynomial(
-                desc, _ref_comm_mul(f.terms, g.terms)).terms,
-                h.terms)).terms, f.terms))
-        assert _exact(got.terms.items()) == _exact(want.terms.items())
+        assert _exact((f * g).terms.items()) == \
+            _exact(CPolynomial(desc, _ref_comm_mul(f.terms, g.terms)).terms.items())
+        # raw builder maps keep cancelled terms and a constant ()
+        rh = {**h.terms, (): _coeff(desc, rng)}
+        raw = cbuilder.mul(cbuilder.add(cbuilder.mul(f.terms, g.terms), rh), f.terms)
+        assert _exact(raw.items()) == _exact(_ref_comm_mul(
+            _ref_add(desc, _ref_comm_mul(f.terms, g.terms), rh), f.terms).items())
+        got = CPolynomial(desc, raw)
         for q in (f, g, h, got):
             assert q.render() == _ref_render(q)
 

@@ -221,6 +221,107 @@ def test_open_set_parser_refuses_a_product_past_its_letter_limit(text, letters):
     assert CPolynomial.parse(f"y[1,2]^{limit}", Q).degree() == limit
 
 
+class PerOperationBuilder:
+    """The earlier open-set builder, kept as the reference: every value it
+    makes is a polynomial whose zero terms (within eps over C) are
+    dropped, after each operation.  dropped counts the terms dropped."""
+
+    def __init__(self, field):
+        self.field = field
+        self.var = cpoly._CBuilder(field, "xzy").var
+        self.dropped = 0
+
+    def clean(self, terms):
+        out = {m: v for m, c in terms.items() if (v := self.field.nonzero(c)) is not None}
+        self.dropped += len(terms) - len(out)
+        return out
+
+    def const(self, text):
+        return self.clean({(): self.field.parse_literal(text)})
+
+    def add(self, a, b):
+        terms = dict(a)
+        for m, c in b.items():
+            terms[m] = terms.get(m, self.field.zero()) + c
+        return self.clean(terms)
+
+    def neg(self, a):
+        return self.clean({m: -c for m, c in a.items()})
+
+    def mul(self, a, b):
+        terms = {}
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
+                m = cpoly._mono_mul(m1, m2)
+                terms[m] = terms[m] + c1 * c2 if m in terms else c1 * c2
+        return self.clean(terms)
+
+    def pow(self, a, e):
+        if len(a) != 1:
+            return parsing.power(self.mul, a, e)
+        (m, c), = a.items()
+        return self.clean({tuple((key, k * e) for key, k in m): self.field.power(c, e)})
+
+
+_OPEN_SET_ATOMS = ["y[1,2]", "y[1,3]", "y[2,3]", "z[1,1]", "x[1,2,1]"]
+_OPEN_SET_NUMBERS = {"exact": ["1", "2", "3", "5", "2/3", "7/3", "1/7"],
+                     "complex": ["1", "2", "0.5", "1.5", "0.3", "2j", "0.7j", "1e-3"]}
+
+
+def open_set_text(rng, numbers, depth=0):
+    """A random sum of products of powers of variables, numbers and
+    bracketed sums, nested at most two deep; some sums cancel a term."""
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        factors = []
+        for _ in range(rng.randint(1, 3)):
+            roll = rng.random()
+            if roll < 0.25 and depth < 2:
+                atom = f"({open_set_text(rng, numbers, depth + 1)})"
+            elif roll < 0.45:
+                atom = rng.choice(numbers)
+            else:
+                atom = rng.choice(_OPEN_SET_ATOMS)
+            if rng.random() < 0.25:
+                atom = f"{atom}^{rng.randint(1, 3 if atom[0] != '(' else 2)}"
+            factors.append(atom)
+        terms.append("*".join(factors))
+    text = terms[0] + "".join(f" {rng.choice('+-')} {term}" for term in terms[1:])
+    if rng.random() < 0.3:
+        # a term cancels, and may come back
+        again = rng.choice(terms)
+        text = f"{again} + {text} - {again}" + (f" + {again}" if rng.random() < 0.5 else "")
+    return ("-" if rng.random() < 0.2 else "") + text
+
+
+@pytest.mark.parametrize("spec", ["Q", "Fp:2", "Fp:101", "C"])
+def test_open_set_parse_matches_the_per_operation_builder(spec):
+    """The open-set parser builds the text's term map and drops its zeros
+    once.  Over Q and F_p it gives the polynomial of the earlier builder,
+    which dropped them after each operation.  Over C, on the texts where
+    that builder dropped no term, it gives its terms in the same order
+    with the same float bits."""
+    field = FieldDescriptor.parse(spec)
+    numbers = _OPEN_SET_NUMBERS["complex" if field.kind == "complex" else "exact"]
+    rng = random.Random(spec)
+    compared = cancelled = 0
+    for _ in range(400):
+        text = open_set_text(rng, numbers)
+        got = CPolynomial.parse(text, field)
+        reference = PerOperationBuilder(field)
+        want = CPolynomial(field, parsing.parse_text(text, reference))
+        cancelled += reference.dropped > 0
+        if field.kind == "complex":
+            if reference.dropped:
+                continue
+            assert repr(got) == repr(want), text
+            assert [(m, c.real.hex(), c.imag.hex()) for m, c in got.terms.items()] == \
+                [(m, c.real.hex(), c.imag.hex()) for m, c in want.terms.items()], text
+        assert got == want, text
+        compared += 1
+    assert compared >= 200 and cancelled >= 20, (compared, cancelled)
+
+
 @pytest.mark.parametrize("field,text,same", [
     (field, text, same) for field in (Q, F7, C) for text, same in [
         ("2^3*x1", "(2)^3*x1"), ("2^0*x1", "x1"), ("5*2^2*x1", "20*x1"),

@@ -21,10 +21,10 @@ import pytest
 import utpoly.triangular
 from nc_terms import plus
 from utpoly.analysis import coeff_poly, exact_order, leading_tuples
-from utpoly.cpoly import CPolynomial, diag_var, entry_var
+from utpoly.cpoly import CPolynomial, _mono_mul, diag_var, entry_var
 from utpoly.errors import (ArityMismatch, FieldMismatch, ParseError,
                            ResourceLimit, SizeMismatch, UtpolyError)
-from utpoly.fields import FieldDescriptor
+from utpoly.fields import FieldDescriptor, add_terms, mul_terms
 from utpoly.freealg import NcPolynomial
 from utpoly.solver import SolveOptions, build_sweep_plan_rn, solve_target
 from utpoly.triangular import (FieldRing, PolyRing, UTMatrix, evaluate,
@@ -41,26 +41,42 @@ def mat(n, entries, ring=QRING):
     return UTMatrix(ring, n, {pos: Fraction(v) for pos, v in entries.items()})
 
 
+def ring_add(x, y):
+    """x + y: field values by their operator, coefficient polynomials
+    through add_terms, with the zero terms dropped after the step."""
+    if isinstance(x, CPolynomial):
+        return CPolynomial(x.field, add_terms(x.terms, y.terms, x.field.zero()))
+    return x + y
+
+
+def ring_mul(x, y):
+    """x * y: field values by their operator, coefficient polynomials
+    through mul_terms, with the zero terms dropped after the step."""
+    if isinstance(x, CPolynomial):
+        return CPolynomial(x.field, mul_terms(x.terms, y.terms, _mono_mul))
+    return x * y
+
+
 def add(a, b):
     """Reference sum of two matrices: entries added position by
     position, a zero sum dropped."""
     a._check(b)
     entries = dict(a.entries)
     for pos, v in b.entries.items():
-        entries[pos] = entries[pos] + v if pos in entries else v
+        entries[pos] = ring_add(entries[pos], v) if pos in entries else v
     return UTMatrix._own(a.ring, a.n, entries)
 
 
 def const(ring, c):
     """The element c of ring: c itself over a field, the constant
     polynomial c over the poly ring."""
-    return CPolynomial.const(ring.desc, c) if ring.kind == "poly" else c
+    return CPolynomial(ring.desc, {(): c}) if ring.kind == "poly" else c
 
 
 def scale(a, c):
     """Reference multiple c*a, a zero term dropped."""
     cc = const(a.ring, c)
-    return UTMatrix._own(a.ring, a.n, {pos: cc * v for pos, v in a.entries.items()})
+    return UTMatrix._own(a.ring, a.n, {pos: ring_mul(cc, v) for pos, v in a.entries.items()})
 
 
 def matmul_reference(a, b):
@@ -72,7 +88,8 @@ def matmul_reference(a, b):
             y = b.entries.get((l, k))
             if y is not None:
                 pos = (j, k)
-                entries[pos] = entries[pos] + x * y if pos in entries else x * y
+                xy = ring_mul(x, y)
+                entries[pos] = ring_add(entries[pos], xy) if pos in entries else xy
     return UTMatrix(a.ring, a.n, entries)
 
 
@@ -95,11 +112,12 @@ def evaluate_words(p, matrices):
 
 def generic_matrix(ring, n, i):
     """The generic matrix i of size n: each entry its own variable."""
+    one = ring.desc.one()
     entries = {}
     for j in range(1, n + 1):
-        entries[(j, j)] = CPolynomial.variable(ring.desc, diag_var(j, i))
+        entries[(j, j)] = CPolynomial(ring.desc, {((diag_var(j, i), 1),): one})
         for k in range(j + 1, n + 1):
-            entries[(j, k)] = CPolynomial.variable(ring.desc, entry_var(j, k, i))
+            entries[(j, k)] = CPolynomial(ring.desc, {((entry_var(j, k, i), 1),): one})
     return UTMatrix(ring, n, entries)
 
 
@@ -131,14 +149,15 @@ def word_product_paths(matrices, word):
                 j, step, val = stack.pop()
                 if step == w:
                     if j == t:
-                        total = total + (const(ring, ring.desc.one()) if val is None else val)
+                        total = ring_add(total, const(ring, ring.desc.one())
+                                         if val is None else val)
                     continue
                 a = matrices[word[step] - 1]
                 for nxt in range(j, t + 1):
                     f = a.entries.get((j, nxt))
                     if f is None:
                         continue
-                    stack.append((nxt, step + 1, f if val is None else val * f))
+                    stack.append((nxt, step + 1, f if val is None else ring_mul(val, f)))
             entries[(s, t)] = total    # UTMatrix drops the zeros
     return UTMatrix(ring, n, entries)
 
@@ -549,7 +568,7 @@ def test_q_evaluate_matches_the_word_by_word_fold():
         assert all(type(v) is Fraction for v in got.entries.values())
 
 
-@pytest.mark.parametrize("field", ["Q", "Fp:3", "C", "poly"])
+@pytest.mark.parametrize("field", ["Q", "Fp:3", "C"])
 def test_matmul_is_the_product_kernel(field):
     """a @ b is the kernel's entry map, and both are the reference's, term
     order and float bits included; over Q the kernel on the integer
@@ -558,10 +577,7 @@ def test_matmul_is_the_product_kernel(field):
     rng = random.Random(field)
     for _ in range(30):
         n = rng.randint(1, 5)
-        if field == "poly":
-            ring = PolyRing(Q)
-            a, b = (generic_evaluate(rand_poly(Q, rng, 2), n) for _ in range(2))
-        elif field == "Q":
+        if field == "Q":
             ring = QRING
             a, b = q_matrix(rng, n, "huge"), q_matrix(rng, n, "small")
         else:
@@ -579,6 +595,14 @@ def test_matmul_is_the_product_kernel(field):
             assert all(type(v) is int for v in ints.values())
             scaled = {pos: Fraction(v, da * db) for pos, v in ints.items()}
             assert bits(UTMatrix(ring, n, scaled)) == want
+
+
+def test_symbolic_matrices_have_no_product():
+    """A generic evaluation's matrix is output only: its polynomials have
+    no sum, so @ refuses it before the kernel adds any."""
+    a = generic_evaluate(NcPolynomial.parse("x1*x2", Q), 3)
+    with pytest.raises(FieldMismatch, match="symbolic matrices are output only"):
+        a @ a
 
 
 def test_q_evaluate_applies_each_coefficient_once_per_entry(monkeypatch, fractions_made):
@@ -782,6 +806,17 @@ def test_live_slots_bounds_the_letters_it_visits(monkeypatch):
     assert q.index == {}
     # a warm index is read, not counted again
     assert live_slots(p, 2)
+
+
+def test_live_slots_past_the_degree_enumerates_nothing(monkeypatch):
+    """No word of p has k > deg p letters to place: the index entry is
+    empty, stored for structured_entry's next read, and no placement is
+    enumerated (combinations would first allocate k indices)."""
+    p = NcPolynomial.parse("x1*x2 - x2*x1 + x1^3", Q)
+    monkeypatch.setattr(utpoly.triangular, "combinations", _forbidden)
+    for k in (4, 10 ** 12, 10 ** 20):
+        assert live_slots(p, k) == {} and p.index[k] == {}
+    assert list(p.index) == [4, 10 ** 12, 10 ** 20]
 
 
 # -- the structured path walk --------------------------------------------------
