@@ -18,9 +18,9 @@ exact_order(p, below) is the one order query on the index: it returns
 the order r when r < below and None otherwise, so p is an identity of
 size n iff exact_order(p, n) is None, and a caller that knows n searches
 no slot tuple of length n or more.  classify, coeff_poly and leading_tuples
-read the index too; only order probes generic evaluations, since its
-report names a nonzero generic entry and samples a point of that entry
-polynomial.
+read the index too; only order probes generic evaluations, the entry
+maps {(j, k): CPolynomial} of generic_evaluate, since its report names a
+nonzero generic entry and samples a point of that entry polynomial.
 
 Each polynomial keeps its own index (NcPolynomial.index); requests share
 one through the CLI's shared parse (freealg.shared_parse), whose cache
@@ -61,7 +61,7 @@ coeff_poly.cache_info = shared_parse.cache_info
 class OrderReport:
     r: int | None          # None when the cap was hit
     max_n: int
-    witness_entry: tuple | None   # (j, k) in the generic matrix of size r+1
+    witness_entry: tuple | None   # (j, k) of the generic evaluation at size r+1
     witness_point: dict | None    # VarKey -> value, makes the entry nonzero
 
     @property
@@ -108,12 +108,12 @@ def order(p: NcPolynomial, max_n: int | None = None,
     rng = random.Random(0)
     for r in range(max_n + 1):
         generic = generic_evaluate(p, r + 1)
-        if generic.entries:
+        if generic:
             break
     else:
         return OrderReport(None, max_n, None, None)
-    pos = min(generic.entries, key=lambda jk: (jk[1] - jk[0], jk[0]))
-    poly = generic.entries[pos]
+    pos = min(generic, key=lambda jk: (jk[1] - jk[0], jk[0]))
+    poly = generic[pos]
     point = None
     for _ in range(_ORDER_SAMPLES):
         cand = {v: p.field.sample(rng, sample_height)

@@ -24,7 +24,7 @@ from .freealg import NcPolynomial, shared_parse
 from .parsing import is_digits
 from .solver import SolveOptions, hit_open_set, solve_target, verify
 from .triangular import (FieldRing, UTMatrix, evaluate, evaluate_structured,
-                         generic_evaluate)
+                         generic_evaluate, matrix_json)
 
 ORACLE_PRIMES = (2, 3, 5)
 ORACLE_TUPLE_LIMIT = 10 ** 8
@@ -199,14 +199,15 @@ def _cmd_eval(args, desc: FieldDescriptor, p: NcPolynomial) -> None:
             raise UsageError("--generic needs --n")
         if args.route is not None:
             raise UsageError("--route takes --matrices: --generic has no route")
-        out = generic_evaluate(p, args.n)
+        out = matrix_json(args.n, "poly", generic_evaluate(p, args.n),
+                          CPolynomial.render)
     else:
         if args.n is not None:
             raise UsageError("--n takes --generic: a --matrices file gives its own size")
         mats = _matrices_from_file(args.matrices, desc)
         route = evaluate_structured if args.route == "structured" else evaluate
-        out = route(p, mats)
-    _emit({"result": out.to_json()})
+        out = route(p, mats).to_json()
+    _emit({"result": out})
 
 
 def _cmd_coeffs(args, desc: FieldDescriptor, p: NcPolynomial) -> None:

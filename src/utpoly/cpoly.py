@@ -72,10 +72,6 @@ class CPolynomial:
     # -- construction -------------------------------------------------------
 
     @classmethod
-    def zero(cls, field: FieldDescriptor) -> "CPolynomial":
-        return cls(field, {})
-
-    @classmethod
     def parse(cls, text: str, field: FieldDescriptor, kinds: str = "xzy") -> "CPolynomial":
         return cls(field, parsing.parse_text(text, _CBuilder(field, kinds)))
 
@@ -83,9 +79,6 @@ class CPolynomial:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def degree(self) -> int:
-        return max((sum(e for _, e in m) for m in self.terms), default=0)
 
     def variables(self) -> set:
         out = set()

@@ -29,7 +29,7 @@ triangular.structured_entry, the walk evaluate_structured also sums: a
 path uses each arc once, so the terms that slot the fresh variable on
 its arc give the slope and the others the offset, exactly.  Q and F_p
 solve, hit and verify thus make no generic evaluation.  Over C the slope
-and offset are read from the entry of the generic evaluation instead,
+and offset are read from the generic evaluation's entry map instead,
 because another summation order moves the last bits of the floats and
 with them the witness the sweep prints: one partial evaluation at every
 other variable leaves c1*fresh + c0, c1 is the slope, and the offset
@@ -59,7 +59,8 @@ from .analysis import coeff_poly, exact_order, leading_tuples
 from .cpoly import CPolynomial, diag_var, entry_var, out_var, render_var
 from .errors import (BandViolation, BudgetExhausted, DegenerateCoefficient,
                      FieldMismatch, InternalInconsistency, NoRootInField,
-                     OrderMismatch, VariableOutOfRange, ZeroInput)
+                     OrderMismatch, ResourceLimit, VariableOutOfRange,
+                     ZeroInput)
 from .fields import solve_univariate
 from .freealg import NcPolynomial
 from .triangular import (FieldRing, UTMatrix, evaluate, evaluate_structured,
@@ -282,18 +283,22 @@ def _entries_r0(n: int, diags: list, arcs: list, values: dict, desc,
             yield s, t, entry_var(s, t, star)
 
 
-def _affine_parts(generic: UTMatrix, s: int, t: int, values: dict,
+def _affine_parts(desc, generic: dict, s: int, t: int, values: dict,
                   fresh) -> tuple:
-    """(slope, offset) of entry (s, t) of the generic evaluation as an
-    affine function of its fresh variable once every other variable
-    takes its value: the coefficients of fresh^1 and of 1."""
-    cur = generic.entry(s, t).eval_partial(values)
+    """(slope, offset) of entry (s, t) of the generic evaluation's entry
+    map over desc as an affine function of its fresh variable once every
+    other variable takes its value: the coefficients of fresh^1 and of
+    1, both zero for an entry the map lacks."""
+    zero = desc.zero()
+    entry = generic.get((s, t))
+    if entry is None:
+        return zero, zero
+    cur = entry.eval_partial(values)
     linear = ((fresh, 1),)
     if any(mono not in ((), linear) for mono in cur.terms):
         raise InternalInconsistency(
             f"entry {(s, t)} is not affine in {render_var(fresh)} alone "
             f"at the assigned values")
-    zero = cur.field.zero()
     offset = cur.eval_partial({fresh: zero})
     return cur.terms.get(linear, zero), offset.terms.get((), zero)
 
@@ -352,7 +357,7 @@ def _sweep(p: NcPolynomial, n: int, r: int, target: UTMatrix,
                    if r else
                    _entries_r0(n, diags, arcs, values, desc, rng, opt.height))
         affine = (partial(_affine_entry, p, diags) if generic is None
-                  else partial(_affine_parts, generic))
+                  else partial(_affine_parts, desc, generic))
         for s, t, fresh in entries:
             if fresh is not None:
                 slope, offset = affine(s, t, values, fresh)
@@ -391,13 +396,22 @@ def _sweep(p: NcPolynomial, n: int, r: int, target: UTMatrix,
 
 
 def _check_field_matrices(p: NcPolynomial, matrices) -> None:
-    """FieldMismatch unless every matrix is over p's field: a witness
-    is made of field elements, never of symbolic entries."""
-    ring = FieldRing(p.field)
-    if not all(ring.same(a.ring) for a in matrices):
+    """FieldMismatch unless every matrix is over p's field."""
+    if not all(p.field.same_field(a.ring.desc) for a in matrices):
         raise FieldMismatch(
-            f"witness and target matrices must be over {p.field.render()}, "
-            f"not symbolic or over another field")
+            f"witness and target matrices must be over {p.field.render()}")
+
+
+# the most entries, m * n(n+1)/2, a witness may hold: tier-1 asks for at
+# most 630 (P3 at n = 14), the golden corpus and the bench for 112
+_MAX_WITNESS_ENTRIES = 10 ** 4
+
+
+def _check_witness_size(p: NcPolynomial, n: int) -> None:
+    entries = p.nvars * n * (n + 1) // 2
+    if entries > _MAX_WITNESS_ENTRIES:
+        raise ResourceLimit(f"a witness of m = {p.nvars} matrices at n = {n} holds "
+                            f"{entries} entries, past the limit of {_MAX_WITNESS_ENTRIES}")
 
 
 def _check_open_set(p: NcPolynomial, f: CPolynomial) -> None:
@@ -432,8 +446,11 @@ def solve_target(p: NcPolynomial, n: int, target: UTMatrix,
     k - j <= r-1 (band n-1 when r >= n: the image is zero), and
     DegenerateCoefficient when every retry produced a zero slope;
     FieldMismatch, before any work, for a target not over p's field.
-    The zero target gets the zero tuple, p(0) = 0, with no sweep."""
+    The zero target gets the zero tuple, p(0) = 0, with no sweep.
+    ResourceLimit first, before any listing, sampling or replay, for a
+    witness past _MAX_WITNESS_ENTRIES."""
     opt = options or SolveOptions()
+    _check_witness_size(p, n)
     _check_target(p, n, target)
     r = exact_order(p, n)
     band = n - 1 if r is None else r - 1
@@ -478,9 +495,11 @@ def hit_open_set(p: NcPolynomial, n: int, f: CPolynomial,
     and fall back to fully random tuples if the sweep degenerates (the
     composite f(p(generic)) is a nonzero polynomial, so random tuples
     also work with high probability).  FieldMismatch, before any work,
-    for an f not over p's field."""
+    for an f not over p's field, and ResourceLimit first for a witness
+    past _MAX_WITNESS_ENTRIES."""
     opt = options or SolveOptions()
     desc = p.field
+    _check_witness_size(p, n)
     _check_open_set(p, f)
     if f.is_zero():
         raise ZeroInput("open-set polynomial is zero")

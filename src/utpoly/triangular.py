@@ -1,10 +1,10 @@
 """Upper triangular matrices and evaluation of free polynomials on them.
 
 Matrices are sparse maps {(j,k): value} with 1 <= j <= k <= n over a
-concrete field, the only kind a file holds and the routes take; a
-symbolic matrix, over the polynomial ring in generic-entry variables, is
-output only (generic_evaluate).  Two independent evaluation routes are
-kept side by side on purpose:
+concrete field, the only kind a file holds and the routes take.  The
+generic evaluation is no matrix: generic_evaluate returns its entry map
+{(j, k): CPolynomial}, which matrix_json renders for output.  Two
+independent evaluation routes are kept side by side on purpose:
 
   * evaluate             folds matrix products entry by entry,
   * evaluate_structured  rebuilds each entry from strictly increasing
@@ -127,32 +127,6 @@ class FieldRing:
     def render(self, v) -> str:
         return self.desc.render_value(v)
 
-    def same(self, other) -> bool:
-        return other.kind == "field" and self.desc.same_field(other.desc)
-
-
-class PolyRing:
-    """Ring adapter for the symbolic entries of generic_evaluate's
-    result: it is output only, never read from a file or evaluated on."""
-
-    kind = "poly"
-
-    def __init__(self, desc: FieldDescriptor):
-        self.desc = desc
-
-    def zero(self):
-        return CPolynomial.zero(self.desc)
-
-    @staticmethod
-    def nonzero(v):
-        return v if v.terms else None
-
-    def render(self, v) -> str:
-        return v.render()
-
-    def same(self, other) -> bool:
-        return other.kind == "poly" and self.desc.same_field(other.desc)
-
 
 def _json_int(value) -> int:
     """A size or index read from JSON, which must be a JSON number with
@@ -162,6 +136,14 @@ def _json_int(value) -> int:
     if type(value) is int or type(value) is float and value.is_integer():
         return int(value)
     raise ValueError(f"{value!r} is not a JSON integer")
+
+
+def matrix_json(n: int, ring: str, entries: dict, render) -> dict:
+    """The JSON object of an entry map of size n: a field matrix's, or
+    generic_evaluate's with ring "poly" and render CPolynomial.render."""
+    return {"n": n, "ring": ring,
+            "entries": [{"j": j, "k": k, "value": render(v)}
+                        for (j, k), v in sorted(entries.items())]}
 
 
 class UTMatrix:
@@ -209,13 +191,11 @@ class UTMatrix:
     def _check(self, other: "UTMatrix"):
         if self.n != other.n:
             raise SizeMismatch(f"sizes {self.n} and {other.n}")
-        if not self.ring.same(other.ring):
+        if not self.ring.desc.same_field(other.ring.desc):
             raise FieldMismatch("matrices over different rings")
 
     def __matmul__(self, other):
         self._check(other)
-        if self.ring.kind != "field":
-            raise FieldMismatch("symbolic matrices are output only: no product")
         return UTMatrix._of(self.ring, self.n,
                             _product(self.entries, other.entries, self.n, self.ring))
 
@@ -232,25 +212,18 @@ class UTMatrix:
 
     def eq(self, other: "UTMatrix") -> bool:
         """Equality entry by entry: over C, a - b passes no zero filter, so
-        within eps.  Over Q and F_p, and over the poly ring term by term,
-        entries at rest are canonical and zero-free, so the entry maps are
-        equal exactly when the matrices are."""
+        within eps.  Over Q and F_p entries at rest are canonical and
+        zero-free, so the entry maps are equal exactly when the matrices
+        are."""
         self._check(other)
-        if self.ring.kind == "poly" or self.ring.desc.kind != "complex":
+        if self.ring.desc.kind != "complex":
             return self.entries == other.entries
         nonzero = self.ring.nonzero
         return all(nonzero(self.entry(*pos) - other.entry(*pos)) is None
                    for pos in set(self.entries) | set(other.entries))
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "ring": self.ring.kind,
-            "entries": [
-                {"j": j, "k": k, "value": self.ring.render(v)}
-                for (j, k), v in sorted(self.entries.items())
-            ],
-        }
+        return matrix_json(self.n, self.ring.kind, self.entries, self.ring.render)
 
     @classmethod
     def from_json(cls, data: dict, desc: FieldDescriptor) -> "UTMatrix":
@@ -299,13 +272,12 @@ def _check_tuple(p, matrices):
     if not matrices:
         raise ArityMismatch("cannot evaluate with an empty matrix tuple")
     first = matrices[0]
-    field = FieldRing(p.field)
     for a in matrices:
         if a.n != first.n:
             raise SizeMismatch("matrices of mixed sizes")
-        if not field.same(a.ring):
+        if not p.field.same_field(a.ring.desc):
             raise FieldMismatch(f"matrices must be over {p.field.render()}, "
-                                f"not symbolic or over another field")
+                                f"not {a.ring.desc.render()}")
     return first.ring
 
 
@@ -435,8 +407,9 @@ _MONOMIAL_BUDGET = 10 ** 6
 _MAX_SLOT_VISITS = 10 ** 7
 
 
-def generic_evaluate(p, n: int) -> UTMatrix:
-    """p at the generic tuple of size n, with no field arithmetic inside
+def generic_evaluate(p, n: int) -> dict:
+    """p at the generic tuple of size n as its entry map {(j, k):
+    CPolynomial}, nonzero entries only, with no field arithmetic inside
     a word: see the module docstring.  ResourceLimit before the fold when
     a product would pass _MONOMIAL_BUDGET monomials.  Not cached: a cache
     served 31 of 768 calls in 12 witness and 20 symbolic benchmark rounds."""
@@ -558,7 +531,7 @@ def generic_evaluate(p, n: int) -> UTMatrix:
         else:
             out[pos] = CPolynomial(desc, {decode(mo): Fraction(c, den)
                                           for mo, c in terms.items()})
-    return UTMatrix._own(PolyRing(desc), n, out)
+    return out
 
 
 def live_slots(p, k: int) -> dict:

@@ -425,6 +425,35 @@ def test_a_huge_m_is_read_like_the_letters_p_holds(capsys, command):
     assert (code, out, err) == run(capsys, *argv, "2")
 
 
+_TARGET_3 = {"n": 3, "entries": [{"j": 1, "k": 2, "value": "1"}]}
+
+
+@pytest.mark.parametrize("argv,target,m,n", [
+    (("hit", "--n", "100000", "--open-set", "y[1,2]"), None, 2, 100000),
+    (("hit", "--m", str(10 ** 20), "--n", "3", "--open-set", "y[1,2]"), None, 10 ** 20, 3),
+    (("solve", "--m", str(10 ** 20), "--n", "3"), _TARGET_3, 10 ** 20, 3),
+    (("solve", "--n", "1500"), {"n": 1500, "entries": []}, 2, 1500),
+], ids=["hit-n", "hit-m", "solve-m", "solve-zero-target"])
+def test_a_witness_past_the_entry_bound_is_refused_first(tmp_path, capsys, monkeypatch,
+                                                         argv, target, m, n):
+    """A witness holds m * n(n+1)/2 entries.  Past the bound, solve and
+    hit exit 2 before any listing, sampling or replay: hit --n 100000
+    once listed 5 * 10^9 band coordinates and ended in a MemoryError,
+    --m 10^20 sampled a value per declared letter, and the zero target
+    of size 1500 was replayed on zero matrices for over 20 s."""
+    for name in ("exact_order", "band_coordinates", "_replay"):
+        monkeypatch.setattr(utpoly.solver, name, _forbidden)
+    if target is not None:
+        tf = tmp_path / "t.json"
+        tf.write_text(json.dumps(target))
+        argv += ("--target", str(tf))
+    code, out, err = run(capsys, *argv, "--poly", "x1*x2-x2*x1")
+    bound = utpoly.solver._MAX_WITNESS_ENTRIES
+    assert (code, out, err) == (
+        2, "", f"utpoly: ResourceLimit: a witness of m = {m} matrices at n = {n} "
+               f"holds {m * n * (n + 1) // 2} entries, past the limit of {bound}\n")
+
+
 def test_order_of_five_commutators_within_budget(capsys):
     """order probes the generic evaluation at sizes 1..6 of a product of
     five commutators (order 5), in about 0.1 s.  Runtime budget: 4 s."""

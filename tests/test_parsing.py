@@ -218,7 +218,8 @@ def test_open_set_parser_refuses_a_product_past_its_letter_limit(text, letters):
         CPolynomial.parse(text, Q)
     assert str(info.value) == (f"a product of {letters} letters before like "
                                f"terms merge, past the parser's limit of {limit}")
-    assert CPolynomial.parse(f"y[1,2]^{limit}", Q).degree() == limit
+    power = CPolynomial.parse(f"y[1,2]^{limit}", Q)
+    assert max(sum(e for _, e in m) for m in power.terms) == limit
 
 
 class PerOperationBuilder:

@@ -319,12 +319,12 @@ def test_entry_polynomials_affine_in_fresh_variable():
             for i in range(1, p.nvars + 1):
                 values[entry_var(j, k, i)] = Q.sample(rng)
     for s, t, fresh in plan:
-        g = generic.entry(s, t)
+        g = generic[s, t]
         partial = {key: v for key, v in values.items() if key != fresh}
         restricted = g.eval_partial(partial)
         assert max((dict(m).get(fresh, 0) for m in restricted.terms),
                    default=0) <= 1
-        assert restricted.degree() <= 1
+        assert max((sum(e for _, e in m) for m in restricted.terms), default=0) <= 1
 
 
 def sweep_polys(desc, seed, count=10):
@@ -377,18 +377,18 @@ def test_structured_affine_parts_match_generic_entry(field):
                 if fresh is None:
                     break
                 got = _affine_entry(p, diags, s, t, values, fresh)
-                want = _affine_parts(generic, s, t, values, fresh)
+                want = _affine_parts(desc, generic, s, t, values, fresh)
                 assert got == want, (p.terms, n, s, t)
                 checked.add((r, desc.is_zero(got[0])))
                 values[fresh] = desc.sample(rng)
     assert {(0, False), (1, False), (2, False)} <= checked
 
 
-def _three_pass_affine_parts(generic, s, t, values, fresh):
+def _three_pass_affine_parts(desc, generic, s, t, values, fresh):
     """The C split as _affine_parts made it in three passes: the degree
     of fresh, its coefficient, and the entry at fresh = 0, each read
-    back as a constant polynomial."""
-    entry = generic.entry(s, t)
+    back as a constant polynomial; an entry the map lacks is zero."""
+    entry = generic.get((s, t), CPolynomial(desc, {}))
     cur = entry.eval_partial(values)
     zero = entry.field.zero()
     assert max((dict(m).get(fresh, 0) for m in cur.terms), default=0) <= 1
@@ -437,11 +437,11 @@ def test_complex_affine_parts_keep_their_bits(field):
                                          range(1, m + 1)):
                     fresh = entry_var(s, t, i)
                     rest = {key: v for key, v in values.items() if key != fresh}
-                    got = _affine_parts(generic, s, t, rest, fresh)
-                    want = _three_pass_affine_parts(generic, s, t, rest, fresh)
+                    got = _affine_parts(desc, generic, s, t, rest, fresh)
+                    want = _three_pass_affine_parts(desc, generic, s, t, rest, fresh)
                     assert list(map(_hex, got)) == list(map(_hex, want)), \
                         (p.terms, n, s, t, fresh)
-                    linear = fresh in generic.entry(s, t).variables()
+                    linear = (s, t) in generic and fresh in generic[s, t].variables()
                     seen.add(("cancelled" if linear and got[0] == 0
                               else "slope" if linear else "no fresh",
                               "no constant" if got[1] == 0 else "constant"))
@@ -459,7 +459,7 @@ def test_structured_affine_parts_need_every_other_variable():
     with pytest.raises(InternalInconsistency, match="unassigned"):
         _affine_entry(p, diags, 1, 3, values, entry_var(2, 3, 1))
     with pytest.raises(InternalInconsistency, match="not affine"):
-        _affine_parts(generic_evaluate(p, n), 1, 3, values, entry_var(2, 3, 1))
+        _affine_parts(Q, generic_evaluate(p, n), 1, 3, values, entry_var(2, 3, 1))
 
 
 def _forbidden(*args, **kwargs):
@@ -618,7 +618,7 @@ def test_hit_open_set_order2():
 def test_hit_open_set_rejects_bad_inputs():
     p = comm_product(1)
     with pytest.raises(ZeroInput):
-        hit_open_set(p, 3, CPolynomial.zero(Q))
+        hit_open_set(p, 3, CPolynomial(Q, {}))
     with pytest.raises(VariableOutOfRange):
         hit_open_set(p, 3, CPolynomial.parse("y[1,1]", Q, kinds="y"))
     with pytest.raises(OrderMismatch):
@@ -632,26 +632,29 @@ def test_hit_open_set_rejects_bad_inputs():
 # -- verify ---------------------------------------------------------------------
 
 
-def test_symbolic_matrices_are_refused_before_any_work(monkeypatch):
-    """A witness or target is made of field elements: solve_target,
-    solve_diagonal_r0 and verify refuse symbolic ones with FieldMismatch
-    before deriving the order or evaluating anything, and hit_open_set
-    and verify so refuse an open-set polynomial over another field."""
+def test_other_field_matrices_are_refused_before_any_work(monkeypatch):
+    """A witness or target is made of p's field elements: solve_target,
+    solve_diagonal_r0 and verify refuse F_5 matrices for a p over Q with
+    FieldMismatch before deriving the order or evaluating anything, and
+    hit_open_set and verify so refuse an open-set polynomial over another
+    field."""
     def no_work(*args, **kwargs):
         raise AssertionError("work done before the field check")
 
     for name in ("exact_order", "evaluate", "evaluate_structured"):
         monkeypatch.setattr(utpoly.solver, name, no_work)
     p = comm_product(1)
-    symbolic = generic_evaluate(p, 2)
+    other = UTMatrix(FieldRing(F5), 2, {(1, 2): F5.from_int(1)})
     with pytest.raises(FieldMismatch):
-        solve_target(p, 2, symbolic)
+        solve_target(p, 2, other)
     with pytest.raises(FieldMismatch):
-        solve_diagonal_r0(p, 2, symbolic)
+        solve_diagonal_r0(p, 2, other)
     with pytest.raises(FieldMismatch):
-        verify(p, [symbolic, symbolic])
+        verify(p, [other, other])
     with pytest.raises(FieldMismatch):
-        verify(p, [qmat(2, {}), qmat(2, {})], target=symbolic)
+        verify(p, [qmat(2, {}), other])
+    with pytest.raises(FieldMismatch):
+        verify(p, [qmat(2, {}), qmat(2, {})], target=other)
     f5 = CPolynomial.parse("y[1,2]", F5, kinds="y")
     with pytest.raises(FieldMismatch):
         hit_open_set(p, 2, f5)
