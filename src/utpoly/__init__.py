@@ -10,7 +10,7 @@ from .freealg import NcPolynomial
 from .solver import (SolveOptions, WitnessResult, build_sweep_plan_rn,
                      find_diagonals, hit_open_set, solve_diagonal_r0,
                      solve_target, verify)
-from .triangular import (FieldRing, UTMatrix, evaluate, evaluate_structured,
+from .triangular import (UTMatrix, evaluate, evaluate_structured,
                          generic_evaluate)
 
 __version__ = "0.1.0"

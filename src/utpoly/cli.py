@@ -23,7 +23,7 @@ from .fields import FieldDescriptor
 from .freealg import NcPolynomial, shared_parse
 from .parsing import is_digits
 from .solver import SolveOptions, hit_open_set, solve_target, verify
-from .triangular import (FieldRing, UTMatrix, evaluate, evaluate_structured,
+from .triangular import (UTMatrix, evaluate, evaluate_structured,
                          generic_evaluate, matrix_json)
 
 ORACLE_PRIMES = (2, 3, 5)
@@ -350,7 +350,6 @@ def _cmd_oracle_enum(args, desc: FieldDescriptor, p: NcPolynomial) -> None:
     if total > ORACLE_TUPLE_LIMIT:
         raise ResourceLimit(
             f"{desc.p}^{cells} = {total} tuples exceeds {ORACLE_TUPLE_LIMIT}")
-    ring = FieldRing(desc)
     tables = _LaneTables(desc.p)
     positions = [(j, k) for j in range(1, n + 1) for k in range(j, n + 1)]
     # one digit per cell, matrix 1's positions first: the tuples' order
@@ -360,7 +359,7 @@ def _cmd_oracle_enum(args, desc: FieldDescriptor, p: NcPolynomial) -> None:
     for _ in range(0, total, ORACLE_CHUNK):
         chunk = list(islice(digits, ORACLE_CHUNK))
         columns = iter(zip(*chunk))
-        mats = [UTMatrix(ring, n, {pos: _Lanes(bytes(next(columns)), tables)
+        mats = [UTMatrix(desc, n, {pos: _Lanes(bytes(next(columns)), tables)
                                    for pos in positions})
                 for _ in range(m)]
         out = evaluate(p, mats)
@@ -370,7 +369,7 @@ def _cmd_oracle_enum(args, desc: FieldDescriptor, p: NcPolynomial) -> None:
         for values in set(zip(*(v.data for _, v in cols))) or {()}:
             key = tuple((pos, v) for (pos, _), v in zip(cols, values) if v)
             if key not in image:
-                image[key] = UTMatrix._of(ring, n, dict(key))
+                image[key] = UTMatrix._of(desc, n, dict(key))
     band_counts: dict = {}
     for mat in image.values():
         lvl = mat.band_level()

@@ -492,7 +492,8 @@ def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
 
 def _durand_kerner(coeffs: list[complex], rng):
     """Simultaneous root iteration on a monic-normalized polynomial.
-    Returns the root list on convergence, None otherwise."""
+    Returns the root list on convergence, None otherwise, and None after
+    an iteration that leaves a root non-finite: max() drops a NaN step."""
     d = len(coeffs) - 1
     lead = coeffs[-1]
     monic = [c / lead for c in coeffs]
@@ -523,6 +524,8 @@ def _durand_kerner(coeffs: list[complex], rng):
             nxt[i] = roots[i] - delta
             moved = max(moved, abs(delta))
         roots = nxt
+        if not all(map(cmath.isfinite, roots)):
+            return None
         if moved < 1e-13:
             return roots
     return None

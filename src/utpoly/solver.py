@@ -59,13 +59,12 @@ from .analysis import coeff_poly, exact_order, leading_tuples
 from .cpoly import CPolynomial, diag_var, entry_var, out_var, render_var
 from .errors import (BandViolation, BudgetExhausted, DegenerateCoefficient,
                      FieldMismatch, InternalInconsistency, NoRootInField,
-                     OrderMismatch, ResourceLimit, VariableOutOfRange,
-                     ZeroInput)
+                     OrderMismatch, VariableOutOfRange, ZeroInput)
 from .fields import solve_univariate
 from .freealg import NcPolynomial
-from .triangular import (FieldRing, UTMatrix, evaluate, evaluate_structured,
-                         generic_evaluate, live_slots, row_values,
-                         structured_entry)
+from .triangular import (UTMatrix, check_tuple_entries, evaluate,
+                         evaluate_structured, generic_evaluate, live_slots,
+                         row_values, structured_entry)
 
 
 def build_sweep_plan_rn(r: int, n: int, lead: tuple) -> list[tuple]:
@@ -177,7 +176,6 @@ def find_diagonals(p: NcPolynomial, lead: tuple, n: int, rng,
 
 
 def _matrices_from_assignment(desc, n: int, m: int, values: dict) -> list[UTMatrix]:
-    ring = FieldRing(desc)
     out = []
     for i in range(1, m + 1):
         entries = {}
@@ -185,7 +183,7 @@ def _matrices_from_assignment(desc, n: int, m: int, values: dict) -> list[UTMatr
             entries[(j, j)] = values.get(diag_var(j, i), desc.zero())
             for k in range(j + 1, n + 1):
                 entries[(j, k)] = values.get(entry_var(j, k, i), desc.zero())
-        out.append(UTMatrix(ring, n, entries))
+        out.append(UTMatrix(desc, n, entries))
     return out
 
 
@@ -397,21 +395,9 @@ def _sweep(p: NcPolynomial, n: int, r: int, target: UTMatrix,
 
 def _check_field_matrices(p: NcPolynomial, matrices) -> None:
     """FieldMismatch unless every matrix is over p's field."""
-    if not all(p.field.same_field(a.ring.desc) for a in matrices):
+    if not all(p.field.same_field(a.desc) for a in matrices):
         raise FieldMismatch(
             f"witness and target matrices must be over {p.field.render()}")
-
-
-# the most entries, m * n(n+1)/2, a witness may hold: tier-1 asks for at
-# most 630 (P3 at n = 14), the golden corpus and the bench for 112
-_MAX_WITNESS_ENTRIES = 10 ** 4
-
-
-def _check_witness_size(p: NcPolynomial, n: int) -> None:
-    entries = p.nvars * n * (n + 1) // 2
-    if entries > _MAX_WITNESS_ENTRIES:
-        raise ResourceLimit(f"a witness of m = {p.nvars} matrices at n = {n} holds "
-                            f"{entries} entries, past the limit of {_MAX_WITNESS_ENTRIES}")
 
 
 def _check_open_set(p: NcPolynomial, f: CPolynomial) -> None:
@@ -448,9 +434,9 @@ def solve_target(p: NcPolynomial, n: int, target: UTMatrix,
     FieldMismatch, before any work, for a target not over p's field.
     The zero target gets the zero tuple, p(0) = 0, with no sweep.
     ResourceLimit first, before any listing, sampling or replay, for a
-    witness past _MAX_WITNESS_ENTRIES."""
+    witness past the tuple bound (check_tuple_entries)."""
     opt = options or SolveOptions()
-    _check_witness_size(p, n)
+    check_tuple_entries(p.nvars, n)
     _check_target(p, n, target)
     r = exact_order(p, n)
     band = n - 1 if r is None else r - 1
@@ -459,7 +445,7 @@ def solve_target(p: NcPolynomial, n: int, target: UTMatrix,
             f"target has a nonzero entry with k - j <= {band}"
             + (f" (order >= n = {n}: the image is zero)" if r is None else ""))
     if not target.entries:
-        zero = [UTMatrix.zeros(FieldRing(p.field), n) for _ in range(p.nvars)]
+        zero = _matrices_from_assignment(p.field, n, p.nvars, {})
         achieved, rep = _replay(p, zero, r, target, None)
         return WitnessResult(zero, achieved, "exact", 0.0,
                              {"attempts": 0, "leading_tuple": None,
@@ -496,10 +482,10 @@ def hit_open_set(p: NcPolynomial, n: int, f: CPolynomial,
     composite f(p(generic)) is a nonzero polynomial, so random tuples
     also work with high probability).  FieldMismatch, before any work,
     for an f not over p's field, and ResourceLimit first for a witness
-    past _MAX_WITNESS_ENTRIES."""
+    past the tuple bound (check_tuple_entries)."""
     opt = options or SolveOptions()
     desc = p.field
-    _check_witness_size(p, n)
+    check_tuple_entries(p.nvars, n)
     _check_open_set(p, f)
     if f.is_zero():
         raise ZeroInput("open-set polynomial is zero")
@@ -509,13 +495,12 @@ def hit_open_set(p: NcPolynomial, n: int, f: CPolynomial,
         raise OrderMismatch(f"open-set witnesses need 1 <= r <= n-1, got {got}")
     coords = _open_set_coordinates(f, n, r)
     rng = random.Random(opt.seed)
-    ring = FieldRing(desc)
     solver_failures = 0
     for _ in range(opt.retries):
         point = {out_var(s, t): desc.sample(rng, opt.height) for s, t in coords}
         if desc.is_zero(f.eval_full(point)):
             continue
-        target = UTMatrix(ring, n, {(s, t): point[out_var(s, t)]
+        target = UTMatrix(desc, n, {(s, t): point[out_var(s, t)]
                                     for s, t in coords})
         sub = replace(opt, seed=rng.randrange(2 ** 30), retries=4)
         try:
@@ -525,15 +510,12 @@ def hit_open_set(p: NcPolynomial, n: int, f: CPolynomial,
             continue
         if result.report["open_set_met"]:
             return result
-    # fallback: pure random tuples
+    # fallback: pure random tuples, drawn matrix by matrix, row by row
     for _ in range(opt.nonzero_budget):
-        matrices = []
-        for _ in range(p.nvars):
-            entries = {}
-            for j in range(1, n + 1):
-                for k in range(j, n + 1):
-                    entries[(j, k)] = desc.sample(rng, opt.height)
-            matrices.append(UTMatrix(ring, n, entries))
+        values = {entry_var(j, k, i) if k > j else diag_var(j, i): desc.sample(rng, opt.height)
+                  for i in range(1, p.nvars + 1)
+                  for j in range(1, n + 1) for k in range(j, n + 1)}
+        matrices = _matrices_from_assignment(desc, n, p.nvars, values)
         achieved, rep = _replay(p, matrices, r, None, f)
         if rep["open_set_met"]:
             return WitnessResult(
@@ -594,12 +576,14 @@ def verify(p: NcPolynomial, matrices: list, target: UTMatrix | None = None,
     r >= n, so with f given a zero p raises ZeroInput.  Matrices, a
     target or an f not over p's field raise FieldMismatch, and a
     variable of f that is no open-set coordinate VariableOutOfRange,
-    before any evaluation."""
+    and a tuple past check_tuple_entries' bound ResourceLimit, before
+    any evaluation."""
     _check_field_matrices(p, matrices if target is None else [*matrices, target])
+    n = matrices[0].n if matrices else 0
+    check_tuple_entries(len(matrices), n)
     r = None
     if f is not None:
         _check_open_set(p, f)
-        n = matrices[0].n if matrices else 0
         r = exact_order(p, n)
         if r is None:
             r = n    # band n-1 has no coordinates, as every r >= n

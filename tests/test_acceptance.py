@@ -25,7 +25,7 @@ from utpoly.freealg import NcPolynomial
 from utpoly.solver import (SolveOptions, band_coordinates,
                            build_sweep_plan_rn, hit_open_set,
                            solve_diagonal_r0, solve_target)
-from utpoly.triangular import (FieldRing, UTMatrix, evaluate,
+from utpoly.triangular import (UTMatrix, evaluate,
                                evaluate_structured, generic_evaluate)
 
 Q = FieldDescriptor.parse("Q")
@@ -56,13 +56,12 @@ def test_criterion_1_dual_evaluation_equivalence():
     Runtime budget: 60 s."""
     t0 = time.perf_counter()
     F3 = FieldDescriptor.parse("Fp:3")
-    ring = FieldRing(F3)
     rng = random.Random(314159)
 
     def all_matrices(n):
         positions = [(j, k) for j in range(1, n + 1) for k in range(j, n + 1)]
         vals = [F3.from_int(v) for v in range(3)]
-        return [UTMatrix(ring, n, dict(zip(positions, combo)))
+        return [UTMatrix(F3, n, dict(zip(positions, combo)))
                 for combo in product(vals, repeat=len(positions))]
 
     pools = {n: all_matrices(n) for n in (1, 2, 3)}
@@ -144,7 +143,6 @@ def test_criterion_4_band_containment():
     k - j <= r-1 vanishes identically at n = r+1 and r+2; concretely,
     100 random tuples over F_101 land in band r-1.  Zero violations."""
     F101 = FieldDescriptor.parse("Fp:101")
-    ring = FieldRing(F101)
     rng = random.Random(271828)
     t0 = time.perf_counter()
     done = 0
@@ -180,7 +178,7 @@ def test_criterion_4_band_containment():
                         assert (j, k) not in g, (p.pretty(), n, j, k)
         n = r + 2
         for _ in range(100):
-            mats = [UTMatrix(ring, n, {(j, k): F101.sample(rng)
+            mats = [UTMatrix(F101, n, {(j, k): F101.sample(rng)
                                        for j in range(1, n + 1)
                                        for k in range(j, n + 1)})
                     for _ in range(p.nvars)]
@@ -221,7 +219,7 @@ def test_criterion_5_exact_witness_solving():
             if rng.random() < 0.8:
                 entries[(s, t)] = Fraction(rng.randint(-10, 10),
                                            rng.randint(1, 10))
-        target = UTMatrix(FieldRing(Q), n, entries)
+        target = UTMatrix(Q, n, entries)
         try:
             res = solve_target(p, n, target, SolveOptions(seed=inst))
             assert res.status == "exact" and res.residual == 0.0
@@ -247,7 +245,6 @@ def test_criterion_6_order_zero_boundary(capsys):
     exists in T_2(F_5)), cross-checked by exhaustive enumeration."""
     p_c = NcPolynomial.parse("x1^2", C)
     rng = random.Random(577215)
-    ring_c = FieldRing(C)
     for trial in range(6):
         n = 2 if trial < 3 else 3
         entries = {}
@@ -256,21 +253,20 @@ def test_criterion_6_order_zero_boundary(capsys):
                                       rng.uniform(-2.0, 2.0))
             for k in range(j + 1, n + 1):
                 entries[(j, k)] = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        target = UTMatrix(ring_c, n, entries)
+        target = UTMatrix(C, n, entries)
         res = solve_diagonal_r0(p_c, n, target, SolveOptions(seed=trial))
         assert res.residual <= 1e-8, res.residual
 
     F5 = FieldDescriptor.parse("Fp:5")
     p5 = NcPolynomial.parse("x1^2", F5)
-    e12 = UTMatrix(FieldRing(F5), 2, {(1, 2): F5.from_int(1)})
+    e12 = UTMatrix(F5, 2, {(1, 2): F5.from_int(1)})
     with pytest.raises(DegenerateCoefficient):
         solve_diagonal_r0(p5, 2, e12, SolveOptions(seed=0, retries=16))
 
     # cross-check 1: library-independent brute force over all 125 matrices
-    ring5 = FieldRing(F5)
     squares = set()
     for a, b, c in product(range(5), repeat=3):
-        u = UTMatrix(ring5, 2, {(1, 1): a, (1, 2): b, (2, 2): c})
+        u = UTMatrix(F5, 2, {(1, 1): a, (1, 2): b, (2, 2): c})
         sq = u @ u
         squares.add((sq.entry(1, 1), sq.entry(1, 2), sq.entry(2, 2)))
     assert (0, 1, 0) not in squares

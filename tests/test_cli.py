@@ -23,7 +23,7 @@ import utpoly.triangular
 from utpoly.cli import ORACLE_NOTE, build_parser, main
 from utpoly.fields import FieldDescriptor
 from utpoly.freealg import NcPolynomial
-from utpoly.triangular import (FieldRing, UTMatrix, evaluate,
+from utpoly.triangular import (UTMatrix, evaluate,
                                evaluate_structured)
 
 
@@ -426,31 +426,48 @@ def test_a_huge_m_is_read_like_the_letters_p_holds(capsys, command):
 
 
 _TARGET_3 = {"n": 3, "entries": [{"j": 1, "k": 2, "value": "1"}]}
+_HUGE = {"matrices": [{"n": 10 ** 9, "entries": [{"j": 1, "k": 2, "value": "1"}]},
+                      {"n": 10 ** 9, "entries": [{"j": 2, "k": 3, "value": "1"}]}]}
+_EMPTY_800 = {"matrices": [{"n": 800, "entries": []}, {"n": 800, "entries": []}]}
 
 
-@pytest.mark.parametrize("argv,target,m,n", [
+@pytest.mark.parametrize("argv,file,m,n", [
     (("hit", "--n", "100000", "--open-set", "y[1,2]"), None, 2, 100000),
     (("hit", "--m", str(10 ** 20), "--n", "3", "--open-set", "y[1,2]"), None, 10 ** 20, 3),
-    (("solve", "--m", str(10 ** 20), "--n", "3"), _TARGET_3, 10 ** 20, 3),
-    (("solve", "--n", "1500"), {"n": 1500, "entries": []}, 2, 1500),
-], ids=["hit-n", "hit-m", "solve-m", "solve-zero-target"])
+    (("solve", "--m", str(10 ** 20), "--n", "3", "--target"), _TARGET_3, 10 ** 20, 3),
+    (("solve", "--n", "1500", "--target"), {"n": 1500, "entries": []}, 2, 1500),
+    (("eval", "--route", "direct", "--matrices"), _HUGE, 2, 10 ** 9),
+    (("eval", "--route", "structured", "--matrices"), _HUGE, 2, 10 ** 9),
+    (("verify", "--open-set", "y[1,2]", "--witness"), _HUGE, 2, 10 ** 9),
+    (("verify", "--witness"), _EMPTY_800, 2, 800),
+], ids=["hit-n", "hit-m", "solve-m", "solve-zero-target", "eval-direct",
+        "eval-structured", "verify-open-set", "verify-empty-800"])
 def test_a_witness_past_the_entry_bound_is_refused_first(tmp_path, capsys, monkeypatch,
-                                                         argv, target, m, n):
-    """A witness holds m * n(n+1)/2 entries.  Past the bound, solve and
-    hit exit 2 before any listing, sampling or replay: hit --n 100000
+                                                         argv, file, m, n):
+    """A tuple of m matrices of size n holds m * n(n+1)/2 entries.  Past
+    the bound, a solve or hit witness and an eval or verify matrix file
+    exit 2 before any listing, sampling, product or replay: hit --n 100000
     once listed 5 * 10^9 band coordinates and ended in a MemoryError,
     --m 10^20 sampled a value per declared letter, and the zero target
-    of size 1500 was replayed on zero matrices for over 20 s."""
+    of size 1500 was replayed on zero matrices for over 20 s.  A file of
+    two matrices at n = 10^9 ran past 10 s on either eval route (the
+    products loop over k up to n, the structured route reads n
+    diagonals) and ended verify --open-set in a MemoryError, and verify
+    on two empty matrices at n = 800 walked every entry's paths for over
+    10 s."""
     for name in ("exact_order", "band_coordinates", "_replay"):
         monkeypatch.setattr(utpoly.solver, name, _forbidden)
-    if target is not None:
-        tf = tmp_path / "t.json"
-        tf.write_text(json.dumps(target))
-        argv += ("--target", str(tf))
+    for name in ("_product", "structured_entry"):
+        monkeypatch.setattr(utpoly.triangular, name, _forbidden)
+    monkeypatch.setattr(UTMatrix, "entry", _forbidden)
+    if file is not None:
+        tf = tmp_path / "m.json"
+        tf.write_text(json.dumps(file))
+        argv += (str(tf),)
     code, out, err = run(capsys, *argv, "--poly", "x1*x2-x2*x1")
-    bound = utpoly.solver._MAX_WITNESS_ENTRIES
+    bound = utpoly.triangular._MAX_TUPLE_ENTRIES
     assert (code, out, err) == (
-        2, "", f"utpoly: ResourceLimit: a witness of m = {m} matrices at n = {n} "
+        2, "", f"utpoly: ResourceLimit: a tuple of m = {m} matrices at n = {n} "
                f"holds {m * n * (n + 1) // 2} entries, past the limit of {bound}\n")
 
 
@@ -668,10 +685,9 @@ def per_tuple_oracle(text, field, n, m):
     time, each route called on plain F_q matrices."""
     desc = FieldDescriptor.parse(field)
     p = NcPolynomial.parse(text, desc, nvars=m)
-    ring = FieldRing(desc)
     positions = [(j, k) for j in range(1, n + 1) for k in range(j, n + 1)]
     values = [desc.from_int(v) for v in range(desc.p)]
-    per_matrix = [UTMatrix(ring, n, dict(zip(positions, combo)))
+    per_matrix = [UTMatrix(desc, n, dict(zip(positions, combo)))
                   for combo in product(values, repeat=len(positions))]
     image = {}
     dual_ok = True
@@ -941,6 +957,17 @@ def test_each_subcommand_declares_only_what_it_reads():
 def test_undeclared_option_is_a_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == "" and "utpoly" in err and "error:" in err
+
+
+def test_a_c_root_past_the_float_range_is_no_convergence(tmp_path, capsys):
+    """x1^150 = 2 over C: every root iteration overflows and ends without
+    roots, so solve exits 3 (NonConvergence), not with a non-finite
+    witness.  The roots exist; finding them takes another iteration."""
+    tf = tmp_path / "t.json"
+    tf.write_text(json.dumps({"n": 1, "entries": [{"j": 1, "k": 1, "value": "2"}]}))
+    code, out, err = run(capsys, "solve", "--poly", "x1^150", "--field", "C",
+                         "--n", "1", "--target", str(tf))
+    assert (code, out, err) == (3, "", "utpoly: NonConvergence: root iteration did not converge\n")
 
 
 def test_complex_tolerance_is_the_field_eps(tmp_path, capsys):

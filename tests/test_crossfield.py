@@ -22,7 +22,7 @@ from utpoly.errors import UtpolyError
 from utpoly.fields import FieldDescriptor
 from utpoly.freealg import NcPolynomial
 from utpoly.solver import SolveOptions, solve_target, verify
-from utpoly.triangular import (FieldRing, UTMatrix, evaluate,
+from utpoly.triangular import (UTMatrix, evaluate,
                                evaluate_structured, live_slots)
 
 Q = FieldDescriptor.parse("Q")
@@ -85,7 +85,7 @@ def reduced_matrix(a, f, ell):
     """a mod ell over f, or None when ell divides a denominator of a."""
     if any(v.denominator % ell == 0 for v in a.entries.values()):
         return None
-    return UTMatrix(FieldRing(f), a.n, {pos: red(v, ell) for pos, v in a.entries.items()})
+    return UTMatrix(f, a.n, {pos: red(v, ell) for pos, v in a.entries.items()})
 
 
 def reduced_entries(a, ell):
@@ -113,9 +113,9 @@ def test_evaluation_commutes_with_reduction(ell):
     checked = 0
     for rng, p, f, pl in cases(ell, 40):
         n = rng.randint(1, 5)
-        mats = [UTMatrix(FieldRing(Q), n, {(j, k): rational(rng, ell)
-                                           for j in range(1, n + 1)
-                                           for k in range(j, n + 1)})
+        mats = [UTMatrix(Q, n, {(j, k): rational(rng, ell)
+                                for j in range(1, n + 1)
+                                for k in range(j, n + 1)})
                 for _ in range(p.nvars)]
         reduced = [reduced_matrix(a, f, ell) for a in mats]
         if None in reduced:
@@ -160,7 +160,7 @@ def test_a_reduced_q_witness_verifies_over_f_ell(ell):
         if pl.is_zero() or r > 3:
             continue
         n = r + rng.randint(1, 2)
-        target = UTMatrix(FieldRing(Q), n, {
+        target = UTMatrix(Q, n, {
             (s, t): Fraction(rng.randint(-9, 9), rng.randint(1, 9))
             for s in range(1, n + 1) for t in range(s + r, n + 1)})
         try:

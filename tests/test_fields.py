@@ -19,7 +19,7 @@ from utpoly.fields import (FieldDescriptor, _rational_roots, is_prime,
                            solve_univariate, split_sign)
 from utpoly.freealg import NcPolynomial, _FreeBuilder
 from utpoly.solver import hit_open_set, solve_target, verify
-from utpoly.triangular import FieldRing, UTMatrix, evaluate, evaluate_structured
+from utpoly.triangular import UTMatrix, evaluate, evaluate_structured
 
 Q = FieldDescriptor.parse("Q")
 F7 = FieldDescriptor.parse("Fp:7")
@@ -165,13 +165,12 @@ _COMM = "x1*x2-x2*x1"
 
 
 def _mats(desc):
-    ring = FieldRing(desc)
-    return [UTMatrix(ring, 2, {(1, 1): desc.from_int(i), (1, 2): desc.one(),
+    return [UTMatrix(desc, 2, {(1, 1): desc.from_int(i), (1, 2): desc.one(),
                                (2, 2): desc.from_int(i + 2)}) for i in (1, 2)]
 
 
 def _target(desc):
-    return UTMatrix(FieldRing(desc), 2, {(1, 2): desc.from_int(3)})
+    return UTMatrix(desc, 2, {(1, 2): desc.from_int(3)})
 
 
 _MIXED = {
@@ -771,6 +770,22 @@ def test_solve_univariate_complex_always_solvable():
         tgt = complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
         u = solve_univariate(C, coeffs, tgt, rng)
         assert abs(u ** k - tgt) < 1e-7 * max(1.0, abs(tgt))
+
+
+@pytest.mark.parametrize("d,converges", [(100, True), (150, False), (200, False), (400, False)])
+def test_durand_kerner_ends_at_a_non_finite_root(d, converges):
+    """u^d = 2: past d of about 140 a product of d - 1 root differences
+    leaves the float range, so a step is NaN, which max() drops from the
+    largest step; the run used to return d non-finite roots as converged.
+    It now returns None after that iteration, and at d = 100 it still
+    returns d finite roots."""
+    roots = utpoly.fields._durand_kerner([-2 + 0j] + [0j] * (d - 1) + [1 + 0j],
+                                         random.Random(0))
+    if converges:
+        assert len(roots) == d
+        assert all(math.isfinite(z.real) and math.isfinite(z.imag) for z in roots)
+    else:
+        assert roots is None
 
 
 def _brute_roots(g, p):

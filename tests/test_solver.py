@@ -24,7 +24,7 @@ from utpoly.solver import (SolveOptions, _affine_entry, _affine_parts,
                            _entries_positive, _entries_r0, band_coordinates,
                            build_sweep_plan_rn, find_diagonals, hit_open_set,
                            solve_diagonal_r0, solve_target, verify)
-from utpoly.triangular import (FieldRing, UTMatrix, evaluate,
+from utpoly.triangular import (UTMatrix, evaluate,
                                generic_evaluate, live_slots, row_values)
 
 Q = FieldDescriptor.parse("Q")
@@ -39,7 +39,7 @@ def comm_product(K):
 
 
 def qmat(n, entries):
-    return UTMatrix(FieldRing(Q), n, {pos: Fraction(v) for pos, v in entries.items()})
+    return UTMatrix(Q, n, {pos: Fraction(v) for pos, v in entries.items()})
 
 
 # -- sweep plans ----------------------------------------------------------------
@@ -233,7 +233,7 @@ def test_solve_commutator_n3_with_zero_entry():
 
 def test_solve_zero_target_inside_band():
     p = comm_product(1)
-    res = solve_target(p, 3, UTMatrix.zeros(FieldRing(Q), 3))
+    res = solve_target(p, 3, UTMatrix(Q, 3, {}))
     assert res.status == "exact"
     assert evaluate(p, res.matrices).band_level() >= 2
 
@@ -274,7 +274,7 @@ def test_solve_target_serves_order_zero():
 
 def test_solve_order_at_least_n_zero_image():
     p = comm_product(2)
-    res = solve_target(p, 2, UTMatrix.zeros(FieldRing(Q), 2))
+    res = solve_target(p, 2, UTMatrix(Q, 2, {}))
     assert res.status == "exact"
     assert all(not a.entries for a in res.matrices)
     with pytest.raises(BandViolation):
@@ -292,8 +292,7 @@ def test_solve_deterministic_given_seed():
 def test_solve_prime_field_target():
     F101 = FieldDescriptor.parse("Fp:101")
     p = NcPolynomial.parse("x1*x2 - x2*x1", F101)
-    target = UTMatrix(FieldRing(F101), 3,
-                      {(1, 2): 17, (2, 3): 99, (1, 3): 3})
+    target = UTMatrix(F101, 3, {(1, 2): 17, (2, 3): 99, (1, 3): 3})
     res = solve_target(p, 3, target)
     assert res.status == "exact"
     assert evaluate(p, res.matrices).eq(target)
@@ -474,12 +473,11 @@ def test_exact_sweep_makes_no_generic_evaluation(field, monkeypatch):
     desc = FieldDescriptor.parse(field)
     for module in (utpoly.analysis, utpoly.triangular, utpoly.solver):
         monkeypatch.setattr(module, "generic_evaluate", _forbidden)
-    ring = FieldRing(desc)
     for text, n in (("x1^2 + x1*x2", 3), ("x1*x2-x2*x1", 3),
                     ("(x1*x2-x2*x1)*(x3*x4-x4*x3)", 4)):
         p = NcPolynomial.parse(text, desc)
         r = exact_order(p)
-        target = UTMatrix(ring, n, {(s, t): desc.from_int(s + 2 * t)
+        target = UTMatrix(desc, n, {(s, t): desc.from_int(s + 2 * t)
                                     for s in range(1, n + 1)
                                     for t in range(s + r, n + 1)})
         res = solve_target(p, n, target)
@@ -500,7 +498,7 @@ def test_complex_sweep_keeps_the_generic_entry(monkeypatch):
     monkeypatch.setattr(utpoly.solver, "generic_evaluate",
                         lambda *a: calls.append(a[1]) or real(*a))
     p = NcPolynomial.parse("x1*x2-x2*x1", C)
-    target = UTMatrix(FieldRing(C), 3, {(1, 2): 1.0, (2, 3): 2.0, (1, 3): 0.5})
+    target = UTMatrix(C, 3, {(1, 2): 1.0, (2, 3): 2.0, (1, 3): 0.5})
     res = solve_target(p, 3, target)
     assert res.report["target_met"]
     assert calls == [3]
@@ -527,8 +525,7 @@ def test_solve_r0_mixed_polynomial():
 
 def test_solve_r0_complex_residual():
     p = NcPolynomial.parse("x1^2", C)
-    target = UTMatrix(FieldRing(C), 2,
-                      {(1, 1): 2 + 0j, (2, 2): 3 + 1j, (1, 2): -1 + 0.5j})
+    target = UTMatrix(C, 2, {(1, 1): 2 + 0j, (2, 2): 3 + 1j, (1, 2): -1 + 0.5j})
     res = solve_diagonal_r0(p, 2, target)
     assert res.status == "approx"
     assert res.residual <= 1e-9
@@ -551,7 +548,7 @@ def test_solve_r0_degenerate_over_tiny_field():
     a(b+c) with bc the diagonal squares; diagonal zero forces entry zero.
     The solver must fail honestly (degenerate slope after the diagonals)."""
     p = NcPolynomial.parse("x1^2", F5)
-    target = UTMatrix(FieldRing(F5), 2, {(1, 2): F5.from_int(1)})
+    target = UTMatrix(F5, 2, {(1, 2): F5.from_int(1)})
     with pytest.raises((DegenerateCoefficient, NoRootInField)):
         solve_diagonal_r0(p, 2, target, SolveOptions(retries=8))
 
@@ -644,7 +641,7 @@ def test_other_field_matrices_are_refused_before_any_work(monkeypatch):
     for name in ("exact_order", "evaluate", "evaluate_structured"):
         monkeypatch.setattr(utpoly.solver, name, no_work)
     p = comm_product(1)
-    other = UTMatrix(FieldRing(F5), 2, {(1, 2): F5.from_int(1)})
+    other = UTMatrix(F5, 2, {(1, 2): F5.from_int(1)})
     with pytest.raises(FieldMismatch):
         solve_target(p, 2, other)
     with pytest.raises(FieldMismatch):
