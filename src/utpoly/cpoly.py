@@ -87,19 +87,11 @@ class CPolynomial:
                 out.add(k)
         return out
 
-    def __eq__(self, other):
-        if not isinstance(other, CPolynomial):
-            return NotImplemented
-        return self.field == other.field and self.terms == other.terms
-
     # -- arithmetic ------------------------------------------------------------
 
-    def _check(self, other: "CPolynomial"):
+    def __mul__(self, other):
         if not self.field.same_field(other.field):
             raise FieldMismatch(f"{self.field.render()} vs {other.field.render()}")
-
-    def __mul__(self, other):
-        self._check(other)
         return CPolynomial(self.field,
                            mul_terms(self.terms, other.terms, _mono_mul))
 

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import operator
 from functools import lru_cache
-from itertools import groupby
 
 from . import parsing
 from .errors import ArityMismatch, ConstantTermError, ParseError, VariableOutOfRange
-from .fields import FieldDescriptor, TermBuilder, render_terms
+from .fields import FieldDescriptor, TermBuilder
 
 
 class NcPolynomial:
@@ -69,15 +68,6 @@ class NcPolynomial:
     def degree(self) -> int:
         return max((len(w) for w in self.terms), default=0)
 
-    def __eq__(self, other):
-        if not isinstance(other, NcPolynomial):
-            return NotImplemented
-        return (self.field == other.field and self.nvars == other.nvars
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.field, self.nvars, tuple(sorted(self.terms.items()))))
-
     # -- evaluation -----------------------------------------------------------
 
     def eval_scalar(self, point):
@@ -92,16 +82,8 @@ class NcPolynomial:
             acc = acc + prod
         return self.field.canonical(acc)
 
-    # -- rendering ------------------------------------------------------------
-
-    def pretty(self) -> str:
-        return render_terms(self.field, (
-            ("*".join(f"x{i}^{k}" if (k := len(list(run))) > 1 else f"x{i}"
-                      for i, run in groupby(word)), self.terms[word])
-            for word in sorted(self.terms, key=lambda w: (len(w), w))))
-
     def __repr__(self):
-        return f"NcPolynomial({self.field.render()}, m={self.nvars}, {self.pretty()})"
+        return f"NcPolynomial({self.field.render()}, m={self.nvars}, {self.terms!r})"
 
 
 # 40 witness rounds (1800 requests, 363 polynomials) parsed, and built an

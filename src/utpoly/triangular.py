@@ -239,6 +239,8 @@ class UTMatrix:
                 raise ParseError(f"bad matrix entry: missing {exc}") from None
             except (ValueError, OverflowError) as exc:
                 raise ParseError(f"bad matrix entry index: {exc}") from None
+            if (j, k) in entries:
+                raise ParseError(f"matrix entry ({j},{k}) is listed twice")
             if not isinstance(text, str):
                 raise ParseError(f"matrix entry value must be a string, got {text!r}")
             entries[(j, k)] = desc.parse_literal(text)

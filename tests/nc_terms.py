@@ -1,6 +1,7 @@
 """Free polynomials built from others, for tests that draw random
 factors: the word sum and product kernels of utpoly.fields, with zero
-terms filtered after each step by the NcPolynomial constructor."""
+terms filtered after each step by the NcPolynomial constructor.  And
+parts, what tests compare polynomials by: the library compares none."""
 
 import operator
 
@@ -25,3 +26,10 @@ def bracket(a, b):
     ba = times(b, a)
     return plus(times(a, b),
                 NcPolynomial(ba.field, ba.nvars, {w: -c for w, c in ba.terms.items()}))
+
+
+def parts(p):
+    """(class, field, m, term map) of an NcPolynomial or a CPolynomial
+    (m None): two polynomials are equal when their parts are, whatever
+    the order of their terms."""
+    return type(p).__name__, p.field, getattr(p, "nvars", None), p.terms

@@ -10,7 +10,7 @@ import pytest
 
 import utpoly.analysis
 import utpoly.triangular
-from nc_terms import bracket, plus, times
+from nc_terms import bracket, parts, plus, times
 from plan_reference import band_sets
 from utpoly.analysis import (classify, coeff_poly, exact_order,
                              leading_tuples, order)
@@ -123,8 +123,8 @@ def test_order_over_prime_field_is_symbolic():
 
 def test_coeff_poly_frozen_oracles():
     c1 = comm_product(1)
-    assert coeff_poly(c1, (1,)) == CPolynomial.parse("z[2,2] - z[1,2]", Q)
-    assert coeff_poly(c1, (2,)) == CPolynomial.parse("z[1,1] - z[2,1]", Q)
+    assert parts(coeff_poly(c1, (1,))) == parts(CPolynomial.parse("z[2,2] - z[1,2]", Q))
+    assert parts(coeff_poly(c1, (2,))) == parts(CPolynomial.parse("z[1,1] - z[2,1]", Q))
     x = NcPolynomial.parse("x1", Q)
     q = coeff_poly(x, (1,))
     assert q.terms == {(): Fraction(1)}

@@ -1404,6 +1404,9 @@ _BAD_MATRICES = {
     "n a digit string": {"n": "2", "entries": []},
     "entries not a list": {"n": 2, "entries": 5},
     "value not a string": {"n": 2, "entries": [{"j": 1, "k": 2, "value": 3}]},
+    # read as its last value, solve answered the zero target
+    "a position listed twice": {"n": 2, "entries": [{"j": 1, "k": 2, "value": "1"},
+                                                     {"j": 1, "k": 2, "value": "0"}]},
     # a poly file is refused by its ring before its entries are parsed
     "poly value not a string": {"n": 2, "ring": "poly",
                                 "entries": [{"j": 1, "k": 2, "value": 3}]},
@@ -1623,6 +1626,31 @@ def test_bounded_flag_below_one_is_refused_first(capsys, command, flag, value):
     dest = flag[2:].replace("-", "_")
     assert code == 2 and out == "", err
     assert f"ZeroInput: {dest} must be at least 1" in err
+
+
+_BUDGETS = ("--retries", "--diag-budget", "--nonzero-budget")
+
+
+@pytest.mark.parametrize("command,flag", [
+    (command, flag) for command, declared in sorted(DECLARED.items())
+    for flag in _BUDGETS if flag in declared])
+def test_budget_flag_past_its_maximum_is_refused_first(tmp_path, capsys, monkeypatch,
+                                                       command, flag):
+    """Each budget flag is refused past 10^4 with exit 2, before the
+    sweep and before --field or --poly is read; 10^4 itself passes the
+    bound and ends at the unknown field."""
+    monkeypatch.setattr(utpoly.cli, "solve_target", _forbidden)
+    monkeypatch.setattr(utpoly.cli, "hit_open_set", _forbidden)
+    tf = tmp_path / "t.json"
+    tf.write_text(json.dumps(_FIELD_MATRIX))
+    extra = {"solve": ("--n", "2", "--target", str(tf)),
+             "hit": ("--n", "3", "--open-set", "y[1,2]")}[command]
+    refused = (2, "", f"utpoly: ResourceLimit: {flag} 10001 is past the limit of 10000\n")
+    for poly, field in (("x1*x2-x2*x1", "Q"), ("x1 +", "nope")):
+        argv = (command, "--poly", poly, "--field", field, *extra)
+        assert run(capsys, *argv, flag, "10001") == refused
+    assert run(capsys, *argv, flag, "10000") == (
+        1, "", "utpoly: ParseError: unknown field descriptor 'nope'\n")
 
 
 # -- sampling height below 1 --------------------------------------------------------

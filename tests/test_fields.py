@@ -6,7 +6,6 @@ import random
 import sys
 import time
 from fractions import Fraction
-from itertools import groupby
 
 import pytest
 
@@ -414,23 +413,6 @@ def _ref_var(key):
     return f"{key[0]}[{','.join(str(i) for i in key[1:])}]"
 
 
-def _ref_pretty(p):
-    if not p.terms:
-        return "0"
-    pieces = []
-    for word in sorted(p.terms, key=lambda w: (len(w), w)):
-        body = "*".join(
-            f"x{i}^{k}" if (k := len(list(run))) > 1 else f"x{i}"
-            for i, run in groupby(word))
-        sign, coeff_text = _ref_split_sign(p.field, p.terms[word])
-        text = f"{coeff_text}*{body}" if coeff_text else body
-        if not pieces:
-            pieces.append(("-" if sign < 0 else "") + text)
-        else:
-            pieces.append((" - " if sign < 0 else " + ") + text)
-    return "".join(pieces)
-
-
 def _ref_render(q):
     if not q.terms:
         return "0"
@@ -492,9 +474,10 @@ def _exact(items):
 
 @pytest.mark.parametrize("spec", ["Q", "Fp:2", "Fp:101", "C", "C:0.5"])
 def test_term_helpers_match_the_loops_they_replaced(spec):
-    """Sums, products and text of both polynomial kinds, and both
-    parsers' raw sums and products, against the copies above: same
-    coefficients to the bit and same term order (C's summation order)."""
+    """Sums and products of both polynomial kinds, CPolynomial's text,
+    and both parsers' raw sums and products, against the copies above:
+    same coefficients to the bit and same term order (C's summation
+    order)."""
     desc = FieldDescriptor.parse(spec)
     rng = random.Random(spec)
     builder, cbuilder = _FreeBuilder(desc), _CBuilder(desc, "xzy")
@@ -507,8 +490,6 @@ def test_term_helpers_match_the_loops_they_replaced(spec):
                 desc, 2, _ref_free_mul(a.terms, b.terms)).terms,
                 c.terms)).terms, a.terms))
         assert _exact(got.terms.items()) == _exact(want.terms.items())
-        for p in (a, b, c, got):
-            assert p.pretty() == _ref_pretty(p)
         # raw builder maps keep cancelled terms and a constant ()
         ra, rb = dict(a.terms), {**b.terms, (): _coeff(desc, rng)}
         assert _exact(builder.add(ra, rb).items()) == \
@@ -546,32 +527,29 @@ _RENDER_KEYS = (entry_var(1, 2, 1), entry_var(1, 10, 1), entry_var(2, 10, 3),
 
 @pytest.mark.parametrize("spec", list(_RENDER_COEFFS))
 def test_render_matches_a_reference_that_shares_no_code(spec):
-    """CPolynomial.render and NcPolynomial.pretty against _ref_render and
-    _ref_pretty on seeded random polynomials: every coefficient kind the
-    renderers treat apart (Q's +-1, negatives, fractions and big integers;
-    C's real, imaginary and mixed values of either sign), exponents above
-    1, constant terms, and the zero polynomial."""
+    """CPolynomial.render against _ref_render on seeded random
+    polynomials: every coefficient kind the renderer treats apart (Q's
+    +-1, negatives, fractions and big integers; C's real, imaginary and
+    mixed values of either sign), exponents above 1, constant terms, and
+    the zero polynomial."""
     desc = FieldDescriptor.parse(spec)
     pool = [desc.from_fraction(c) if spec == "Q" else c for c in _RENDER_COEFFS[spec]]
     rng = random.Random(spec)
     used, exponents, constants = set(), 0, 0
     for _ in range(200):
-        terms, words = {}, {}
+        terms = {}
         for _ in range(rng.randint(0, 12)):
             keys = rng.sample(_RENDER_KEYS, rng.randint(0, 4))
             m = tuple(sorted((k, rng.choice((1, 1, 2, 3))) for k in keys))
-            word = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 5)))
-            i, j = rng.randrange(len(pool)), rng.randrange(len(pool))
-            terms[m], words[word] = pool[i], pool[j]
-            used |= {i, j}
+            i = rng.randrange(len(pool))
+            terms[m] = pool[i]
+            used.add(i)
             exponents += any(e > 1 for _, e in m)
             constants += not m
-        q, p = CPolynomial(desc, terms), NcPolynomial(desc, 3, words)
+        q = CPolynomial(desc, terms)
         assert q.render() == _ref_render(q), terms
-        assert p.pretty() == _ref_pretty(p), words
     assert used == set(range(len(pool))) and exponents and constants
     assert CPolynomial(desc, {}).render() == _ref_render(CPolynomial(desc, {})) == "0"
-    assert NcPolynomial(desc, 3, {}).pretty() == _ref_pretty(NcPolynomial(desc, 3, {})) == "0"
 
 
 def test_solve_univariate_rational_quadratic():

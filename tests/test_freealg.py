@@ -1,10 +1,10 @@
-"""Free-algebra polynomials: parsing, printing, scalar evaluation."""
+"""Free-algebra polynomials: parsing and scalar evaluation."""
 
-import random
 from fractions import Fraction
 
 import pytest
 
+from nc_terms import parts
 from utpoly.errors import (ArityMismatch, ConstantTermError, ParseError,
                            VariableOutOfRange)
 from utpoly.fields import FieldDescriptor
@@ -12,7 +12,6 @@ from utpoly.freealg import NcPolynomial
 
 Q = FieldDescriptor.parse("Q")
 F7 = FieldDescriptor.parse("Fp:7")
-C = FieldDescriptor.parse("C")
 
 
 def P(text, field=Q, nvars=None):
@@ -23,10 +22,10 @@ def test_parse_simple_words():
     p = P("x1*x2 - x2*x1")
     assert p.nvars == 2
     assert p.terms == {(1, 2): Fraction(1), (2, 1): Fraction(-1)}
-    # equality and the hash ignore the order of p's terms
+    # equal parts, whatever the order of p's terms
     again = P("x1*x2 - x2*x1")
     turned = NcPolynomial(Q, 2, dict(reversed(p.terms.items())))
-    assert p == again == turned and hash(p) == hash(turned)
+    assert parts(p) == parts(again) == parts(turned)
 
 
 def test_parse_powers_and_implicit_coefficients():
@@ -65,9 +64,9 @@ def test_constant_term_rejected():
     with pytest.raises(ConstantTermError):
         P("x1 + 2 - x1", nvars=1)
     # constants that cancel are fine
-    assert P("x1 + 2 - 2", nvars=1) == P("x1", nvars=1)
+    assert parts(P("x1 + 2 - 2", nvars=1)) == parts(P("x1", nvars=1))
     # x^0 introduces a unit factor, not a constant term, when multiplied
-    assert P("2*x1^0*x2") == P("2*x2", nvars=2)
+    assert parts(P("2*x1^0*x2")) == parts(P("2*x2", nvars=2))
 
 
 def test_parse_syntax_errors_carry_position():
@@ -101,7 +100,7 @@ def test_prime_field_coefficients_normalize():
 
 
 def test_noncommutativity_is_preserved():
-    assert P("x1*x2") != P("x2*x1")
+    assert parts(P("x1*x2")) != parts(P("x2*x1"))
     assert not P("x1*x2 - x2*x1").is_zero()
     assert P("x1*x1 - x1*x1", nvars=1).is_zero()
 
@@ -120,32 +119,3 @@ def test_eval_scalar():
     with pytest.raises(ArityMismatch):
         q.eval_scalar([Fraction(1)])
 
-
-def test_pretty_roundtrip_rational():
-    rng = random.Random(11)
-    for _ in range(40):
-        terms = {}
-        for _ in range(rng.randint(1, 5)):
-            w = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 4)))
-            terms[w] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-        terms = {w: c for w, c in terms.items() if c}
-        if not terms:
-            continue
-        p = NcPolynomial(Q, 3, terms)
-        assert P(p.pretty(), nvars=3) == p
-
-
-def test_pretty_roundtrip_prime_and_complex():
-    p = P("3*x1*x1 + 4*x2", F7)
-    assert NcPolynomial.parse(p.pretty(), F7) == p
-    q = NcPolynomial.parse("3.0j*x1 + 2.0j*x2^2", C)
-    assert NcPolynomial.parse(q.pretty(), C) == q
-
-
-def test_pretty_compresses_runs():
-    assert P("x1*x1*x1", nvars=1).pretty() == "x1^3"
-    assert "x1^2*x2" in P("x1*x1*x2").pretty()
-
-
-def test_zero_pretty():
-    assert NcPolynomial(Q, 2, {}).pretty() == "0"

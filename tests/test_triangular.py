@@ -19,7 +19,7 @@ from itertools import combinations
 import pytest
 
 import utpoly.triangular
-from nc_terms import plus
+from nc_terms import parts, plus
 from utpoly.analysis import coeff_poly, exact_order, leading_tuples
 from utpoly.cpoly import CPolynomial, _mono_mul, diag_var, entry_var
 from utpoly.errors import (ArityMismatch, FieldMismatch, ParseError,
@@ -270,6 +270,17 @@ def test_json_bad_inputs():
         UTMatrix.from_json({"n": 2, "entries": [{"j": 1, "k": 2}]}, Q)
 
 
+@pytest.mark.parametrize("second", ["2", "0", "1/0", 3])
+def test_json_repeated_entry(second):
+    """A position listed twice is refused by its position, before the
+    second value is read: one that would have replaced the first, one
+    that is zero, one the field refuses, one that is not a string."""
+    entries = [{"j": 1, "k": 1, "value": "5"}, {"j": 1, "k": 2, "value": "1"},
+               {"j": 1, "k": 2, "value": second}]
+    with pytest.raises(ParseError, match=r"^matrix entry \(1,2\) is listed twice$"):
+        UTMatrix.from_json({"n": 2, "entries": entries}, Q)
+
+
 def test_word_product_routes_agree_random():
     rng = random.Random(20)
     for desc in (Q, F7):
@@ -392,7 +403,7 @@ def test_generic_matrix_shape():
     for v in g.values():
         assert not v.is_zero()
         assert [sum(e for _, e in mono) for mono in v.terms] == [1]
-    assert g[1, 2] != g[1, 3]
+    assert parts(g[1, 2]) != parts(g[1, 3])
 
 
 def test_generic_evaluate_specializes_to_concrete():
