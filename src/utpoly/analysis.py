@@ -31,7 +31,6 @@ are not cached.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .cpoly import CPolynomial, render_var
 from .errors import OrderMismatch, VariableOutOfRange, ZeroInput
@@ -57,12 +56,15 @@ def coeff_poly(p: NcPolynomial, slots: tuple) -> CPolynomial:
 coeff_poly.cache_info = shared_parse.cache_info
 
 
-@dataclass
 class OrderReport:
-    r: int | None          # None when the cap was hit
-    max_n: int
-    witness_entry: tuple | None   # (j, k) of the generic evaluation at size r+1
-    witness_point: dict | None    # VarKey -> value, makes the entry nonzero
+    __slots__ = ("r", "max_n", "witness_entry", "witness_point")
+
+    def __init__(self, r: int | None, max_n: int, witness_entry: tuple | None,
+                 witness_point: dict | None):
+        self.r = r                          # None when the cap was hit
+        self.max_n = max_n
+        self.witness_entry = witness_entry  # (j, k) of the generic evaluation at size r+1
+        self.witness_point = witness_point  # VarKey -> value, makes the entry nonzero
 
     @property
     def capped(self) -> bool:
@@ -148,13 +150,15 @@ def leading_tuples(p: NcPolynomial, r: int) -> list[tuple]:
     return list(live_slots(p, r))
 
 
-@dataclass
 class Classification:
-    case: str            # dense_full | equals_band | dense_in_band | zero
-    r: int | None        # None when only "r > n" is known
-    n: int
-    band: int
-    affine_dim: int
+    __slots__ = ("case", "r", "n", "band", "affine_dim")
+
+    def __init__(self, case: str, r: int | None, n: int, band: int, affine_dim: int):
+        self.case = case        # dense_full | equals_band | dense_in_band | zero
+        self.r = r              # None when only "r > n" is known
+        self.n = n
+        self.band = band
+        self.affine_dim = affine_dim
 
     def to_json(self) -> dict:
         return {

@@ -117,6 +117,10 @@ _BOUNDED = ("n", "max_n", "height", "retries", "diag_budget", "nonzero_budget")
 # and the most the budget flags may ask for, refused there too: alone at
 # 10^4 each ran at most 1.5 s on the cases measured; tier-1 reaches 200
 _MAXIMA = dict.fromkeys(("retries", "diag_budget", "nonzero_budget"), 10 ** 4)
+# and the most diagonal samples hit's sweeps may draw, --retries times
+# --diag-budget: at 10^6 the slowest measured case ran 5.6 s; tier-1, the
+# golden corpus and the bench reach 3200 (16 * 200, the defaults)
+_MAX_HIT_SAMPLES = 10 ** 6
 
 
 def _add_common(sp, *flags):
@@ -412,6 +416,10 @@ def main(argv=None) -> int:
             if value is not None and value > _MAXIMA.get(dest, value):
                 raise ResourceLimit(f"--{dest.replace('_', '-')} {value} is past "
                                     f"the limit of {_MAXIMA[dest]}")
+        if args.command == "hit" and args.retries * args.diag_budget > _MAX_HIT_SAMPLES:
+            raise ResourceLimit(f"--retries {args.retries} times --diag-budget "
+                                f"{args.diag_budget} is {args.retries * args.diag_budget}, "
+                                f"past the limit of {_MAX_HIT_SAMPLES}")
         desc = FieldDescriptor.parse(args.field)
         p = shared_parse(args.poly, desc, args.m)
         _COMMANDS[args.command](args, desc, p)

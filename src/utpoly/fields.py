@@ -29,7 +29,6 @@ import operator
 import random
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 
@@ -80,24 +79,43 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class FieldDescriptor:
     """Identifies a coefficient field and centralizes element handling.
 
     kind is one of "rational", "prime", "complex".  eps only matters for
     complex.  It takes part in equality and hashing, so caches keyed on a
     polynomial never mix tolerances; descriptors that differ only in
-    tolerance still interoperate through same_field.
+    tolerance still interoperate through same_field.  A descriptor is
+    immutable.
     """
 
-    kind: str
-    p: int | None = None
-    eps: float = 1e-9
+    __slots__ = ("kind", "p", "eps", "_zero", "_one")
 
-    def __post_init__(self):
+    def __init__(self, kind: str, p: int | None = None, eps: float = 1e-9):
+        put = object.__setattr__
+        put(self, "kind", kind)
+        put(self, "p", p)
+        put(self, "eps", eps)
         # elements are immutable: one zero and one one per descriptor
-        object.__setattr__(self, "_zero", self.from_int(0))
-        object.__setattr__(self, "_one", self.from_int(1))
+        put(self, "_zero", self.from_int(0))
+        put(self, "_one", self.from_int(1))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a FieldDescriptor")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a FieldDescriptor")
+
+    def __eq__(self, other):
+        if other.__class__ is not FieldDescriptor:
+            return NotImplemented
+        return (self.kind, self.p, self.eps) == (other.kind, other.p, other.eps)
+
+    def __hash__(self):
+        return hash((self.kind, self.p, self.eps))
+
+    def __repr__(self):
+        return f"FieldDescriptor(kind={self.kind!r}, p={self.p!r}, eps={self.eps!r})"
 
     @classmethod
     def parse(cls, text: str) -> "FieldDescriptor":
@@ -484,9 +502,15 @@ def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
             m *= m
             r = (r - _horner(s, r) * pow(_horner(ds, r), -1, m)) % m
         v = s[-1] * r % m
-        u = Fraction(v - m if 2 * v > m else v, s[-1])
-        if _horner(s, u) == 0:
-            found.append(u)
+        w = v - m if 2 * v > m else v
+        # s(w / lead(s)) = 0 exactly when lead(s)^d s(w / lead(s)), an
+        # integer, is: Horner's rule on integers, not on Fractions
+        acc, scale = 0, 1
+        for c in reversed(s):
+            acc = acc * w + c * scale
+            scale *= s[-1]
+        if acc == 0:
+            found.append(Fraction(w, s[-1]))
     return sorted(zero + found)
 
 

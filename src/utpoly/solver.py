@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
 from functools import partial
 
 from .analysis import coeff_poly, exact_order, leading_tuples
@@ -90,7 +89,6 @@ def build_sweep_plan_rn(r: int, n: int, lead: tuple) -> list[tuple]:
             for band in range(n - r) for s in range(1, n - r - band + 1)]
 
 
-@dataclass
 class SolveOptions:
     """The knobs of one witness construction: the seed of its random
     stream, the attempts of the sweep (retries), the sampling height (Q
@@ -98,21 +96,28 @@ class SolveOptions:
     search (diag_budget) and hit's random tuples after its sweeps
     (nonzero_budget).  The CLI refuses a value below 1 for every knob
     but the seed."""
-    seed: int = 0
-    retries: int = 16
-    height: int = 256
-    diag_budget: int = 200
-    nonzero_budget: int = 200
+    __slots__ = ("seed", "retries", "height", "diag_budget", "nonzero_budget")
+
+    def __init__(self, seed: int = 0, retries: int = 16, height: int = 256,
+                 diag_budget: int = 200, nonzero_budget: int = 200):
+        self.seed = seed
+        self.retries = retries
+        self.height = height
+        self.diag_budget = diag_budget
+        self.nonzero_budget = nonzero_budget
 
 
-@dataclass
 class WitnessResult:
-    matrices: list
-    achieved: UTMatrix
-    status: str               # "exact" | "approx"
-    residual: float
-    diagnostics: dict
-    report: dict = field(default_factory=dict)
+    __slots__ = ("matrices", "achieved", "status", "residual", "diagnostics", "report")
+
+    def __init__(self, matrices: list, achieved: UTMatrix, status: str, residual: float,
+                 diagnostics: dict, report: dict):
+        self.matrices = matrices
+        self.achieved = achieved
+        self.status = status        # "exact" | "approx"
+        self.residual = residual
+        self.diagnostics = diagnostics
+        self.report = report
 
     def to_json(self) -> dict:
         return {
@@ -502,7 +507,8 @@ def hit_open_set(p: NcPolynomial, n: int, f: CPolynomial,
             continue
         target = UTMatrix(desc, n, {(s, t): point[out_var(s, t)]
                                     for s, t in coords})
-        sub = replace(opt, seed=rng.randrange(2 ** 30), retries=4)
+        sub = SolveOptions(seed=rng.randrange(2 ** 30), retries=4, height=opt.height,
+                           diag_budget=opt.diag_budget, nonzero_budget=opt.nonzero_budget)
         try:
             result = _sweep(p, n, r, target, sub, f)
         except (DegenerateCoefficient, BudgetExhausted):

@@ -29,16 +29,23 @@ evaluate walks p's words in p.terms order with a stack of the previous
 word's prefix products (_word_products), so a word costs only the
 letters after its longest common prefix with the word before it; each
 product is still the same left fold, so the result is bit for bit that
-of folding every word from scratch.  Products run through one kernel on
-raw entry maps, _product, of which UTMatrix.__matmul__ is a thin call;
-the fold builds no matrix per product, since _check_tuple has fixed one
+of folding every word from scratch.  Products run through one kernel,
+_product, of which UTMatrix.__matmul__ is a thin call: the left factor
+is a raw entry map, the right one the matrix by rows (_rows), each row
+its present entries in ascending k, so the kernel visits entries of the
+left factor, then k, in the order a probe of every (l, k) would, and
+takes each position from one table per size (_cells).  A word's first
+letter enters as an entry map and every later letter as rows, each built
+once per evaluation, as the factors never change during the fold; the
+fold builds no matrix per product, since _check_tuple has fixed one
 size and one field for every factor.  Over Q each factor enters as an
-integer entry map over one denominator (_integer_entries), and a product
-carries the product of its factors' denominators, so no Fraction is
-made inside a product.  Each word's coefficient is then applied and
-summed in one pass with two zero filters: a term that is zero is
-dropped, and an entry whose sum is zero leaves the result, to re-enter
-at the end if a later word gives it a term.  C's float bits and the
+integer entry map over one denominator (_integer_entries), its rows
+carrying that denominator, and a product carries the product of its
+factors' denominators, so no Fraction is made inside a product.  Each
+word's coefficient is then applied and summed in one pass with two zero
+filters: a term that is zero is dropped, and an entry whose sum is zero
+leaves the result, to re-enter at the end if a later word gives it a
+term.  C's float bits and the
 order of the result's entries are thus those of multiplying each word's
 product by its coefficient and adding the products one by one, dropping
 zeros each time.  Over Q that pass runs on integers: every sum is kept
@@ -183,8 +190,9 @@ class UTMatrix:
 
     def __matmul__(self, other):
         self._check(other)
-        return UTMatrix._of(self.desc, self.n,
-                            _product(self.entries, other.entries, self.n, self.desc))
+        n = self.n
+        return UTMatrix._of(self.desc, n, _product(self.entries, _rows(other.entries, n),
+                                                   _cells(n), self.desc))
 
     def in_band(self, t: int) -> bool:
         """True when every entry with k - j <= t vanishes.  Band -1 is the
@@ -310,18 +318,33 @@ def _word_products(p, firsts, factors, times):
         yield coeff, stack[-1]
 
 
-def _product(a: dict, b: dict, n: int, desc: FieldDescriptor) -> dict:
-    """The entry map of the product of the size-n entry maps a and b over
-    desc: entries of a, then k, in visiting order, zeros dropped."""
+def _rows(entries: dict, n: int) -> list:
+    """rows[l]: the (k, value) pairs of row l of a size-n entry map,
+    present entries only, in ascending k (rows[0] is empty)."""
+    rows: list = [[] for _ in range(n + 1)]
+    for l, k in sorted(entries):
+        rows[l].append((k, entries[l, k]))
+    return rows
+
+
+def _cells(n: int) -> list:
+    """cells[j][k]: the position (j, k) of size n, made once, so that a
+    product builds no position of its own."""
+    return [[(j, k) for k in range(n + 1)] for j in range(n + 1)]
+
+
+def _product(a: dict, rows: list, cells: list, desc: FieldDescriptor) -> dict:
+    """The entry map of the product of the entry map a and a matrix given
+    by its _rows over desc, positions taken from _cells: entries of a,
+    then k, in visiting order, zeros dropped."""
     entries: dict = {}
     get = entries.get
     for (j, l), x in a.items():
-        for k in range(l, n + 1):
-            y = b.get((l, k))
-            if y is not None:
-                pos = (j, k)
-                s = get(pos)
-                entries[pos] = x * y if s is None else s + x * y
+        cell = cells[j]
+        for k, y in rows[l]:
+            pos = cell[k]
+            s = get(pos)
+            entries[pos] = x * y if s is None else s + x * y
     nonzero = desc.nonzero
     return {pos: w for pos, v in entries.items() if (w := nonzero(v)) is not None}
 
@@ -340,16 +363,18 @@ def evaluate(p, matrices) -> UTMatrix:
     result.  See the module docstring."""
     desc = _check_tuple(p, matrices)
     n = matrices[0].n
+    cells = _cells(n)
     acc: dict = {}
     rational = desc.kind == "rational"
     if rational:
-        factors = [_integer_entries(a.entries) for a in matrices]
+        firsts = [_integer_entries(a.entries) for a in matrices]
+        factors = [(_rows(ints, n), d) for ints, d in firsts]
         # every sum in acc is an integer over common; grown word by word,
         # not the lcm of all words up front, it keeps early sums small
         common = 1
 
         def times(a, b):
-            return _product(a[0], b[0], n, desc), a[1] * b[1]
+            return _product(a[0], b[0], cells, desc), a[1] * b[1]
 
         def terms(c, product):
             nonlocal common
@@ -363,17 +388,18 @@ def evaluate(p, matrices) -> UTMatrix:
             scale = c.numerator * (common // den)
             return [(pos, scale * v) for pos, v in product[0].items()]
     else:
-        factors = [a.entries for a in matrices]
+        firsts = [a.entries for a in matrices]
+        factors = [_rows(a, n) for a in firsts]
 
         def times(a, b):
-            return _product(a, b, n, desc)
+            return _product(a, b, cells, desc)
 
         def terms(c, product):
             return [(pos, c * v) for pos, v in product.items()]
 
     # a zero term is dropped, then a zero sum
     nonzero = desc.nonzero
-    for coeff, product in _word_products(p, factors, factors, times):
+    for coeff, product in _word_products(p, firsts, factors, times):
         for pos, v in terms(coeff, product):
             v = nonzero(v)
             if v is None:

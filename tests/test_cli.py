@@ -817,6 +817,20 @@ def test_oracle_enum_f5_n3_within_budget():
     assert elapsed < 1.2, elapsed
 
 
+def test_start_up_loads_neither_dataclasses_nor_inspect():
+    """Every CLI process imports utpoly.cli first.  dataclasses loads
+    inspect, ast, dis and tokenize, and each @dataclass execs its
+    generated methods: about a tenth of start-up.  -S keeps the
+    site module's own imports out of the check."""
+    src = os.path.dirname(os.path.dirname(utpoly.cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, utpoly.cli; "
+         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
 def test_byte_determinism(capsys):
     a = run_json(capsys, "order", "--poly", "x1*x2-x2*x1")
     b = run_json(capsys, "order", "--poly", "x1*x2-x2*x1")
@@ -1638,19 +1652,41 @@ def test_budget_flag_past_its_maximum_is_refused_first(tmp_path, capsys, monkeyp
                                                        command, flag):
     """Each budget flag is refused past 10^4 with exit 2, before the
     sweep and before --field or --poly is read; 10^4 itself passes the
-    bound and ends at the unknown field."""
+    bound and ends at the unknown field.  hit runs at --diag-budget 100,
+    so that --retries 10^4 also passes its product bound."""
     monkeypatch.setattr(utpoly.cli, "solve_target", _forbidden)
     monkeypatch.setattr(utpoly.cli, "hit_open_set", _forbidden)
     tf = tmp_path / "t.json"
     tf.write_text(json.dumps(_FIELD_MATRIX))
     extra = {"solve": ("--n", "2", "--target", str(tf)),
-             "hit": ("--n", "3", "--open-set", "y[1,2]")}[command]
+             "hit": ("--n", "3", "--open-set", "y[1,2]", "--diag-budget", "100")}[command]
     refused = (2, "", f"utpoly: ResourceLimit: {flag} 10001 is past the limit of 10000\n")
     for poly, field in (("x1*x2-x2*x1", "Q"), ("x1 +", "nope")):
         argv = (command, "--poly", poly, "--field", field, *extra)
         assert run(capsys, *argv, flag, "10001") == refused
     assert run(capsys, *argv, flag, "10000") == (
         1, "", "utpoly: ParseError: unknown field descriptor 'nope'\n")
+
+
+def test_hit_budget_product_past_its_bound_is_refused_first(capsys, monkeypatch):
+    """hit runs up to --retries sweeps, each drawing up to --diag-budget
+    diagonal samples per attempt: at --retries 10^4, each flag within its
+    own maximum, hit --field Fp:2 --open-set 'y[1,2]' ran over 13 s.  A
+    product of 10^6 passes the bound and ends at the unknown field; one
+    past it is refused with exit 2, before the sweep and before --field
+    or --poly is read."""
+    monkeypatch.setattr(utpoly.cli, "hit_open_set", _forbidden)
+    base = ("hit", "--n", "3", "--open-set", "y[1,2]")
+    for r, d in ((5000, 200), (100, 10000), (10000, 100)):
+        assert run(capsys, *base, "--poly", "x1 +", "--field", "nope",
+                   "--retries", str(r), "--diag-budget", str(d)) == (
+            1, "", "utpoly: ParseError: unknown field descriptor 'nope'\n")
+    for r, d in ((5001, 200), (200, 5001), (101, 9901), (9901, 101)):
+        for poly, field in (("x1*x2-x2*x1", "Q"), ("x1 +", "nope")):
+            assert run(capsys, *base, "--poly", poly, "--field", field,
+                       "--retries", str(r), "--diag-budget", str(d)) == (
+                2, "", f"utpoly: ResourceLimit: --retries {r} times --diag-budget {d} "
+                       f"is {r * d}, past the limit of 1000000\n")
 
 
 # -- sampling height below 1 --------------------------------------------------------

@@ -30,10 +30,12 @@ IMPLICIT = {
     "__pow__": "_Lanes: ** on a lane vector, in the evaluation routes",
     "__mod__": "_Lanes: % p on a lane vector, in the evaluation routes",
     "__bool__": "_Lanes: a lane vector's truth, in the zero filter",
-    "__eq__": "_Lanes: == in UTMatrix.eq",
-    "__repr__": "UTMatrix, CPolynomial and NcPolynomial: repr in test "
-                "failure messages",
-    "__post_init__": "FieldDescriptor: the dataclass calls it after __init__",
+    "__eq__": "_Lanes: == in UTMatrix.eq; FieldDescriptor: the keys of "
+              "shared_parse",
+    "__hash__": "FieldDescriptor: the keys of shared_parse",
+    "__delattr__": "FieldDescriptor: del on a field, refused as it is immutable",
+    "__repr__": "UTMatrix, CPolynomial, NcPolynomial and FieldDescriptor: "
+                "repr in test failure messages",
 }
 
 

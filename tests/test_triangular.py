@@ -188,6 +188,18 @@ def rand_matrix(desc, n, rng, height=9):
         for j in range(1, n + 1) for k in range(j, n + 1)})
 
 
+def as_listed(rng, a):
+    """a, and two matrices a file may give that the kernel must read
+    alike: a's entries listed in a shuffled (j, k) order, and a's
+    entries with whole rows missing, one row at least."""
+    items = list(a.entries.items())
+    rng.shuffle(items)
+    gone = set(rng.sample(range(1, a.n + 1), rng.randint(1, a.n)))
+    return [a, UTMatrix(a.desc, a.n, dict(items)),
+            UTMatrix(a.desc, a.n, {pos: v for pos, v in a.entries.items()
+                                   if pos[0] not in gone})]
+
+
 def rand_poly(desc, rng, m, max_len=3, max_terms=4):
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
@@ -331,15 +343,16 @@ def test_structured_route_runs_no_matrix_product(monkeypatch):
 
 @pytest.mark.parametrize("field", ["Q", "Fp:3", "C"])
 def test_structured_route_runs_no_product_kernel(field, monkeypatch):
-    """The direct route's product kernel and Q's integer factors stay off
-    the structured route, so the two routes remain independent."""
+    """The direct route's product kernel, its row lists and position table
+    and Q's integer factors stay off the structured route, so the two
+    routes remain independent."""
     desc = FieldDescriptor.parse(field)
     rng = random.Random(field)
     p = shared_poly(desc, rng, 3)
     mats = [rand_matrix(desc, 4, rng) for _ in range(3)]
     direct = evaluate(p, mats)
-    monkeypatch.setattr(utpoly.triangular, "_product", _forbidden)
-    monkeypatch.setattr(utpoly.triangular, "_integer_entries", _forbidden)
+    for name in ("_product", "_rows", "_cells", "_integer_entries"):
+        monkeypatch.setattr(utpoly.triangular, name, _forbidden)
     assert evaluate_structured(p, mats).eq(direct)
 
 
@@ -556,12 +569,15 @@ def test_generic_fold_at_the_packing_boundaries(field):
 def test_shared_prefixes_give_the_word_by_word_fold(field):
     desc = FieldDescriptor.parse(field)
     rng = random.Random(field)
+    order = random.Random(len(field))
     for _ in range(40):
         m, n = rng.randint(1, 3), rng.randint(1, 5)
         p = shared_poly(desc, rng, m)
         mats = [rand_matrix(desc, n, rng) for _ in range(m)]
-        assert bits(evaluate(p, mats).entries) == bits(evaluate_words(p, entry_maps(mats), n)), \
-            p.terms
+        # each tuple also with its entries shuffled, and with rows missing
+        for listed in zip(*(as_listed(order, a) for a in mats)):
+            assert bits(evaluate(p, listed).entries) == \
+                bits(evaluate_words(p, entry_maps(listed), n)), p.terms
 
 
 def test_a_word_costs_the_letters_after_the_shared_prefix(monkeypatch):
@@ -601,9 +617,11 @@ def q_matrix(rng, n, kind):
 def test_q_evaluate_matches_the_word_by_word_fold():
     """Over Q evaluate multiplies integer entry maps over one denominator
     per factor; its result must be that of the Fraction fold bit for bit,
-    for cancelling coefficients, zero matrices, integer entries and
-    denominators up to 10^12."""
+    for cancelling coefficients, zero matrices, integer entries,
+    denominators up to 10^12, entries listed out of (j, k) order and
+    whole rows missing."""
     rng = random.Random(1012)
+    order = random.Random(1013)
     kinds = ["zero", "int", "small", "huge"]
     for trial in range(60):
         m, n = rng.randint(1, 3), rng.randint(1, 5)
@@ -613,18 +631,24 @@ def test_q_evaluate_matches_the_word_by_word_fold():
                                                 rng.randint(1, 10 ** 12))
                                     for w in p.terms})
         mats = [q_matrix(rng, n, rng.choice(kinds)) for _ in range(m)]
-        got = evaluate(p, mats)
-        assert bits(got.entries) == bits(evaluate_words(p, entry_maps(mats), n)), (p.terms, n)
-        assert all(type(v) is Fraction for v in got.entries.values())
+        for listed in zip(*(as_listed(order, a) for a in mats)):
+            got = evaluate(p, listed)
+            assert bits(got.entries) == bits(evaluate_words(p, entry_maps(listed), n)), \
+                (p.terms, n)
+            assert all(type(v) is Fraction for v in got.entries.values())
 
 
 @pytest.mark.parametrize("field", ["Q", "Fp:3", "C"])
 def test_matmul_is_the_product_kernel(field):
-    """a @ b is the kernel's entry map, and both are the reference's, term
-    order and float bits included; over Q the kernel on the integer
-    factors, divided by the product of their denominators, gives the same
-    entries in the same order."""
+    """a @ b is the kernel's entry map on a and b's rows, and both are the
+    reference's, term order and float bits included, also for entries
+    listed out of (j, k) order and for whole rows missing; over Q the
+    kernel on the integer factors, divided by the product of their
+    denominators, gives the same entries in the same order."""
     rng = random.Random(field)
+    order = random.Random(len(field))
+    rows, cells, product = (utpoly.triangular._rows, utpoly.triangular._cells,
+                            utpoly.triangular._product)
     for _ in range(30):
         n = rng.randint(1, 5)
         desc = FieldDescriptor.parse(field)
@@ -632,17 +656,18 @@ def test_matmul_is_the_product_kernel(field):
             a, b = q_matrix(rng, n, "huge"), q_matrix(rng, n, "small")
         else:
             a, b = (rand_matrix(desc, n, rng) for _ in range(2))
-        want = bits(matmul_reference(desc, n, a.entries, b.entries))
-        assert bits((a @ b).entries) == want
-        kernel = utpoly.triangular._product(a.entries, b.entries, n, desc)
-        assert bits(UTMatrix(desc, n, kernel).entries) == want
-        if field == "Q":
-            (ia, da), (ib, db) = (utpoly.triangular._integer_entries(x.entries)
-                                  for x in (a, b))
-            ints = utpoly.triangular._product(ia, ib, n, desc)
-            assert all(type(v) is int for v in ints.values())
-            scaled = {pos: Fraction(v, da * db) for pos, v in ints.items()}
-            assert bits(UTMatrix(desc, n, scaled).entries) == want
+        for a, b in zip(as_listed(order, a), as_listed(order, b)):
+            want = bits(matmul_reference(desc, n, a.entries, b.entries))
+            assert bits((a @ b).entries) == want
+            kernel = product(a.entries, rows(b.entries, n), cells(n), desc)
+            assert bits(UTMatrix(desc, n, kernel).entries) == want
+            if field == "Q":
+                (ia, da), (ib, db) = (utpoly.triangular._integer_entries(x.entries)
+                                      for x in (a, b))
+                ints = product(ia, rows(ib, n), cells(n), desc)
+                assert all(type(v) is int for v in ints.values())
+                scaled = {pos: Fraction(v, da * db) for pos, v in ints.items()}
+                assert bits(UTMatrix(desc, n, scaled).entries) == want
 
 
 def test_q_evaluate_applies_each_coefficient_once_per_entry(monkeypatch, fractions_made):
